@@ -31,9 +31,7 @@ class Chunk:
     traj_id: str
     start: int
     span_frames: int
-    sub_indices: np.ndarray            # N frame ordinals relative to start
-    feature: np.ndarray | None = None  # L2-normalized joint feature
-    norm: float = 0.0                  # Euclidean norm before normalization
+    sub_indices: np.ndarray  # N frame ordinals relative to start
 
 
 @dataclass
@@ -92,18 +90,6 @@ def chunk_dataset(ds: Dataset, cfg: DedupConfig) -> list[Chunk]:
     return chunks
 
 
-def _raw_feature(obs: np.ndarray, actions: np.ndarray, action_weight: float) -> np.ndarray:
-    obs = np.asarray(obs, dtype=np.float64)
-    actions = np.asarray(actions, dtype=np.float64)
-    if obs.ndim != 2 or actions.ndim != 2 or obs.shape[0] != actions.shape[0]:
-        raise DimensionMismatch(
-            f"chunk frames {obs.shape} and actions {actions.shape} disagree"
-        )
-    z_v = np.concatenate([obs.mean(axis=0), np.diff(obs, axis=0).ravel()])
-    z_a = actions.ravel() * action_weight
-    return np.concatenate([z_v, z_a])
-
-
 def embed_chunk(obs: np.ndarray, actions: np.ndarray, action_weight: float) -> np.ndarray:
     """Joint state-action feature for one chunk's N subsampled frames.
 
@@ -111,78 +97,108 @@ def embed_chunk(obs: np.ndarray, actions: np.ndarray, action_weight: float) -> n
     ((N−1)·D), then flattened actions scaled by λ (N·A); L2-normalized.
     An all-zero chunk stays the zero vector.
     """
-    raw = _raw_feature(obs, actions, action_weight)
+    obs = np.asarray(obs, dtype=np.float64)
+    actions = np.asarray(actions, dtype=np.float64)
+    if obs.ndim != 2 or actions.ndim != 2 or obs.shape[0] != actions.shape[0]:
+        raise DimensionMismatch(
+            f"chunk frames {obs.shape} and actions {actions.shape} disagree"
+        )
+    z_v = np.concatenate([obs.mean(axis=0), np.diff(obs, axis=0).ravel()])
+    raw = np.concatenate([z_v, actions.ravel() * action_weight])
     norm = float(np.linalg.norm(raw))
     return raw / norm if norm > 0 else raw
+
+
+def _chunk_blocks(ds: Dataset, chunks: list[Chunk]) -> tuple[np.ndarray, np.ndarray]:
+    """Every chunk's visual block [mean obs, obs diffs] and raw action block,
+    in list order: the values ``embed_chunk`` builds before scaling by λ.
+
+    Frames are gathered into (chunks, N, D) arrays once per trajectory.
+    """
+    if not chunks:
+        return np.empty((0, 0)), np.empty((0, 0))
+    by_traj: dict[str, list[int]] = {}
+    for i, chunk in enumerate(chunks):
+        by_traj.setdefault(chunk.traj_id, []).append(i)
+    n, n_sub = len(chunks), len(chunks[0].sub_indices)
+    obs = np.empty((n, n_sub, ds.obs_dim))
+    acts = np.empty((n, n_sub, ds.action_dim))
+    for traj_id, pos in by_traj.items():
+        traj = ds.get(traj_id)
+        idx = np.stack([chunks[i].start + chunks[i].sub_indices for i in pos])
+        obs[pos] = traj.obs[idx]
+        acts[pos] = traj.actions[idx]
+    z_v = np.concatenate([obs.mean(axis=1), np.diff(obs, axis=1).reshape(n, -1)], axis=1)
+    return z_v, acts.reshape(n, -1)
+
+
+def _balanced_weight(z_v: np.ndarray, z_a: np.ndarray) -> float:
+    """λ that gives the action block the visual block's RMS; per-chunk sums
+    of squares are added in chunk order."""
+    sq_v = sq_a = 0.0
+    for v, a in zip((z_v**2).sum(axis=1), (z_a**2).sum(axis=1)):
+        sq_v += float(v)
+        sq_a += float(a)
+    if sq_a == 0.0:  # also no chunks, or no action entries
+        return 1.0
+    rms_v = np.sqrt(sq_v / z_v.size)
+    rms_a = np.sqrt(sq_a / z_a.size)
+    return float(rms_v / rms_a) if rms_a > 0 else 1.0
 
 
 def resolve_action_weight(ds: Dataset, chunks: list[Chunk], cfg: DedupConfig) -> float:
     """λ from config, or the visual-to-action RMS ratio over all chunks."""
     if cfg.action_weight is not None:
         return float(cfg.action_weight)
-    sq_v = sq_a = 0.0
-    n_v = n_a = 0
-    for chunk in chunks:
-        traj = ds.get(chunk.traj_id)
-        idx = chunk.start + chunk.sub_indices
-        z_v = np.concatenate(
-            [
-                traj.obs[idx].astype(np.float64).mean(axis=0),
-                np.diff(traj.obs[idx].astype(np.float64), axis=0).ravel(),
-            ]
-        )
-        acts = traj.actions[idx].astype(np.float64).ravel()
-        sq_v += float((z_v**2).sum())
-        sq_a += float((acts**2).sum())
-        n_v += z_v.size
-        n_a += acts.size
-    if n_v == 0 or n_a == 0 or sq_a == 0.0:
-        return 1.0
-    rms_v = np.sqrt(sq_v / n_v)
-    rms_a = np.sqrt(sq_a / n_a)
-    return float(rms_v / rms_a) if rms_a > 0 else 1.0
+    return _balanced_weight(*_chunk_blocks(ds, chunks))
 
 
 def compute_features(
     ds: Dataset, chunks: list[Chunk], cfg: DedupConfig, threads: int = 1
 ) -> tuple[np.ndarray, float]:
-    """Fill each chunk's feature/norm; returns the (n, d) matrix and λ."""
-    lam = resolve_action_weight(ds, chunks, cfg)
-
-    def one(chunk: Chunk) -> np.ndarray:
-        traj = ds.get(chunk.traj_id)
-        idx = chunk.start + chunk.sub_indices
-        raw = _raw_feature(traj.obs[idx], traj.actions[idx], lam)
-        chunk.norm = float(np.linalg.norm(raw))
-        chunk.feature = raw / chunk.norm if chunk.norm > 0 else raw
-        return chunk.feature
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            feats = list(pool.map(one, chunks))
-    else:
-        feats = [one(c) for c in chunks]
-    if not feats:
-        return np.empty((0, 0)), lam
-    return np.stack(feats), lam
+    """The (n, d) matrix of ``embed_chunk`` features in chunk order, and λ,
+    from one vectorized pass; ``threads`` is accepted and unused."""
+    z_v, z_a = _chunk_blocks(ds, chunks)
+    lam = float(cfg.action_weight) if cfg.action_weight is not None else _balanced_weight(z_v, z_a)
+    raw = np.concatenate([z_v, z_a * lam], axis=1)
+    # row by row: the same dot product embed_chunk's norm takes
+    norms = np.array([np.linalg.norm(row) for row in raw])
+    raw[norms > 0] /= norms[norms > 0, None]
+    return raw, lam
 
 
 def default_k(num_chunks: int, target_cluster_size: int = 50) -> int:
     return max(1, int(round(num_chunks / target_cluster_size)))
 
 
-def _assign(features: np.ndarray, centroids: np.ndarray, threads: int = 1) -> np.ndarray:
-    def block(rows: np.ndarray) -> np.ndarray:
-        d2 = ((rows[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        return np.argmin(d2, axis=1)
+# Entries in one row block of _assign's (rows × max(k, d)) temporaries.
+_ASSIGN_BLOCK_ELEMS = 1 << 18
 
-    n = features.shape[0]
-    if threads > 1 and n > 1:
-        splits = np.array_split(np.arange(n), threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda ix: block(features[ix]), splits))
-        return np.concatenate(parts)
-    return block(features)
+
+def _assign(features: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Nearest centroid per row, bit for bit the argmin of the broadcast
+    ``((x − c)**2).sum()``: ‖x‖² − 2·x·cᵀ + ‖c‖² by row blocks, and rows
+    whose two best distances are near-tied recomputed by the broadcast."""
+    n, d = features.shape
+    c_sq = (centroids**2).sum(axis=1)
+    # The two forms differ by at most about (2d + 4)·eps·(‖x‖² + max‖c‖²), so
+    # a gap above twice that cannot reorder them; 32(d + 3) leaves 8× margin.
+    rtol = 32 * (d + 3) * np.finfo(np.float64).eps
+    rows = max(1, _ASSIGN_BLOCK_ELEMS // max(centroids.shape[0], d))
+    out = np.empty(n, dtype=np.int64)
+    for lo in range(0, n, rows):
+        x = features[lo : lo + rows]
+        x_sq = (x**2).sum(axis=1)
+        d2 = x_sq[:, None] - 2.0 * (x @ centroids.T) + c_sq
+        best = d2.argmin(axis=1)
+        ix = np.arange(best.size)
+        best_d2 = d2[ix, best]
+        d2[ix, best] = np.inf
+        # written as "not above" so NaN gaps take the exact path too
+        for i in np.flatnonzero(~(d2.min(axis=1) - best_d2 > rtol * (x_sq + c_sq.max()))):
+            best[i] = ((x[i] - centroids) ** 2).sum(axis=1).argmin()
+        out[lo : lo + rows] = best
+    return out
 
 
 def kmeans(
@@ -195,8 +211,10 @@ def kmeans(
     """Seeded k-means++ plus Lloyd iterations to an assignment fixpoint.
 
     Empty clusters are re-seeded with the point currently farthest from its
-    centroid. Centroid accumulation is single-threaded in fixed order, so
-    the result does not depend on ``threads``.
+    centroid. Assignment is one blocked matrix product with an exact
+    recheck of near-ties (see ``_assign``); centroids accumulate in fixed
+    order. Everything runs on one thread: ``threads`` is accepted and
+    unused, so the result cannot depend on it.
     """
     features = np.asarray(features, dtype=np.float64)
     n = features.shape[0]
@@ -225,30 +243,25 @@ def kmeans(
     converged = False
     reseeds = 0
     for _ in range(max_iters):
-        new_assignment = _assign(features, centroids, threads)
+        new_assignment = _assign(features, centroids)
         inertia = float(((features - centroids[new_assignment]) ** 2).sum())
         history.append(inertia)
         if np.array_equal(new_assignment, assignment):
             converged = True
             break
         assignment = new_assignment
-        reseeded: set[int] = set()
-        for c in range(k):
-            members = assignment == c
-            if members.any():
-                centroids[c] = features[members].mean(axis=0)
-        # re-seed any emptied cluster with the globally farthest point
-        dists = ((features - centroids[assignment]) ** 2).sum(axis=1)
-        for c in range(k):
-            if not (assignment == c).any():
-                order = np.argsort(-dists, kind="stable")
-                far = next(int(i) for i in order if int(i) not in reseeded)
-                reseeded.add(far)
-                centroids[c] = features[far]
-                reseeds += 1
+        counts = np.bincount(assignment, minlength=k)
+        for c in np.flatnonzero(counts):
+            centroids[c] = features[assignment == c].mean(axis=0)
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            # re-seed emptied clusters with the globally farthest points
+            dists = ((features - centroids[assignment]) ** 2).sum(axis=1)
+            centroids[empty] = features[np.argsort(-dists, kind="stable")[: empty.size]]
+            reseeds += int(empty.size)
     if not converged:
         # hit the iteration cap mid-update: re-anchor to the final centroids
-        assignment = _assign(features, centroids, threads)
+        assignment = _assign(features, centroids)
         history.append(float(((features - centroids[assignment]) ** 2).sum()))
     return ClusterModel(
         k=k,
@@ -351,16 +364,13 @@ def cluster_dataset(
             )
         norms = np.linalg.norm(precomputed, axis=1)
         features = np.where(norms[:, None] > 0, precomputed / np.maximum(norms, 1e-300)[:, None], 0.0)
-        for chunk, feat, nrm in zip(chunks, features, norms):
-            chunk.feature = feat
-            chunk.norm = float(nrm)
     else:
-        features, _ = compute_features(ds, chunks, cfg, threads)
+        features, _ = compute_features(ds, chunks, cfg)
     if not chunks:
         empty = np.empty((0, 0))
         return chunks, empty, ClusterModel(0, empty, np.empty(0, dtype=np.int64), 0.0, []), np.empty(0)
     k = cfg.k if cfg.k is not None else default_k(len(chunks), cfg.target_cluster_size)
-    model = kmeans(features, min(k, len(chunks)), cfg.seed, cfg.max_iters, threads)
+    model = kmeans(features, min(k, len(chunks)), cfg.seed, cfg.max_iters)
     scores = similarity_scores(model, features, threads)
     return chunks, features, model, scores
 

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidConfig, IoFailure, ShapeMismatch
+from .errors import InvalidConfig, InvalidManifest, IoFailure, ShapeMismatch
 from .trajstore import CurationMask, Dataset, Trajectory, seconds_to_frames
 
 ANOMALY_TYPES = ("pause", "slow", "back_and_forth", "failure_retry")
@@ -113,21 +113,25 @@ class GroundTruth:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GroundTruth":
-        span = int(data["chunk_span_frames"])
-        segments = {
-            tid: [(int(a), int(b), str(t)) for a, b, t in segs]
-            for tid, segs in data["anomaly_segments"].items()
-        }
-        tags = {}
-        for tid, count in data["frame_counts"].items():
-            arr = [CLEAN] * int(count)
-            for a, b, t in segments.get(tid, []):
-                for i in range(a, b):
-                    arr[i] = t
-            tags[tid] = arr
+        try:
+            span = int(data["chunk_span_frames"])
+            segments = {
+                tid: [(int(a), int(b), str(t)) for a, b, t in segs]
+                for tid, segs in data["anomaly_segments"].items()
+            }
+            tags = {}
+            for tid, count in data["frame_counts"].items():
+                arr = [CLEAN] * int(count)
+                for a, b, t in segments.get(tid, []):
+                    for i in range(a, b):
+                        arr[i] = t
+                tags[tid] = arr
+            groups = {tid: [int(g) for g in gids] for tid, gids in data["chunk_groups"].items()}
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+            raise InvalidManifest(f"malformed ground truth: {exc!r}") from exc
         return cls(
             frame_tags=tags,
-            chunk_groups={tid: [int(g) for g in gids] for tid, gids in data["chunk_groups"].items()},
+            chunk_groups=groups,
             chunk_span=span,
             anomaly_segments=segments,
         )
@@ -144,6 +148,8 @@ class GroundTruth:
             return cls.from_dict(json.loads(Path(path).read_text()))
         except OSError as exc:
             raise IoFailure(str(exc)) from exc
+        except ValueError as exc:
+            raise InvalidManifest(f"{path}: unreadable ground truth: {exc}") from exc
 
     def save_duplicates(self, path: str | Path, chunk_seconds: float) -> None:
         payload = {

@@ -392,13 +392,18 @@ def read_masks(masks_dir: str | os.PathLike) -> CurationMask:
     """Load every ``*.json`` mask in a directory."""
     masks: dict[str, TrajectoryMask] = {}
     for path in sorted(Path(masks_dir).glob("*.json")):
-        doc = json.loads(path.read_text())
-        m = TrajectoryMask(
-            traj_id=doc["id"],
-            keep=np.array(doc["keep"], dtype=bool),
-            reason=[str(r) for r in doc["reason"]],
-            subopt_score=np.array(doc["subopt_score"], dtype=np.float64),
-            dup_similarity=np.array(doc["dup_similarity"], dtype=np.float64),
-        )
+        try:
+            doc = json.loads(path.read_text())
+            m = TrajectoryMask(
+                traj_id=doc["id"],
+                keep=np.array(doc["keep"], dtype=bool),
+                reason=[str(r) for r in doc["reason"]],
+                subopt_score=np.array(doc["subopt_score"], dtype=np.float64),
+                dup_similarity=np.array(doc["dup_similarity"], dtype=np.float64),
+            )
+        except OSError as exc:
+            raise IoFailure(str(exc)) from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidManifest(f"{path}: malformed mask: {exc!r}") from exc
         masks[m.traj_id] = m
     return CurationMask(masks=masks)

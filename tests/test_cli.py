@@ -199,6 +199,26 @@ def test_corrupt_blob_is_data_error(tmp_path):
     assert main(["dedup", "--data", str(out), "--out", str(tmp_path / "d")]) == 2
 
 
+@pytest.mark.parametrize("corrupt", ["mask_json", "mask_without_keep", "empty_ground_truth"])
+def test_report_bad_input_is_data_error(tmp_path, capsys, corrupt):
+    data, out = tmp_path / "data", tmp_path / "d"
+    assert main(["gen", "--out", str(data), "--config", _tiny_cfg(tmp_path)]) == 0
+    assert main(["dedup", "--data", str(data), "--out", str(out)]) == 0
+    mask = next((out / "masks").glob("*.json"))
+    if corrupt == "mask_json":
+        mask.write_text("{broken")
+    elif corrupt == "mask_without_keep":
+        doc = json.loads(mask.read_text())
+        del doc["keep"]
+        mask.write_text(json.dumps(doc))
+    else:
+        (data / "ground_truth.json").write_text("{}")
+    capsys.readouterr()
+    assert main(["report", "--masks", str(out), "--truth", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("trajcurate: data error: ") and err.count("\n") == 1
+
+
 def test_bad_targets_is_usage_error(tmp_path):
     out = tmp_path / "data"
     assert main(["gen", "--out", str(out), "--config", _tiny_cfg(tmp_path)]) == 0

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from trajcurate.dedup import (
     Chunk,
@@ -29,7 +29,7 @@ from trajcurate.errors import (
     KTooLarge,
 )
 
-from conftest import make_dataset
+from conftest import make_dataset, make_trajectory
 
 
 # --- oracles -------------------------------------------------------------------
@@ -160,6 +160,31 @@ def test_compute_features_threads_agree():
     np.testing.assert_array_equal(f1, f4)
 
 
+def test_compute_features_matches_embed_chunk():
+    rng = np.random.default_rng(16)
+    ds = make_dataset(rng, num_traj=2, n=60, fps=10.0)          # W = 20
+    ds.trajectories.append(make_trajectory(rng, "t002", n=95, fps=15.0))  # W = 30
+    ds.trajectories[0].obs[20:40] = 0.0                         # an all-zero chunk
+    ds.trajectories[0].actions[20:40] = 0.0
+    cfg = DedupConfig()
+    chunks = chunk_dataset(ds, cfg)
+    subset = [chunks[i] for i in (7, 1, 4, 0, 6)]
+    for chosen in (chunks, subset):
+        feats, lam = compute_features(ds, chosen, cfg)
+        assert lam == resolve_action_weight(ds, chosen, cfg)
+        want = np.stack([
+            embed_chunk(
+                ds.get(c.traj_id).obs[c.start + c.sub_indices],
+                ds.get(c.traj_id).actions[c.start + c.sub_indices],
+                lam,
+            )
+            for c in chosen
+        ])
+        np.testing.assert_array_equal(feats, want)
+    assert [c.span_frames for c in chunks] == [20, 20, 20, 20, 20, 20, 30, 30, 30]
+    np.testing.assert_array_equal(compute_features(ds, chunks, cfg)[0][1], 0.0)
+
+
 # --- k-means --------------------------------------------------------------------------
 
 
@@ -216,12 +241,24 @@ def test_kmeans_deterministic_and_thread_invariant():
     n=st.integers(2, 60),
     d=st.integers(1, 6),
     k=st.integers(1, 8),
+    offset=st.sampled_from([0.0, 1e4]),
+    duplicated=st.booleans(),
 )
 @settings(max_examples=60, deadline=None)
-def test_kmeans_invariants(seed, n, d, k):
+# near-ties that the matrix-product distances alone can assign differently
+@example(seed=1591, n=60, d=2, k=7, offset=0.0, duplicated=True)
+@example(seed=1059, n=39, d=3, k=5, offset=1e4, duplicated=True)
+def test_kmeans_invariants(seed, n, d, k, offset, duplicated):
     k = min(k, n)
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(n, d))
+    if duplicated:
+        # integer lattice: exactly repeated rows, and points equidistant
+        # from two centroids; k stays within the distinct rows
+        pts = np.round(pts)
+        k = min(k, len(np.unique(pts, axis=0)))
+    # a large common offset costs ‖x‖² − 2x·c + ‖c‖² most of its precision
+    pts += offset
     model = kmeans(pts, k, seed=seed)
     # the assignment is a fixpoint of the final centroids
     d2 = ((pts[:, None, :] - model.centroids[None, :, :]) ** 2).sum(axis=2)
