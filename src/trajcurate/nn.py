@@ -4,6 +4,11 @@ Everything is numpy float64 in memory; checkpoints store parameters as
 float32. Training is single-threaded and bitwise deterministic for a fixed
 seed. ``loss_and_grad`` is the analytic-gradient side of a dual check: the
 test suite pits it against central finite differences.
+
+``train`` and ``loss_and_grad`` share one backprop (``_backprop``), so the
+finite-difference checks test the gradient that training applies. ``train``
+validates its inputs once, before the first epoch; each SGD step then runs
+only the backprop, with no loss, label scan or second softmax.
 """
 
 from __future__ import annotations
@@ -115,17 +120,10 @@ def forward(model: MlpClassifier, x: np.ndarray) -> np.ndarray:
     return probs[0] if single else probs
 
 
-def loss_and_grad(
-    model: MlpClassifier,
-    x: np.ndarray,
-    labels: np.ndarray,
-    l2: float = 0.0,
-) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
-    """Mean cross-entropy (+ 0.5·l2·Σ‖W‖²) and its gradient per layer.
-
-    Returns ``(loss, [(dW, db), ...])`` in layer order. Biases carry no
-    weight decay.
-    """
+def _check_batch(
+    model: MlpClassifier, x: np.ndarray, labels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Inputs as float64 rows and labels as int64, or a typed error."""
     x, _ = _as_batch(model, x)
     y = np.asarray(labels, dtype=np.int64).ravel()
     n = y.shape[0]
@@ -135,7 +133,17 @@ def loss_and_grad(
         raise DimensionMismatch(f"{x.shape[0]} inputs for {n} labels")
     if y.min() < 0 or y.max() >= model.num_classes:
         raise LabelOutOfRange(f"labels must lie in [0, {model.num_classes})")
+    return x, y
 
+
+def _backprop(
+    model: MlpClassifier,
+    x: np.ndarray,
+    y: np.ndarray,
+    l2: float,
+) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """Shifted logits, their exponentials and ``[(dW, db), ...]`` for checked rows."""
+    n = y.shape[0]
     # forward, keeping pre-activations for backprop
     activations = [x]
     pre = []
@@ -148,21 +156,38 @@ def loss_and_grad(
     logits = a @ model.weights[-1] + model.biases[-1]
 
     shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    ce = float(np.mean(log_z - shifted[np.arange(n), y]))
-    loss = ce + 0.5 * l2 * sum(float((w**2).sum()) for w in model.weights)
-
-    probs = _softmax(logits)
-    probs[np.arange(n), y] -= 1.0
-    delta = probs / n
+    e = np.exp(shifted)
+    delta = e / e.sum(axis=1, keepdims=True)
+    delta[np.arange(n), y] -= 1.0
+    delta /= n
 
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(model.weights)
     for layer in range(len(model.weights) - 1, -1, -1):
-        dw = activations[layer].T @ delta + l2 * model.weights[layer]
+        dw = activations[layer].T @ delta
+        if l2:
+            dw += l2 * model.weights[layer]
         db = delta.sum(axis=0)
         grads[layer] = (dw, db)
         if layer > 0:
             delta = (delta @ model.weights[layer].T) * (pre[layer - 1] > 0.0)
+    return shifted, e, grads
+
+
+def loss_and_grad(
+    model: MlpClassifier,
+    x: np.ndarray,
+    labels: np.ndarray,
+    l2: float = 0.0,
+) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
+    """Mean cross-entropy (+ 0.5·l2·Σ‖W‖²) and its gradient per layer.
+
+    Returns ``(loss, [(dW, db), ...])`` in layer order. Biases carry no
+    weight decay.
+    """
+    x, y = _check_batch(model, x, labels)
+    shifted, e, grads = _backprop(model, x, y, l2)
+    ce = float(np.mean(np.log(e.sum(axis=1)) - shifted[np.arange(y.shape[0]), y]))
+    loss = ce + 0.5 * l2 * sum(float((w**2).sum()) for w in model.weights)
     return loss, grads
 
 
@@ -172,11 +197,12 @@ def train(
     labels: np.ndarray,
     cfg: TrainConfig,
 ) -> MlpClassifier:
-    """Run minibatch SGD and return the trained copy; the input is untouched."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64).ravel()
-    if y.shape[0] == 0:
-        raise EmptyTrainingSet("no training examples")
+    """Run minibatch SGD and return the trained copy; the input is untouched.
+
+    ``x`` and ``labels`` are checked once, up front, with the same typed
+    errors as ``loss_and_grad``; each step then runs only the backprop.
+    """
+    x, y = _check_batch(model, x, labels)
     trained = model.copy()
     rng = np.random.default_rng(cfg.seed)
     n = y.shape[0]
@@ -184,7 +210,7 @@ def train(
         perm = rng.permutation(n)
         for i in range(0, n, cfg.batch_size):
             idx = perm[i : i + cfg.batch_size]
-            _, grads = loss_and_grad(trained, x[idx], y[idx], cfg.l2)
+            _, _, grads = _backprop(trained, x[idx], y[idx], cfg.l2)
             for (dw, db), w, b in zip(grads, trained.weights, trained.biases):
                 w -= cfg.learning_rate * dw
                 b -= cfg.learning_rate * db
@@ -244,6 +270,12 @@ def save_model(model: MlpClassifier, path: str | os.PathLike) -> None:
 
 
 def load_model(path: str | os.PathLike) -> MlpClassifier:
+    """Read a ``save_model`` checkpoint.
+
+    A missing, truncated or malformed file, or one holding NaN/Inf
+    parameters, raises ``IoFailure``; impossible layer sizes raise
+    ``InvalidArchitecture``.
+    """
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -254,13 +286,22 @@ def load_model(path: str | os.PathLike) -> MlpClassifier:
     try:
         header = json.loads(raw[:nl].decode("utf-8"))
         sizes = tuple(int(s) for s in header["layer_sizes"])
-    except (json.JSONDecodeError, KeyError, UnicodeDecodeError) as exc:
+        seed = int(header.get("seed", 0))
+        activation = str(header.get("activation", "relu"))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise IoFailure(f"checkpoint {path}: bad header ({exc})") from exc
-    model = init_mlp(sizes, seed=int(header.get("seed", 0)))
-    model.activation = str(header.get("activation", "relu"))
+    if seed < 0:
+        raise IoFailure(f"checkpoint {path}: negative seed {seed}")
+    # the blob length is checked against the header before anything is
+    # allocated, so a corrupt size cannot ask for gigabytes
     blob = raw[nl + 1 :]
-    expected = model.num_params() * 4
+    expected = 4 * sum(n_in * n_out + n_out for n_in, n_out in zip(sizes[:-1], sizes[1:]))
     if len(blob) != expected:
         raise IoFailure(f"checkpoint {path}: blob {len(blob)} bytes, expected {expected}")
-    set_flat_params(model, np.frombuffer(blob, dtype="<f4").astype(np.float64))
+    params = np.frombuffer(blob, dtype="<f4").astype(np.float64)
+    if not np.isfinite(params).all():
+        raise IoFailure(f"checkpoint {path}: non-finite parameters")
+    model = init_mlp(sizes, seed=seed)
+    model.activation = activation
+    set_flat_params(model, params)
     return model

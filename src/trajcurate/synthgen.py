@@ -457,11 +457,18 @@ def _duplicate_metrics(mask: CurationMask, gt: GroundTruth) -> dict:
     }
 
 
+# Entries in one row block of separation_self_check's (rows × chunks) matrices.
+_CHECK_BLOCK_ELEMS = 1 << 18
+
+
 def separation_self_check(ds: Dataset, gt: GroundTruth, action_weight: float | None = None) -> dict:
     """Empirical geometry check of the planted-duplicate construction.
 
     Confirms planted twins sit above the dedup threshold band while every
-    other chunk pair sits safely below it, and reports the extremes.
+    other chunk pair sits safely below it, and reports the extremes. It works
+    in bounded memory: chunk-pair similarities are taken in row blocks of at
+    most ``_CHECK_BLOCK_ELEMS`` entries, keeping running minima and maxima, so
+    no chunks² matrix is ever built.
     """
     from .dedup import DedupConfig, chunk_dataset, compute_features
 
@@ -483,27 +490,39 @@ def separation_self_check(ds: Dataset, gt: GroundTruth, action_weight: float | N
             gid_of[(tid, c * gt.chunk_span)] = gid
     ids = np.array([gid_of.get((c.traj_id, c.start), 0) for c in chunks])
 
-    sims = features @ features.T
-    np.fill_diagonal(sims, -np.inf)
-    same_group = (ids[:, None] == ids[None, :]) & (ids[:, None] > 0)
-    np.fill_diagonal(same_group, False)
-    planted_min = float(sims[same_group].min()) if same_group.any() else float("nan")
-    others = np.where(same_group, -np.inf, sims)
-    others_max = float(others.max())
-
     phases = []
     for c in chunks:
         phi = gt.phi.get(c.traj_id)
         mid = c.start + c.span_frames // 2
         phases.append(phi[mid] if phi is not None else np.nan)
     phases = np.array(phases)
-    far_phase = np.abs(phases[:, None] - phases[None, :]) > 0.3
-    far_max = float(others[far_phase].max()) if far_phase.any() else float("nan")
+
+    # np.minimum/np.maximum, unlike min()/max(), carry a NaN through
+    n = len(chunks)
+    planted_min, others_max, far_max = np.inf, -np.inf, -np.inf
+    any_planted = any_far = False
+    rows = max(1, _CHECK_BLOCK_ELEMS // n)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        diag = (np.arange(hi - lo), np.arange(lo, hi))
+        sims = features[lo:hi] @ features.T
+        sims[diag] = -np.inf
+        same_group = (ids[lo:hi, None] == ids[None, :]) & (ids[lo:hi, None] > 0)
+        same_group[diag] = False
+        if same_group.any():
+            any_planted = True
+            planted_min = np.minimum(planted_min, sims[same_group].min())
+        sims[same_group] = -np.inf  # what is left are the non-planted pairs
+        others_max = np.maximum(others_max, sims.max())
+        far_phase = np.abs(phases[lo:hi, None] - phases[None, :]) > 0.3
+        if far_phase.any():
+            any_far = True
+            far_max = np.maximum(far_max, sims[far_phase].max())
 
     return {
         "action_weight": lam,
         "num_chunks": len(chunks),
-        "planted_min_similarity": planted_min,
-        "nonplanted_max_similarity": others_max,
-        "distinct_phase_max_similarity": far_max,
+        "planted_min_similarity": float(planted_min) if any_planted else float("nan"),
+        "nonplanted_max_similarity": float(others_max),
+        "distinct_phase_max_similarity": float(far_max) if any_far else float("nan"),
     }

@@ -246,6 +246,48 @@ def test_train_rejects_empty():
         train(m, np.zeros((0, 2)), np.zeros(0, dtype=int), TrainConfig(epochs=1))
 
 
+@pytest.mark.parametrize("rows, labels, error", [
+    (10, np.zeros(8, dtype=int), DimensionMismatch),  # more rows than labels
+    (6, np.zeros(8, dtype=int), DimensionMismatch),  # fewer rows than labels
+    (4, np.array([0, 1, 2, 0]), LabelOutOfRange),
+    (4, np.array([0, -1, 1, 0]), LabelOutOfRange),
+])
+def test_train_checks_inputs_up_front(rows, labels, error):
+    m = init_mlp([2, 2], seed=0)
+    with pytest.raises(error):
+        train(m, np.zeros((rows, 2)), labels, TrainConfig(epochs=1, batch_size=3))
+
+
+def _sgd_over_loss_and_grad(model, x, labels, cfg):
+    """Reference SGD loop: one ``loss_and_grad`` call per minibatch."""
+    y = np.asarray(labels, dtype=np.int64).ravel()
+    trained = model.copy()
+    rng = np.random.default_rng(cfg.seed)
+    n = y.shape[0]
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(n)
+        for i in range(0, n, cfg.batch_size):
+            idx = perm[i : i + cfg.batch_size]
+            _, grads = loss_and_grad(trained, x[idx], y[idx], cfg.l2)
+            for (dw, db), w, b in zip(grads, trained.weights, trained.biases):
+                w -= cfg.learning_rate * dw
+                b -= cfg.learning_rate * db
+    return trained
+
+
+@pytest.mark.parametrize("l2", [0.0, 0.1])
+@pytest.mark.parametrize("hidden", [(), (5,), (6, 4)])
+def test_train_equals_sgd_over_loss_and_grad(l2, hidden):
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(43, 3))  # 43 rows: the last minibatch is partial
+    y = rng.integers(0, 4, size=43)
+    m = init_mlp([3, *hidden, 4], seed=5)
+    cfg = TrainConfig(learning_rate=0.05, epochs=4, batch_size=8, seed=2, l2=l2)
+    got = train(m, x, y, cfg)
+    want = _sgd_over_loss_and_grad(m, x, y, cfg)
+    assert get_flat_params(got).tobytes() == get_flat_params(want).tobytes()
+
+
 # --- flat-parameter view ----------------------------------------------------------
 
 
@@ -316,3 +358,16 @@ def test_load_model_errors(tmp_path):
     bad.write_bytes(b"{not json}\n\x00\x00")
     with pytest.raises(IoFailure):
         load_model(bad)
+    for header, blob in [
+        # sizes that would need hundreds of GiB; only the blob length is read
+        (b'{"layer_sizes": [200000, 200000, 5]}', b"\x00" * 8),
+        (b'{"layer_sizes": "ab"}', b""),
+        (b'{"layer_sizes": [2, Infinity]}', b""),
+        (b'[2, 3]', b""),
+        (b'{"layer_sizes": [2, 1], "seed": -1}', b"\x00" * 12),
+        (b'{"layer_sizes": [2, 1]}', np.array([1.0, np.nan, 0.0], dtype="<f4").tobytes()),
+        (b'{"layer_sizes": [2, 1]}', np.array([1.0, 0.0, np.inf], dtype="<f4").tobytes()),
+    ]:
+        bad.write_bytes(header + b"\n" + blob)
+        with pytest.raises(IoFailure):
+            load_model(bad)

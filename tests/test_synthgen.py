@@ -282,6 +282,62 @@ def test_separation_self_check(small_benchmark):
     assert check["action_weight"] > 0
 
 
+def _dense_separation_check(ds, gt):
+    """Reference: the same extremes from full chunks × chunks matrices."""
+    from trajcurate.dedup import DedupConfig, chunk_dataset, compute_features
+
+    cfg = DedupConfig(chunk_seconds=gt.chunk_span / ds.trajectories[0].fps)
+    chunks = chunk_dataset(ds, cfg)
+    features, lam = compute_features(ds, chunks, cfg)
+    gid_of = {}
+    for tid, gids in gt.chunk_groups.items():
+        for c, gid in enumerate(gids):
+            gid_of[(tid, c * gt.chunk_span)] = gid
+    ids = np.array([gid_of.get((c.traj_id, c.start), 0) for c in chunks])
+
+    sims = features @ features.T
+    np.fill_diagonal(sims, -np.inf)
+    same_group = (ids[:, None] == ids[None, :]) & (ids[:, None] > 0)
+    np.fill_diagonal(same_group, False)
+    planted_min = float(sims[same_group].min()) if same_group.any() else float("nan")
+    others = np.where(same_group, -np.inf, sims)
+    others_max = float(others.max())
+
+    phases = []
+    for c in chunks:
+        phi = gt.phi.get(c.traj_id)
+        mid = c.start + c.span_frames // 2
+        phases.append(phi[mid] if phi is not None else np.nan)
+    phases = np.array(phases)
+    far_phase = np.abs(phases[:, None] - phases[None, :]) > 0.3
+    far_max = float(others[far_phase].max()) if far_phase.any() else float("nan")
+    return {
+        "action_weight": lam,
+        "num_chunks": len(chunks),
+        "planted_min_similarity": planted_min,
+        "nonplanted_max_similarity": others_max,
+        "distinct_phase_max_similarity": far_max,
+    }
+
+
+@pytest.mark.parametrize("block_elems", [1, 7 * 240, 1 << 18])
+def test_separation_self_check_blocks_match_dense(small_benchmark, monkeypatch, block_elems):
+    # 1 entry gives one row per block; 7 * 240 gives 7-row blocks, the last
+    # one partial; the default fits all 240 chunks in one block.
+    from trajcurate import synthgen
+
+    ds, gt = small_benchmark
+    monkeypatch.setattr(synthgen, "_CHECK_BLOCK_ELEMS", block_elems)
+    got = separation_self_check(ds, gt)
+    want = _dense_separation_check(ds, gt)
+    assert got["num_chunks"] == want["num_chunks"]
+    assert got["action_weight"] == want["action_weight"]
+    # a row block's matrix product may round differently from the full one
+    for key in ("planted_min_similarity", "nonplanted_max_similarity",
+                "distinct_phase_max_similarity"):
+        assert got[key] == pytest.approx(want[key], rel=0, abs=1e-12)
+
+
 # --- ground truth round trips --------------------------------------------------------
 
 
