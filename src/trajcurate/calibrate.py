@@ -14,7 +14,7 @@ import numpy as np
 
 from .dedup import ClusterModel, Chunk, DedupConfig, cluster_dataset, duplicate_mask
 from .errors import EmptyScores, MaskShapeMismatch
-from .trajstore import CurationMask, Dataset, TrajectoryMask
+from .trajstore import DUPLICATE, SUBOPTIMAL, CurationMask, Dataset, TrajectoryMask
 
 
 @dataclass
@@ -130,24 +130,13 @@ def combine_masks(subopt: CurationMask, dup: CurationMask) -> CurationMask:
             raise MaskShapeMismatch(
                 f"{tid}: {len(s_mask.keep)} frames vs {len(d_mask.keep)}"
             )
-        keep, reason = [], []
-        for ks, kd in zip(s_mask.keep, d_mask.keep):
-            drop_s, drop_d = not ks, not kd
-            keep.append(not (drop_s or drop_d))
-            if drop_s and drop_d:
-                reason.append("both")
-            elif drop_s:
-                reason.append("suboptimal")
-            elif drop_d:
-                reason.append("duplicate")
-            else:
-                reason.append("")
+        drop_s, drop_d = ~s_mask.keep, ~d_mask.keep
         combined[tid] = TrajectoryMask(
             traj_id=tid,
-            keep=keep,
-            reason=reason,
-            subopt_score=list(s_mask.subopt_score),
-            dup_similarity=list(d_mask.dup_similarity),
+            keep=~(drop_s | drop_d),
+            reason=drop_s * SUBOPTIMAL | drop_d * DUPLICATE,
+            subopt_score=s_mask.subopt_score,
+            dup_similarity=d_mask.dup_similarity,
         )
     return CurationMask(masks=combined)
 

@@ -25,7 +25,7 @@ from .calibrate import (
 )
 from .config import PipelineConfig, load_config
 from .dedup import cluster_dataset, dedup_dataset, load_chunk_embeddings
-from .errors import ConfigError, CurationError
+from .errors import ConfigError, CurationError, IoFailure
 from .nn import load_model, save_model
 from .progress import default_bins, train_progress_model
 from .subopt import score_dataset, subopt_report
@@ -44,8 +44,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
 
 
 def _require(value: str | None, fallback: str | None, name: str) -> str:
@@ -55,17 +58,10 @@ def _require(value: str | None, fallback: str | None, name: str) -> str:
     return resolved
 
 
-def _kept_ranges(keep: list) -> list[list[int]]:
-    ranges, run_start = [], None
-    for i, k in enumerate(keep):
-        if k and run_start is None:
-            run_start = i
-        elif not k and run_start is not None:
-            ranges.append([run_start, i])
-            run_start = None
-    if run_start is not None:
-        ranges.append([run_start, len(keep)])
-    return ranges
+def _kept_ranges(keep: np.ndarray) -> list[list[int]]:
+    """Half-open [start, end) runs of kept frames."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], keep, [False]))))
+    return edges.reshape(-1, 2).tolist()
 
 
 def _print_table(rows: list[tuple], header: tuple) -> None:
@@ -129,7 +125,10 @@ def _cmd_score_subopt(args, cfg: PipelineConfig) -> int:
     series, mask = score_dataset(ds, model, bins, cfg.subopt, threads=args.threads)
     write_masks(mask, out)
     scores_dir = out / "scores"
-    scores_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        scores_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
     for s in series:
         _write_json(scores_dir / f"{s.traj_id}.json", {
             "format_version": 1,
@@ -272,7 +271,7 @@ def _cmd_curate(args, cfg: PipelineConfig) -> int:
         "trajectories": {
             tid: {
                 "num_frames": len(m.keep),
-                "kept_frames": int(sum(bool(k) for k in m.keep)),
+                "kept_frames": int(m.keep.sum()),
                 "kept_ranges": _kept_ranges(m.keep),
             }
             for tid, m in sorted(combined.masks.items())
@@ -342,7 +341,7 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="JSON pipeline config")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker cap; 1 is bitwise deterministic")
+                       help="accepted and ignored: every stage runs on one thread")
         for flag, help_str in flags.items():
             p.add_argument(f"--{flag.replace('_', '-')}", default=None, help=help_str)
 

@@ -5,21 +5,11 @@ config dataclasses. Unknown keys are rejected rather than ignored, so a
 typo cannot silently fall back to a default. Command-line flags override
 file values.
 
-Schema (all keys optional; defaults in docs/config.md):
-
-    {
-      "data": "path", "out": "path", "seed": 0,
-      "subopt": {"window_seconds", "stride_frames", "gamma", "mix_weight",
-                  "epsilon_s", "discount_direction", "progress_mode"},
-      "dedup":  {"chunk_seconds", "n_subsample", "target_cluster_size", "k",
-                  "action_weight", "epsilon_d", "seed", "max_iters",
-                  "drop_all_over_threshold"},
-      "train":  {"learning_rate", "epochs", "batch_size", "seed", "l2",
-                  "pairs_per_traj", "dt_cap", "hidden_sizes"},
-      "synth":  {"num_traj", "frames_per_traj", "fps", "obs_dim", "action_dim",
-                  "anomaly_rates", "duplicate_rate", "noise_sigma", "seed",
-                  "chunk_seconds", "phase_gain", "context_dim"}
-    }
+The top level takes ``data``, ``out`` and ``seed``. Each section takes the
+fields of its dataclass: ``subopt`` those of ``SuboptConfig``, ``dedup`` of
+``DedupConfig``, ``synth`` of ``SynthConfig`` except ``_UNEXPOSED_SYNTH``, and
+``train`` those of ``TrainConfig`` and ``SamplingConfig`` plus
+``hidden_sizes``. All keys are optional; defaults are in docs/config.md.
 
 A top-level ``seed`` fills in any section seed that the file leaves unset.
 """
@@ -27,7 +17,7 @@ A top-level ``seed`` fills in any section seed that the file leaves unset.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .dedup import DedupConfig
@@ -37,9 +27,22 @@ from .progress import SamplingConfig
 from .subopt import SuboptConfig
 from .synthgen import SynthConfig
 
-_TRAIN_KEYS = {"learning_rate", "epochs", "batch_size", "seed", "l2"}
-_SAMPLING_KEYS = {"pairs_per_traj", "dt_cap"}
-_TRAIN_EXTRA = {"hidden_sizes"}
+# Generator geometry that the config file does not expose.
+_UNEXPOSED_SYNTH = {"phase_turns", "context_scale"}
+
+
+def _field_names(cls) -> set[str]:
+    return {f.name for f in fields(cls)}
+
+
+# The train section's seed is TrainConfig's; sampling takes the same value.
+_SAMPLING_KEYS = _field_names(SamplingConfig) - {"seed"}
+_SECTION_KEYS = {
+    "subopt": _field_names(SuboptConfig),
+    "dedup": _field_names(DedupConfig),
+    "train": _field_names(TrainConfig) | _SAMPLING_KEYS | {"hidden_sizes"},
+    "synth": _field_names(SynthConfig) - _UNEXPOSED_SYNTH,
+}
 
 
 @dataclass
@@ -55,11 +58,11 @@ class PipelineConfig:
     hidden_sizes: tuple[int, ...] = (64, 64)
 
 
-def _section(raw: dict, name: str, allowed: set[str]) -> dict:
+def _section(raw: dict, name: str) -> dict:
     sec = raw.get(name, {})
     if not isinstance(sec, dict):
         raise ConfigError(f"section '{name}' must be an object")
-    unknown = set(sec) - allowed
+    unknown = set(sec) - _SECTION_KEYS[name]
     if unknown:
         raise ConfigError(f"unknown keys in '{name}': {sorted(unknown)}")
     return dict(sec)
@@ -75,7 +78,7 @@ def _build(cls, kwargs: dict, name: str):
 def config_from_dict(raw: dict) -> PipelineConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    allowed_top = {"data", "out", "seed", "subopt", "dedup", "train", "synth"}
+    allowed_top = {"data", "out", "seed", *_SECTION_KEYS}
     unknown = set(raw) - allowed_top
     if unknown:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
@@ -84,21 +87,10 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ConfigError("'seed' must be an integer")
 
-    subopt_kw = _section(raw, "subopt", {
-        "window_seconds", "stride_frames", "gamma", "mix_weight",
-        "epsilon_s", "discount_direction", "progress_mode",
-    })
-    dedup_kw = _section(raw, "dedup", {
-        "chunk_seconds", "n_subsample", "target_cluster_size", "k",
-        "action_weight", "epsilon_d", "seed", "max_iters",
-        "drop_all_over_threshold",
-    })
-    train_kw = _section(raw, "train", _TRAIN_KEYS | _SAMPLING_KEYS | _TRAIN_EXTRA)
-    synth_kw = _section(raw, "synth", {
-        "num_traj", "frames_per_traj", "fps", "obs_dim", "action_dim",
-        "anomaly_rates", "duplicate_rate", "noise_sigma", "seed",
-        "chunk_seconds", "phase_gain", "context_dim",
-    })
+    subopt_kw = _section(raw, "subopt")
+    dedup_kw = _section(raw, "dedup")
+    train_kw = _section(raw, "train")
+    synth_kw = _section(raw, "synth")
 
     dedup_kw.setdefault("seed", seed)
     train_kw.setdefault("seed", seed)
@@ -108,7 +100,7 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     if not (isinstance(hidden, (list, tuple)) and hidden
             and all(isinstance(h, int) and h > 0 for h in hidden)):
         raise ConfigError("'train.hidden_sizes' must be a list of positive integers")
-    sampling_kw = {k: train_kw.pop(k) for k in list(_SAMPLING_KEYS) if k in train_kw}
+    sampling_kw = {k: train_kw.pop(k) for k in _SAMPLING_KEYS if k in train_kw}
     sampling_kw["seed"] = train_kw.get("seed", seed)
 
     data = raw.get("data")

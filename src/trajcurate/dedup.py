@@ -12,14 +12,13 @@ group.
 from __future__ import annotations
 
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput, IoFailure, KTooLarge
-from .trajstore import CurationMask, Dataset, TrajectoryMask, seconds_to_frames
+from .trajstore import DUPLICATE, CurationMask, Dataset, TrajectoryMask, seconds_to_frames
 
 SINGLETON_SENTINEL = -2.0
 UNCHUNKED_SENTINEL = -1.0
@@ -277,25 +276,18 @@ def similarity_scores(model: ClusterModel, features: np.ndarray, threads: int = 
     """Best cosine match against any other same-cluster chunk.
 
     Members of singleton clusters have nothing to match and get the sentinel
-    −2, which no threshold in [−1, 1] can exceed.
+    −2, which no threshold in [−1, 1] can exceed. Clusters are scored one
+    after another; ``threads`` is accepted and changes nothing.
     """
     features = np.asarray(features, dtype=np.float64)
     scores = np.full(features.shape[0], SINGLETON_SENTINEL)
-
-    def one_cluster(c: int) -> None:
+    for c in range(model.k):
         members = np.flatnonzero(model.assignment == c)
         if members.size < 2:
-            return
+            continue
         sims = features[members] @ features[members].T
         np.fill_diagonal(sims, -np.inf)
         scores[members] = sims.max(axis=1)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one_cluster, range(model.k)))
-    else:
-        for c in range(model.k):
-            one_cluster(c)
     return scores
 
 
@@ -400,10 +392,10 @@ def dedup_dataset(
         drop = frame_drop[traj.id]
         masks[traj.id] = TrajectoryMask(
             traj_id=traj.id,
-            keep=(~drop).tolist(),
-            reason=["duplicate" if d else "" for d in drop],
-            subopt_score=[0.0] * traj.num_frames,
-            dup_similarity=sim_per_frame[traj.id].tolist(),
+            keep=~drop,
+            reason=drop * DUPLICATE,
+            subopt_score=np.zeros(traj.num_frames),
+            dup_similarity=sim_per_frame[traj.id],
         )
     mask = CurationMask(masks=masks)
     return mask, dedup_report(chunks, model, scores, mask)

@@ -9,7 +9,6 @@ Frames whose final score exceeds ``epsilon_s`` are flagged for deletion.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +17,7 @@ from . import nn
 from .errors import EmptyScores
 from .progress import TemporalBins, progress_from_deltas
 from .trajstore import (
+    SUBOPTIMAL,
     CurationMask,
     Dataset,
     Trajectory,
@@ -188,23 +188,19 @@ def score_dataset(
     cfg: SuboptConfig,
     threads: int = 1,
 ) -> tuple[list[ScoreSeries], CurationMask]:
-    """Score every trajectory; results are independent of thread count."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda t: score_trajectory(t, model, bins, cfg), ds.trajectories))
-    else:
-        results = [score_trajectory(t, model, bins, cfg) for t in ds.trajectories]
-
+    """Score every trajectory in order; ``threads`` is accepted and changes
+    nothing."""
     series_list = []
     masks = {}
-    for traj, (series, drop) in zip(ds.trajectories, results):
+    for traj in ds.trajectories:
+        series, drop = score_trajectory(traj, model, bins, cfg)
         series_list.append(series)
         masks[traj.id] = TrajectoryMask(
             traj_id=traj.id,
-            keep=(~drop).tolist(),
-            reason=["suboptimal" if d else "" for d in drop],
-            subopt_score=series.final.tolist(),
-            dup_similarity=[-1.0] * traj.num_frames,
+            keep=~drop,
+            reason=drop * SUBOPTIMAL,
+            subopt_score=series.final,
+            dup_similarity=np.full(traj.num_frames, -1.0),
         )
     return series_list, CurationMask(masks=masks)
 

@@ -115,6 +115,8 @@ class GroundTruth:
     def from_dict(cls, data: dict) -> "GroundTruth":
         try:
             span = int(data["chunk_span_frames"])
+            if span < 1:
+                raise ValueError(f"chunk_span_frames {span} < 1")
             segments = {
                 tid: [(int(a), int(b), str(t)) for a, b, t in segs]
                 for tid, segs in data["anomaly_segments"].items()
@@ -342,18 +344,11 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing their average rank."""
-    order = np.argsort(x, kind="mergesort")
-    ranks = np.empty(x.size)
-    sorted_x = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sorted_x[j + 1] == sorted_x[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks with ties sharing their average rank; NaNs never tie."""
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True, equal_nan=False)
+    last = np.cumsum(counts) - 1
+    first = last - counts + 1
+    return (0.5 * (first + last) + 1.0)[inverse]
 
 
 def auroc(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -380,22 +375,18 @@ def evaluate_masks(mask: CurationMask, gt: GroundTruth) -> dict:
     if set(mask.masks) != set(gt.frame_tags):
         raise ShapeMismatch("mask and ground truth cover different trajectories")
 
-    drop_sub, drop_dup, anomaly, tags_all, scores = [], [], [], [], []
-    for tid, tmask in sorted(mask.masks.items()):
-        tags = gt.frame_tags[tid]
-        if len(tags) != len(tmask.keep):
-            raise ShapeMismatch(f"{tid}: {len(tmask.keep)} mask frames vs {len(tags)} labels")
-        for keep, reason, score, tag in zip(tmask.keep, tmask.reason, tmask.subopt_score, tags):
-            drop_sub.append((not keep) and reason in ("suboptimal", "both"))
-            drop_dup.append((not keep) and reason in ("duplicate", "both"))
-            anomaly.append(tag != CLEAN)
-            tags_all.append(tag)
-            scores.append(score)
-    drop_sub = np.array(drop_sub)
-    drop_dup = np.array(drop_dup)
-    anomaly = np.array(anomaly)
-    scores = np.array(scores)
-    tags_all = np.array(tags_all)
+    tids = sorted(mask.masks)
+    for tid in tids:
+        n, tags = len(mask.masks[tid].keep), gt.frame_tags[tid]
+        if len(tags) != n:
+            raise ShapeMismatch(f"{tid}: {n} mask frames vs {len(tags)} labels")
+    # each leading empty array sets the dtype when there are no trajectories
+    drop_sub = np.concatenate(
+        [np.empty(0, bool)] + [mask.masks[t].dropped(("suboptimal", "both")) for t in tids]
+    )
+    scores = np.concatenate([np.empty(0)] + [mask.masks[t].subopt_score for t in tids])
+    tags_all = np.concatenate([np.empty(0, str)] + [np.array(gt.frame_tags[t]) for t in tids])
+    anomaly = tags_all != CLEAN
 
     n_dropped = int(drop_sub.sum())
     tp = int((drop_sub & anomaly).sum())
@@ -426,15 +417,11 @@ def _duplicate_metrics(mask: CurationMask, gt: GroundTruth) -> dict:
     w = gt.chunk_span
     dropped_chunks: set[tuple[str, int]] = set()
     for tid, gids in gt.chunk_groups.items():
-        tmask = mask.masks[tid]
-        for c in range(len(gids)):
-            lo = c * w
-            frames = range(lo, lo + w)
-            if all(
-                (not tmask.keep[f]) and tmask.reason[f] in ("duplicate", "both")
-                for f in frames
-            ):
-                dropped_chunks.add((tid, lo))
+        if tid not in mask.masks or len(gids) * w > len(mask.masks[tid].keep):
+            raise ShapeMismatch(f"{tid}: {len(gids)} chunks of {w} frames exceed the mask")
+        drop = mask.masks[tid].dropped(("duplicate", "both"))[: len(gids) * w]
+        whole = drop.reshape(len(gids), w).all(axis=1)
+        dropped_chunks.update((tid, int(c) * w) for c in np.flatnonzero(whole))
 
     groups = gt.groups()
     planted = {member for members in groups.values() for member in members}

@@ -21,7 +21,6 @@ import math
 import os
 import re
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
@@ -247,7 +246,8 @@ def load_dataset(root_path: str | os.PathLike, threads: int = 1) -> Dataset:
     """Load and validate a dataset container.
 
     Rejects dimension mismatches, truncated blobs and non-finite values.
-    Blob reads parallelize across trajectories when ``threads > 1``.
+    Blobs are read one after another; ``threads`` is accepted and changes
+    nothing.
     """
     root = Path(root_path)
     manifest_path = root / "manifest.json"
@@ -267,8 +267,6 @@ def load_dataset(root_path: str | os.PathLike, threads: int = 1) -> Dataset:
     if obs_dim <= 0 or action_dim <= 0:
         raise InvalidManifest("obs_dim and action_dim must be positive")
 
-    entries = manifest["trajectories"]
-
     def load_one(entry: dict) -> Trajectory:
         for key in ("id", "fps", "num_frames"):
             if key not in entry:
@@ -285,14 +283,8 @@ def load_dataset(root_path: str | os.PathLike, threads: int = 1) -> Dataset:
             labels = [str(x) for x in labels]
         return Trajectory(id=traj_id, fps=float(entry["fps"]), obs=obs, actions=actions, labels=labels)
 
-    if threads > 1 and len(entries) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trajectories = list(pool.map(load_one, entries))
-    else:
-        trajectories = [load_one(e) for e in entries]
-
     ds = Dataset(
-        trajectories=trajectories,
+        trajectories=[load_one(e) for e in manifest["trajectories"]],
         obs_dim=obs_dim,
         action_dim=action_dim,
         meta=manifest.get("meta", {}),
@@ -303,43 +295,75 @@ def load_dataset(root_path: str | os.PathLike, threads: int = 1) -> Dataset:
 
 # --- curation masks -----------------------------------------------------------
 
+# A frame's reason code is its index here: the bit-or of SUBOPTIMAL and
+# DUPLICATE, 0 for a kept frame.
 REASONS = ("", "suboptimal", "duplicate", "both")
+SUBOPTIMAL = 1
+DUPLICATE = 2
+_REASON_NAMES = np.array(REASONS)
+
+
+def _reason_codes(reason, traj_id: str) -> np.ndarray:
+    """uint8 codes of per-frame reasons given as names or as codes."""
+    given = np.asarray(reason)
+    if given.dtype.kind in "US":
+        match = given[..., None] == _REASON_NAMES
+        bad, codes = ~match.any(axis=-1), match.argmax(axis=-1)
+    elif given.dtype.kind in "iu" or given.size == 0:
+        bad, codes = (given < 0) | (given >= len(REASONS)), given
+    else:
+        raise MaskShapeMismatch(f"trajectory '{traj_id}': reasons of dtype {given.dtype}")
+    if bad.any():
+        raise MaskShapeMismatch(
+            f"trajectory '{traj_id}': invalid reasons {sorted(set(given[bad].tolist()))}"
+        )
+    return codes.astype(np.uint8, copy=False)
 
 
 @dataclass
 class TrajectoryMask:
     """Per-frame keep/drop decisions with provenance for one trajectory.
 
-    ``dup_similarity`` is −1 on frames not covered by any chunk and −2 on
-    frames whose chunk sits alone in its cluster.
+    ``reason`` may be given as names from ``REASONS`` or as their codes and
+    is stored as a uint8 code array. ``dup_similarity`` is −1 on frames not
+    covered by any chunk and −2 on frames whose chunk sits alone in its
+    cluster.
     """
 
     traj_id: str
     keep: np.ndarray
-    reason: list[str]
+    reason: np.ndarray
     subopt_score: np.ndarray
     dup_similarity: np.ndarray
 
     def __post_init__(self):
         self.keep = np.asarray(self.keep, dtype=bool)
+        self.reason = _reason_codes(self.reason, self.traj_id)
         self.subopt_score = np.asarray(self.subopt_score, dtype=np.float64)
         self.dup_similarity = np.asarray(self.dup_similarity, dtype=np.float64)
-        n = self.keep.shape[0]
-        if not (len(self.reason) == n == self.subopt_score.shape[0] == self.dup_similarity.shape[0]):
-            raise MaskShapeMismatch(f"trajectory '{self.traj_id}': mask arrays disagree in length")
-        bad = set(self.reason) - set(REASONS)
-        if bad:
-            raise MaskShapeMismatch(f"trajectory '{self.traj_id}': invalid reasons {sorted(bad)}")
+        arrays = (self.keep, self.reason, self.subopt_score, self.dup_similarity)
+        if any(a.ndim != 1 for a in arrays) or len({a.shape[0] for a in arrays}) != 1:
+            raise MaskShapeMismatch(
+                f"trajectory '{self.traj_id}': mask fields must be lists of one length"
+            )
 
     @classmethod
     def keep_all(cls, traj_id: str, n: int) -> "TrajectoryMask":
         return cls(
             traj_id=traj_id,
             keep=np.ones(n, dtype=bool),
-            reason=[""] * n,
+            reason=np.zeros(n, dtype=np.uint8),
             subopt_score=np.zeros(n),
             dup_similarity=np.full(n, -1.0),
         )
+
+    def dropped(self, reasons: tuple[str, ...] | None = None) -> np.ndarray:
+        """Per-frame drop flags, limited to drops whose reason is named in
+        ``reasons`` when it is given."""
+        drop = ~self.keep
+        if reasons is not None:
+            drop &= np.isin(_REASON_NAMES, reasons)[self.reason]
+        return drop
 
 
 @dataclass
@@ -356,13 +380,7 @@ class CurationMask:
         return sum(m.keep.shape[0] for m in self.masks.values())
 
     def dropped_frames(self, reasons: tuple[str, ...] | None = None) -> int:
-        count = 0
-        for m in self.masks.values():
-            if reasons is None:
-                count += int((~m.keep).sum())
-            else:
-                count += sum(1 for k, r in zip(m.keep, m.reason) if not k and r in reasons)
-        return count
+        return sum(int(m.dropped(reasons).sum()) for m in self.masks.values())
 
     def deletion_ratio(self, reasons: tuple[str, ...] | None = None) -> float:
         total = self.total_frames
@@ -372,20 +390,21 @@ class CurationMask:
 def write_masks(mask: CurationMask, out_dir: str | os.PathLike) -> None:
     """Write one ``masks/<id>.json`` per trajectory under ``out_dir``."""
     masks_dir = Path(out_dir) / "masks"
-    masks_dir.mkdir(parents=True, exist_ok=True)
-    for traj_id in sorted(mask.masks):
-        m = mask.masks[traj_id]
-        doc = {
-            "format_version": FORMAT_VERSION,
-            "id": traj_id,
-            "keep": [int(k) for k in m.keep],
-            "reason": list(m.reason),
-            "subopt_score": [float(x) for x in m.subopt_score],
-            "dup_similarity": [float(x) for x in m.dup_similarity],
-        }
-        with open(masks_dir / f"{traj_id}.json", "w") as fh:
-            json.dump(doc, fh, sort_keys=True)
-            fh.write("\n")
+    try:
+        masks_dir.mkdir(parents=True, exist_ok=True)
+        for traj_id in sorted(mask.masks):
+            m = mask.masks[traj_id]
+            doc = {
+                "format_version": FORMAT_VERSION,
+                "id": traj_id,
+                "keep": m.keep.astype(int).tolist(),
+                "reason": _REASON_NAMES[m.reason].tolist(),
+                "subopt_score": m.subopt_score.tolist(),
+                "dup_similarity": m.dup_similarity.tolist(),
+            }
+            (masks_dir / f"{traj_id}.json").write_text(json.dumps(doc, sort_keys=True) + "\n")
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
 
 
 def read_masks(masks_dir: str | os.PathLike) -> CurationMask:
@@ -397,7 +416,7 @@ def read_masks(masks_dir: str | os.PathLike) -> CurationMask:
             m = TrajectoryMask(
                 traj_id=doc["id"],
                 keep=np.array(doc["keep"], dtype=bool),
-                reason=[str(r) for r in doc["reason"]],
+                reason=np.array(doc["reason"], dtype=str),
                 subopt_score=np.array(doc["subopt_score"], dtype=np.float64),
                 dup_similarity=np.array(doc["dup_similarity"], dtype=np.float64),
             )

@@ -15,7 +15,7 @@ from trajcurate.calibrate import (
 )
 from trajcurate.dedup import DedupConfig
 from trajcurate.errors import EmptyScores, MaskShapeMismatch
-from trajcurate.trajstore import CurationMask, TrajectoryMask
+from trajcurate.trajstore import REASONS, CurationMask, TrajectoryMask
 
 from conftest import make_dataset
 
@@ -227,7 +227,7 @@ def test_combine_masks_reasons():
     sub = _cm({"a": [True, True, False, False]}, "suboptimal")
     dup = _cm({"a": [True, False, True, False]}, "duplicate")
     out = combine_masks(sub, dup)
-    assert out["a"].reason == ["both", "suboptimal", "duplicate", ""]
+    assert [REASONS[r] for r in out["a"].reason] == ["both", "suboptimal", "duplicate", ""]
     np.testing.assert_array_equal(out["a"].keep, [False, False, False, True])
     # scores come from their source masks
     np.testing.assert_array_equal(out["a"].subopt_score, sub["a"].subopt_score)
@@ -238,7 +238,7 @@ def test_combine_masks_identical_masks_mark_both():
     sub = _cm({"a": [True, False]}, "suboptimal")
     dup = _cm({"a": [True, False]}, "duplicate")
     out = combine_masks(sub, dup)
-    assert out["a"].reason == ["both", ""]
+    assert [REASONS[r] for r in out["a"].reason] == ["both", ""]
 
 
 def test_combine_masks_disjoint_ratios_add():

@@ -1,12 +1,20 @@
 """Subcommand plumbing: artifacts, exit codes, config/flag precedence."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from trajcurate.cli import main
-from trajcurate.nn import load_model
+from trajcurate.cli import _kept_ranges, main
+from trajcurate.config import config_from_dict
+from trajcurate.dedup import DedupConfig
+from trajcurate.errors import ConfigError
+from trajcurate.nn import TrainConfig, load_model
+from trajcurate.progress import SamplingConfig
+from trajcurate.subopt import SuboptConfig
+from trajcurate.synthgen import SynthConfig
 from trajcurate.trajstore import load_dataset
 
 
@@ -159,6 +167,31 @@ def test_reports_are_canonical_json(pipeline):
         assert "timestamp" not in text
 
 
+def oracle_kept_ranges(keep):
+    """Half-open runs of kept frames, walked frame by frame."""
+    ranges, run_start = [], None
+    for i, k in enumerate(keep):
+        if k and run_start is None:
+            run_start = i
+        elif not k and run_start is not None:
+            ranges.append([run_start, i])
+            run_start = None
+    if run_start is not None:
+        ranges.append([run_start, len(keep)])
+    return ranges
+
+
+@given(keep=st.lists(st.booleans(), max_size=60))
+@example(keep=[])
+@example(keep=[True] * 9)
+@example(keep=[False] * 9)
+@settings(max_examples=200, deadline=None)
+def test_kept_ranges_matches_frame_walk(keep):
+    ranges = _kept_ranges(np.array(keep, dtype=bool))
+    assert ranges == oracle_kept_ranges(keep)
+    assert all(type(x) is int for r in ranges for x in r)
+
+
 # --- exit codes ------------------------------------------------------------------
 
 
@@ -172,6 +205,26 @@ def test_unknown_config_key_writes_nothing(tmp_path):
     out = tmp_path / "out"
     assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 1
     assert not out.exists()
+
+
+def test_config_sections_accept_their_dataclass_fields():
+    sections = {
+        "subopt": [SuboptConfig()],
+        "dedup": [DedupConfig()],
+        "train": [TrainConfig(), SamplingConfig()],
+        "synth": [SynthConfig()],
+    }
+    unexposed = {("synth", "phase_turns"), ("synth", "context_scale")}
+    for section, defaults in sections.items():
+        for default in defaults:
+            for f in fields(default):
+                raw = {section: {f.name: getattr(default, f.name)}}
+                if (section, f.name) in unexposed:
+                    with pytest.raises(ConfigError):
+                        config_from_dict(raw)
+                else:
+                    config_from_dict(raw)
+    config_from_dict({"train": {"hidden_sizes": [8]}})
 
 
 def test_invalid_config_json(tmp_path):
@@ -199,22 +252,53 @@ def test_corrupt_blob_is_data_error(tmp_path):
     assert main(["dedup", "--data", str(out), "--out", str(tmp_path / "d")]) == 2
 
 
-@pytest.mark.parametrize("corrupt", ["mask_json", "mask_without_keep", "empty_ground_truth"])
+@pytest.mark.parametrize("corrupt", [
+    "mask_json", "mask_without_keep", "empty_ground_truth",
+    "scalar_keep", "scalar_subopt_score", "nested_dup_similarity",
+    "zero_chunk_span", "chunk_groups_past_frames",
+])
 def test_report_bad_input_is_data_error(tmp_path, capsys, corrupt):
     data, out = tmp_path / "data", tmp_path / "d"
     assert main(["gen", "--out", str(data), "--config", _tiny_cfg(tmp_path)]) == 0
     assert main(["dedup", "--data", str(data), "--out", str(out)]) == 0
     mask = next((out / "masks").glob("*.json"))
+    doc = json.loads(mask.read_text())
     if corrupt == "mask_json":
         mask.write_text("{broken")
     elif corrupt == "mask_without_keep":
-        doc = json.loads(mask.read_text())
         del doc["keep"]
         mask.write_text(json.dumps(doc))
+    elif corrupt == "scalar_keep":
+        mask.write_text(json.dumps({**doc, "keep": 5}))
+    elif corrupt == "scalar_subopt_score":
+        mask.write_text(json.dumps({**doc, "subopt_score": 0.5}))
+    elif corrupt == "nested_dup_similarity":
+        mask.write_text(json.dumps({**doc, "dup_similarity": [[v] for v in doc["dup_similarity"]]}))
+    elif corrupt in ("zero_chunk_span", "chunk_groups_past_frames"):
+        truth = json.loads((data / "ground_truth.json").read_text())
+        if corrupt == "zero_chunk_span":
+            truth["chunk_span_frames"] = 0
+        else:
+            truth["chunk_groups"][doc["id"]] += [0] * 100
+        (data / "ground_truth.json").write_text(json.dumps(truth))
     else:
         (data / "ground_truth.json").write_text("{}")
     capsys.readouterr()
     assert main(["report", "--masks", str(out), "--truth", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("trajcurate: data error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["dedup", "curate", "calibrate"])
+def test_unwritable_out_is_data_error(pipeline, tmp_path, capsys, command):
+    blocker = tmp_path / "afile"
+    blocker.write_text("not a directory\n")
+    argv = [command, "--config", pipeline["config"], "--data", str(pipeline["data"]),
+            "--out", str(blocker / "sub")]
+    if command != "dedup":
+        argv += ["--model", str(pipeline["model"])]
+    capsys.readouterr()
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("trajcurate: data error: ") and err.count("\n") == 1
 

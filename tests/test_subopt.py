@@ -24,7 +24,7 @@ from trajcurate.subopt import (
     subopt_report,
     window_score,
 )
-from trajcurate.trajstore import CurationMask, seconds_to_frames, sliding_windows
+from trajcurate.trajstore import REASONS, CurationMask, seconds_to_frames, sliding_windows
 
 from conftest import make_dataset, make_trajectory
 
@@ -335,7 +335,7 @@ def test_score_dataset_mask_layout(tiny_model):
     for tid in mask.masks:
         m = mask[tid]
         assert not m.keep.any()
-        assert set(m.reason) == {"suboptimal"}
+        assert {REASONS[r] for r in m.reason} == {"suboptimal"}
         assert (m.dup_similarity == -1.0).all()
 
 

@@ -17,6 +17,7 @@ from trajcurate.errors import (
     TruncatedBlob,
 )
 from trajcurate.trajstore import (
+    REASONS,
     CurationMask,
     Dataset,
     Trajectory,
@@ -294,7 +295,7 @@ def test_mask_shape_validation():
 
 def test_keep_all():
     m = TrajectoryMask.keep_all("t9", 5)
-    assert m.keep.all() and m.reason == [""] * 5
+    assert m.keep.all() and [REASONS[r] for r in m.reason] == [""] * 5
     assert (m.dup_similarity == -1.0).all()
 
 
@@ -309,6 +310,27 @@ def test_curation_mask_counting():
     assert cm.dropped_frames(reasons=("duplicate",)) == 1
     assert cm.deletion_ratio() == pytest.approx(0.5)
     assert cm["a"].traj_id == "a"
+
+
+@given(
+    frames=st.lists(
+        st.lists(st.tuples(st.booleans(), st.sampled_from(REASONS)), max_size=20),
+        max_size=4,
+    ),
+    reasons=st.none() | st.lists(st.sampled_from([*REASONS, "bogus"]), max_size=4).map(tuple),
+)
+@settings(max_examples=200, deadline=None)
+def test_dropped_frames_matches_frame_walk(frames, reasons):
+    cm = CurationMask(masks={
+        f"t{i}": TrajectoryMask(f"t{i}", [k for k, _ in fr], [r for _, r in fr],
+                                np.zeros(len(fr)), np.zeros(len(fr)))
+        for i, fr in enumerate(frames)
+    })
+    if reasons is None:
+        expected = sum(1 for fr in frames for k, _ in fr if not k)
+    else:
+        expected = sum(1 for fr in frames for k, r in fr if not k and r in reasons)
+    assert cm.dropped_frames(reasons) == expected
 
 
 def test_empty_mask_ratio_is_zero():
@@ -326,7 +348,7 @@ def test_mask_round_trip(tmp_path):
     assert set(back.masks) == {"a", "b"}
     for tid in cm.masks:
         np.testing.assert_array_equal(back[tid].keep, cm[tid].keep)
-        assert back[tid].reason == cm[tid].reason
+        np.testing.assert_array_equal(back[tid].reason, cm[tid].reason)
         np.testing.assert_array_equal(back[tid].subopt_score, cm[tid].subopt_score)
         np.testing.assert_array_equal(back[tid].dup_similarity, cm[tid].dup_similarity)
 
@@ -357,7 +379,7 @@ def test_mask_round_trip_property(tmp_path_factory, keep, seed):
     write_masks(cm, root)
     back = read_masks(root / "masks")
     np.testing.assert_array_equal(back["t"].keep, cm["t"].keep)
-    assert back["t"].reason == cm["t"].reason
+    np.testing.assert_array_equal(back["t"].reason, cm["t"].reason)
     # JSON float text round-trips IEEE doubles exactly
     np.testing.assert_array_equal(back["t"].subopt_score, cm["t"].subopt_score)
     np.testing.assert_array_equal(back["t"].dup_similarity, cm["t"].dup_similarity)
