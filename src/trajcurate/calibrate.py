@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dedup import ClusterModel, Chunk, DedupConfig, cluster_dataset, duplicate_mask
+from .dedup import ClusterModel, Chunk, DedupConfig, _keep_one_drops, cluster_dataset
 from .errors import EmptyScores, MaskShapeMismatch
 from .trajstore import DUPLICATE, SUBOPTIMAL, CurationMask, Dataset, TrajectoryMask
 
@@ -51,25 +51,25 @@ def dedup_ratio_curve(
     clustered: tuple[list[Chunk], np.ndarray, ClusterModel, np.ndarray] | None = None,
     threads: int = 1,
 ) -> RatioCurve:
-    """Deletion ratio per threshold, re-running the keep-one mask each time.
+    """Deletion ratio per threshold, from one replay of the keep-one rule.
 
     The greedy rule makes the drop-set depend on the threshold in a way raw
-    score exceedance does not, so each grid point replays the masking (the
-    clustering itself is computed once and reused).
+    score exceedance does not, so the masking is replayed for every grid
+    point together over each cluster's Gram blocks (the clustering itself
+    is computed once and reused). Chunks tile without overlap, so a
+    threshold's dropped frames are its dropped chunks' spans summed.
     """
     chunks, features, model, scores = clustered or cluster_dataset(ds, cfg, threads=threads)
     if not chunks:
         raise EmptyScores("no chunks to sweep")
-    traj_lens = {t.id: t.num_frames for t in ds.trajectories}
-    total = sum(traj_lens.values())
-    points = []
-    for t in sorted(np.asarray(thresholds, dtype=np.float64)):
-        _, frame_drop = duplicate_mask(
-            chunks, scores, features, model, float(t), traj_lens,
-            cfg.drop_all_over_threshold,
-        )
-        dropped = sum(int(d.sum()) for d in frame_drop.values())
-        points.append((float(t), dropped / total if total else 0.0))
+    grid = np.sort(np.asarray(thresholds, dtype=np.float64), kind="stable")
+    if cfg.drop_all_over_threshold:
+        drop = np.asarray(scores) > grid[:, None]
+    else:
+        drop = _keep_one_drops(chunks, features, model, grid)
+    dropped = drop @ np.array([chunk.span_frames for chunk in chunks])
+    total = sum(t.num_frames for t in ds.trajectories)
+    points = [(t, d / total if total else 0.0) for t, d in zip(grid.tolist(), dropped.tolist())]
     return RatioCurve(method="dedup", points=points)
 
 

@@ -170,7 +170,8 @@ def default_k(num_chunks: int, target_cluster_size: int = 50) -> int:
     return max(1, int(round(num_chunks / target_cluster_size)))
 
 
-# Entries in one row block of _assign's (rows × max(k, d)) temporaries.
+# Entries in one row block of _assign's (rows × max(k, d)) temporaries and of
+# _keep_one_drops' (rows × cluster size) Gram blocks.
 _ASSIGN_BLOCK_ELEMS = 1 << 18
 
 
@@ -291,6 +292,60 @@ def similarity_scores(model: ClusterModel, features: np.ndarray, threads: int = 
     return scores
 
 
+def _keep_one_drops(
+    chunks: list[Chunk], features: np.ndarray, model: ClusterModel, thresholds: np.ndarray
+) -> np.ndarray:
+    """(thresholds, chunks) drop flags of the greedy keep-one rule, replayed
+    for every threshold in one walk over each cluster.
+
+    Members are visited in descending distance from their centroid, ties
+    broken by (traj_id, start); a chunk drops iff its cosine to a chunk kept
+    so far at that threshold exceeds it. Cosines come from row blocks of the
+    cluster's Gram matrix. Where the best kept one lies within rounding of a
+    threshold, or is NaN, the decision is recomputed with the per-chunk
+    rule's own ``features[i] @ features[kept].T`` over that threshold's kept
+    list, so it is that rule's to the bit. Ascending thresholds let a chunk
+    skip every threshold above its best cosine.
+    """
+    thresholds = np.asarray(thresholds, dtype=np.float64)
+    drop = np.zeros((thresholds.size, len(chunks)), dtype=bool)
+    dists = ((features - model.centroids[model.assignment]) ** 2).sum(axis=1)
+    rank = {tid: r for r, tid in enumerate(sorted({chunk.traj_id for chunk in chunks}))}
+    id_rank = np.array([rank[chunk.traj_id] for chunk in chunks], dtype=np.int64)
+    starts = np.array([chunk.start for chunk in chunks], dtype=np.int64)
+    # GEMM and GEMV dot products differ by at most about 2d·eps·‖x‖‖y‖;
+    # 32(d + 3) leaves 16× margin, as in _assign.
+    rtol = 32 * (features.shape[1] + 3) * np.finfo(np.float64).eps
+    for c in range(model.k):
+        members = np.flatnonzero(model.assignment == c)
+        if members.size < 2:
+            continue
+        order = members[np.lexsort((starts[members], id_rank[members], -dists[members]))]
+        x = features[order]
+        norms = np.sqrt((x**2).sum(axis=1))
+        kept = np.ones((thresholds.size, order.size), dtype=bool)
+        rows = max(1, _ASSIGN_BLOCK_ELEMS // order.size)
+        for lo in range(1, order.size, rows):
+            hi = min(lo + rows, order.size)
+            gram = x[lo:hi] @ x[:hi].T
+            gram[np.arange(lo, hi)[:, None] <= np.arange(hi)] = -np.inf  # earlier chunks only
+            tol = rtol * norms[lo:hi] * norms.max()
+            # a row is kept at every threshold its largest entry stays clearly
+            # below; it is walked up to the last threshold where that fails
+            busy = ~(thresholds - gram.max(axis=1)[:, None] > tol[:, None])
+            last = (busy * np.arange(1, thresholds.size + 1)).max(axis=1)
+            for r in np.flatnonzero(last):
+                j, before = lo + r, kept[: last[r], : lo + r]
+                gap = np.where(before, gram[r, :j], -np.inf).max(axis=1) - thresholds[: last[r]]
+                hit = gap > 0
+                for t in np.flatnonzero(~(np.abs(gap) > tol[r])):  # NaN gaps too
+                    exact = features[order[j]] @ features[order[:j][before[t]]].T
+                    hit[t] = (exact > thresholds[t]).any()
+                kept[: last[r], j] = ~hit
+        drop[:, order] = ~kept
+    return drop
+
+
 def duplicate_mask(
     chunks: list[Chunk],
     scores: np.ndarray,
@@ -309,27 +364,10 @@ def duplicate_mask(
     ``drop_all_over_threshold`` variant instead drops every chunk whose
     similarity score exceeds the threshold, representatives included.
     """
-    n = len(chunks)
-    chunk_drop = np.zeros(n, dtype=bool)
-    if n:
-        if drop_all_over_threshold:
-            chunk_drop = np.asarray(scores) > epsilon_d
-        else:
-            dists = ((features - model.centroids[model.assignment]) ** 2).sum(axis=1)
-            for c in range(model.k):
-                members = np.flatnonzero(model.assignment == c)
-                if members.size < 2:
-                    continue
-                order = sorted(
-                    members,
-                    key=lambda i: (-dists[i], chunks[i].traj_id, chunks[i].start),
-                )
-                kept: list[int] = []
-                for i in order:
-                    if kept and (features[i] @ features[kept].T > epsilon_d).any():
-                        chunk_drop[i] = True
-                    else:
-                        kept.append(i)
+    if drop_all_over_threshold:
+        chunk_drop = np.asarray(scores) > epsilon_d
+    else:
+        chunk_drop = _keep_one_drops(chunks, features, model, np.array([epsilon_d]))[0]
 
     frame_drop = {tid: np.zeros(length, dtype=bool) for tid, length in traj_lens.items()}
     for chunk, dropped in zip(chunks, chunk_drop):

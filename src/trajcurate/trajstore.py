@@ -40,7 +40,8 @@ from .errors import (
 FORMAT_VERSION = 1
 BLOB_MAGIC = b"TRJC"
 
-_ID_RE = re.compile(r"^[A-Za-z0-9._-]+$")
+# Trajectory ids name files, so they must be plain file names: not "." or "..".
+_ID_RE = re.compile(r"(?!\.\.?$)[A-Za-z0-9._-]+")
 
 
 @dataclass
@@ -111,6 +112,7 @@ class Dataset:
     obs_dim: int
     action_dim: int
     meta: dict = field(default_factory=dict)
+    _positions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.trajectories)
@@ -120,10 +122,13 @@ class Dataset:
         return sum(len(t) for t in self.trajectories)
 
     def get(self, traj_id: str) -> Trajectory:
-        for t in self.trajectories:
-            if t.id == traj_id:
-                return t
-        raise KeyError(traj_id)
+        """The first trajectory with this id, found through an id → position
+        index that is rebuilt when it misses or has gone stale."""
+        pos = self._positions.get(traj_id)
+        if pos is None or pos >= len(self.trajectories) or self.trajectories[pos].id != traj_id:
+            self._positions = {t.id: i for i, t in reversed(list(enumerate(self.trajectories)))}
+            pos = self._positions[traj_id]
+        return self.trajectories[pos]
 
     def validate(self) -> None:
         seen: set[str] = set()
@@ -221,7 +226,7 @@ def save_dataset(ds: Dataset, root_path: str | os.PathLike) -> None:
         (root / "trajectories").mkdir(parents=True, exist_ok=True)
         index = []
         for traj in ds.trajectories:
-            if not _ID_RE.match(traj.id):
+            if not _ID_RE.fullmatch(traj.id):
                 raise IoFailure(f"trajectory id '{traj.id}' is not filename-safe")
             entry = {"id": traj.id, "fps": traj.fps, "num_frames": traj.num_frames}
             if traj.labels is not None:
@@ -272,6 +277,8 @@ def load_dataset(root_path: str | os.PathLike, threads: int = 1) -> Dataset:
             if key not in entry:
                 raise InvalidManifest(f"trajectory entry missing '{key}'")
         traj_id = str(entry["id"])
+        if not _ID_RE.fullmatch(traj_id):
+            raise InvalidManifest(f"trajectory id '{traj_id}' is not a plain file name")
         num_frames = int(entry["num_frames"])
         if num_frames <= 0:
             raise InvalidManifest(f"trajectory '{traj_id}': num_frames must be positive")

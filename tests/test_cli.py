@@ -1,6 +1,7 @@
 """Subcommand plumbing: artifacts, exit codes, config/flag precedence."""
 
 import json
+import shutil
 from dataclasses import fields
 
 import numpy as np
@@ -301,6 +302,24 @@ def test_unwritable_out_is_data_error(pipeline, tmp_path, capsys, command):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("trajcurate: data error: ") and err.count("\n") == 1
+
+
+def test_manifest_id_leaving_out_is_data_error(pipeline, tmp_path, capsys):
+    data, run = tmp_path / "data", tmp_path / "run"
+    shutil.copytree(pipeline["data"], data)
+    manifest = json.loads((data / "manifest.json").read_text())
+    entry = manifest["trajectories"][0]
+    (data / "trajectories" / f"{entry['id']}.bin").rename(tmp_path / "outside.bin")
+    # masks/<id>.json would land in run/, beside --out
+    entry["id"] = "../../outside"
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    argv = ["curate", "--config", pipeline["config"], "--data", str(data),
+            "--model", str(pipeline["model"]), "--out", str(run / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("trajcurate: data error: ") and err.count("\n") == 1
+    assert not run.exists() or all(p.is_relative_to(run / "out") for p in run.rglob("*"))
 
 
 def test_bad_targets_is_usage_error(tmp_path):

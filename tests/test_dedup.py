@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from trajcurate import dedup
+from trajcurate.calibrate import dedup_ratio_curve
 from trajcurate.dedup import (
     Chunk,
     ClusterModel,
@@ -28,6 +30,7 @@ from trajcurate.errors import (
     IoFailure,
     KTooLarge,
 )
+from trajcurate.trajstore import Dataset
 
 from conftest import make_dataset, make_trajectory
 
@@ -47,6 +50,39 @@ def oracle_similarity(assignment, features):
         if np.isfinite(best):
             out[i] = best
     return out
+
+
+def oracle_keep_one(chunks, features, model, eps):
+    """The per-threshold keep-one loop: each cluster visited by descending
+    distance from its centroid, ties by (traj_id, start), a chunk dropped
+    when its cosine to an already-kept chunk exceeds ``eps``."""
+    drop = np.zeros(len(chunks), dtype=bool)
+    dists = ((features - model.centroids[model.assignment]) ** 2).sum(axis=1)
+    for c in range(model.k):
+        members = np.flatnonzero(model.assignment == c)
+        if members.size < 2:
+            continue
+        order = sorted(members, key=lambda i: (-dists[i], chunks[i].traj_id, chunks[i].start))
+        kept = []
+        for i in order:
+            if kept and (features[i] @ features[kept].T > eps).any():
+                drop[i] = True
+            else:
+                kept.append(i)
+    return drop
+
+
+def oracle_ratio_curve(ds, chunks, thresholds, chunk_drop_at):
+    """(threshold, deletion ratio) per sorted threshold, from per-frame
+    flags set under every chunk that ``chunk_drop_at(threshold)`` drops."""
+    points = []
+    for t in sorted(float(t) for t in thresholds):
+        frames = {traj.id: np.zeros(traj.num_frames, dtype=bool) for traj in ds.trajectories}
+        for chunk, dropped in zip(chunks, chunk_drop_at(t)):
+            if dropped:
+                frames[chunk.traj_id][chunk.start : chunk.start + chunk.span_frames] = True
+        points.append((t, sum(int(f.sum()) for f in frames.values()) / ds.total_frames))
+    return points
 
 
 def random_unit_rows(rng, n, d):
@@ -333,12 +369,14 @@ def test_similarity_oracle_property(seed, n, k):
 # --- duplicate masking -------------------------------------------------------------------
 
 
-def _cluster_fixture(features, assignment, k):
-    """Chunks laid out back to back on one 20-frame grid per trajectory."""
-    chunks = [
-        Chunk("t0", start=20 * i, span_frames=20, sub_indices=np.arange(8))
-        for i in range(len(features))
-    ]
+def _cluster_fixture(features, assignment, k, traj_ids=None):
+    """Chunks laid out back to back on one 20-frame grid per trajectory, all
+    on "t0" unless ``traj_ids`` names each chunk's trajectory."""
+    chunks, next_start = [], {}
+    for tid in traj_ids or ["t0"] * len(features):
+        start = next_start.get(tid, 0)
+        next_start[tid] = start + 20
+        chunks.append(Chunk(tid, start=start, span_frames=20, sub_indices=np.arange(8)))
     centroids = np.stack([
         features[assignment == c].mean(axis=0) if (assignment == c).any() else np.zeros(features.shape[1])
         for c in range(k)
@@ -421,6 +459,75 @@ def test_drop_all_monotone_in_threshold(seed, eps_a, eps_b):
     drop_hi, _ = duplicate_mask(chunks, scores, feats, model, hi, lens, True)
     drop_lo, _ = duplicate_mask(chunks, scores, feats, model, lo, lens, True)
     assert not (drop_hi & ~drop_lo).any()
+
+
+def _curve_dataset(rng, chunks):
+    """A dataset whose trajectories hold ``chunks`` plus a 5-frame tail."""
+    spans = {}
+    for chunk in chunks:
+        spans[chunk.traj_id] = max(spans.get(chunk.traj_id, 0), chunk.start + chunk.span_frames)
+    trajs = [make_trajectory(rng, tid, n=end + 5) for tid, end in sorted(spans.items())]
+    return Dataset(trajectories=trajs, obs_dim=6, action_dim=3)
+
+
+def _assert_matches_oracles(rng, chunks, scores, feats, model, thresholds):
+    ds = _curve_dataset(rng, chunks)
+    lens = {t.id: t.num_frames for t in ds.trajectories}
+    for t in thresholds:
+        chunk_drop, _ = duplicate_mask(chunks, scores, feats, model, float(t), lens)
+        np.testing.assert_array_equal(chunk_drop, oracle_keep_one(chunks, feats, model, float(t)))
+    clustered = (chunks, feats, model, scores)
+    curve = dedup_ratio_curve(ds, DedupConfig(), thresholds, clustered)
+    assert curve.points == oracle_ratio_curve(
+        ds, chunks, thresholds, lambda t: oracle_keep_one(chunks, feats, model, t)
+    )
+    curve = dedup_ratio_curve(ds, DedupConfig(drop_all_over_threshold=True), thresholds, clustered)
+    assert curve.points == oracle_ratio_curve(ds, chunks, thresholds, lambda t: scores > t)
+
+
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 40),
+    copies=st.integers(0, 12),
+    k=st.integers(1, 4),
+    d=st.sampled_from([3, 8, 40]),
+    per_kind=st.integers(1, 6),
+    block_elems=st.sampled_from([1, 64, 1 << 18]),
+)
+@settings(max_examples=60, deadline=None)
+def test_keep_one_replay_matches_per_threshold_oracle(seed, n, copies, k, d, per_kind, block_elems):
+    rng = np.random.default_rng(seed)
+    feats = random_unit_rows(rng, n, d)
+    # exact copies tie on centroid distance and match each other at cosine 1
+    feats = np.concatenate([feats, feats[rng.integers(0, n, size=copies)]])
+    assignment = rng.integers(0, k, size=len(feats))
+    # ids whose string order is not their list or numeric order
+    traj_ids = rng.choice(["t2", "t10", "t1"], size=len(feats)).tolist()
+    chunks, model, scores = _cluster_fixture(feats, assignment, k, traj_ids)
+    # thresholds on Gram entries bit for bit, on the scores, and anywhere
+    thresholds = np.concatenate([
+        rng.choice((feats @ feats.T).ravel(), per_kind),
+        rng.choice(scores, per_kind),
+        rng.uniform(-1.0, 1.0, per_kind),
+    ])
+    # Gram blocks of one row, of a few rows, and of whole clusters
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dedup, "_ASSIGN_BLOCK_ELEMS", block_elems)
+        _assert_matches_oracles(rng, chunks, scores, feats, model, thresholds)
+
+
+@pytest.mark.parametrize("seed", [1, 5])
+def test_keep_one_replay_exact_where_gemm_and_gemv_round_apart(seed):
+    """Two 8-d chunks whose cosine a (1, 8) × (8, 2) product rounds one ulp
+    below (seed 1) or two ulps above (seed 5) the per-chunk product, as
+    measured with OpenBLAS: with thresholds on the cosines and a few ulps
+    around them, a replay that trusted the Gram entries flips a decision."""
+    rng = np.random.default_rng(seed)
+    feats = random_unit_rows(rng, 2, 8)
+    chunks, model, scores = _cluster_fixture(feats, np.zeros(2, dtype=np.int64), k=1)
+    cosines = [(feats[0] @ feats[[1]].T)[0], (feats[1] @ feats[[0]].T)[0], *scores]
+    thresholds = np.unique([c + ulps * np.spacing(c) for c in cosines for ulps in range(-4, 5)])
+    _assert_matches_oracles(rng, chunks, scores, feats, model, thresholds)
 
 
 def test_keep_one_always_keeps_a_representative():

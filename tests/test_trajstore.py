@@ -230,6 +230,39 @@ def test_unsafe_id_rejected(tmp_path):
         save_dataset(ds, tmp_path / "data")
 
 
+@pytest.mark.parametrize("bad_id", ["../outside", "..", ".", "a/b", "x\n"])
+def test_unsafe_manifest_id_rejected(tmp_path, bad_id):
+    root = _saved_dataset(tmp_path, num_traj=2, n=10)
+    manifest = json.loads((root / "manifest.json").read_text())
+    manifest["trajectories"][0]["id"] = bad_id
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    # a blob where the id points, so only the id check can refuse the load
+    target = root / "trajectories" / f"{bad_id}.bin"
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_bytes((root / "trajectories" / "t000.bin").read_bytes())
+    with pytest.raises(InvalidManifest, match="plain file name"):
+        load_dataset(root)
+    ds = make_dataset(np.random.default_rng(8), num_traj=1, n=4)
+    ds.trajectories[0].id = bad_id
+    with pytest.raises(IoFailure):
+        save_dataset(ds, tmp_path / "saved")
+
+
+def test_dataset_get_follows_trajectory_list():
+    rng = np.random.default_rng(10)
+    ds = make_dataset(rng, num_traj=3, n=4)
+    assert [ds.get(t.id) for t in ds.trajectories] == ds.trajectories
+    with pytest.raises(KeyError):
+        ds.get("missing")
+    ds.trajectories = ds.trajectories[::-1] + [make_trajectory(rng, "t999", n=4)]
+    assert ds.get("t999") is ds.trajectories[-1]
+    assert ds.get("t000") is ds.trajectories[2]
+    ds.trajectories[2] = make_trajectory(rng, "t777", n=4)
+    assert ds.get("t777") is ds.trajectories[2]
+    with pytest.raises(KeyError):
+        ds.get("t000")
+
+
 def test_trajectory_validate_errors():
     rng = np.random.default_rng(9)
     traj = make_trajectory(rng, n=5, obs_dim=4, action_dim=2)
