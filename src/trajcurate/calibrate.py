@@ -49,7 +49,6 @@ def dedup_ratio_curve(
     cfg: DedupConfig,
     thresholds: np.ndarray,
     clustered: tuple[list[Chunk], np.ndarray, ClusterModel, np.ndarray] | None = None,
-    threads: int = 1,
 ) -> RatioCurve:
     """Deletion ratio per threshold, from one replay of the keep-one rule.
 
@@ -59,7 +58,7 @@ def dedup_ratio_curve(
     is computed once and reused). Chunks tile without overlap, so a
     threshold's dropped frames are its dropped chunks' spans summed.
     """
-    chunks, features, model, scores = clustered or cluster_dataset(ds, cfg, threads=threads)
+    chunks, features, model, scores = clustered or cluster_dataset(ds, cfg)
     if not chunks:
         raise EmptyScores("no chunks to sweep")
     grid = np.sort(np.asarray(thresholds, dtype=np.float64), kind="stable")

@@ -97,7 +97,7 @@ def _cmd_gen(args, cfg: PipelineConfig) -> int:
 def _cmd_train_progress(args, cfg: PipelineConfig) -> int:
     data = _require(args.data, cfg.data, "data")
     out = Path(_require(args.out, cfg.out, "out"))
-    ds = load_dataset(data, threads=args.threads)
+    ds = load_dataset(data)
     bins = default_bins(cfg.sampling.dt_cap)
     print(f"training on {len(ds)} trajectories ({ds.total_frames} frames)", file=sys.stderr)
     model, report = train_progress_model(ds, bins, cfg.train, cfg.sampling, cfg.hidden_sizes)
@@ -120,9 +120,9 @@ def _cmd_score_subopt(args, cfg: PipelineConfig) -> int:
     data = _require(args.data, cfg.data, "data")
     out = Path(_require(args.out, cfg.out, "out"))
     model = load_model(_require(args.model, None, "model"))
-    ds = load_dataset(data, threads=args.threads)
+    ds = load_dataset(data)
     bins = default_bins(cfg.sampling.dt_cap)
-    series, mask = score_dataset(ds, model, bins, cfg.subopt, threads=args.threads)
+    series, mask = score_dataset(ds, model, bins, cfg.subopt)
     write_masks(mask, out)
     scores_dir = out / "scores"
     try:
@@ -153,16 +153,17 @@ def _cmd_score_subopt(args, cfg: PipelineConfig) -> int:
 def _load_embeddings_if_present(data: str):
     path = Path(data) / "chunk_embeddings.bin"
     if path.exists():
+        embeddings = load_chunk_embeddings(path)
         print(f"using precomputed chunk embeddings: {path}", file=sys.stderr)
-        return load_chunk_embeddings(path)
+        return embeddings
     return None
 
 
 def _cmd_dedup(args, cfg: PipelineConfig) -> int:
     data = _require(args.data, cfg.data, "data")
     out = Path(_require(args.out, cfg.out, "out"))
-    ds = load_dataset(data, threads=args.threads)
-    mask, report = dedup_dataset(ds, cfg.dedup, _load_embeddings_if_present(data), threads=args.threads)
+    ds = load_dataset(data)
+    mask, report = dedup_dataset(ds, cfg.dedup, _load_embeddings_if_present(data))
     write_masks(mask, out)
     _write_json(out / "dedup_report.json", report)
     _print_table(
@@ -197,18 +198,18 @@ def _cmd_calibrate(args, cfg: PipelineConfig) -> int:
     out = Path(args.out if args.out is not None else (cfg.out or data))
     targets = _parse_targets(args.targets)
     model = load_model(_require(args.model, None, "model"))
-    ds = load_dataset(data, threads=args.threads)
+    ds = load_dataset(data)
     bins = default_bins(cfg.sampling.dt_cap)
 
-    series, _ = score_dataset(ds, model, bins, cfg.subopt, threads=args.threads)
+    series, _ = score_dataset(ds, model, bins, cfg.subopt)
     finals = np.concatenate([s.final for s in series])
     sub_curve = ratio_curve(finals, _quantile_grid(finals, 33))
 
-    clustered = cluster_dataset(ds, cfg.dedup, _load_embeddings_if_present(data), threads=args.threads)
+    clustered = cluster_dataset(ds, cfg.dedup, _load_embeddings_if_present(data))
     sims = clustered[3][clustered[3] > -1.5]
     if sims.size:
         grid = np.append(_quantile_grid(sims, 17), max(1.0, float(sims.max()) + 1e-9))
-        dup_curve = dedup_ratio_curve(ds, cfg.dedup, grid, clustered, threads=args.threads)
+        dup_curve = dedup_ratio_curve(ds, cfg.dedup, grid, clustered)
         dup_curves = [dup_curve]
     else:
         dup_curve = None
@@ -249,11 +250,11 @@ def _cmd_curate(args, cfg: PipelineConfig) -> int:
     data = _require(args.data, cfg.data, "data")
     out = Path(_require(args.out, cfg.out, "out"))
     model = load_model(_require(args.model, None, "model"))
-    ds = load_dataset(data, threads=args.threads)
+    ds = load_dataset(data)
     bins = default_bins(cfg.sampling.dt_cap)
 
-    series, sub_mask = score_dataset(ds, model, bins, cfg.subopt, threads=args.threads)
-    dup_mask, dedup_rep = dedup_dataset(ds, cfg.dedup, _load_embeddings_if_present(data), threads=args.threads)
+    series, sub_mask = score_dataset(ds, model, bins, cfg.subopt)
+    dup_mask, dedup_rep = dedup_dataset(ds, cfg.dedup, _load_embeddings_if_present(data))
     combined = combine_masks(sub_mask, dup_mask)
     write_masks(combined, out)
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInput, IoFailure, KTooLarge
+from .errors import DimensionMismatch, EmptyInput, IoFailure, KTooLarge, NonFiniteValue
 from .trajstore import DUPLICATE, CurationMask, Dataset, TrajectoryMask, seconds_to_frames
 
 SINGLETON_SENTINEL = -2.0
@@ -152,11 +152,9 @@ def resolve_action_weight(ds: Dataset, chunks: list[Chunk], cfg: DedupConfig) ->
     return _balanced_weight(*_chunk_blocks(ds, chunks))
 
 
-def compute_features(
-    ds: Dataset, chunks: list[Chunk], cfg: DedupConfig, threads: int = 1
-) -> tuple[np.ndarray, float]:
+def compute_features(ds: Dataset, chunks: list[Chunk], cfg: DedupConfig) -> tuple[np.ndarray, float]:
     """The (n, d) matrix of ``embed_chunk`` features in chunk order, and λ,
-    from one vectorized pass; ``threads`` is accepted and unused."""
+    from one vectorized pass."""
     z_v, z_a = _chunk_blocks(ds, chunks)
     lam = float(cfg.action_weight) if cfg.action_weight is not None else _balanced_weight(z_v, z_a)
     raw = np.concatenate([z_v, z_a * lam], axis=1)
@@ -201,20 +199,13 @@ def _assign(features: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return out
 
 
-def kmeans(
-    features: np.ndarray,
-    k: int,
-    seed: int = 0,
-    max_iters: int = 100,
-    threads: int = 1,
-) -> ClusterModel:
+def kmeans(features: np.ndarray, k: int, seed: int = 0, max_iters: int = 100) -> ClusterModel:
     """Seeded k-means++ plus Lloyd iterations to an assignment fixpoint.
 
     Empty clusters are re-seeded with the point currently farthest from its
     centroid. Assignment is one blocked matrix product with an exact
     recheck of near-ties (see ``_assign``); centroids accumulate in fixed
-    order. Everything runs on one thread: ``threads`` is accepted and
-    unused, so the result cannot depend on it.
+    order.
     """
     features = np.asarray(features, dtype=np.float64)
     n = features.shape[0]
@@ -273,12 +264,11 @@ def kmeans(
     )
 
 
-def similarity_scores(model: ClusterModel, features: np.ndarray, threads: int = 1) -> np.ndarray:
+def similarity_scores(model: ClusterModel, features: np.ndarray) -> np.ndarray:
     """Best cosine match against any other same-cluster chunk.
 
     Members of singleton clusters have nothing to match and get the sentinel
-    −2, which no threshold in [−1, 1] can exceed. Clusters are scored one
-    after another; ``threads`` is accepted and changes nothing.
+    −2, which no threshold in [−1, 1] can exceed.
     """
     features = np.asarray(features, dtype=np.float64)
     scores = np.full(features.shape[0], SINGLETON_SENTINEL)
@@ -377,10 +367,7 @@ def duplicate_mask(
 
 
 def cluster_dataset(
-    ds: Dataset,
-    cfg: DedupConfig,
-    precomputed: np.ndarray | None = None,
-    threads: int = 1,
+    ds: Dataset, cfg: DedupConfig, precomputed: np.ndarray | None = None
 ) -> tuple[list[Chunk], np.ndarray, ClusterModel, np.ndarray]:
     """chunk → embed → cluster → score, without masking.
 
@@ -401,18 +388,15 @@ def cluster_dataset(
         return chunks, empty, ClusterModel(0, empty, np.empty(0, dtype=np.int64), 0.0, []), np.empty(0)
     k = cfg.k if cfg.k is not None else default_k(len(chunks), cfg.target_cluster_size)
     model = kmeans(features, min(k, len(chunks)), cfg.seed, cfg.max_iters)
-    scores = similarity_scores(model, features, threads)
+    scores = similarity_scores(model, features)
     return chunks, features, model, scores
 
 
 def dedup_dataset(
-    ds: Dataset,
-    cfg: DedupConfig,
-    precomputed: np.ndarray | None = None,
-    threads: int = 1,
+    ds: Dataset, cfg: DedupConfig, precomputed: np.ndarray | None = None
 ) -> tuple[CurationMask, dict]:
     """Run the full dedup pipeline; returns masks and a JSON-ready report."""
-    chunks, features, model, scores = cluster_dataset(ds, cfg, precomputed, threads)
+    chunks, features, model, scores = cluster_dataset(ds, cfg, precomputed)
     traj_lens = {t.id: t.num_frames for t in ds.trajectories}
     _, frame_drop = duplicate_mask(
         chunks, scores, features, model, cfg.epsilon_d, traj_lens,
@@ -463,7 +447,8 @@ def dedup_report(
 
 def load_chunk_embeddings(path: str | Path) -> np.ndarray:
     """Read the packed embedding file: magic ``CEMB``, u32 count, u32 dim,
-    then count·dim little-endian f32 in chunk order."""
+    then count·dim little-endian f32 in chunk order. Every value must be
+    finite (``NonFiniteValue`` otherwise)."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -474,7 +459,11 @@ def load_chunk_embeddings(path: str | Path) -> np.ndarray:
     expected = 12 + count * dim * 4
     if len(raw) != expected:
         raise IoFailure(f"{path}: {len(raw)} bytes, expected {expected}")
-    return np.frombuffer(raw[12:], dtype="<f4").astype(np.float64).reshape(count, dim)
+    emb = np.frombuffer(raw[12:], dtype="<f4").astype(np.float64).reshape(count, dim)
+    finite = np.isfinite(emb).all(axis=1)
+    if not finite.all():
+        raise NonFiniteValue(str(path), int(np.argmin(finite)), unit="chunk")
+    return emb
 
 
 def save_chunk_embeddings(path: str | Path, embeddings: np.ndarray) -> None:

@@ -42,10 +42,11 @@ class DimensionMismatch(CurationError):
 
 
 class NonFiniteValue(CurationError):
-    def __init__(self, traj_id: str, frame: int):
-        super().__init__(f"trajectory '{traj_id}' frame {frame} contains NaN/Inf")
-        self.traj_id = traj_id
-        self.frame = frame
+    """NaN or Inf where only finite values are valid: ``where`` names the
+    trajectory, mask or file, ``index`` its first bad frame or row."""
+
+    def __init__(self, where: str, index: int, unit: str = "frame"):
+        super().__init__(f"{where} {unit} {index} contains NaN/Inf")
 
 
 class IoFailure(CurationError):

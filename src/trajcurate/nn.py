@@ -7,16 +7,20 @@ test suite pits it against central finite differences.
 
 ``train`` and ``loss_and_grad`` share one backprop (``_backprop``), so the
 finite-difference checks test the gradient that training applies. ``train``
-validates its inputs once, before the first epoch; each SGD step then runs
-only the backprop, with no loss, label scan or second softmax.
+checks its inputs once and gathers each epoch's shuffled rows and one-hot
+targets once. Its parameters and gradient are two flat vectors with
+per-layer views, and each step runs in preallocated work arrays. The float
+operations and their order are those of per-layer SGD over
+``loss_and_grad``, so the trained parameters match it bit for bit.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -48,13 +52,7 @@ class MlpClassifier:
         return self.layer_sizes[-1]
 
     def copy(self) -> "MlpClassifier":
-        return MlpClassifier(
-            layer_sizes=self.layer_sizes,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            activation=self.activation,
-            seed=self.seed,
-        )
+        return replace(self, weights=[w.copy() for w in self.weights], biases=[b.copy() for b in self.biases])
 
     def num_params(self) -> int:
         return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
@@ -136,41 +134,62 @@ def _check_batch(
     return x, y
 
 
-def _backprop(
-    model: MlpClassifier,
-    x: np.ndarray,
-    y: np.ndarray,
-    l2: float,
-) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """Shifted logits, their exponentials and ``[(dW, db), ...]`` for checked rows."""
-    n = y.shape[0]
-    # forward, keeping pre-activations for backprop
-    activations = [x]
-    pre = []
-    a = x
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        z = a @ w + b
-        pre.append(z)
-        a = np.maximum(z, 0.0)
-        activations.append(a)
-    logits = a @ model.weights[-1] + model.biases[-1]
+class _Workspace:
+    """Work arrays for backprop over exactly ``rows`` rows, so a step
+    allocates nothing. The gradient lands in the flat ``grad``
+    (``get_flat_params`` layout) through its per-layer views ``dw`` and
+    ``db``. With ``keep_logits`` the exponentials get their own buffer, so
+    the shifted logits survive for the loss; otherwise ``exp`` runs in
+    place."""
 
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    delta = e / e.sum(axis=1, keepdims=True)
-    delta[np.arange(n), y] -= 1.0
+    def __init__(self, sizes: tuple[int, ...], rows: int, grad: np.ndarray, keep_logits: bool = False):
+        hidden = sizes[1:-1]
+        self.dw, self.db = _layer_views(grad, sizes)
+        self.acts = [np.empty((rows, s)) for s in hidden]
+        self.deltas = [np.empty((rows, s)) for s in hidden]
+        self.masks = [np.empty((rows, s), dtype=bool) for s in hidden]
+        self.logits = np.empty((rows, sizes[-1]))
+        self.exp = np.empty_like(self.logits) if keep_logits else self.logits
+        self.rowsum = np.empty((rows, 1))
+        self.decay = [np.empty_like(dw) for dw in self.dw]
+
+
+def _backprop(
+    weights: list[np.ndarray],
+    biases: list[np.ndarray],
+    x: np.ndarray,
+    onehot: np.ndarray,
+    l2: float,
+    ws: _Workspace,
+) -> None:
+    """Gradient of the mean cross-entropy (+ l2 decay) over checked rows ``x``
+    with one-hot targets, written into ``ws.dw``/``ws.db``. Afterwards
+    ``ws.logits`` holds the shifted logits (with ``keep_logits``) and
+    ``ws.rowsum`` the sums of their exponentials."""
+    n = x.shape[0]
+    a = x
+    for w, b, z in zip(weights, biases, ws.acts):
+        np.matmul(a, w, out=z)
+        z += b
+        a = np.maximum(z, 0.0, out=z)
+    logits = np.matmul(a, weights[-1], out=ws.logits)
+    logits += biases[-1]
+    logits -= np.maximum.reduce(logits, axis=1, keepdims=True, out=ws.rowsum)
+    delta = np.exp(logits, out=ws.exp)
+    delta /= np.add.reduce(delta, axis=1, keepdims=True, out=ws.rowsum)
+    delta -= onehot  # subtracting 0.0 is exact, so only the label column moves
     delta /= n
 
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(model.weights)
-    for layer in range(len(model.weights) - 1, -1, -1):
-        dw = activations[layer].T @ delta
+    for layer in range(len(weights) - 1, -1, -1):
+        a = ws.acts[layer - 1] if layer else x
+        np.matmul(a.T, delta, out=ws.dw[layer])
         if l2:
-            dw += l2 * model.weights[layer]
-        db = delta.sum(axis=0)
-        grads[layer] = (dw, db)
-        if layer > 0:
-            delta = (delta @ model.weights[layer].T) * (pre[layer - 1] > 0.0)
-    return shifted, e, grads
+            ws.dw[layer] += np.multiply(l2, weights[layer], out=ws.decay[layer])
+        np.add.reduce(delta, axis=0, out=ws.db[layer])
+        if layer:
+            prev = np.matmul(delta, weights[layer].T, out=ws.deltas[layer - 1])
+            prev *= np.greater(a, 0.0, out=ws.masks[layer - 1])
+            delta = prev
 
 
 def loss_and_grad(
@@ -185,10 +204,12 @@ def loss_and_grad(
     weight decay.
     """
     x, y = _check_batch(model, x, labels)
-    shifted, e, grads = _backprop(model, x, y, l2)
-    ce = float(np.mean(np.log(e.sum(axis=1)) - shifted[np.arange(y.shape[0]), y]))
+    n = y.shape[0]
+    ws = _Workspace(model.layer_sizes, n, np.empty(model.num_params()), keep_logits=True)
+    _backprop(model.weights, model.biases, x, np.eye(model.num_classes)[y], l2, ws)
+    ce = float(np.mean(np.log(ws.rowsum[:, 0]) - ws.logits[np.arange(n), y]))
     loss = ce + 0.5 * l2 * sum(float((w**2).sum()) for w in model.weights)
-    return loss, grads
+    return loss, list(zip(ws.dw, ws.db))
 
 
 def train(
@@ -200,21 +221,35 @@ def train(
     """Run minibatch SGD and return the trained copy; the input is untouched.
 
     ``x`` and ``labels`` are checked once, up front, with the same typed
-    errors as ``loss_and_grad``; each step then runs only the backprop.
+    errors as ``loss_and_grad``. Each step slices the epoch's gathered rows,
+    runs the shared backprop and updates every parameter at once
+    (``grad *= lr; params -= grad``: the products of ``W -= lr * dW``). The
+    returned model's arrays are views of one new float64 vector.
     """
     x, y = _check_batch(model, x, labels)
-    trained = model.copy()
+    n, size = y.shape[0], cfg.batch_size
+    params = get_flat_params(model)  # a fresh vector: the input stays untouched
+    weights, biases = _layer_views(params, model.layer_sizes)
+    grad = np.empty_like(params)
+    starts = range(0, n, size)
+    spaces = {r: _Workspace(model.layer_sizes, r, grad) for r in {min(size, n - i) for i in starts}}
+    steps = [(slice(i, i + size), spaces[min(size, n - i)]) for i in starts]
+
+    onehot = np.eye(model.num_classes)[y]
+    x_epoch, onehot_epoch = np.empty_like(x), np.empty_like(onehot)
+    lr, l2 = cfg.learning_rate, cfg.l2
     rng = np.random.default_rng(cfg.seed)
-    n = y.shape[0]
     for _ in range(cfg.epochs):
         perm = rng.permutation(n)
-        for i in range(0, n, cfg.batch_size):
-            idx = perm[i : i + cfg.batch_size]
-            _, _, grads = _backprop(trained, x[idx], y[idx], cfg.l2)
-            for (dw, db), w, b in zip(grads, trained.weights, trained.biases):
-                w -= cfg.learning_rate * dw
-                b -= cfg.learning_rate * db
-    return trained
+        # mode="clip" never goes out of bounds here and, unlike the default,
+        # writes straight into ``out`` without a temporary
+        np.take(x, perm, axis=0, out=x_epoch, mode="clip")
+        np.take(onehot, perm, axis=0, out=onehot_epoch, mode="clip")
+        for batch, ws in steps:
+            _backprop(weights, biases, x_epoch[batch], onehot_epoch[batch], l2, ws)
+            grad *= lr
+            params -= grad
+    return replace(model, weights=weights, biases=biases)
 
 
 # --- flat parameter view (finite-difference checks, checkpoints) ---------------
@@ -222,32 +257,31 @@ def train(
 
 def get_flat_params(model: MlpClassifier) -> np.ndarray:
     """Parameters as one vector: per layer, weights row-major then bias."""
-    parts = []
-    for w, b in zip(model.weights, model.biases):
-        parts.append(w.ravel())
-        parts.append(b.ravel())
-    return np.concatenate(parts)
+    return flatten_grads(zip(model.weights, model.biases))
+
+
+def _layer_views(flat: np.ndarray, sizes: tuple[int, ...]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer weight and bias views of a ``get_flat_params``-layout vector."""
+    weights, biases, pos = [], [], 0
+    for n_in, n_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(flat[pos : pos + n_in * n_out].reshape(n_in, n_out))
+        pos += n_in * n_out
+        biases.append(flat[pos : pos + n_out])
+        pos += n_out
+    return weights, biases
 
 
 def set_flat_params(model: MlpClassifier, flat: np.ndarray) -> None:
-    flat = np.asarray(flat, dtype=np.float64)
+    """Replace the parameters with views of a float64 copy of ``flat``."""
+    flat = np.array(flat, dtype=np.float64)
     if flat.shape[0] != model.num_params():
         raise DimensionMismatch(f"{flat.shape[0]} params for model with {model.num_params()}")
-    pos = 0
-    for layer in range(len(model.weights)):
-        w, b = model.weights[layer], model.biases[layer]
-        model.weights[layer] = flat[pos : pos + w.size].reshape(w.shape).copy()
-        pos += w.size
-        model.biases[layer] = flat[pos : pos + b.size].copy()
-        pos += b.size
+    model.weights, model.biases = _layer_views(flat, model.layer_sizes)
 
 
-def flatten_grads(grads: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    parts = []
-    for dw, db in grads:
-        parts.append(dw.ravel())
-        parts.append(db.ravel())
-    return np.concatenate(parts)
+def flatten_grads(grads: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """``[(dW, db), ...]`` as one vector in the ``get_flat_params`` layout."""
+    return np.concatenate([a.ravel() for pair in grads for a in pair])
 
 
 # --- checkpoints ----------------------------------------------------------------

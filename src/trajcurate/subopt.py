@@ -182,14 +182,9 @@ def score_trajectory(
 
 
 def score_dataset(
-    ds: Dataset,
-    model: nn.MlpClassifier,
-    bins: TemporalBins,
-    cfg: SuboptConfig,
-    threads: int = 1,
+    ds: Dataset, model: nn.MlpClassifier, bins: TemporalBins, cfg: SuboptConfig
 ) -> tuple[list[ScoreSeries], CurationMask]:
-    """Score every trajectory in order; ``threads`` is accepted and changes
-    nothing."""
+    """Score every trajectory in order."""
     series_list = []
     masks = {}
     for traj in ds.trajectories:

@@ -84,12 +84,6 @@ class GroundTruth:
     anomaly_segments: dict[str, list[tuple[int, int, str]]]
     phi: dict[str, np.ndarray] = field(default_factory=dict)   # in-memory only
 
-    def anomaly_labels(self) -> dict[str, np.ndarray]:
-        return {
-            tid: np.array([t != CLEAN for t in tags], dtype=bool)
-            for tid, tags in self.frame_tags.items()
-        }
-
     def groups(self) -> dict[int, list[tuple[str, int]]]:
         """Duplicate groups as gid → [(traj_id, chunk start frame), ...]."""
         out: dict[int, list[tuple[str, int]]] = {}
@@ -125,8 +119,9 @@ class GroundTruth:
             for tid, count in data["frame_counts"].items():
                 arr = [CLEAN] * int(count)
                 for a, b, t in segments.get(tid, []):
-                    for i in range(a, b):
-                        arr[i] = t
+                    if not 0 <= a <= b <= len(arr):
+                        raise ValueError(f"segment ({a}, {b}) of '{tid}' outside its {len(arr)} frames")
+                    arr[a:b] = [t] * (b - a)
                 tags[tid] = arr
             groups = {tid: [int(g) for g in gids] for tid, gids in data["chunk_groups"].items()}
         except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:

@@ -74,10 +74,6 @@ class Trajectory:
     def num_frames(self) -> int:
         return self.obs.shape[0]
 
-    @property
-    def duration_seconds(self) -> float:
-        return self.num_frames / self.fps
-
     def frame(self, i: int) -> FeatureFrame:
         return FeatureFrame(index=i, obs_embedding=self.obs[i], action=self.actions[i])
 
@@ -97,7 +93,7 @@ class Trajectory:
         for name, arr in (("obs", self.obs), ("action", self.actions)):
             finite = np.isfinite(arr).all(axis=1)
             if not finite.all():
-                raise NonFiniteValue(self.id, int(np.argmin(finite)))
+                raise NonFiniteValue(f"trajectory '{self.id}'", int(np.argmin(finite)))
         if self.labels is not None and len(self.labels) != self.num_frames:
             raise InvalidManifest(
                 f"trajectory '{self.id}': {len(self.labels)} labels for {self.num_frames} frames"
@@ -247,13 +243,9 @@ def save_dataset(ds: Dataset, root_path: str | os.PathLike) -> None:
         raise IoFailure(str(exc)) from exc
 
 
-def load_dataset(root_path: str | os.PathLike, threads: int = 1) -> Dataset:
-    """Load and validate a dataset container.
-
-    Rejects dimension mismatches, truncated blobs and non-finite values.
-    Blobs are read one after another; ``threads`` is accepted and changes
-    nothing.
-    """
+def load_dataset(root_path: str | os.PathLike) -> Dataset:
+    """Load and validate a dataset container: rejects dimension mismatches,
+    truncated blobs and non-finite values."""
     root = Path(root_path)
     manifest_path = root / "manifest.json"
     if not manifest_path.is_file():
@@ -395,7 +387,11 @@ class CurationMask:
 
 
 def write_masks(mask: CurationMask, out_dir: str | os.PathLike) -> None:
-    """Write one ``masks/<id>.json`` per trajectory under ``out_dir``."""
+    """Write one ``masks/<id>.json`` per trajectory under ``out_dir``.
+
+    A NaN or Inf score raises ``NonFiniteValue`` before its file is written:
+    JSON has no token for either.
+    """
     masks_dir = Path(out_dir) / "masks"
     try:
         masks_dir.mkdir(parents=True, exist_ok=True)
@@ -409,7 +405,12 @@ def write_masks(mask: CurationMask, out_dir: str | os.PathLike) -> None:
                 "subopt_score": m.subopt_score.tolist(),
                 "dup_similarity": m.dup_similarity.tolist(),
             }
-            (masks_dir / f"{traj_id}.json").write_text(json.dumps(doc, sort_keys=True) + "\n")
+            try:
+                text = json.dumps(doc, sort_keys=True, allow_nan=False)
+            except ValueError as exc:
+                finite = np.isfinite(m.subopt_score) & np.isfinite(m.dup_similarity)
+                raise NonFiniteValue(f"mask of trajectory '{traj_id}'", int(np.argmin(finite))) from exc
+            (masks_dir / f"{traj_id}.json").write_text(text + "\n")
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
 

@@ -257,6 +257,7 @@ def test_corrupt_blob_is_data_error(tmp_path):
     "mask_json", "mask_without_keep", "empty_ground_truth",
     "scalar_keep", "scalar_subopt_score", "nested_dup_similarity",
     "zero_chunk_span", "chunk_groups_past_frames",
+    "segment_negative_start", "segment_reversed", "segment_past_end",
 ])
 def test_report_bad_input_is_data_error(tmp_path, capsys, corrupt):
     data, out = tmp_path / "data", tmp_path / "d"
@@ -275,12 +276,18 @@ def test_report_bad_input_is_data_error(tmp_path, capsys, corrupt):
         mask.write_text(json.dumps({**doc, "subopt_score": 0.5}))
     elif corrupt == "nested_dup_similarity":
         mask.write_text(json.dumps({**doc, "dup_similarity": [[v] for v in doc["dup_similarity"]]}))
-    elif corrupt in ("zero_chunk_span", "chunk_groups_past_frames"):
+    elif corrupt != "empty_ground_truth":
         truth = json.loads((data / "ground_truth.json").read_text())
+        frames = truth["frame_counts"][doc["id"]]
         if corrupt == "zero_chunk_span":
             truth["chunk_span_frames"] = 0
-        else:
+        elif corrupt == "chunk_groups_past_frames":
             truth["chunk_groups"][doc["id"]] += [0] * 100
+        else:
+            # a < 0 would tag the last frames by wrap-around, a > b no frame at all
+            a, b = {"segment_negative_start": (-3, 2), "segment_reversed": (5, 3),
+                    "segment_past_end": (frames - 2, frames + 1)}[corrupt]
+            truth["anomaly_segments"][doc["id"]] = [[a, b, "pause"]]
         (data / "ground_truth.json").write_text(json.dumps(truth))
     else:
         (data / "ground_truth.json").write_text("{}")
@@ -288,6 +295,23 @@ def test_report_bad_input_is_data_error(tmp_path, capsys, corrupt):
     assert main(["report", "--masks", str(out), "--truth", str(data)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("trajcurate: data error: ") and err.count("\n") == 1
+
+
+def test_nonfinite_chunk_embedding_is_data_error(tmp_path, capsys):
+    data, out = tmp_path / "data", tmp_path / "d"
+    assert main(["gen", "--out", str(data), "--config", _tiny_cfg(tmp_path)]) == 0
+    from trajcurate.dedup import save_chunk_embeddings
+
+    # 3 trajectories x 3 chunks; one infinite component in chunk 4
+    emb = np.random.default_rng(0).normal(size=(9, 4))
+    emb[4, 2] = np.inf
+    save_chunk_embeddings(data / "chunk_embeddings.bin", emb)
+    capsys.readouterr()
+    assert main(["dedup", "--data", str(data), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("trajcurate: data error: ") and err.count("\n") == 1
+    assert "chunk 4 contains NaN/Inf" in err
+    assert not (out / "masks").exists() or not any((out / "masks").iterdir())
 
 
 @pytest.mark.parametrize("command", ["dedup", "curate", "calibrate"])

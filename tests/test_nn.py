@@ -288,6 +288,115 @@ def test_train_equals_sgd_over_loss_and_grad(l2, hidden):
     assert get_flat_params(got).tobytes() == get_flat_params(want).tobytes()
 
 
+def _textbook_sgd(model, x, labels, cfg):
+    """Reference SGD written out with fresh arrays: forward, softmax, backprop
+    and per-layer update in their plainest numpy form."""
+    y = np.asarray(labels, dtype=np.int64).ravel()
+    ws = [w.copy() for w in model.weights]
+    bs = [b.copy() for b in model.biases]
+    rng = np.random.default_rng(cfg.seed)
+    n = y.shape[0]
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(n)
+        for i in range(0, n, cfg.batch_size):
+            idx = perm[i : i + cfg.batch_size]
+            acts, pre, a = [x[idx]], [], x[idx]
+            for w, b in zip(ws[:-1], bs[:-1]):
+                z = a @ w + b
+                pre.append(z)
+                a = np.maximum(z, 0.0)
+                acts.append(a)
+            logits = a @ ws[-1] + bs[-1]
+            e = np.exp(logits - logits.max(axis=1, keepdims=True))
+            delta = e / e.sum(axis=1, keepdims=True)
+            delta[np.arange(len(idx)), y[idx]] -= 1.0
+            delta /= len(idx)
+            grads = [None] * len(ws)
+            for layer in range(len(ws) - 1, -1, -1):
+                dw = acts[layer].T @ delta
+                if cfg.l2:
+                    dw += cfg.l2 * ws[layer]
+                grads[layer] = (dw, delta.sum(axis=0))
+                if layer > 0:
+                    delta = (delta @ ws[layer].T) * (pre[layer - 1] > 0.0)
+            for (dw, db), w, b in zip(grads, ws, bs):
+                w -= cfg.learning_rate * dw
+                b -= cfg.learning_rate * db
+    return np.concatenate([p.ravel() for wb in zip(ws, bs) for p in wb])
+
+
+@st.composite
+def _sgd_cases(draw):
+    n = draw(st.integers(3, 40))
+    batch = draw(st.sampled_from(["one", "non-divisor", "larger than n"]))
+    if batch == "one":
+        size = 1
+    elif batch == "non-divisor":
+        size = draw(st.sampled_from([b for b in range(2, n) if n % b]))
+    else:
+        size = draw(st.integers(n + 1, 2 * n + 5))
+    return dict(
+        n=n,
+        dim=draw(st.sampled_from([1, 3, 32])),
+        hidden=draw(st.sampled_from([(), (5,), (64, 64)])),
+        classes=draw(st.integers(2, 5)),
+        cfg=TrainConfig(
+            learning_rate=draw(st.sampled_from([0.0, 0.05])),
+            epochs=draw(st.integers(1, 3)),
+            batch_size=size,
+            seed=draw(st.integers(0, 2**16)),
+            l2=draw(st.sampled_from([0.0, 0.1])),
+        ),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+@given(case=_sgd_cases())
+@settings(max_examples=60, deadline=None)
+def test_train_bits_match_oracles_property(case):
+    rng = np.random.default_rng(case["seed"])
+    x = rng.normal(size=(case["n"], case["dim"]))
+    y = rng.integers(0, case["classes"], size=case["n"])
+    m = init_mlp([case["dim"], *case["hidden"], case["classes"]], seed=case["seed"])
+    got = get_flat_params(train(m, x, y, case["cfg"])).tobytes()
+    assert got == get_flat_params(_sgd_over_loss_and_grad(m, x, y, case["cfg"])).tobytes()
+    assert got == _textbook_sgd(m, x, y, case["cfg"]).tobytes()
+
+
+def test_trained_model_owns_its_parameters(tmp_path):
+    rng = np.random.default_rng(12)
+    x, y = _toy_problem(rng, n=30)
+    m = init_mlp([2, 5, 3], seed=4)
+    input_params = get_flat_params(m)
+    trained = train(m, x, y, TrainConfig(epochs=2, batch_size=7))
+    theirs = m.weights + m.biases
+    assert not any(np.shares_memory(a, b) for a in trained.weights + trained.biases for b in theirs)
+    trained_params = get_flat_params(trained)
+    # training the trained model again leaves it untouched too
+    train(trained, x, y, TrainConfig(epochs=1, batch_size=4))
+    assert get_flat_params(trained).tobytes() == trained_params.tobytes()
+
+    dup = trained.copy()
+    for arr in dup.weights + dup.biases:
+        arr += 1.0
+    assert get_flat_params(trained).tobytes() == trained_params.tobytes()
+    assert get_flat_params(m).tobytes() == input_params.tobytes()
+
+    source = trained_params.copy()
+    set_flat_params(dup, source)
+    source += 1.0
+    for arr in dup.weights + dup.biases:
+        arr -= 1.0
+    assert get_flat_params(dup).tobytes() == (trained_params - 1.0).tobytes()
+    assert get_flat_params(trained).tobytes() == trained_params.tobytes()
+
+    save_model(trained, tmp_path / "m.ckpt")
+    back = load_model(tmp_path / "m.ckpt")
+    np.testing.assert_array_equal(get_flat_params(back), trained_params.astype(np.float32))
+    back.weights[0] += 1.0
+    assert get_flat_params(trained).tobytes() == trained_params.tobytes()
+
+
 # --- flat-parameter view ----------------------------------------------------------
 
 
