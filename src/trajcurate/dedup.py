@@ -133,12 +133,12 @@ def _chunk_blocks(ds: Dataset, chunks: list[Chunk]) -> tuple[np.ndarray, np.ndar
 
 def _balanced_weight(z_v: np.ndarray, z_a: np.ndarray) -> float:
     """λ that gives the action block the visual block's RMS; per-chunk sums
-    of squares are added in chunk order."""
-    sq_v = sq_a = 0.0
-    for v, a in zip((z_v**2).sum(axis=1), (z_a**2).sum(axis=1)):
-        sq_v += float(v)
-        sq_a += float(a)
-    if sq_a == 0.0:  # also no chunks, or no action entries
+    of squares are added one by one in chunk order (a cumulative sum)."""
+    if not len(z_a):  # no chunks
+        return 1.0
+    sq_v = np.cumsum((z_v**2).sum(axis=1))[-1]
+    sq_a = np.cumsum((z_a**2).sum(axis=1))[-1]
+    if sq_a == 0.0:  # also no action entries
         return 1.0
     rms_v = np.sqrt(sq_v / z_v.size)
     rms_a = np.sqrt(sq_a / z_a.size)
@@ -158,8 +158,8 @@ def compute_features(ds: Dataset, chunks: list[Chunk], cfg: DedupConfig) -> tupl
     z_v, z_a = _chunk_blocks(ds, chunks)
     lam = float(cfg.action_weight) if cfg.action_weight is not None else _balanced_weight(z_v, z_a)
     raw = np.concatenate([z_v, z_a * lam], axis=1)
-    # row by row: the same dot product embed_chunk's norm takes
-    norms = np.array([np.linalg.norm(row) for row in raw])
+    # one dot product per row, as embed_chunk's norm takes it
+    norms = np.sqrt((raw[:, None, :] @ raw[:, :, None]).ravel())
     raw[norms > 0] /= norms[norms > 0, None]
     return raw, lam
 
@@ -173,39 +173,59 @@ def default_k(num_chunks: int, target_cluster_size: int = 50) -> int:
 _ASSIGN_BLOCK_ELEMS = 1 << 18
 
 
-def _assign(features: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+def _rtol(d: int) -> float:
+    """‖x‖² − 2·x·c + ‖c‖² and the broadcast ``((x − c)**2).sum()`` differ by
+    at most about (2d + 4)·eps·(‖x‖² + ‖c‖²), so a gap above twice that
+    cannot reorder them; this factor of ‖x‖² + ‖c‖² leaves 8× margin."""
+    return 32 * (d + 3) * np.finfo(np.float64).eps
+
+
+def _assign(features: np.ndarray, centroids: np.ndarray, x_sq: np.ndarray) -> np.ndarray:
     """Nearest centroid per row, bit for bit the argmin of the broadcast
     ``((x − c)**2).sum()``: ‖x‖² − 2·x·cᵀ + ‖c‖² by row blocks, and rows
-    whose two best distances are near-tied recomputed by the broadcast."""
+    whose two best distances are near-tied recomputed by the broadcast.
+    ``x_sq`` is ``(features**2).sum(axis=1)``, computed once by the caller."""
     n, d = features.shape
     c_sq = (centroids**2).sum(axis=1)
-    # The two forms differ by at most about (2d + 4)·eps·(‖x‖² + max‖c‖²), so
-    # a gap above twice that cannot reorder them; 32(d + 3) leaves 8× margin.
-    rtol = 32 * (d + 3) * np.finfo(np.float64).eps
+    rtol = _rtol(d)
     rows = max(1, _ASSIGN_BLOCK_ELEMS // max(centroids.shape[0], d))
     out = np.empty(n, dtype=np.int64)
     for lo in range(0, n, rows):
         x = features[lo : lo + rows]
-        x_sq = (x**2).sum(axis=1)
-        d2 = x_sq[:, None] - 2.0 * (x @ centroids.T) + c_sq
+        x_sq_blk = x_sq[lo : lo + rows]
+        d2 = x_sq_blk[:, None] - 2.0 * (x @ centroids.T) + c_sq
         best = d2.argmin(axis=1)
         ix = np.arange(best.size)
         best_d2 = d2[ix, best]
         d2[ix, best] = np.inf
         # written as "not above" so NaN gaps take the exact path too
-        for i in np.flatnonzero(~(d2.min(axis=1) - best_d2 > rtol * (x_sq + c_sq.max()))):
+        for i in np.flatnonzero(~(d2.min(axis=1) - best_d2 > rtol * (x_sq_blk + c_sq.max()))):
             best[i] = ((x[i] - centroids) ** 2).sum(axis=1).argmin()
         out[lo : lo + rows] = best
     return out
+
+
+def _inertia(features: np.ndarray, centroids: np.ndarray, assignment: np.ndarray) -> float:
+    """``((features − centroids[assignment])**2).sum()`` to the bit, in one
+    (n, d) buffer."""
+    diff = centroids[assignment]
+    np.subtract(features, diff, out=diff)
+    np.square(diff, out=diff)
+    return float(diff.sum())
 
 
 def kmeans(features: np.ndarray, k: int, seed: int = 0, max_iters: int = 100) -> ClusterModel:
     """Seeded k-means++ plus Lloyd iterations to an assignment fixpoint.
 
     Empty clusters are re-seeded with the point currently farthest from its
-    centroid. Assignment is one blocked matrix product with an exact
-    recheck of near-ties (see ``_assign``); centroids accumulate in fixed
-    order.
+    centroid. Seeding estimates every row's squared distance to each new
+    centre with one matrix-vector product; only the rows that estimate
+    cannot rule out (within ``_assign``'s rounding tolerance) are recomputed
+    with the exact squared difference, so every d² has the bits of the full
+    recomputation and the picks are the same. Assignment is one blocked
+    matrix product with an exact recheck of near-ties (see ``_assign``);
+    each centroid is the mean of its members in index order, taken from one
+    stable sort of the assignment.
     """
     features = np.asarray(features, dtype=np.float64)
     n = features.shape[0]
@@ -217,6 +237,8 @@ def kmeans(features: np.ndarray, k: int, seed: int = 0, max_iters: int = 100) ->
         raise ValueError("k must be >= 1")
 
     rng = np.random.default_rng(seed)
+    x_sq = (features**2).sum(axis=1)
+    rtol = _rtol(features.shape[1])
     centroids = np.empty((k, features.shape[1]))
     centroids[0] = features[int(rng.integers(n))]
     d2 = ((features - centroids[0]) ** 2).sum(axis=1)
@@ -226,24 +248,33 @@ def kmeans(features: np.ndarray, k: int, seed: int = 0, max_iters: int = 100) ->
             pick = int(rng.choice(n, p=d2 / total))
         else:
             pick = int(rng.integers(n))
-        centroids[c] = features[pick]
-        d2 = np.minimum(d2, ((features - centroids[c]) ** 2).sum(axis=1))
+        centroid = centroids[c] = features[pick]
+        c_sq = float(centroid @ centroid)
+        # ‖x‖² − 2·x·c + ‖c‖² − d²: a row clearly above zero cannot come
+        # closer to c and keeps its d² bits; the rest take the exact form
+        gap = x_sq - 2.0 * (features @ centroid) + (c_sq - d2)
+        # written as "not above" so NaN gaps take the exact path too
+        rows = np.flatnonzero(~(gap > rtol * (x_sq + c_sq)))
+        d2[rows] = np.minimum(d2[rows], ((features[rows] - centroid) ** 2).sum(axis=1))
 
     assignment = np.full(n, -1, dtype=np.int64)
     history: list[float] = []
     converged = False
     reseeds = 0
     for _ in range(max_iters):
-        new_assignment = _assign(features, centroids)
-        inertia = float(((features - centroids[new_assignment]) ** 2).sum())
-        history.append(inertia)
+        new_assignment = _assign(features, centroids, x_sq)
+        history.append(_inertia(features, centroids, new_assignment))
         if np.array_equal(new_assignment, assignment):
             converged = True
             break
         assignment = new_assignment
         counts = np.bincount(assignment, minlength=k)
+        # the members of every cluster as contiguous rows in index order: the
+        # rows, order and layout of features[assignment == c]
+        grouped = features[np.argsort(assignment, kind="stable")]
+        ends = np.cumsum(counts)
         for c in np.flatnonzero(counts):
-            centroids[c] = features[assignment == c].mean(axis=0)
+            centroids[c] = grouped[ends[c] - counts[c] : ends[c]].mean(axis=0)
         empty = np.flatnonzero(counts == 0)
         if empty.size:
             # re-seed emptied clusters with the globally farthest points
@@ -252,8 +283,8 @@ def kmeans(features: np.ndarray, k: int, seed: int = 0, max_iters: int = 100) ->
             reseeds += int(empty.size)
     if not converged:
         # hit the iteration cap mid-update: re-anchor to the final centroids
-        assignment = _assign(features, centroids)
-        history.append(float(((features - centroids[assignment]) ** 2).sum()))
+        assignment = _assign(features, centroids, x_sq)
+        history.append(_inertia(features, centroids, assignment))
     return ClusterModel(
         k=k,
         centroids=centroids,

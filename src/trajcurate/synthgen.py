@@ -115,12 +115,18 @@ class GroundTruth:
                 tid: [(int(a), int(b), str(t)) for a, b, t in segs]
                 for tid, segs in data["anomaly_segments"].items()
             }
+            counts = data["frame_counts"]
+            uncounted = sorted(set(segments) - set(counts))
+            if uncounted:
+                raise ValueError(f"anomaly segments for '{uncounted[0]}', which has no frame count")
             tags = {}
-            for tid, count in data["frame_counts"].items():
+            for tid, count in counts.items():
                 arr = [CLEAN] * int(count)
                 for a, b, t in segments.get(tid, []):
                     if not 0 <= a <= b <= len(arr):
                         raise ValueError(f"segment ({a}, {b}) of '{tid}' outside its {len(arr)} frames")
+                    if t not in ANOMALY_TYPES:
+                        raise ValueError(f"unknown anomaly type '{t}' in the segments of '{tid}'")
                     arr[a:b] = [t] * (b - a)
                 tags[tid] = arr
             groups = {tid: [int(g) for g in gids] for tid, gids in data["chunk_groups"].items()}

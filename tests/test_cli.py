@@ -258,6 +258,7 @@ def test_corrupt_blob_is_data_error(tmp_path):
     "scalar_keep", "scalar_subopt_score", "nested_dup_similarity",
     "zero_chunk_span", "chunk_groups_past_frames",
     "segment_negative_start", "segment_reversed", "segment_past_end",
+    "segment_of_uncounted_id", "segment_of_unknown_type",
 ])
 def test_report_bad_input_is_data_error(tmp_path, capsys, corrupt):
     data, out = tmp_path / "data", tmp_path / "d"
@@ -283,6 +284,11 @@ def test_report_bad_input_is_data_error(tmp_path, capsys, corrupt):
             truth["chunk_span_frames"] = 0
         elif corrupt == "chunk_groups_past_frames":
             truth["chunk_groups"][doc["id"]] += [0] * 100
+        elif corrupt == "segment_of_uncounted_id":
+            # its segments would be dropped and its frames scored as clean
+            truth["anomaly_segments"]["ghost"] = [[0, 3, "pause"]]
+        elif corrupt == "segment_of_unknown_type":
+            truth["anomaly_segments"][doc["id"]] = [[0, 3, "not-a-type"]]
         else:
             # a < 0 would tag the last frames by wrap-around, a > b no frame at all
             a, b = {"segment_negative_start": (-3, 2), "segment_reversed": (5, 3),
