@@ -121,19 +121,16 @@ def discount_scores(v_hat: np.ndarray, gamma: float, direction: str = "past") ->
     """Exponentially accumulated scores: V_i = v̂_i + γ·V_{i−1}.
 
     ``direction="future"`` runs the same recurrence from the end of the
-    trajectory backward, so late evidence surfaces in earlier frames.
+    trajectory backward, so late evidence surfaces in earlier frames. The
+    loop runs on Python floats: the IEEE float64 operations numpy's scalars do.
     """
     v_hat = np.asarray(v_hat, dtype=np.float64)
-    out = np.empty_like(v_hat)
-    if v_hat.size == 0:
-        return out
     if direction == "future":
         return discount_scores(v_hat[::-1], gamma, "past")[::-1]
-    acc = 0.0
-    for i, v in enumerate(v_hat):
-        acc = v + gamma * acc
-        out[i] = acc
-    return out
+    acc, gamma, values = 0.0, float(gamma), v_hat.tolist()
+    for i, v in enumerate(values):
+        values[i] = acc = v + gamma * acc
+    return np.array(values, dtype=np.float64)
 
 
 def mix_scores(discounted: np.ndarray, w: float = 0.5) -> np.ndarray:

@@ -78,8 +78,8 @@ class Trajectory:
         return FeatureFrame(index=i, obs_embedding=self.obs[i], action=self.actions[i])
 
     def validate(self, obs_dim: int, action_dim: int) -> None:
-        if self.fps <= 0:
-            raise InvalidManifest(f"trajectory '{self.id}': fps must be positive, got {self.fps}")
+        if not 0 < self.fps < math.inf:
+            raise InvalidManifest(f"trajectory '{self.id}': fps must be positive and finite, got {self.fps}")
         if self.num_frames == 0:
             raise InvalidManifest(f"trajectory '{self.id}': empty trajectory")
         if self.obs.shape != (self.num_frames, obs_dim):
@@ -243,6 +243,14 @@ def save_dataset(ds: Dataset, root_path: str | os.PathLike) -> None:
         raise IoFailure(str(exc)) from exc
 
 
+def _number(entry: dict, key: str, kind: type):
+    """``kind(entry[key])``; a value it does not take is an ``InvalidManifest``."""
+    try:
+        return kind(entry[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidManifest(f"manifest '{key}' is not a number: {entry[key]!r}") from exc
+
+
 def load_dataset(root_path: str | os.PathLike) -> Dataset:
     """Load and validate a dataset container: rejects dimension mismatches,
     truncated blobs and non-finite values."""
@@ -255,32 +263,34 @@ def load_dataset(root_path: str | os.PathLike) -> Dataset:
     except (json.JSONDecodeError, OSError) as exc:
         raise InvalidManifest(f"unreadable manifest: {exc}") from exc
     for key in ("format_version", "obs_dim", "action_dim", "trajectories"):
-        if key not in manifest:
+        if not isinstance(manifest, dict) or key not in manifest:
             raise InvalidManifest(f"manifest missing '{key}'")
     if manifest["format_version"] != FORMAT_VERSION:
         raise InvalidManifest(f"unsupported format_version {manifest['format_version']}")
-    obs_dim = int(manifest["obs_dim"])
-    action_dim = int(manifest["action_dim"])
+    obs_dim = _number(manifest, "obs_dim", int)
+    action_dim = _number(manifest, "action_dim", int)
     if obs_dim <= 0 or action_dim <= 0:
         raise InvalidManifest("obs_dim and action_dim must be positive")
+    if not isinstance(manifest["trajectories"], list):
+        raise InvalidManifest("manifest 'trajectories' is not a list")
 
     def load_one(entry: dict) -> Trajectory:
         for key in ("id", "fps", "num_frames"):
-            if key not in entry:
+            if not isinstance(entry, dict) or key not in entry:
                 raise InvalidManifest(f"trajectory entry missing '{key}'")
         traj_id = str(entry["id"])
         if not _ID_RE.fullmatch(traj_id):
             raise InvalidManifest(f"trajectory id '{traj_id}' is not a plain file name")
-        num_frames = int(entry["num_frames"])
+        num_frames, fps = _number(entry, "num_frames", int), _number(entry, "fps", float)
         if num_frames <= 0:
             raise InvalidManifest(f"trajectory '{traj_id}': num_frames must be positive")
+        labels = entry.get("labels")
+        if labels is not None and not (isinstance(labels, list) and set(map(type, labels)) <= {str}):
+            raise InvalidManifest(f"trajectory '{traj_id}': labels must be a list of strings")
         obs, actions = _read_blob(
             root / "trajectories" / f"{traj_id}.bin", traj_id, obs_dim, action_dim, num_frames
         )
-        labels = entry.get("labels")
-        if labels is not None:
-            labels = [str(x) for x in labels]
-        return Trajectory(id=traj_id, fps=float(entry["fps"]), obs=obs, actions=actions, labels=labels)
+        return Trajectory(id=traj_id, fps=fps, obs=obs, actions=actions, labels=labels)
 
     ds = Dataset(
         trajectories=[load_one(e) for e in manifest["trajectories"]],
@@ -386,31 +396,39 @@ class CurationMask:
         return self.dropped_frames(reasons) / total if total else 0.0
 
 
+_REASON_TOKENS = tuple(map(json.dumps, REASONS))
+
+
+def _json_list(index: np.ndarray, tokens=None) -> str:
+    """JSON text of ``[tokens[i] for i in index]``, or of a finite float64 ``index``
+    whose distinct bit patterns are each formatted once by json's ``float.__repr__``."""
+    if tokens is None:
+        bits, index = np.unique(index.view(np.uint64), return_inverse=True)
+        tokens = list(map(float.__repr__, bits.view(np.float64).tolist()))
+    return "[" + ", ".join(map(tokens.__getitem__, index.tolist())) + "]"
+
+
 def write_masks(mask: CurationMask, out_dir: str | os.PathLike) -> None:
     """Write one ``masks/<id>.json`` per trajectory under ``out_dir``.
 
-    A NaN or Inf score raises ``NonFiniteValue`` before its file is written:
-    JSON has no token for either.
+    The text is ``json.dumps(doc, sort_keys=True, allow_nan=False)`` of the fields
+    as lists, built by ``_json_list``. A NaN or Inf score raises ``NonFiniteValue``
+    before any file is written: JSON has no token for either.
     """
+    for traj_id, m in sorted(mask.masks.items()):
+        finite = np.isfinite(m.subopt_score) & np.isfinite(m.dup_similarity)
+        if not finite.all():
+            raise NonFiniteValue(f"mask of trajectory '{traj_id}'", int(np.argmin(finite)))
     masks_dir = Path(out_dir) / "masks"
     try:
         masks_dir.mkdir(parents=True, exist_ok=True)
-        for traj_id in sorted(mask.masks):
-            m = mask.masks[traj_id]
-            doc = {
-                "format_version": FORMAT_VERSION,
-                "id": traj_id,
-                "keep": m.keep.astype(int).tolist(),
-                "reason": _REASON_NAMES[m.reason].tolist(),
-                "subopt_score": m.subopt_score.tolist(),
-                "dup_similarity": m.dup_similarity.tolist(),
-            }
-            try:
-                text = json.dumps(doc, sort_keys=True, allow_nan=False)
-            except ValueError as exc:
-                finite = np.isfinite(m.subopt_score) & np.isfinite(m.dup_similarity)
-                raise NonFiniteValue(f"mask of trajectory '{traj_id}'", int(np.argmin(finite))) from exc
-            (masks_dir / f"{traj_id}.json").write_text(text + "\n")
+        for traj_id, m in sorted(mask.masks.items()):
+            (masks_dir / f"{traj_id}.json").write_text(
+                f'{{"dup_similarity": {_json_list(m.dup_similarity)}, "format_version": '
+                f'{FORMAT_VERSION}, "id": {json.dumps(traj_id)}, "keep": '
+                f'{_json_list(m.keep, ("0", "1"))}, "reason": {_json_list(m.reason, _REASON_TOKENS)}, '
+                f'"subopt_score": {_json_list(m.subopt_score)}}}\n'
+            )
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
 

@@ -1,8 +1,12 @@
 """Subcommand plumbing: artifacts, exit codes, config/flag precedence."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -350,6 +354,61 @@ def test_manifest_id_leaving_out_is_data_error(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("trajcurate: data error: ") and err.count("\n") == 1
     assert not run.exists() or all(p.is_relative_to(run / "out") for p in run.rglob("*"))
+
+
+def test_blas_thread_count_keeps_decisions(pipeline, tmp_path):
+    """OpenBLAS may split a matrix product over threads whatever --threads
+    says, which can move the last bits of a score; the decisions stay."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    masks = {}
+    for blas_threads in ("1", "2"):
+        out = tmp_path / f"blas{blas_threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": blas_threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run(
+            [sys.executable, "-c", "import sys; from trajcurate.cli import main; sys.exit(main())",
+             "curate", "--config", pipeline["config"], "--data", str(pipeline["data"]),
+             "--model", str(pipeline["model"]), "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+        masks[blas_threads] = {p.name: json.loads(p.read_text()) for p in (out / "masks").glob("*.json")}
+    assert masks["1"] and sorted(masks["1"]) == sorted(masks["2"])
+    for name, one in masks["1"].items():
+        two = masks["2"][name]
+        assert one["keep"] == two["keep"] and one["reason"] == two["reason"]
+        for key in ("subopt_score", "dup_similarity"):
+            np.testing.assert_allclose(one[key], two[key], rtol=1e-6, atol=1e-6)
+
+
+_MANIFEST_MUTATIONS = {
+    "fps_text": lambda m: m["trajectories"][0].update(fps="fast"),
+    "fps_nan": lambda m: m["trajectories"][0].update(fps=float("nan")),
+    "fps_infinite": lambda m: m["trajectories"][0].update(fps=float("inf")),
+    "num_frames_text": lambda m: m["trajectories"][0].update(num_frames="many"),
+    "num_frames_null": lambda m: m["trajectories"][0].update(num_frames=None),
+    "obs_dim_text": lambda m: m.update(obs_dim="wide"),
+    "action_dim_list": lambda m: m.update(action_dim=[3]),
+    "trajectories_number": lambda m: m.update(trajectories=5),
+    "trajectory_entry_number": lambda m: m["trajectories"].__setitem__(0, 5),
+    "labels_number": lambda m: m["trajectories"][0].update(labels=5),
+    "labels_of_numbers": lambda m: m["trajectories"][0].update(
+        labels=[0] * m["trajectories"][0]["num_frames"]),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(_MANIFEST_MUTATIONS))
+def test_malformed_manifest_is_data_error(pipeline, tmp_path, capsys, mutation):
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    manifest = json.loads((data / "manifest.json").read_text())
+    _MANIFEST_MUTATIONS[mutation](manifest)
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    argv = ["curate", "--config", pipeline["config"], "--data", str(data),
+            "--model", str(pipeline["model"]), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("trajcurate: data error: ") and err.count("\n") == 1
 
 
 def test_bad_targets_is_usage_error(tmp_path):

@@ -190,6 +190,39 @@ def test_discount_matches_oracle_property(gamma, seed, n):
     np.testing.assert_allclose(got, oracle_discount(v_hat, gamma), rtol=1e-9, atol=1e-9)
 
 
+def numpy_scalar_discount(v_hat, gamma, direction="past"):
+    """The recurrence as it ran over numpy float64 scalars: the bit-level
+    reference for ``discount_scores``."""
+    v_hat = np.asarray(v_hat, dtype=np.float64)
+    out = np.empty_like(v_hat)
+    if v_hat.size == 0:
+        return out
+    if direction == "future":
+        return numpy_scalar_discount(v_hat[::-1], gamma, "past")[::-1]
+    acc = 0.0
+    for i, v in enumerate(v_hat):
+        acc = v + gamma * acc
+        out[i] = acc
+    return out
+
+
+@given(
+    gamma=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    seed=st.integers(0, 2**16),
+    n=st.integers(0, 300),
+    direction=st.sampled_from(["past", "future"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_discount_matches_parent_loop_bitwise(gamma, seed, n, direction):
+    rng = np.random.default_rng(seed)
+    # mixed magnitudes and signs, signed zeros among them
+    v_hat = rng.uniform(-1, 1, size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+    v_hat[rng.random(n) < 0.1] = -0.0
+    got = discount_scores(v_hat, gamma, direction)
+    assert got.dtype == np.float64 and got.shape == v_hat.shape
+    assert got.tobytes() == numpy_scalar_discount(v_hat, gamma, direction).tobytes()
+
+
 # --- mixing ---------------------------------------------------------------------
 
 

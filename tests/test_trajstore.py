@@ -428,3 +428,60 @@ def test_mask_round_trip_property(tmp_path_factory, keep, seed):
     # JSON float text round-trips IEEE doubles exactly
     np.testing.assert_array_equal(back["t"].subopt_score, cm["t"].subopt_score)
     np.testing.assert_array_equal(back["t"].dup_similarity, cm["t"].dup_similarity)
+
+
+def json_dumps_masks(mask):
+    """The mask files as the ``json`` encoder writes them: the byte-level
+    reference for ``write_masks``' token-built text."""
+    return {
+        traj_id: json.dumps({
+            "format_version": 1,
+            "id": traj_id,
+            "keep": m.keep.astype(int).tolist(),
+            "reason": [REASONS[c] for c in m.reason.tolist()],
+            "subopt_score": m.subopt_score.tolist(),
+            "dup_similarity": m.dup_similarity.tolist(),
+        }, sort_keys=True, allow_nan=False) + "\n"
+        for traj_id, m in mask.masks.items()
+    }
+
+
+_BOUNDARY_FLOATS = [
+    0.0, -0.0, 1.0, -1.0, -2.0, 0.1, 1e16, 9999999999999998.0, 1e-5, 1.0000000000000002e-05,
+    9.999999999999999e-06, 1e15, 5e-324, -5e-324, 2.2250738585072014e-308,
+    2.225073858507201e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+]
+_mask_floats = st.lists(
+    st.sampled_from(_BOUNDARY_FLOATS) | st.floats(allow_nan=False, allow_infinity=False),
+    max_size=40,
+)
+
+
+@given(
+    columns=st.lists(st.tuples(_mask_floats, st.integers(0, 2**16)), min_size=1, max_size=3),
+    ids=st.lists(st.sampled_from(["t0", "plain-id_1.x", 'q"uote\\slé中']),
+                 min_size=3, max_size=3, unique=True),
+)
+@settings(max_examples=150, deadline=None)
+def test_write_masks_equals_json_encoder_bytes(tmp_path_factory, columns, ids):
+    masks = {}
+    for traj_id, (values, seed) in zip(ids, columns):
+        rng = np.random.default_rng(seed)
+        n, scores = len(values), np.array(values, dtype=np.float64)
+        # the dup column repeats at most three of the values, as chunk similarities do
+        dup = scores[rng.integers(0, max(1, min(3, n)), size=n)]
+        masks[traj_id] = TrajectoryMask(traj_id, rng.random(n) < 0.5,
+                                        rng.integers(0, 4, size=n), scores, dup)
+    mask = CurationMask(masks=masks)
+    root = tmp_path_factory.mktemp("masks")
+    write_masks(mask, root)
+    written = {p.stem: p.read_bytes() for p in (root / "masks").iterdir()}
+    assert written == {k: v.encode() for k, v in json_dumps_masks(mask).items()}
+
+
+def test_nonfinite_mask_writes_no_file_of_any_mask(tmp_path):
+    bad = _mask("b")
+    bad.dup_similarity[2] = np.nan
+    with pytest.raises(NonFiniteValue, match="mask of trajectory 'b' frame 2"):
+        write_masks(CurationMask(masks={"a": _mask("a"), "b": bad}), tmp_path)
+    assert not (tmp_path / "masks").exists()
