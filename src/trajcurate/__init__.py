@@ -35,7 +35,6 @@ from .progress import (
     ValidationReport,
     bin_of,
     default_bins,
-    predict_progress,
     sample_training_pairs,
     train_progress_model,
 )
@@ -47,21 +46,17 @@ from .subopt import (
     mix_scores,
     score_dataset,
     subopt_mask,
-    window_score,
 )
 from .synthgen import GroundTruth, SynthConfig, auroc, evaluate_masks, generate
 from .trajstore import (
     CurationMask,
     Dataset,
-    FeatureFrame,
     Trajectory,
     TrajectoryMask,
-    Window,
     load_dataset,
     read_masks,
     save_dataset,
     seconds_to_frames,
-    sliding_windows,
     write_masks,
 )
 
@@ -70,19 +65,17 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # containers
-    "Dataset", "Trajectory", "FeatureFrame", "Window", "TrajectoryMask",
-    "CurationMask", "load_dataset", "save_dataset", "read_masks", "write_masks",
-    "seconds_to_frames", "sliding_windows",
+    "Dataset", "Trajectory", "TrajectoryMask", "CurationMask", "load_dataset",
+    "save_dataset", "read_masks", "write_masks", "seconds_to_frames",
     # classifier
     "MlpClassifier", "TrainConfig", "init_mlp", "forward", "train",
     "save_model", "load_model",
     # progress
     "TemporalBins", "PairSample", "SamplingConfig", "ValidationReport",
     "bin_of", "default_bins", "sample_training_pairs", "train_progress_model",
-    "predict_progress",
     # suboptimality
-    "SuboptConfig", "ScoreSeries", "window_score", "aggregate_sample_scores",
-    "discount_scores", "mix_scores", "subopt_mask", "score_dataset",
+    "SuboptConfig", "ScoreSeries", "aggregate_sample_scores", "discount_scores",
+    "mix_scores", "subopt_mask", "score_dataset",
     # dedup
     "DedupConfig", "Chunk", "ClusterModel", "chunk_dataset", "embed_chunk",
     "kmeans", "similarity_scores", "duplicate_mask", "dedup_dataset",

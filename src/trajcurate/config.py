@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 from .dedup import DedupConfig
 from .errors import ConfigError
@@ -69,6 +70,13 @@ def _section(raw: dict, name: str) -> dict:
 
 
 def _build(cls, kwargs: dict, name: str):
+    # a field annotated int takes a JSON integer, not a float or a boolean;
+    # one annotated int | None also takes null
+    hints = get_type_hints(cls)
+    for key, value in kwargs.items():
+        if hints[key] is int or (hints[key] == int | None and value is not None):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"'{name}.{key}' must be an integer, got {json.dumps(value)}")
     try:
         return cls(**kwargs)
     except (ValueError, TypeError) as exc:
@@ -84,8 +92,8 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
 
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError("'seed' must be an integer")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError("'seed' must be a nonnegative integer")
 
     subopt_kw = _section(raw, "subopt")
     dedup_kw = _section(raw, "dedup")

@@ -61,6 +61,10 @@ class DedupConfig:
             raise ValueError("action_weight must be >= 0")
         if self.target_cluster_size < 1:
             raise ValueError("target_cluster_size must be >= 1")
+        if self.k is not None and self.k < 1:
+            raise ValueError("k must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -145,13 +149,6 @@ def _balanced_weight(z_v: np.ndarray, z_a: np.ndarray) -> float:
     return float(rms_v / rms_a) if rms_a > 0 else 1.0
 
 
-def resolve_action_weight(ds: Dataset, chunks: list[Chunk], cfg: DedupConfig) -> float:
-    """λ from config, or the visual-to-action RMS ratio over all chunks."""
-    if cfg.action_weight is not None:
-        return float(cfg.action_weight)
-    return _balanced_weight(*_chunk_blocks(ds, chunks))
-
-
 def compute_features(ds: Dataset, chunks: list[Chunk], cfg: DedupConfig) -> tuple[np.ndarray, float]:
     """The (n, d) matrix of ``embed_chunk`` features in chunk order, and λ,
     from one vectorized pass."""
@@ -169,14 +166,15 @@ def default_k(num_chunks: int, target_cluster_size: int = 50) -> int:
 
 
 # Entries in one row block of _assign's (rows × max(k, d)) temporaries and of
-# _keep_one_drops' (rows × cluster size) Gram blocks.
+# the (rows × cluster size) Gram blocks of similarity_scores and _keep_one_drops.
 _ASSIGN_BLOCK_ELEMS = 1 << 18
 
 
 def _rtol(d: int) -> float:
     """‖x‖² − 2·x·c + ‖c‖² and the broadcast ``((x − c)**2).sum()`` differ by
-    at most about (2d + 4)·eps·(‖x‖² + ‖c‖²), so a gap above twice that
-    cannot reorder them; this factor of ‖x‖² + ‖c‖² leaves 8× margin."""
+    at most about (2d + 4)·eps·(‖x‖² + ‖c‖²), and GEMM and GEMV dot products
+    x·y by about 2d·eps·‖x‖‖y‖. Times ‖x‖² + ‖c‖² or ‖x‖‖y‖, this is at least
+    8× twice the first (a gap rounding cannot reorder) and 16× the second."""
     return 32 * (d + 3) * np.finfo(np.float64).eps
 
 
@@ -299,7 +297,8 @@ def similarity_scores(model: ClusterModel, features: np.ndarray) -> np.ndarray:
     """Best cosine match against any other same-cluster chunk.
 
     Members of singleton clusters have nothing to match and get the sentinel
-    −2, which no threshold in [−1, 1] can exceed.
+    −2, which no threshold in [−1, 1] can exceed. The cluster's Gram matrix
+    is taken in row blocks, so memory grows with its size, not its square.
     """
     features = np.asarray(features, dtype=np.float64)
     scores = np.full(features.shape[0], SINGLETON_SENTINEL)
@@ -307,9 +306,14 @@ def similarity_scores(model: ClusterModel, features: np.ndarray) -> np.ndarray:
         members = np.flatnonzero(model.assignment == c)
         if members.size < 2:
             continue
-        sims = features[members] @ features[members].T
-        np.fill_diagonal(sims, -np.inf)
-        scores[members] = sims.max(axis=1)
+        # two gathers: x @ x.T of one array is a syrk, which rounds unlike gemm
+        x, y = features[members], features[members]
+        rows = max(1, _ASSIGN_BLOCK_ELEMS // members.size)
+        for lo in range(0, members.size, rows):
+            sims = x[lo : lo + rows] @ y.T
+            ix = np.arange(sims.shape[0])
+            sims[ix, lo + ix] = -np.inf
+            scores[members[lo : lo + rows]] = sims.max(axis=1)
     return scores
 
 
@@ -334,9 +338,7 @@ def _keep_one_drops(
     rank = {tid: r for r, tid in enumerate(sorted({chunk.traj_id for chunk in chunks}))}
     id_rank = np.array([rank[chunk.traj_id] for chunk in chunks], dtype=np.int64)
     starts = np.array([chunk.start for chunk in chunks], dtype=np.int64)
-    # GEMM and GEMV dot products differ by at most about 2d·eps·‖x‖‖y‖;
-    # 32(d + 3) leaves 16× margin, as in _assign.
-    rtol = 32 * (features.shape[1] + 3) * np.finfo(np.float64).eps
+    rtol = _rtol(features.shape[1])
     for c in range(model.k):
         members = np.flatnonzero(model.assignment == c)
         if members.size < 2:

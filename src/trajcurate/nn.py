@@ -75,6 +75,8 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be positive")
         if self.l2 < 0:
             raise ValueError("l2 must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def init_mlp(layer_sizes: list[int] | tuple[int, ...], seed: int = 0) -> MlpClassifier:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import nn
 from .errors import DimensionMismatch, EmptyTrainingSet, NegativeDuration
-from .trajstore import Dataset, FeatureFrame
+from .trajstore import Dataset
 
 DEFAULT_EDGES = (0.0, 0.5, 1.0, 2.0, 5.0)
 DEFAULT_DT_CAP = 10.0
@@ -148,6 +148,12 @@ class SamplingConfig:
     dt_cap: float = DEFAULT_DT_CAP
     seed: int = 0
 
+    def __post_init__(self):
+        if not self.dt_cap > DEFAULT_EDGES[-1]:
+            raise ValueError(f"dt_cap must exceed {DEFAULT_EDGES[-1]}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+
 
 @dataclass
 class ValidationReport:
@@ -236,18 +242,3 @@ def progress_from_deltas(
     if mode == "argmax":
         return reps[np.argmax(probs, axis=1)]
     raise ValueError(f"unknown progress mode {mode!r}")
-
-
-def predict_progress(
-    model: nn.MlpClassifier,
-    bins: TemporalBins,
-    frame_i: FeatureFrame,
-    frame_j: FeatureFrame,
-    mode: str = "expectation",
-) -> float:
-    """Estimated task progress between two frames, seconds."""
-    a = np.asarray(frame_i.obs_embedding, dtype=np.float64)
-    b = np.asarray(frame_j.obs_embedding, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"frame embeddings {a.shape} vs {b.shape}")
-    return float(progress_from_deltas(model, bins, (b - a)[None, :], mode)[0])

@@ -22,7 +22,6 @@ from .trajstore import (
     Dataset,
     Trajectory,
     TrajectoryMask,
-    Window,
     seconds_to_frames,
 )
 
@@ -56,6 +55,8 @@ class SuboptConfig:
             raise ValueError("stride_frames must be >= 1")
         if self.discount_direction not in ("past", "future"):
             raise ValueError("discount_direction must be 'past' or 'future'")
+        if self.progress_mode not in ("expectation", "argmax"):
+            raise ValueError("progress_mode must be 'expectation' or 'argmax'")
 
 
 @dataclass
@@ -71,21 +72,6 @@ class ScoreSeries:
     sample_scores: np.ndarray
     discounted: np.ndarray
     final: np.ndarray
-
-
-def window_score(
-    model: nn.MlpClassifier,
-    bins: TemporalBins,
-    traj: Trajectory,
-    window: Window,
-    mode: str = "expectation",
-) -> float:
-    """Seconds the window lags its nominal length; negative means ahead."""
-    i = window.start
-    j = window.start + window.span_frames - 1
-    delta = traj.obs[j].astype(np.float64) - traj.obs[i].astype(np.float64)
-    t_p = progress_from_deltas(model, bins, delta[None, :], mode)[0]
-    return float(window.span_seconds - t_p)
 
 
 def aggregate_sample_scores(

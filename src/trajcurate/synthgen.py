@@ -72,6 +72,8 @@ class SynthConfig:
             raise InvalidConfig("context_dim/scale >= 0 and phase_gain > 0 required")
         if not (0.0 < self.phase_turns <= 1.0):
             raise InvalidConfig("phase_turns must lie in (0, 1]")
+        if self.seed < 0:
+            raise InvalidConfig("seed must be >= 0")
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Trajectory dataset model, on-disk container, and windowing utilities.
+"""Trajectory dataset model, on-disk container, and curation masks.
 
 Container layout::
 
@@ -23,7 +23,6 @@ import re
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -42,15 +41,6 @@ BLOB_MAGIC = b"TRJC"
 
 # Trajectory ids name files, so they must be plain file names: not "." or "..".
 _ID_RE = re.compile(r"(?!\.\.?$)[A-Za-z0-9._-]+")
-
-
-@dataclass
-class FeatureFrame:
-    """One transition: observation embedding + action vector at a frame."""
-
-    index: int
-    obs_embedding: np.ndarray
-    action: np.ndarray
 
 
 @dataclass
@@ -73,9 +63,6 @@ class Trajectory:
     @property
     def num_frames(self) -> int:
         return self.obs.shape[0]
-
-    def frame(self, i: int) -> FeatureFrame:
-        return FeatureFrame(index=i, obs_embedding=self.obs[i], action=self.actions[i])
 
     def validate(self, obs_dim: int, action_dim: int) -> None:
         if not 0 < self.fps < math.inf:
@@ -135,34 +122,11 @@ class Dataset:
             traj.validate(self.obs_dim, self.action_dim)
 
 
-@dataclass(frozen=True)
-class Window:
-    """A contiguous span of ``span_frames`` frames starting at ``start``."""
-
-    traj_id: str
-    start: int
-    span_frames: int
-    span_seconds: float
-
-
 def seconds_to_frames(seconds: float, fps: float) -> int:
     """Convert a duration to a frame count, rounding half up, floor 1."""
     if seconds <= 0 or fps <= 0:
         raise ValueError("seconds and fps must be positive")
     return max(1, int(math.floor(seconds * fps + 0.5)))
-
-
-def sliding_windows(traj: Trajectory, span_seconds: float, stride_frames: int = 1) -> Iterator[Window]:
-    """Yield every window of ``span_seconds`` that fits in the trajectory.
-
-    Starts ascend from 0 in steps of ``stride_frames``; a trajectory shorter
-    than one window yields nothing.
-    """
-    if stride_frames < 1:
-        raise ValueError("stride_frames must be >= 1")
-    w = seconds_to_frames(span_seconds, traj.fps)
-    for start in range(0, len(traj) - w + 1, stride_frames):
-        yield Window(traj.id, start, w, w / traj.fps)
 
 
 # --- container i/o ------------------------------------------------------------

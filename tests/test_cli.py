@@ -1,5 +1,6 @@
 """Subcommand plumbing: artifacts, exit codes, config/flag precedence."""
 
+import inspect
 import json
 import os
 import shutil
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import trajcurate
 from trajcurate.cli import _kept_ranges, main
 from trajcurate.config import config_from_dict
 from trajcurate.dedup import DedupConfig
@@ -232,6 +234,54 @@ def test_config_sections_accept_their_dataclass_fields():
     config_from_dict({"train": {"hidden_sizes": [8]}})
 
 
+def test_integer_config_fields_reject_floats_and_booleans():
+    sections = [
+        ("subopt", SuboptConfig()), ("dedup", DedupConfig()), ("train", TrainConfig()),
+        ("train", SamplingConfig()), ("synth", SynthConfig()),
+    ]
+    for section, default in sections:
+        for f in fields(default):
+            value = getattr(default, f.name)
+            if type(value) is not int:
+                continue
+            config_from_dict({section: {f.name: value}})
+            for bad in (value + 0.5, True):
+                with pytest.raises(ConfigError, match="must be an integer"):
+                    config_from_dict({section: {f.name: bad}})
+
+
+@pytest.mark.parametrize("command,section,key,value", [
+    ("curate", "dedup", "k", 0),
+    ("curate", "dedup", "k", -2),
+    ("curate", "dedup", "k", 1.5),
+    ("curate", "dedup", "max_iters", 1.5),
+    ("curate", "dedup", "n_subsample", 2.5),
+    ("curate", "dedup", "seed", -1),
+    ("train-progress", "train", "epochs", 1.5),
+    ("train-progress", "train", "epochs", True),
+    ("train-progress", "train", "batch_size", 2.5),
+    ("train-progress", "train", "pairs_per_traj", "x"),
+    ("train-progress", "train", "seed", -1),
+    ("train-progress", "train", "dt_cap", 3),
+    ("curate", "subopt", "stride_frames", 1.5),
+    ("curate", "subopt", "progress_mode", "median"),
+    ("gen", "synth", "seed", -1),
+])
+def test_bad_config_value_is_config_error(pipeline, tmp_path, capsys, command, section, key, value):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({section: {key: value}}))
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    if command != "gen":
+        argv += ["--data", str(pipeline["data"])]
+    if command == "curate":
+        argv += ["--model", str(pipeline["model"])]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("trajcurate: config error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_invalid_config_json(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text("{broken")
@@ -442,6 +492,15 @@ def test_version_flag():
     with pytest.raises(SystemExit) as err:
         main(["--version"])
     assert err.value.code == 0
+
+
+def test_all_lists_exactly_the_public_names():
+    public = {
+        name for name, value in vars(trajcurate).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert set(trajcurate.__all__) == public | {"__version__"}
+    assert len(trajcurate.__all__) == len(set(trajcurate.__all__))
 
 
 def _tiny_cfg(tmp_path):

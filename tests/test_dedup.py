@@ -1,5 +1,7 @@
 """Chunking, embeddings, k-means, and duplicate masking."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,7 +21,6 @@ from trajcurate.dedup import (
     embed_chunk,
     kmeans,
     load_chunk_embeddings,
-    resolve_action_weight,
     save_chunk_embeddings,
     similarity_scores,
     subsample_indices,
@@ -224,7 +225,7 @@ def test_auto_action_weight_balances_rms():
     ds.trajectories[0].actions[:] = 0.5
     cfg = DedupConfig()
     chunks = chunk_dataset(ds, cfg)
-    lam = resolve_action_weight(ds, chunks, cfg)
+    lam = compute_features(ds, chunks, cfg)[1]
     assert lam == pytest.approx(4.0 / (np.sqrt(8) * 0.5), rel=1e-12)
 
 
@@ -232,7 +233,7 @@ def test_explicit_action_weight_wins():
     rng = np.random.default_rng(3)
     ds = make_dataset(rng, num_traj=1, n=40)
     cfg = DedupConfig(action_weight=3.5)
-    assert resolve_action_weight(ds, chunk_dataset(ds, cfg), cfg) == 3.5
+    assert compute_features(ds, chunk_dataset(ds, cfg), cfg)[1] == 3.5
 
 
 def test_compute_features_threads_agree():
@@ -257,7 +258,7 @@ def test_compute_features_matches_embed_chunk():
     subset = [chunks[i] for i in (7, 1, 4, 0, 6)]
     for chosen in (chunks, subset):
         feats, lam = compute_features(ds, chosen, cfg)
-        assert lam == resolve_action_weight(ds, chosen, cfg)
+        assert lam == compute_features(ds, chosen, cfg)[1]
         want = np.stack([
             embed_chunk(
                 ds.get(c.traj_id).obs[c.start + c.sub_indices],
@@ -407,6 +408,21 @@ def test_similarity_matches_exhaustive_oracle():
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
+def test_similarity_memory_grows_with_cluster_size_not_its_square():
+    # one 3000-member cluster: its full Gram matrix alone would take 72 MB
+    feats = random_unit_rows(np.random.default_rng(10), 3000, 16)
+    model = ClusterModel(
+        k=1, centroids=np.zeros((1, 16)), assignment=np.zeros(3000, dtype=np.int64), inertia=0.0
+    )
+    tracemalloc.start()
+    try:
+        similarity_scores(model, feats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
 def test_similarity_singleton_sentinel():
     feats = np.eye(3)
     model = ClusterModel(
@@ -437,16 +453,21 @@ def test_similarity_threads_agree():
     assert similarity_scores(model, feats).tobytes() == similarity_scores(model, feats).tobytes()
 
 
-@given(seed=st.integers(0, 2**16), n=st.integers(1, 30), k=st.integers(1, 5))
+@given(
+    seed=st.integers(0, 2**16), n=st.integers(1, 30), k=st.integers(1, 5),
+    block_elems=st.sampled_from([1, 64, 1 << 18]),
+)
 @settings(max_examples=40, deadline=None)
-def test_similarity_oracle_property(seed, n, k):
+def test_similarity_oracle_property(seed, n, k, block_elems):
     rng = np.random.default_rng(seed)
     feats = random_unit_rows(rng, n, 4)
     assignment = rng.integers(0, k, size=n)
     model = ClusterModel(k=k, centroids=np.zeros((k, 4)), assignment=assignment, inertia=0.0)
-    np.testing.assert_allclose(
-        similarity_scores(model, feats), oracle_similarity(assignment, feats), atol=1e-12
-    )
+    # Gram blocks of one row, of a few rows, and of whole clusters
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dedup, "_ASSIGN_BLOCK_ELEMS", block_elems)
+        got = similarity_scores(model, feats)
+    np.testing.assert_allclose(got, oracle_similarity(assignment, feats), atol=1e-12)
 
 
 # --- duplicate masking -------------------------------------------------------------------

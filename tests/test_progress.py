@@ -15,7 +15,6 @@ from trajcurate.progress import (
     TemporalBins,
     bin_of,
     default_bins,
-    predict_progress,
     progress_from_deltas,
     sample_training_pairs,
     train_progress_model,
@@ -233,16 +232,6 @@ def test_progress_mode_and_shape_errors():
     m4 = init_mlp([6, 4], seed=0)  # wrong class count for five bins
     with pytest.raises(DimensionMismatch):
         progress_from_deltas(m4, bins, np.zeros((1, 6)))
-
-
-def test_predict_progress_uses_frame_difference():
-    rng = np.random.default_rng(8)
-    traj = make_trajectory(rng, n=30)
-    bins = default_bins()
-    m = init_mlp([6, 5], seed=6)
-    got = predict_progress(m, bins, traj.frame(3), traj.frame(17))
-    delta = traj.obs[17].astype(np.float64) - traj.obs[3].astype(np.float64)
-    assert got == pytest.approx(float(progress_from_deltas(m, bins, delta[None])[0]))
 
 
 @given(seed=st.integers(0, 2**16))

@@ -22,9 +22,8 @@ from trajcurate.subopt import (
     score_trajectory,
     subopt_mask,
     subopt_report,
-    window_score,
 )
-from trajcurate.trajstore import REASONS, CurationMask, seconds_to_frames, sliding_windows
+from trajcurate.trajstore import REASONS, CurationMask, seconds_to_frames
 
 from conftest import make_dataset, make_trajectory
 
@@ -308,15 +307,15 @@ def test_score_trajectory_matches_oracle(tiny_model, cfg):
     np.testing.assert_array_equal(drop, final > cfg.epsilon_s)
 
 
-def test_window_score_matches_series(tiny_model):
-    rng = np.random.default_rng(12)
-    bins = default_bins()
-    cfg = SuboptConfig()
-    traj = make_trajectory(rng, n=40, obs_dim=6, fps=10.0)
-    series, _ = score_trajectory(traj, tiny_model, bins, cfg)
-    for k, win in enumerate(sliding_windows(traj, cfg.window_seconds)):
-        one = window_score(tiny_model, bins, traj, win, cfg.progress_mode)
-        assert one == pytest.approx(series.window_scores[k], rel=1e-12)
+@given(n=st.integers(1, 60), w=st.integers(1, 25), stride=st.integers(1, 5))
+@settings(max_examples=60, deadline=None)
+def test_score_trajectory_window_count(n, w, stride):
+    # one window per stride step that fits: starts 0, stride, ... up to n - w
+    rng = np.random.default_rng(0)
+    traj = make_trajectory(rng, n=n, fps=1.0)
+    cfg = SuboptConfig(window_seconds=float(w), stride_frames=stride)
+    series, _ = score_trajectory(traj, init_mlp([6, 8, 5], seed=7), default_bins(), cfg)
+    assert series.window_scores.size == (0 if n < w else (n - w) // stride + 1)
 
 
 def test_short_trajectory_all_kept(tiny_model):

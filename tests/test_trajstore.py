@@ -1,4 +1,4 @@
-"""Container format, windowing math, and curation-mask round trips."""
+"""Container format, frame/second conversion, and curation-mask round trips."""
 
 import json
 import struct
@@ -26,7 +26,6 @@ from trajcurate.trajstore import (
     read_masks,
     save_dataset,
     seconds_to_frames,
-    sliding_windows,
     write_masks,
 )
 
@@ -60,45 +59,6 @@ def test_seconds_to_frames_matches_round_half_up(seconds, fps):
     w = seconds_to_frames(seconds, fps)
     assert w >= 1
     assert w == max(1, int(np.floor(seconds * fps + 0.5)))
-
-
-# --- sliding windows --------------------------------------------------------------
-
-
-def test_sliding_windows_dense():
-    rng = np.random.default_rng(0)
-    traj = make_trajectory(rng, n=7, fps=10.0)
-    wins = list(sliding_windows(traj, 0.3))  # 3 frames at 10 fps
-    assert [w.start for w in wins] == [0, 1, 2, 3, 4]
-    assert all(w.span_frames == 3 for w in wins)
-    assert all(w.span_seconds == pytest.approx(0.3) for w in wins)
-    assert all(w.traj_id == traj.id for w in wins)
-
-
-def test_sliding_windows_stride():
-    rng = np.random.default_rng(0)
-    traj = make_trajectory(rng, n=10, fps=10.0)
-    assert [w.start for w in sliding_windows(traj, 0.3, stride_frames=2)] == [0, 2, 4, 6]
-    with pytest.raises(ValueError):
-        list(sliding_windows(traj, 0.3, stride_frames=0))
-
-
-def test_sliding_windows_short_trajectory_yields_nothing():
-    rng = np.random.default_rng(0)
-    traj = make_trajectory(rng, n=5, fps=10.0)
-    assert list(sliding_windows(traj, 2.0)) == []  # needs 20 frames
-
-
-@given(n=st.integers(1, 60), w=st.integers(1, 25), stride=st.integers(1, 5))
-@settings(max_examples=60)
-def test_sliding_windows_counts(n, w, stride):
-    rng = np.random.default_rng(0)
-    traj = make_trajectory(rng, n=n, fps=1.0)
-    wins = list(sliding_windows(traj, float(w), stride_frames=stride))
-    expected = 0 if n < w else (n - w) // stride + 1
-    assert len(wins) == expected
-    # every window fits
-    assert all(0 <= win.start and win.start + win.span_frames <= n for win in wins)
 
 
 # --- dataset container -------------------------------------------------------------
