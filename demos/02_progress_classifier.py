@@ -26,8 +26,9 @@ print(f"temporal bins (s): edges {bins.edges}, representatives {bins.representat
 
 # a peek at the self-labeled data: delta features against bin labels
 one = Dataset(trajectories=ds.trajectories[:1], obs_dim=ds.obs_dim, action_dim=ds.action_dim)
-for p in sample_training_pairs(one, bins, pairs_per_traj=5, seed=0):
-    print(f"  t={p.t:3d}  dt={p.dt:5.2f}s  -> bin {p.label}")
+pairs = sample_training_pairs(one, bins, pairs_per_traj=5, seed=0)
+for t, dt, label in zip(pairs.t, pairs.dt, pairs.label):
+    print(f"  t={t:3d}  dt={dt:5.2f}s  -> bin {label}")
 
 model, report = train_progress_model(
     ds,

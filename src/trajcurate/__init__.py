@@ -29,9 +29,9 @@ from .dedup import (
 from .errors import ConfigError, CurationError
 from .nn import MlpClassifier, TrainConfig, forward, init_mlp, load_model, save_model, train
 from .progress import (
-    PairSample,
     SamplingConfig,
     TemporalBins,
+    TrainingPairs,
     ValidationReport,
     bin_of,
     default_bins,
@@ -71,7 +71,7 @@ __all__ = [
     "MlpClassifier", "TrainConfig", "init_mlp", "forward", "train",
     "save_model", "load_model",
     # progress
-    "TemporalBins", "PairSample", "SamplingConfig", "ValidationReport",
+    "TemporalBins", "TrainingPairs", "SamplingConfig", "ValidationReport",
     "bin_of", "default_bins", "sample_training_pairs", "train_progress_model",
     # suboptimality
     "SuboptConfig", "ScoreSeries", "aggregate_sample_scores", "discount_scores",

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -104,7 +105,7 @@ def _cmd_train_progress(args, cfg: PipelineConfig) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     save_model(model, out)
     _write_json(Path(str(out) + ".validation.json"),
-                {"format_version": 1, **report.to_dict()})
+                {"format_version": 1, **asdict(report)})
     _print_table(
         [
             ("train pairs", report.pairs_train),
@@ -259,10 +260,12 @@ def _cmd_curate(args, cfg: PipelineConfig) -> int:
     write_masks(combined, out)
 
     total = combined.total_frames
-    n_sub = combined.dropped_frames(reasons=("suboptimal", "both"))
-    n_dup = combined.dropped_frames(reasons=("duplicate", "both"))
+    sub, dup = ("suboptimal", "both"), ("duplicate", "both")
+    n_sub, n_dup = combined.dropped_frames(sub), combined.dropped_frames(dup)
     n_both = combined.dropped_frames(reasons=("both",))
     n_total = combined.dropped_frames()
+    ratios = {"suboptimal": combined.deletion_ratio(sub), "dedup": combined.deletion_ratio(dup),
+              "total": combined.deletion_ratio()}
 
     manifest = {
         "format_version": 1,
@@ -288,19 +291,15 @@ def _cmd_curate(args, cfg: PipelineConfig) -> int:
             "both": n_both,
             "total": n_total,
         },
-        "ratios": {
-            "suboptimal": n_sub / total if total else 0.0,
-            "dedup": n_dup / total if total else 0.0,
-            "total": n_total / total if total else 0.0,
-        },
+        "ratios": ratios,
         "subopt_report": subopt_report(series, sub_mask, cfg.subopt),
         "dedup_report": dedup_rep,
     })
     _print_table(
         [
-            ("Suboptimal-Only", n_sub, f"{(n_sub / total if total else 0):.4f}"),
-            ("Deduplication-Only", n_dup, f"{(n_dup / total if total else 0):.4f}"),
-            ("Total", n_total, f"{(n_total / total if total else 0):.4f}"),
+            ("Suboptimal-Only", n_sub, f"{ratios['suboptimal']:.4f}"),
+            ("Deduplication-Only", n_dup, f"{ratios['dedup']:.4f}"),
+            ("Total", n_total, f"{ratios['total']:.4f}"),
         ],
         ("method", "frames dropped", "deletion ratio"),
     )

@@ -17,6 +17,7 @@ A top-level ``seed`` fills in any section seed that the file leaves unset.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import get_type_hints
@@ -71,12 +72,15 @@ def _section(raw: dict, name: str) -> dict:
 
 def _build(cls, kwargs: dict, name: str):
     # a field annotated int takes a JSON integer, not a float or a boolean;
-    # one annotated int | None also takes null
+    # one annotated int | None also takes null. A float in a field annotated
+    # float or float | None must be finite: json reads NaN, Infinity and 1e999.
     hints = get_type_hints(cls)
     for key, value in kwargs.items():
         if hints[key] is int or (hints[key] == int | None and value is not None):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"'{name}.{key}' must be an integer, got {json.dumps(value)}")
+        if hints[key] in (float, float | None) and isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"'{name}.{key}' must be finite, got {json.dumps(value)}")
     try:
         return cls(**kwargs)
     except (ValueError, TypeError) as exc:

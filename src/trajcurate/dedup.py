@@ -65,6 +65,8 @@ class DedupConfig:
             raise ValueError("k must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
 
 
 @dataclass

@@ -30,6 +30,7 @@ from .errors import (
     InvalidArchitecture,
     IoFailure,
     LabelOutOfRange,
+    NonFiniteValue,
 )
 
 
@@ -226,7 +227,9 @@ def train(
     errors as ``loss_and_grad``. Each step slices the epoch's gathered rows,
     runs the shared backprop and updates every parameter at once
     (``grad *= lr; params -= grad``: the products of ``W -= lr * dW``). The
-    returned model's arrays are views of one new float64 vector.
+    returned model's arrays are views of one new float64 vector. A run that
+    diverges to parameters a float32 checkpoint cannot hold raises
+    ``NonFiniteValue``.
     """
     x, y = _check_batch(model, x, labels)
     n, size = y.shape[0], cfg.batch_size
@@ -241,16 +244,22 @@ def train(
     x_epoch, onehot_epoch = np.empty_like(x), np.empty_like(onehot)
     lr, l2 = cfg.learning_rate, cfg.l2
     rng = np.random.default_rng(cfg.seed)
-    for _ in range(cfg.epochs):
-        perm = rng.permutation(n)
-        # mode="clip" never goes out of bounds here and, unlike the default,
-        # writes straight into ``out`` without a temporary
-        np.take(x, perm, axis=0, out=x_epoch, mode="clip")
-        np.take(onehot, perm, axis=0, out=onehot_epoch, mode="clip")
-        for batch, ws in steps:
-            _backprop(weights, biases, x_epoch[batch], onehot_epoch[batch], l2, ws)
-            grad *= lr
-            params -= grad
+    # a diverging run overflows to Inf/NaN; that is checked once at the end
+    with np.errstate(all="ignore"):
+        for _ in range(cfg.epochs):
+            perm = rng.permutation(n)
+            # mode="clip" never goes out of bounds here and, unlike the default,
+            # writes straight into ``out`` without a temporary
+            np.take(x, perm, axis=0, out=x_epoch, mode="clip")
+            np.take(onehot, perm, axis=0, out=onehot_epoch, mode="clip")
+            for batch, ws in steps:
+                _backprop(weights, biases, x_epoch[batch], onehot_epoch[batch], l2, ws)
+                grad *= lr
+                params -= grad
+    # checkpoints store float32, so a parameter beyond its range diverged too
+    finite = np.abs(params) <= np.finfo(np.float32).max
+    if not finite.all():
+        raise NonFiniteValue("SGD diverged: trained model", int(np.argmin(finite)), "parameter")
     return replace(model, weights=weights, biases=biases)
 
 

@@ -73,13 +73,19 @@ def bin_of(bins: TemporalBins, dt: float) -> int:
     return min(idx, bins.num_bins - 1)
 
 
-@dataclass
-class PairSample:
-    x: np.ndarray          # delta feature, length D
-    label: int             # bin index of dt
-    traj_id: str
-    t: int                 # anchor frame
-    dt: float              # seconds between the two frames
+@dataclass(frozen=True)
+class TrainingPairs:
+    """Training pairs as parallel arrays: row ``j`` is frame ``t[j]`` of
+    ``ds.trajectories[traj[j]]`` and the frame ``dt[j]`` seconds later."""
+
+    x: np.ndarray          # (n, D) float64 delta obs[t + g] - obs[t]
+    label: np.ndarray      # (n,) int64 bin index of dt
+    traj: np.ndarray       # (n,) int64 index into ds.trajectories
+    t: np.ndarray          # (n,) int64 anchor frame
+    dt: np.ndarray         # (n,) float64 seconds between the two frames
+
+    def __len__(self) -> int:
+        return self.label.shape[0]
 
 
 def _gap_range(bins: TemporalBins, b: int, fps: float, dt_cap: float) -> tuple[int, int]:
@@ -98,7 +104,7 @@ def sample_training_pairs(
     pairs_per_traj: int = 100,
     dt_cap: float = DEFAULT_DT_CAP,
     seed: int = 0,
-) -> list[PairSample]:
+) -> TrainingPairs:
     """Draw (anchor, offset) frame pairs labeled by their duration bin.
 
     Per pair: anchor uniform over frames with at least one reachable bin,
@@ -106,19 +112,19 @@ def sample_training_pairs(
     gap uniform over the bin's feasible gaps (open-ended bin truncated at
     ``dt_cap``). Sampling durations on the frame grid keeps every label
     exactly ``bin_of(dt)``. Each trajectory gets its own child RNG stream, so
-    results are stable per trajectory.
+    results are stable per trajectory. All draws come first; then one
+    gather per trajectory writes its deltas into the exact-size ``x``.
     """
     if dt_cap <= bins.edges[-1]:
         raise ValueError(f"dt_cap {dt_cap} must exceed last edge {bins.edges[-1]}")
     children = np.random.SeedSequence(seed).spawn(len(ds.trajectories))
-    out: list[PairSample] = []
-    for traj, child in zip(ds.trajectories, children):
+    draws: list[int] = []  # (bin, trajectory, anchor, gap) per pair, flattened
+    for k, (traj, child) in enumerate(zip(ds.trajectories, children)):
         n = traj.num_frames
         if n < 2:
             continue
         rng = np.random.default_rng(child)
         ranges = [_gap_range(bins, b, traj.fps, dt_cap) for b in range(bins.num_bins)]
-        obs = traj.obs.astype(np.float64)
         for _ in range(pairs_per_traj):
             i = int(rng.integers(0, n - 1))
             feasible = [
@@ -129,17 +135,17 @@ def sample_training_pairs(
             if not feasible:
                 continue
             b, lo, hi = feasible[int(rng.integers(0, len(feasible)))]
-            g = int(rng.integers(lo, hi + 1))
-            out.append(
-                PairSample(
-                    x=obs[i + g] - obs[i],
-                    label=b,
-                    traj_id=traj.id,
-                    t=i,
-                    dt=g / traj.fps,
-                )
-            )
-    return out
+            draws += (b, k, i, int(rng.integers(lo, hi + 1)))
+
+    label, owner, t, gap = np.array(draws, dtype=np.int64).reshape(-1, 4).T.copy()
+    del draws  # before x, so the two never coexist
+    x = np.empty((t.shape[0], ds.obs_dim))
+    bounds = np.searchsorted(owner, np.arange(len(ds.trajectories) + 1)).tolist()
+    for traj, lo, hi in zip(ds.trajectories, bounds, bounds[1:]):
+        # dtype=float64 widens both frames before subtracting, as astype would
+        np.subtract(traj.obs[t[lo:hi] + gap[lo:hi]], traj.obs[t[lo:hi]], out=x[lo:hi], dtype=np.float64)
+    fps = np.array([traj.fps for traj in ds.trajectories], dtype=np.float64)
+    return TrainingPairs(x=x, label=label, traj=owner, t=t, dt=gap / fps[owner])
 
 
 @dataclass
@@ -149,6 +155,8 @@ class SamplingConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.pairs_per_traj < 1:
+            raise ValueError("pairs_per_traj must be >= 1")
         if not self.dt_cap > DEFAULT_EDGES[-1]:
             raise ValueError(f"dt_cap must exceed {DEFAULT_EDGES[-1]}")
         if self.seed < 0:
@@ -161,14 +169,6 @@ class ValidationReport:
     pairs_val: int
     accuracy: float
     confusion: list[list[int]] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "pairs_train": self.pairs_train,
-            "pairs_val": self.pairs_val,
-            "accuracy": self.accuracy,
-            "confusion": self.confusion,
-        }
 
 
 def train_progress_model(
@@ -190,15 +190,15 @@ def train_progress_model(
     if not pairs:
         raise EmptyTrainingSet("no trainable pairs in dataset")
 
-    ids = sorted({p.traj_id for p in pairs})
+    # shuffle the trajectories that own pairs, taken in id order
+    owners = sorted(np.unique(pairs.traj).tolist(), key=lambda k: ds.trajectories[k].id)
     rng = np.random.default_rng(sampling.seed)
-    order = [ids[k] for k in rng.permutation(len(ids))]
-    num_val = max(1, int(np.floor(0.1 * len(ids)))) if len(ids) >= 2 else 0
-    val_ids = set(order[:num_val])
-
-    x = np.stack([p.x for p in pairs])
-    y = np.array([p.label for p in pairs], dtype=np.int64)
-    in_val = np.array([p.traj_id in val_ids for p in pairs])
+    order = np.array(owners)[rng.permutation(len(owners))]
+    num_val = max(1, int(np.floor(0.1 * len(owners)))) if len(owners) >= 2 else 0
+    held_out = np.zeros(len(ds.trajectories), dtype=bool)
+    held_out[order[:num_val]] = True
+    in_val = held_out[pairs.traj]
+    x, y = pairs.x, pairs.label
 
     if not np.any(~in_val):
         raise EmptyTrainingSet("validation split consumed every pair")

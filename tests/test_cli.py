@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -250,6 +251,11 @@ def test_integer_config_fields_reject_floats_and_booleans():
                     config_from_dict({section: {f.name: bad}})
 
 
+class _Literal(str):
+    """A config value given as its JSON text, for a literal that json.dumps
+    never writes, such as 1e999."""
+
+
 @pytest.mark.parametrize("command,section,key,value", [
     ("curate", "dedup", "k", 0),
     ("curate", "dedup", "k", -2),
@@ -266,10 +272,24 @@ def test_integer_config_fields_reject_floats_and_booleans():
     ("curate", "subopt", "stride_frames", 1.5),
     ("curate", "subopt", "progress_mode", "median"),
     ("gen", "synth", "seed", -1),
+    ("curate", "subopt", "window_seconds", math.inf),
+    ("curate", "dedup", "chunk_seconds", math.inf),
+    ("curate", "dedup", "chunk_seconds", _Literal("1e999")),
+    ("train-progress", "train", "dt_cap", math.inf),
+    ("gen", "synth", "fps", math.inf),
+    ("curate", "subopt", "epsilon_s", math.nan),
+    ("curate", "dedup", "epsilon_d", math.nan),
+    ("curate", "dedup", "action_weight", math.inf),
+    ("train-progress", "train", "learning_rate", math.nan),
+    ("curate", "dedup", "max_iters", 0),
+    ("curate", "dedup", "max_iters", -3),
+    ("train-progress", "train", "pairs_per_traj", 0),
+    ("train-progress", "train", "pairs_per_traj", -5),
 ])
 def test_bad_config_value_is_config_error(pipeline, tmp_path, capsys, command, section, key, value):
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({section: {key: value}}))
+    text = value if isinstance(value, _Literal) else json.dumps(value)
+    cfg.write_text(f'{{"{section}": {{"{key}": {text}}}}}')
     argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
     if command != "gen":
         argv += ["--data", str(pipeline["data"])]
@@ -372,6 +392,26 @@ def test_nonfinite_chunk_embedding_is_data_error(tmp_path, capsys):
     assert err.startswith("trajcurate: data error: ") and err.count("\n") == 1
     assert "chunk 4 contains NaN/Inf" in err
     assert not (out / "masks").exists() or not any((out / "masks").iterdir())
+
+
+@pytest.mark.parametrize("learning_rate", [1e3, 1e6])
+def test_diverged_training_is_data_error(tmp_path, capsys, learning_rate):
+    """1e6 drives the parameters to NaN; 1e3 to values that are finite in
+    float64 but overflow the float32 checkpoint."""
+    data, model = tmp_path / "data", tmp_path / "m.ckpt"
+    assert main(["gen", "--out", str(data), "--config", _tiny_cfg(tmp_path)]) == 0
+    cfg = tmp_path / "lr.json"
+    cfg.write_text(json.dumps({"train": {"learning_rate": learning_rate, "epochs": 3}}))
+    capsys.readouterr()
+    argv = ["train-progress", "--data", str(data), "--out", str(model), "--config", str(cfg)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # the progress line, then one error line and no numpy warning
+    lines = captured.err.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("training on ")
+    assert lines[1].startswith("trajcurate: data error: SGD diverged")
+    assert list(tmp_path.glob("m.ckpt*")) == []
 
 
 @pytest.mark.parametrize("command", ["dedup", "curate", "calibrate"])

@@ -10,6 +10,7 @@ from trajcurate.errors import (
     InvalidArchitecture,
     IoFailure,
     LabelOutOfRange,
+    NonFiniteValue,
 )
 from trajcurate.nn import (
     MlpClassifier,
@@ -256,6 +257,15 @@ def test_train_checks_inputs_up_front(rows, labels, error):
     m = init_mlp([2, 2], seed=0)
     with pytest.raises(error):
         train(m, np.zeros((rows, 2)), labels, TrainConfig(epochs=1, batch_size=3))
+
+
+def test_diverged_training_raises_without_warnings():
+    rng = np.random.default_rng(0)
+    x = rng.normal(scale=10.0, size=(64, 4))
+    labels = rng.integers(0, 3, size=64)
+    m = init_mlp([4, 16, 3], seed=0)
+    with pytest.raises(NonFiniteValue, match="SGD diverged"):
+        train(m, x, labels, TrainConfig(learning_rate=1e6, epochs=3, batch_size=8))
 
 
 def _sgd_over_loss_and_grad(model, x, labels, cfg):

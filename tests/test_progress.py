@@ -1,5 +1,8 @@
 """Temporal bins, pair sampling, and the progress estimate."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -80,29 +83,110 @@ def test_custom_bins_validation():
 # --- pair sampling ---------------------------------------------------------------
 
 
+def oracle_pairs(ds, bins, pairs_per_traj=100, dt_cap=10.0, seed=0):
+    """The specification: one pair at a time, as ``(x, label, trajectory
+    index, anchor, dt)`` tuples, drawing from the same per-trajectory
+    streams in the same order."""
+    children = np.random.SeedSequence(seed).spawn(len(ds.trajectories))
+    out = []
+    for k, (traj, child) in enumerate(zip(ds.trajectories, children)):
+        n = traj.num_frames
+        if n < 2:
+            continue
+        rng = np.random.default_rng(child)
+        ranges = []
+        for b in range(bins.num_bins):
+            lo = max(1, math.ceil(bins.edges[b] * traj.fps - 1e-9))
+            if b < bins.num_bins - 1:
+                hi = math.ceil(bins.edges[b + 1] * traj.fps - 1e-9) - 1
+            else:
+                hi = math.floor(dt_cap * traj.fps + 1e-9)
+            ranges.append((lo, hi))
+        obs = traj.obs.astype(np.float64)
+        for _ in range(pairs_per_traj):
+            i = int(rng.integers(0, n - 1))
+            feasible = [
+                (b, lo, min(hi, n - 1 - i))
+                for b, (lo, hi) in enumerate(ranges)
+                if lo <= min(hi, n - 1 - i)
+            ]
+            if not feasible:
+                continue
+            b, lo, hi = feasible[int(rng.integers(0, len(feasible)))]
+            g = int(rng.integers(lo, hi + 1))
+            out.append((obs[i + g] - obs[i], b, k, i, g / traj.fps))
+    return out
+
+
+@given(
+    seed=st.integers(0, 2**16),
+    # 0.05 fps is below 1 / dt_cap: even a one-frame gap exceeds the cap
+    shapes=st.lists(
+        st.tuples(st.sampled_from([1, 2, 3, 9, 40, 130]),
+                  st.sampled_from([0.05, 1.0, 3.0, 10.0, 30.0])),
+        max_size=5,
+    ),
+    pairs_per_traj=st.integers(1, 40),
+    dt_cap=st.sampled_from([6.0, 10.0]),
+)
+@settings(max_examples=60, deadline=None)
+def test_pairs_match_oracle_bit_for_bit(seed, shapes, pairs_per_traj, dt_cap):
+    rng = np.random.default_rng(seed)
+    ds = Dataset(
+        trajectories=[make_trajectory(rng, f"t{i}", n, fps=fps) for i, (n, fps) in enumerate(shapes)],
+        obs_dim=6, action_dim=3,
+    )
+    bins = default_bins(dt_cap)
+    pairs = sample_training_pairs(ds, bins, pairs_per_traj, dt_cap, seed)
+    expected = oracle_pairs(ds, bins, pairs_per_traj, dt_cap, seed)
+    assert len(pairs) == len(expected)
+    assert pairs.x.shape == (len(expected), ds.obs_dim) and pairs.x.dtype == np.float64
+    assert pairs.x.tobytes() == b"".join(e[0].tobytes() for e in expected)
+    for j, name in enumerate(("label", "traj", "t"), start=1):
+        column = getattr(pairs, name)
+        assert column.dtype == np.int64
+        assert column.tolist() == [e[j] for e in expected]
+    assert pairs.dt.dtype == np.float64
+    assert pairs.dt.tobytes() == np.array([e[4] for e in expected], dtype=np.float64).tobytes()
+
+
+def test_pair_sampler_memory_is_bounded_by_x():
+    """No per-pair objects and no second copy of ``x``: the sampler's traced
+    peak stays within half of ``x`` above ``x`` itself."""
+    ds = make_dataset(np.random.default_rng(8), num_traj=20, n=100, obs_dim=32)
+    tracemalloc.start()
+    try:
+        pairs = sample_training_pairs(ds, default_bins(), pairs_per_traj=100, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    x_bytes = len(pairs) * ds.obs_dim * 8
+    assert len(pairs) > 1000
+    assert peak < 1.5 * x_bytes
+
+
 def test_pairs_labels_match_bins_exactly():
     rng = np.random.default_rng(0)
     ds = make_dataset(rng, num_traj=5, n=80, fps=10.0)
     bins = default_bins()
     pairs = sample_training_pairs(ds, bins, pairs_per_traj=50, seed=1)
     assert pairs
-    for p in pairs:
-        assert p.label == bin_of(bins, p.dt)
-        assert 0.0 < p.dt <= 10.0
-        assert p.x.shape == (ds.obs_dim,)
+    for label, dt in zip(pairs.label, pairs.dt):
+        assert label == bin_of(bins, dt)
+        assert 0.0 < dt <= 10.0
+    assert pairs.x.shape == (len(pairs), ds.obs_dim)
 
 
 def test_pair_geometry_is_consistent():
     rng = np.random.default_rng(1)
     ds = make_dataset(rng, num_traj=3, n=60, fps=10.0)
     pairs = sample_training_pairs(ds, default_bins(), pairs_per_traj=40, seed=2)
-    by_id = {t.id: t for t in ds.trajectories}
-    for p in pairs:
-        traj = by_id[p.traj_id]
-        g = round(p.dt * traj.fps)
-        assert 0 <= p.t and p.t + g <= traj.num_frames - 1
-        expected = traj.obs[p.t + g].astype(np.float64) - traj.obs[p.t].astype(np.float64)
-        np.testing.assert_array_equal(p.x, expected)
+    for j in range(len(pairs)):
+        traj, t = ds.trajectories[pairs.traj[j]], int(pairs.t[j])
+        g = round(pairs.dt[j] * traj.fps)
+        assert 0 <= t and t + g <= traj.num_frames - 1
+        expected = traj.obs[t + g].astype(np.float64) - traj.obs[t].astype(np.float64)
+        np.testing.assert_array_equal(pairs.x[j], expected)
 
 
 def test_pair_sampling_deterministic():
@@ -111,17 +195,16 @@ def test_pair_sampling_deterministic():
     a = sample_training_pairs(ds, default_bins(), pairs_per_traj=20, seed=5)
     b = sample_training_pairs(ds, default_bins(), pairs_per_traj=20, seed=5)
     c = sample_training_pairs(ds, default_bins(), pairs_per_traj=20, seed=6)
-    assert [(p.traj_id, p.t, p.dt, p.label) for p in a] == [
-        (p.traj_id, p.t, p.dt, p.label) for p in b
-    ]
-    assert [(p.t, p.dt) for p in a] != [(p.t, p.dt) for p in c]
+    for name in ("traj", "t", "dt", "label"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    assert list(zip(a.t, a.dt)) != list(zip(c.t, c.dt))
 
 
 def test_pair_sampling_covers_all_bins_on_long_trajectories():
     rng = np.random.default_rng(3)
     ds = make_dataset(rng, num_traj=3, n=150, fps=10.0)
     pairs = sample_training_pairs(ds, default_bins(), pairs_per_traj=200, seed=0)
-    assert {p.label for p in pairs} == {0, 1, 2, 3, 4}
+    assert set(pairs.label.tolist()) == {0, 1, 2, 3, 4}
 
 
 def test_pair_sampling_short_trajectory():
@@ -130,10 +213,10 @@ def test_pair_sampling_short_trajectory():
     ds = make_dataset(rng, num_traj=1, n=8, fps=10.0)
     pairs = sample_training_pairs(ds, default_bins(), pairs_per_traj=30, seed=0)
     assert pairs
-    assert {p.label for p in pairs} <= {0, 1}
+    assert set(pairs.label.tolist()) <= {0, 1}
     # a single frame yields nothing at all
     ds1 = make_dataset(rng, num_traj=1, n=1)
-    assert sample_training_pairs(ds1, default_bins(), pairs_per_traj=10) == []
+    assert len(sample_training_pairs(ds1, default_bins(), pairs_per_traj=10)) == 0
 
 
 def test_pair_sampling_rejects_low_cap():
@@ -149,8 +232,9 @@ def test_pair_label_invariant_property(seed, fps):
     rng = np.random.default_rng(seed)
     ds = make_dataset(rng, num_traj=2, n=64, fps=fps)
     bins = default_bins()
-    for p in sample_training_pairs(ds, bins, pairs_per_traj=25, seed=seed):
-        assert p.label == bin_of(bins, p.dt)
+    pairs = sample_training_pairs(ds, bins, pairs_per_traj=25, seed=seed)
+    for label, dt in zip(pairs.label, pairs.dt):
+        assert label == bin_of(bins, dt)
 
 
 # --- training and validation split --------------------------------------------------
@@ -165,12 +249,10 @@ def test_split_is_by_trajectory():
         ds, default_bins(), TrainConfig(epochs=1), sampling, hidden_sizes=(8,)
     )
     # 10% of 20 trajectories -> 2 held out
-    per_traj = {}
-    for p in pairs:
-        per_traj[p.traj_id] = per_traj.get(p.traj_id, 0) + 1
+    per_traj = np.bincount(pairs.traj)
     assert report.pairs_train + report.pairs_val == len(pairs)
     # val count must be exactly the pair mass of some 2-trajectory subset
-    counts = sorted(per_traj.values())
+    counts = sorted(per_traj[per_traj > 0].tolist())
     feasible = {a + b for a in counts for b in counts}
     assert report.pairs_val in feasible
 
