@@ -31,7 +31,14 @@ from .nn import load_model, save_model
 from .progress import default_bins, train_progress_model
 from .subopt import score_dataset, subopt_report
 from .synthgen import generate, GroundTruth, evaluate_masks, separation_self_check
-from .trajstore import load_dataset, read_masks, save_dataset, write_masks
+from .trajstore import (
+    REASONS,
+    load_dataset,
+    read_masks,
+    save_dataset,
+    seconds_to_frames,
+    write_masks,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,6 +107,8 @@ def _cmd_train_progress(args, cfg: PipelineConfig) -> int:
     out = Path(_require(args.out, cfg.out, "out"))
     ds = load_dataset(data)
     bins = default_bins(cfg.sampling.dt_cap)
+    if ds.trajectories:  # a gap cap too long to count in frames fails before work starts
+        seconds_to_frames(cfg.sampling.dt_cap, max(t.fps for t in ds.trajectories))
     print(f"training on {len(ds)} trajectories ({ds.total_frames} frames)", file=sys.stderr)
     model, report = train_progress_model(ds, bins, cfg.train, cfg.sampling, cfg.hidden_sizes)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -260,12 +269,11 @@ def _cmd_curate(args, cfg: PipelineConfig) -> int:
     write_masks(combined, out)
 
     total = combined.total_frames
-    sub, dup = ("suboptimal", "both"), ("duplicate", "both")
-    n_sub, n_dup = combined.dropped_frames(sub), combined.dropped_frames(dup)
-    n_both = combined.dropped_frames(reasons=("both",))
-    n_total = combined.dropped_frames()
-    ratios = {"suboptimal": combined.deletion_ratio(sub), "dedup": combined.deletion_ratio(dup),
-              "total": combined.deletion_ratio()}
+    counts = dict(zip(REASONS, combined.reason_counts().tolist()))
+    n_both, n_total = counts["both"], sum(counts.values())
+    n_sub, n_dup = counts["suboptimal"] + n_both, counts["duplicate"] + n_both
+    ratios = {name: n / total if total else 0.0
+              for name, n in (("suboptimal", n_sub), ("dedup", n_dup), ("total", n_total))}
 
     manifest = {
         "format_version": 1,

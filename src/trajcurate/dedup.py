@@ -167,9 +167,14 @@ def default_k(num_chunks: int, target_cluster_size: int = 50) -> int:
     return max(1, int(round(num_chunks / target_cluster_size)))
 
 
-# Entries in one row block of _assign's (rows × max(k, d)) temporaries and of
-# the (rows × cluster size) Gram blocks of similarity_scores and _keep_one_drops.
+# Entries in one row block of _assign's (rows × centroids) estimates and
+# gathered rows, of the (rows × cluster size) Gram blocks of
+# similarity_scores, and of the (clusters × rows × size) padded Gram blocks of
+# _keep_one_drops.
 _ASSIGN_BLOCK_ELEMS = 1 << 18
+# Most entries of (x − c)² filled at a time by _inertia (one leaf of numpy's
+# pairwise summation tree) and by _keep_one_drops: small enough to stay in cache.
+_INERTIA_LEAF = 1 << 14
 
 
 def _rtol(d: int) -> float:
@@ -180,38 +185,158 @@ def _rtol(d: int) -> float:
     return 32 * (d + 3) * np.finfo(np.float64).eps
 
 
-def _assign(features: np.ndarray, centroids: np.ndarray, x_sq: np.ndarray) -> np.ndarray:
-    """Nearest centroid per row, bit for bit the argmin of the broadcast
-    ``((x − c)**2).sum()``: ‖x‖² − 2·x·cᵀ + ‖c‖² by row blocks, and rows
-    whose two best distances are near-tied recomputed by the broadcast.
-    ``x_sq`` is ``(features**2).sum(axis=1)``, computed once by the caller."""
-    n, d = features.shape
-    c_sq = (centroids**2).sum(axis=1)
-    rtol = _rtol(d)
-    rows = max(1, _ASSIGN_BLOCK_ELEMS // max(centroids.shape[0], d))
-    out = np.empty(n, dtype=np.int64)
-    for lo in range(0, n, rows):
-        x = features[lo : lo + rows]
-        x_sq_blk = x_sq[lo : lo + rows]
-        d2 = x_sq_blk[:, None] - 2.0 * (x @ centroids.T) + c_sq
+def _rank(
+    features: np.ndarray,
+    x_sq: np.ndarray,
+    rows: np.ndarray | None,
+    centroids: np.ndarray,
+    c_sq: np.ndarray,
+    cands: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each of ``features[rows]`` (every row if None): the candidate
+    centroid with the smallest estimate ‖x‖² − 2·x·cᵀ + ‖c‖², that estimate
+    and the next smallest one. Row blocks go through one reused buffer; the
+    estimate has the bits of ``x_sq[:, None] − 2.0 * (x @ c.T) + c_sq``."""
+    count = features.shape[0] if rows is None else rows.size
+    c, c_sq = centroids[cands], c_sq[cands]
+    # a gathered block of rows counts against the budget too
+    width = cands.size if rows is None else max(cands.size, features.shape[1])
+    step = max(1, _ASSIGN_BLOCK_ELEMS // width)
+    buf = np.empty(min(count, step) * cands.size)
+    ids, first, second = np.empty(count, dtype=np.int64), np.empty(count), np.empty(count)
+    for lo in range(0, count, step):
+        part = slice(lo, lo + step)
+        idx = part if rows is None else rows[part]
+        x = features[idx]
+        d2 = buf[: x.shape[0] * cands.size].reshape(x.shape[0], cands.size)
+        np.matmul(x, c.T, out=d2)
+        d2 *= -2.0
+        d2 += x_sq[idx][:, None]
+        d2 += c_sq
         best = d2.argmin(axis=1)
         ix = np.arange(best.size)
-        best_d2 = d2[ix, best]
+        ids[part], first[part] = cands[best], d2[ix, best]
         d2[ix, best] = np.inf
-        # written as "not above" so NaN gaps take the exact path too
-        for i in np.flatnonzero(~(d2.min(axis=1) - best_d2 > rtol * (x_sq_blk + c_sq.max()))):
-            best[i] = ((x[i] - centroids) ** 2).sum(axis=1).argmin()
-        out[lo : lo + rows] = best
+        second[part] = d2.min(axis=1)
+    return ids, first, second
+
+
+def _merge_two(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ids, smallest, next smallest) over the union of two candidate sets;
+    a NaN in either stays in the result's gap."""
+    ids, first, second = a
+    b_ids, b_first, b_second = b
+    take = b_first < first
+    return (
+        np.where(take, b_ids, ids),
+        np.where(take, b_first, first),
+        np.where(take, np.minimum(first, b_second), np.minimum(second, b_first)),
+    )
+
+
+def _assign(
+    features: np.ndarray,
+    centroids: np.ndarray,
+    x_sq: np.ndarray,
+    prev: np.ndarray | None = None,
+    moved: np.ndarray | None = None,
+    prev_d2: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest centroid per row, bit for bit the first-index argmin of the
+    broadcast ``((x − c)**2).sum()`` over all k centroids, and each row's d²
+    to it within the rounding of the estimates below.
+
+    ``prev`` and ``prev_d2`` are that result for the centroids before their
+    last update, and ``moved`` flags the centroids whose bits have changed
+    since (None: there is no earlier result). A row whose own centroid did
+    not move keeps its exact d² to every unmoved centroid, none below its
+    own's and none equal at a lower index, so only its own centroid and the
+    moved ones are candidates; rows of moved clusters take all k. While more
+    than half the centroids move, every row takes all k, which is cheaper
+    than gathering the rows of moved clusters. Candidates are ranked by
+    ‖x‖² − 2·x·cᵀ + ‖c‖² (see ``_rank``), and rows whose two best estimates
+    are near-tied are recomputed by the broadcast over the same candidates.
+    ``x_sq`` is ``(features**2).sum(axis=1)``, computed once by the caller.
+    """
+    n, d = features.shape
+    k = centroids.shape[0]
+    c_sq = (centroids**2).sum(axis=1)
+    every = np.arange(k)
+    if moved is None or 2 * np.count_nonzero(moved) > k:
+        cols, rest, stay = every, every[:0], np.zeros(n, dtype=bool)
+    elif not moved.any():
+        return prev.copy(), prev_d2.copy()
+    else:
+        cols, rest, stay = np.flatnonzero(moved), np.flatnonzero(~moved), ~moved[prev]
+    ids, first, second = _rank(features, x_sq, None, centroids, c_sq, cols)
+    if rest.size:
+        # a staying row's own centroid, at its d² from the last assignment
+        own = (prev, np.where(stay, prev_d2, np.inf), np.inf)
+        ids, first, second = _merge_two((ids, first, second), own)
+        # rows of moved clusters: the unmoved centroids too
+        full = np.flatnonzero(~stay)
+        if full.size:
+            more = _rank(features, x_sq, full, centroids, c_sq, rest)
+            ids[full], first[full], second[full] = _merge_two((ids[full], first[full], second[full]), more)
+    # written as "not above" so NaN gaps take the exact path too
+    for i in np.flatnonzero(~(second - first > _rtol(d) * (x_sq + c_sq.max()))):
+        pool = np.sort(np.append(cols, prev[i])) if stay[i] else every
+        exact = ((features[i] - centroids[pool]) ** 2).sum(axis=1)
+        ids[i], first[i] = pool[exact.argmin()], exact.min()
+    return ids, first
+
+
+def _sq_diff(
+    features: np.ndarray, centroids: np.ndarray, assignment: np.ndarray, rows: slice, buf: np.ndarray
+) -> np.ndarray:
+    """``(features[rows] − centroids[assignment[rows]])**2`` to the bit, in
+    the front of the flat reused buffer ``buf``."""
+    x = features[rows]
+    out = buf[: x.size].reshape(x.shape)
+    np.take(centroids, assignment[rows], axis=0, out=out, mode="clip")
+    np.subtract(x, out, out=out)
+    np.square(out, out=out)
     return out
 
 
 def _inertia(features: np.ndarray, centroids: np.ndarray, assignment: np.ndarray) -> float:
-    """``((features − centroids[assignment])**2).sum()`` to the bit, in one
-    (n, d) buffer."""
-    diff = centroids[assignment]
-    np.subtract(features, diff, out=diff)
-    np.square(diff, out=diff)
-    return float(diff.sum())
+    """``((features − centroids[assignment])**2).sum()`` to the bit.
+
+    numpy sums the n·d entries pairwise: a range of more than 128 entries is
+    split at half its length, rounded down to a multiple of 8, and the two
+    halves' sums are added. The same split, stopped at ranges of at most
+    ``_INERTIA_LEAF`` entries, fills the rows under each leaf with (x − c)²
+    in one small reused buffer, sums the leaf's range with numpy and adds
+    the sums back up the tree.
+    """
+    n, d = features.shape
+    if not features.size:
+        return 0.0
+    buf = np.empty(_INERTIA_LEAF + 2 * d)  # the rows under any leaf
+
+    def tree(lo: int, size: int) -> float:
+        if size > _INERTIA_LEAF:
+            half = size // 2 - size // 2 % 8
+            return tree(lo, half) + tree(lo + half, size - half)
+        r0 = lo // d
+        _sq_diff(features, centroids, assignment, slice(r0, -(-(lo + size) // d)), buf)
+        return buf[lo - r0 * d : lo - r0 * d + size].sum()
+
+    return float(tree(0, n * d))
+
+
+def _row_d2(features: np.ndarray, rows: np.ndarray, centroid: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """``((features[rows] − centroid)**2).sum(axis=1)`` to the bit, through
+    the reused buffer ``buf`` a block of rows at a time."""
+    out = np.empty(rows.size)
+    for lo in range(0, rows.size, buf.shape[0]):
+        part = rows[lo : lo + buf.shape[0]]
+        diff = buf[: part.size]
+        np.take(features, part, axis=0, out=diff, mode="clip")
+        diff -= centroid
+        np.square(diff, out=diff)
+        diff.sum(axis=1, out=out[lo : lo + part.size])
+    return out
 
 
 def kmeans(features: np.ndarray, k: int, seed: int = 0, max_iters: int = 100) -> ClusterModel:
@@ -222,10 +347,13 @@ def kmeans(features: np.ndarray, k: int, seed: int = 0, max_iters: int = 100) ->
     centre with one matrix-vector product; only the rows that estimate
     cannot rule out (within ``_assign``'s rounding tolerance) are recomputed
     with the exact squared difference, so every d² has the bits of the full
-    recomputation and the picks are the same. Assignment is one blocked
-    matrix product with an exact recheck of near-ties (see ``_assign``);
-    each centroid is the mean of its members in index order, taken from one
-    stable sort of the assignment.
+    recomputation and the picks are the same. Assignment is a blocked matrix
+    product with an exact recheck of near-ties; from the second one on, a
+    row whose centroid kept its bits is only ranked against that centroid
+    and the ones that moved (see ``_assign``). The inertia is summed leaf by
+    leaf of numpy's own summation tree (see ``_inertia``). Each centroid
+    whose members changed is the mean of its members in index order, taken
+    through one stable sort of the assignment; the others keep their bits.
     """
     features = np.asarray(features, dtype=np.float64)
     n = features.shape[0]
@@ -236,12 +364,14 @@ def kmeans(features: np.ndarray, k: int, seed: int = 0, max_iters: int = 100) ->
     if k < 1:
         raise ValueError("k must be >= 1")
 
+    d = features.shape[1]
     rng = np.random.default_rng(seed)
     x_sq = (features**2).sum(axis=1)
-    rtol = _rtol(features.shape[1])
-    centroids = np.empty((k, features.shape[1]))
+    rtol = _rtol(d)
+    centroids = np.empty((k, d))
     centroids[0] = features[int(rng.integers(n))]
-    d2 = ((features - centroids[0]) ** 2).sum(axis=1)
+    buf = np.empty((min(n, max(1, _ASSIGN_BLOCK_ELEMS // max(d, 1))), d))
+    d2 = _row_d2(features, np.arange(n), centroids[0], buf)
     for c in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -255,35 +385,40 @@ def kmeans(features: np.ndarray, k: int, seed: int = 0, max_iters: int = 100) ->
         gap = x_sq - 2.0 * (features @ centroid) + (c_sq - d2)
         # written as "not above" so NaN gaps take the exact path too
         rows = np.flatnonzero(~(gap > rtol * (x_sq + c_sq)))
-        d2[rows] = np.minimum(d2[rows], ((features[rows] - centroid) ** 2).sum(axis=1))
+        d2[rows] = np.minimum(d2[rows], _row_d2(features, rows, centroid, buf))
 
     assignment = np.full(n, -1, dtype=np.int64)
+    moved = nearest_d2 = None
     history: list[float] = []
     converged = False
     reseeds = 0
     for _ in range(max_iters):
-        new_assignment = _assign(features, centroids, x_sq)
+        new_assignment, nearest_d2 = _assign(features, centroids, x_sq, assignment, moved, nearest_d2)
         history.append(_inertia(features, centroids, new_assignment))
-        if np.array_equal(new_assignment, assignment):
+        changed = new_assignment != assignment
+        if not changed.any():
             converged = True
             break
+        touched = np.unique(np.concatenate([assignment[changed], new_assignment[changed]]))
         assignment = new_assignment
+        before = centroids.copy()
         counts = np.bincount(assignment, minlength=k)
-        # the members of every cluster as contiguous rows in index order: the
-        # rows, order and layout of features[assignment == c]
-        grouped = features[np.argsort(assignment, kind="stable")]
+        # every cluster's members in index order: the rows of features[assignment == c]
+        order = np.argsort(assignment, kind="stable")
         ends = np.cumsum(counts)
-        for c in np.flatnonzero(counts):
-            centroids[c] = grouped[ends[c] - counts[c] : ends[c]].mean(axis=0)
+        for c in touched[touched >= 0]:
+            if counts[c]:
+                centroids[c] = features[order[ends[c] - counts[c] : ends[c]]].mean(axis=0)
         empty = np.flatnonzero(counts == 0)
         if empty.size:
             # re-seed emptied clusters with the globally farthest points
             dists = ((features - centroids[assignment]) ** 2).sum(axis=1)
             centroids[empty] = features[np.argsort(-dists, kind="stable")[: empty.size]]
             reseeds += int(empty.size)
+        moved = (centroids.view(np.int64) != before.view(np.int64)).any(axis=1)
     if not converged:
         # hit the iteration cap mid-update: re-anchor to the final centroids
-        assignment = _assign(features, centroids, x_sq)
+        assignment, _ = _assign(features, centroids, x_sq, assignment, moved, nearest_d2)
         history.append(_inertia(features, centroids, assignment))
     return ClusterModel(
         k=k,
@@ -323,51 +458,87 @@ def _keep_one_drops(
     chunks: list[Chunk], features: np.ndarray, model: ClusterModel, thresholds: np.ndarray
 ) -> np.ndarray:
     """(thresholds, chunks) drop flags of the greedy keep-one rule, replayed
-    for every threshold in one walk over each cluster.
+    for every threshold together and through many clusters at once.
 
     Members are visited in descending distance from their centroid, ties
     broken by (traj_id, start); a chunk drops iff its cosine to a chunk kept
-    so far at that threshold exceeds it. Cosines come from row blocks of the
-    cluster's Gram matrix. Where the best kept one lies within rounding of a
-    threshold, or is NaN, the decision is recomputed with the per-chunk
-    rule's own ``features[i] @ features[kept].T`` over that threshold's kept
-    list, so it is that rule's to the bit. Ascending thresholds let a chunk
-    skip every threshold above its best cosine.
+    so far at that threshold exceeds it. Clusters are grouped, largest
+    first, so that a group's Gram matrices, padded to its largest cluster,
+    fit ``_ASSIGN_BLOCK_ELEMS``; a cluster too large for that alone is taken
+    in row blocks. A chunk whose best cosine to an earlier member lies
+    clearly below the lowest threshold is kept at every threshold. The
+    others step in visiting order, the s-th of every cluster in the group at
+    step s, each matched against the chunks kept so far at every threshold.
+    Where the best kept one lies within rounding of a threshold, or is NaN,
+    the decision is recomputed with the per-chunk rule's own
+    ``features[i] @ features[kept].T`` over that threshold's kept list, so
+    it is that rule's to the bit.
     """
     thresholds = np.asarray(thresholds, dtype=np.float64)
-    drop = np.zeros((thresholds.size, len(chunks)), dtype=bool)
-    dists = ((features - model.centroids[model.assignment]) ** 2).sum(axis=1)
+    n, d = features.shape
+    drop = np.zeros((thresholds.size, n), dtype=bool)
+    # distances to the centroid and norms, a block of rows at a time
+    dists, norms = np.empty(n), np.empty(n)
+    step = max(1, _INERTIA_LEAF // max(d, 1))
+    buf = np.empty(min(n, step) * d)
+    for lo in range(0, n, step):
+        blk = slice(lo, lo + step)
+        _sq_diff(features, model.centroids, model.assignment, blk, buf).sum(axis=1, out=dists[blk])
+        x = features[blk]
+        np.sqrt(np.square(x, out=buf[: x.size].reshape(x.shape)).sum(axis=1), out=norms[blk])
     rank = {tid: r for r, tid in enumerate(sorted({chunk.traj_id for chunk in chunks}))}
     id_rank = np.array([rank[chunk.traj_id] for chunk in chunks], dtype=np.int64)
     starts = np.array([chunk.start for chunk in chunks], dtype=np.int64)
-    rtol = _rtol(features.shape[1])
-    for c in range(model.k):
-        members = np.flatnonzero(model.assignment == c)
-        if members.size < 2:
-            continue
-        order = members[np.lexsort((starts[members], id_rank[members], -dists[members]))]
-        x = features[order]
-        norms = np.sqrt((x**2).sum(axis=1))
-        kept = np.ones((thresholds.size, order.size), dtype=bool)
-        rows = max(1, _ASSIGN_BLOCK_ELEMS // order.size)
-        for lo in range(1, order.size, rows):
-            hi = min(lo + rows, order.size)
-            gram = x[lo:hi] @ x[:hi].T
-            gram[np.arange(lo, hi)[:, None] <= np.arange(hi)] = -np.inf  # earlier chunks only
-            tol = rtol * norms[lo:hi] * norms.max()
-            # a row is kept at every threshold its largest entry stays clearly
-            # below; it is walked up to the last threshold where that fails
-            busy = ~(thresholds - gram.max(axis=1)[:, None] > tol[:, None])
-            last = (busy * np.arange(1, thresholds.size + 1)).max(axis=1)
-            for r in np.flatnonzero(last):
-                j, before = lo + r, kept[: last[r], : lo + r]
-                gap = np.where(before, gram[r, :j], -np.inf).max(axis=1) - thresholds[: last[r]]
+    # every cluster's members in visiting order, one cluster after another
+    order = np.lexsort((starts, id_rank, -dists, model.assignment))
+    sizes = np.bincount(model.assignment, minlength=model.k)
+    first = np.cumsum(sizes) - sizes
+    norm_max = np.zeros(model.k)
+    norm_max[sizes > 0] = np.maximum.reduceat(norms[order], first[sizes > 0])
+    rtol, low = _rtol(d), thresholds.min()
+
+    by_size = np.flatnonzero(sizes >= 2)
+    by_size = by_size[np.argsort(-sizes[by_size], kind="stable")]
+    at = 0
+    while at < by_size.size:
+        m = sizes[by_size[at]]
+        group = by_size[at : at + max(1, _ASSIGN_BLOCK_ELEMS // (m * m))]
+        at += group.size
+        g_size, g_first = sizes[group], first[group]
+        # (cluster, position) → chunk index; positions past a cluster's end
+        # hold its last member and are never real
+        real = np.arange(m) < g_size[:, None]
+        members = order[np.minimum(g_first[:, None] + np.arange(m), g_first[:, None] + g_size[:, None] - 1)]
+        tol = rtol * np.where(real, norms[members], 0.0) * norm_max[group][:, None]
+        # 0 where a chunk is kept at a threshold so far, −inf where it drops
+        penalty = np.zeros((group.size, thresholds.size, m))
+        alone = features[members[0]] if group.size == 1 else None
+        rows = max(1, _ASSIGN_BLOCK_ELEMS // (group.size * m))
+        for lo in range(0, m, rows):
+            hi = min(lo + rows, m)
+            gram = np.full((group.size, hi - lo, hi), -np.inf)
+            for g, size in enumerate(g_size.tolist()):
+                if size > lo:
+                    x = alone if alone is not None else features[members[g, :size]]
+                    end = min(size, hi)
+                    gram[g, : end - lo, :end] = x[lo:end] @ x[:end].T
+            gram[:, np.arange(hi) >= np.arange(lo, hi)[:, None]] = -np.inf  # earlier chunks only
+            # rows whose best earlier cosine is clearly below every threshold stay kept
+            g_act, r_act = np.nonzero(~(low - gram.max(axis=2) > tol[:, lo:hi]))
+            # step s takes the s-th of these rows in every cluster
+            step_of = np.arange(g_act.size) - np.searchsorted(g_act, g_act)
+            for s in range(step_of.max(initial=-1) + 1):
+                g, r = g_act[step_of == s], r_act[step_of == s]
+                p = lo + r
+                best = (gram[g, r, None, : p.max()] + penalty[g, :, : p.max()]).max(axis=2)
+                gap = best - thresholds
                 hit = gap > 0
-                for t in np.flatnonzero(~(np.abs(gap) > tol[r])):  # NaN gaps too
-                    exact = features[order[j]] @ features[order[:j][before[t]]].T
-                    hit[t] = (exact > thresholds[t]).any()
-                kept[: last[r], j] = ~hit
-        drop[:, order] = ~kept
+                for i, t in zip(*np.nonzero(~(np.abs(gap) > tol[g, p][:, None]))):  # NaN gaps too
+                    kept = members[g[i], : p[i]][penalty[g[i], t, : p[i]] == 0]
+                    exact = features[members[g[i], p[i]]] @ features[kept].T
+                    hit[i, t] = (exact > thresholds[t]).any()
+                penalty[g, :, p] = np.where(hit, -np.inf, 0.0)
+        drop[:, members[real]] = penalty.transpose(1, 0, 2)[:, real] < 0
     return drop
 
 

@@ -19,10 +19,12 @@ import numpy as np
 
 from . import nn
 from .errors import DimensionMismatch, EmptyTrainingSet, NegativeDuration
-from .trajstore import Dataset
+from .trajstore import Dataset, seconds_to_frames
 
 DEFAULT_EDGES = (0.0, 0.5, 1.0, 2.0, 5.0)
 DEFAULT_DT_CAP = 10.0
+# Rows moved per block when the training rows are partitioned in place.
+_PARTITION_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -90,6 +92,7 @@ class TrainingPairs:
 
 def _gap_range(bins: TemporalBins, b: int, fps: float, dt_cap: float) -> tuple[int, int]:
     """Integer frame gaps g whose duration g/fps falls in bin b (inclusive)."""
+    seconds_to_frames(max(bins.edges[-1], dt_cap), fps)  # a ConfigError past int64 frames
     lo = max(1, math.ceil(bins.edges[b] * fps - 1e-9))
     if b < bins.num_bins - 1:
         hi = math.ceil(bins.edges[b + 1] * fps - 1e-9) - 1
@@ -198,25 +201,32 @@ def train_progress_model(
     held_out = np.zeros(len(ds.trajectories), dtype=bool)
     held_out[order[:num_val]] = True
     in_val = held_out[pairs.traj]
-    x, y = pairs.x, pairs.label
-
-    if not np.any(~in_val):
+    train_rows = np.flatnonzero(~in_val)
+    if not train_rows.size:
         raise EmptyTrainingSet("validation split consumed every pair")
+
+    # a stable partition without a copy of the training rows: the held-out
+    # rows are copied aside, then the training rows move, in order and a
+    # block at a time, to the front of x, which SGD reads as a prefix view
+    x, y = pairs.x, pairs.label
+    x_val, truth = x[in_val], y[in_val]
+    for lo in range(0, train_rows.size, _PARTITION_ROWS):
+        rows = train_rows[lo : lo + _PARTITION_ROWS]
+        x[lo : lo + rows.size] = x[rows]
     model = nn.init_mlp([ds.obs_dim, *hidden_sizes, bins.num_bins], seed=nn_cfg.seed)
-    model = nn.train(model, x[~in_val], y[~in_val], nn_cfg)
+    model = nn.train(model, x[: train_rows.size], y[train_rows], nn_cfg)
 
     b = bins.num_bins
     confusion = np.zeros((b, b), dtype=np.int64)
-    n_val = int(in_val.sum())
+    n_val = truth.size
     if n_val:
-        preds = np.argmax(nn.forward(model, x[in_val]), axis=1)
-        truth = y[in_val]
+        preds = np.argmax(nn.forward(model, x_val), axis=1)
         np.add.at(confusion, (truth, preds), 1)
         accuracy = float(np.mean(preds == truth))
     else:
         accuracy = float("nan")
     report = ValidationReport(
-        pairs_train=int((~in_val).sum()),
+        pairs_train=train_rows.size,
         pairs_val=n_val,
         accuracy=accuracy,
         confusion=confusion.tolist(),

@@ -195,14 +195,15 @@ def subopt_report(series_list: list[ScoreSeries], mask: CurationMask, cfg: Subop
         histogram = {"bin_edges": edges.tolist(), "counts": counts.tolist()}
     else:
         histogram = {"bin_edges": [], "counts": []}
+    total, dropped = mask.total_frames, mask.dropped_frames()
     return {
         "format_version": 1,
         "epsilon_s": cfg.epsilon_s,
         "gamma": cfg.gamma,
         "mix_weight": cfg.mix_weight,
         "window_seconds": cfg.window_seconds,
-        "num_frames": mask.total_frames,
-        "dropped_frames": mask.dropped_frames(),
-        "deletion_ratio": mask.deletion_ratio(),
+        "num_frames": total,
+        "dropped_frames": dropped,
+        "deletion_ratio": dropped / total if total else 0.0,
         "score_histogram": histogram,
     }

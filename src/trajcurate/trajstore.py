@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DimensionMismatch,
     InvalidManifest,
     IoFailure,
@@ -123,10 +124,14 @@ class Dataset:
 
 
 def seconds_to_frames(seconds: float, fps: float) -> int:
-    """Convert a duration to a frame count, rounding half up, floor 1."""
+    """Convert a duration to a frame count, rounding half up, floor 1. A
+    count beyond int64 is a ``ConfigError``."""
     if seconds <= 0 or fps <= 0:
         raise ValueError("seconds and fps must be positive")
-    return max(1, int(math.floor(seconds * fps + 0.5)))
+    frames = seconds * fps + 0.5
+    if not frames < 2**63:
+        raise ConfigError(f"{seconds} s at {fps} fps is more frames than can be counted")
+    return max(1, int(math.floor(frames)))
 
 
 # --- container i/o ------------------------------------------------------------
@@ -352,8 +357,17 @@ class CurationMask:
     def total_frames(self) -> int:
         return sum(m.keep.shape[0] for m in self.masks.values())
 
+    def reason_counts(self) -> np.ndarray:
+        """Dropped frames per reason code, in ``REASONS`` order, over every
+        trajectory."""
+        counts = np.zeros(len(REASONS), dtype=np.int64)
+        for m in self.masks.values():
+            counts += np.bincount(m.reason[~m.keep], minlength=len(REASONS))
+        return counts
+
     def dropped_frames(self, reasons: tuple[str, ...] | None = None) -> int:
-        return sum(int(m.dropped(reasons).sum()) for m in self.masks.values())
+        counts = self.reason_counts()
+        return int((counts if reasons is None else counts[np.isin(_REASON_NAMES, reasons)]).sum())
 
     def deletion_ratio(self, reasons: tuple[str, ...] | None = None) -> float:
         total = self.total_frames

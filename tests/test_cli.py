@@ -277,6 +277,11 @@ class _Literal(str):
     ("curate", "dedup", "chunk_seconds", _Literal("1e999")),
     ("train-progress", "train", "dt_cap", math.inf),
     ("gen", "synth", "fps", math.inf),
+    # finite, but too many frames once multiplied by a frame rate
+    ("curate", "subopt", "window_seconds", 1e308),
+    ("curate", "dedup", "chunk_seconds", 1e308),
+    ("train-progress", "train", "dt_cap", 1e308),
+    ("gen", "synth", "fps", 1e308),
     ("curate", "subopt", "epsilon_s", math.nan),
     ("curate", "dedup", "epsilon_d", math.nan),
     ("curate", "dedup", "action_weight", math.inf),

@@ -393,6 +393,72 @@ def test_kmeans_matches_oracle_bit_for_bit(seed, n, d, k, offset, scale, duplica
     assert model.reseeds == reseeds
 
 
+def _assert_kmeans_matches_oracle(pts, k, seed, max_iters):
+    model = kmeans(pts, k, seed=seed, max_iters=max_iters)
+    centroids, assignment, history, reseeds = oracle_kmeans(pts, k, seed, max_iters)
+    assert model.centroids.tobytes() == centroids.tobytes()
+    assert model.assignment.tobytes() == assignment.tobytes()
+    assert np.array(model.inertia_history).tobytes() == np.array(history).tobytes()
+    assert model.inertia == history[-1]
+    assert model.reseeds == reseeds
+    return model
+
+
+def _spy_on_moved_centroid_assignments(monkeypatch):
+    """Per ``_assign`` call: None when every row is ranked against every
+    centroid; otherwise the set of exact nearest-centroid ties between a
+    moved and an unmoved centroid, on rows of unmoved clusters, named by
+    which of the two has the lower index."""
+    calls = []
+    assign = dedup._assign
+
+    def spy(features, centroids, x_sq, prev=None, moved=None, prev_d2=None):
+        if moved is None or not moved.any() or 2 * moved.sum() > len(moved):
+            calls.append(None)
+        else:
+            d2 = ((features[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+            at_min = d2 == d2.min(axis=1)[:, None]
+            calls.append({
+                "moved" if np.flatnonzero(at_min[i] & moved)[0] < np.flatnonzero(at_min[i] & ~moved)[0]
+                else "unmoved"
+                for i in np.flatnonzero(~moved[prev])
+                if (at_min[i] & moved).any() and (at_min[i] & ~moved).any()
+            })
+        return assign(features, centroids, x_sq, prev, moved, prev_d2)
+
+    monkeypatch.setattr(dedup, "_assign", spy)
+    return calls
+
+
+def test_kmeans_pinned_only_some_centroids_move(monkeypatch):
+    calls = _spy_on_moved_centroid_assignments(monkeypatch)
+    _assert_kmeans_matches_oracle(np.random.default_rng(7).normal(size=(18, 3)), 8, 7, 5)
+    assert any(call is not None for call in calls)
+
+
+@pytest.mark.parametrize("seed,n,d,k,lower", [(645, 33, 2, 9, "moved"), (16, 28, 1, 4, "unmoved")])
+def test_kmeans_pinned_tie_between_moved_and_unmoved_takes_lower_index(monkeypatch, seed, n, d, k, lower):
+    calls = _spy_on_moved_centroid_assignments(monkeypatch)
+    pts = np.round(np.random.default_rng(seed).normal(size=(n, d)) * 2)
+    _assert_kmeans_matches_oracle(pts, k, seed, 100)
+    assert any(lower in call for call in calls if call)
+
+
+def test_kmeans_pinned_reseed_then_few_centroids_move(monkeypatch):
+    calls = _spy_on_moved_centroid_assignments(monkeypatch)
+    pts = np.round(np.random.default_rng(6).normal(size=(33, 1)))
+    model = _assert_kmeans_matches_oracle(pts, 10, 6, 5)
+    assert model.reseeds > 0 and calls[-1] is not None
+
+
+def test_kmeans_pinned_iteration_cap_reanchors_few_moved(monkeypatch):
+    calls = _spy_on_moved_centroid_assignments(monkeypatch)
+    pts = np.round(np.random.default_rng(25).normal(size=(44, 2)))
+    model = _assert_kmeans_matches_oracle(pts, 6, 25, 5)
+    # five Lloyd iterations, then the re-anchor to the final centroids
+    assert len(model.inertia_history) == 6 and calls[-1] is not None
+
+
 # --- similarity ------------------------------------------------------------------------
 
 
@@ -631,6 +697,57 @@ def test_keep_one_replay_exact_where_gemm_and_gemv_round_apart(seed):
     chunks, model, scores = _cluster_fixture(feats, np.zeros(2, dtype=np.int64), k=1)
     cosines = [(feats[0] @ feats[[1]].T)[0], (feats[1] @ feats[[0]].T)[0], *scores]
     thresholds = np.unique([c + ulps * np.spacing(c) for c in cosines for ulps in range(-4, 5)])
+    _assert_matches_oracles(rng, chunks, scores, feats, model, thresholds)
+
+
+def test_keep_one_replay_pinned_cluster_beyond_gram_budget():
+    """A 40-member cluster next to small ones, with a budget that fits no
+    40 × 40 Gram matrix: that cluster is taken alone in row blocks."""
+    rng = np.random.default_rng(3)
+    base = random_unit_rows(rng, 10, 6)
+    # near copies: many cosines close to each other and to 1
+    feats = base[rng.integers(0, 10, size=52)] + 1e-3 * rng.normal(size=(52, 6))
+    feats /= np.linalg.norm(feats, axis=1, keepdims=True)
+    assignment = np.concatenate([np.zeros(40, dtype=np.int64), rng.integers(1, 4, size=12)])
+    chunks, model, scores = _cluster_fixture(feats, assignment, 4)
+    thresholds = np.concatenate([np.quantile(scores, np.linspace(0, 1, 9)), [0.999, 0.9999]])
+    for block_elems in (64, 40 * 3):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dedup, "_ASSIGN_BLOCK_ELEMS", block_elems)
+            _assert_matches_oracles(rng, chunks, scores, feats, model, thresholds)
+
+
+def test_keep_one_replay_pinned_mixed_sizes_in_one_group():
+    """Clusters of 17, 9, 4 and 2 members share one padded Gram block."""
+    rng = np.random.default_rng(4)
+    feats = random_unit_rows(rng, 32, 4)
+    assignment = rng.permutation(np.repeat(np.arange(4), [17, 9, 4, 2]))
+    largest = np.flatnonzero(assignment == 0)
+    feats[largest[1:5]] = feats[largest[0]]  # exact copies
+    chunks, model, scores = _cluster_fixture(feats, assignment, 4)
+    thresholds = np.concatenate([rng.choice(scores, 6), [-1.0, 0.0, 1.0]])
+    _assert_matches_oracles(rng, chunks, scores, feats, model, thresholds)
+
+
+def test_keep_one_replay_pinned_single_threshold():
+    rng = np.random.default_rng(5)
+    feats = random_unit_rows(rng, 30, 3)
+    feats[10:15] = feats[0]
+    chunks, model, scores = _cluster_fixture(feats, rng.integers(0, 3, size=30), 3)
+    for t in (float(np.median(scores)), 0.99, scores.max()):
+        _assert_matches_oracles(rng, chunks, scores, feats, model, np.array([t]))
+
+
+def test_keep_one_replay_pinned_ties_in_visiting_order():
+    """Exact copies on trajectories whose ids sort apart from their list
+    order: equal centroid distances, so (traj_id, start) decides the visit."""
+    rng = np.random.default_rng(6)
+    base = random_unit_rows(rng, 3, 5)
+    feats = base[[0, 1, 0, 2, 0, 1, 0, 2, 1, 0]]
+    traj_ids = ["t10", "t2", "t1", "t10", "t2", "t1", "t10", "t2", "t1", "t2"]
+    chunks, model, scores = _cluster_fixture(feats, np.zeros(10, dtype=np.int64), 1, traj_ids)
+    cosines = np.unique(feats @ feats.T)
+    thresholds = np.unique(np.concatenate([cosines, np.nextafter(cosines, -2.0), [-1.0]]))
     _assert_matches_oracles(rng, chunks, scores, feats, model, thresholds)
 
 
