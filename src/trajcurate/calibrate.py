@@ -89,6 +89,11 @@ def threshold_for_ratio(scores: np.ndarray, target_ratio: float) -> tuple[float,
     ordered = np.sort(s)[::-1]
     n = s.size
     m = int(np.floor(target_ratio * n))
+    # target·n can round across an integer: m is the largest count with m / n <= target
+    if m < n and (m + 1) / n <= target_ratio:
+        m += 1
+    elif m / n > target_ratio:
+        m -= 1
     if m >= n:
         theta = float(np.nextafter(ordered[-1], -np.inf))
     else:

@@ -28,7 +28,7 @@ from .config import PipelineConfig, load_config
 from .dedup import cluster_dataset, dedup_dataset, load_chunk_embeddings
 from .errors import ConfigError, CurationError, IoFailure
 from .nn import load_model, save_model
-from .progress import default_bins, train_progress_model
+from .progress import TemporalBins, default_bins, train_progress_model
 from .subopt import score_dataset, subopt_report
 from .synthgen import generate, GroundTruth, evaluate_masks, separation_self_check
 from .trajstore import (
@@ -78,6 +78,13 @@ def _print_table(rows: list[tuple], header: tuple) -> None:
         print("  ".join(str(cell).ljust(w) for cell, w in zip(row, widths)))
 
 
+def _progress_bins(cfg: PipelineConfig, ds) -> TemporalBins:
+    """Bins for the gap cap, which must count in frames at the top fps (a ConfigError)."""
+    if ds.trajectories:
+        seconds_to_frames(cfg.sampling.dt_cap, max(t.fps for t in ds.trajectories))
+    return default_bins(cfg.sampling.dt_cap)
+
+
 # --- subcommands ------------------------------------------------------------------
 
 
@@ -106,9 +113,7 @@ def _cmd_train_progress(args, cfg: PipelineConfig) -> int:
     data = _require(args.data, cfg.data, "data")
     out = Path(_require(args.out, cfg.out, "out"))
     ds = load_dataset(data)
-    bins = default_bins(cfg.sampling.dt_cap)
-    if ds.trajectories:  # a gap cap too long to count in frames fails before work starts
-        seconds_to_frames(cfg.sampling.dt_cap, max(t.fps for t in ds.trajectories))
+    bins = _progress_bins(cfg, ds)
     print(f"training on {len(ds)} trajectories ({ds.total_frames} frames)", file=sys.stderr)
     model, report = train_progress_model(ds, bins, cfg.train, cfg.sampling, cfg.hidden_sizes)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -131,7 +136,7 @@ def _cmd_score_subopt(args, cfg: PipelineConfig) -> int:
     out = Path(_require(args.out, cfg.out, "out"))
     model = load_model(_require(args.model, None, "model"))
     ds = load_dataset(data)
-    bins = default_bins(cfg.sampling.dt_cap)
+    bins = _progress_bins(cfg, ds)
     series, mask = score_dataset(ds, model, bins, cfg.subopt)
     write_masks(mask, out)
     scores_dir = out / "scores"
@@ -209,10 +214,10 @@ def _cmd_calibrate(args, cfg: PipelineConfig) -> int:
     targets = _parse_targets(args.targets)
     model = load_model(_require(args.model, None, "model"))
     ds = load_dataset(data)
-    bins = default_bins(cfg.sampling.dt_cap)
+    bins = _progress_bins(cfg, ds)
 
-    series, _ = score_dataset(ds, model, bins, cfg.subopt)
-    finals = np.concatenate([s.final for s in series])
+    # only the final scores stay: the other score arrays are freed before clustering
+    finals = np.concatenate([s.final for s in score_dataset(ds, model, bins, cfg.subopt)[0]])
     sub_curve = ratio_curve(finals, _quantile_grid(finals, 33))
 
     clustered = cluster_dataset(ds, cfg.dedup, _load_embeddings_if_present(data))
@@ -261,9 +266,11 @@ def _cmd_curate(args, cfg: PipelineConfig) -> int:
     out = Path(_require(args.out, cfg.out, "out"))
     model = load_model(_require(args.model, None, "model"))
     ds = load_dataset(data)
-    bins = default_bins(cfg.sampling.dt_cap)
+    bins = _progress_bins(cfg, ds)
 
     series, sub_mask = score_dataset(ds, model, bins, cfg.subopt)
+    sub_report = subopt_report(series, sub_mask, cfg.subopt)
+    del series  # the mask keeps what is written; the other score arrays go before clustering
     dup_mask, dedup_rep = dedup_dataset(ds, cfg.dedup, _load_embeddings_if_present(data))
     combined = combine_masks(sub_mask, dup_mask)
     write_masks(combined, out)
@@ -300,7 +307,7 @@ def _cmd_curate(args, cfg: PipelineConfig) -> int:
             "total": n_total,
         },
         "ratios": ratios,
-        "subopt_report": subopt_report(series, sub_mask, cfg.subopt),
+        "subopt_report": sub_report,
         "dedup_report": dedup_rep,
     })
     _print_table(

@@ -114,52 +114,52 @@ def embed_chunk(obs: np.ndarray, actions: np.ndarray, action_weight: float) -> n
     return raw / norm if norm > 0 else raw
 
 
-def _chunk_blocks(ds: Dataset, chunks: list[Chunk]) -> tuple[np.ndarray, np.ndarray]:
-    """Every chunk's visual block [mean obs, obs diffs] and raw action block,
-    in list order: the values ``embed_chunk`` builds before scaling by λ.
-
-    Frames are gathered into (chunks, N, D) arrays once per trajectory.
-    """
-    if not chunks:
-        return np.empty((0, 0)), np.empty((0, 0))
-    by_traj: dict[str, list[int]] = {}
-    for i, chunk in enumerate(chunks):
-        by_traj.setdefault(chunk.traj_id, []).append(i)
-    n, n_sub = len(chunks), len(chunks[0].sub_indices)
-    obs = np.empty((n, n_sub, ds.obs_dim))
-    acts = np.empty((n, n_sub, ds.action_dim))
-    for traj_id, pos in by_traj.items():
-        traj = ds.get(traj_id)
-        idx = np.stack([chunks[i].start + chunks[i].sub_indices for i in pos])
-        obs[pos] = traj.obs[idx]
-        acts[pos] = traj.actions[idx]
-    z_v = np.concatenate([obs.mean(axis=1), np.diff(obs, axis=1).reshape(n, -1)], axis=1)
-    return z_v, acts.reshape(n, -1)
-
-
-def _balanced_weight(z_v: np.ndarray, z_a: np.ndarray) -> float:
-    """λ that gives the action block the visual block's RMS; per-chunk sums
-    of squares are added one by one in chunk order (a cumulative sum)."""
-    if not len(z_a):  # no chunks
+def _balanced_weight(raw: np.ndarray, vis: int) -> float:
+    """λ that gives the action block ``raw[:, vis:]`` the RMS of the visual
+    block ``raw[:, :vis]``. Per-chunk sums of squares are taken through one
+    buffer of ``_FEATURE_ROWS`` rows and added one by one in chunk order (a
+    cumulative sum)."""
+    n = raw.shape[0]
+    sq_v, sq_a = np.empty(n), np.empty(n)
+    buf = np.empty((min(n, _FEATURE_ROWS), raw.shape[1]))
+    for lo in range(0, n, _FEATURE_ROWS):
+        blk = np.square(raw[lo : lo + _FEATURE_ROWS], out=buf[: min(_FEATURE_ROWS, n - lo)])
+        blk[:, :vis].sum(axis=1, out=sq_v[lo : lo + blk.shape[0]])
+        blk[:, vis:].sum(axis=1, out=sq_a[lo : lo + blk.shape[0]])
+    sum_v, sum_a = np.cumsum(sq_v)[-1], np.cumsum(sq_a)[-1]
+    if sum_a == 0.0:  # also no action entries
         return 1.0
-    sq_v = np.cumsum((z_v**2).sum(axis=1))[-1]
-    sq_a = np.cumsum((z_a**2).sum(axis=1))[-1]
-    if sq_a == 0.0:  # also no action entries
-        return 1.0
-    rms_v = np.sqrt(sq_v / z_v.size)
-    rms_a = np.sqrt(sq_a / z_a.size)
+    rms_v, rms_a = np.sqrt(sum_v / (n * vis)), np.sqrt(sum_a / (raw.size - n * vis))
     return float(rms_v / rms_a) if rms_a > 0 else 1.0
 
 
 def compute_features(ds: Dataset, chunks: list[Chunk], cfg: DedupConfig) -> tuple[np.ndarray, float]:
-    """The (n, d) matrix of ``embed_chunk`` features in chunk order, and λ,
-    from one vectorized pass."""
-    z_v, z_a = _chunk_blocks(ds, chunks)
-    lam = float(cfg.action_weight) if cfg.action_weight is not None else _balanced_weight(z_v, z_a)
-    raw = np.concatenate([z_v, z_a * lam], axis=1)
+    """The (n, d) matrix of ``embed_chunk`` features in chunk order, and λ.
+
+    Each trajectory's chunk frames are gathered once and their mean, diff
+    and action blocks written straight into the result's rows, which are
+    then scaled and normalized in place.
+    """
+    if not chunks:
+        return np.empty((0, 0)), 1.0 if cfg.action_weight is None else float(cfg.action_weight)
+    by_traj: dict[str, list[int]] = {}
+    for i, chunk in enumerate(chunks):
+        by_traj.setdefault(chunk.traj_id, []).append(i)
+    n_sub, dim = len(chunks[0].sub_indices), ds.obs_dim
+    vis = n_sub * dim
+    raw = np.empty((len(chunks), vis + n_sub * ds.action_dim))
+    for traj_id, pos in by_traj.items():
+        traj = ds.get(traj_id)
+        idx = np.stack([chunks[i].start + chunks[i].sub_indices for i in pos])
+        obs = traj.obs[idx].astype(np.float64)
+        raw[pos, :dim] = obs.mean(axis=1)
+        raw[pos, dim:vis] = np.diff(obs, axis=1).reshape(len(pos), -1)
+        raw[pos, vis:] = traj.actions[idx].reshape(len(pos), -1)
+    lam = float(cfg.action_weight) if cfg.action_weight is not None else _balanced_weight(raw, vis)
+    raw[:, vis:] *= lam
     # one dot product per row, as embed_chunk's norm takes it
     norms = np.sqrt((raw[:, None, :] @ raw[:, :, None]).ravel())
-    raw[norms > 0] /= norms[norms > 0, None]
+    np.divide(raw, norms[:, None], out=raw, where=norms[:, None] > 0)
     return raw, lam
 
 
@@ -175,6 +175,8 @@ _ASSIGN_BLOCK_ELEMS = 1 << 18
 # Most entries of (x − c)² filled at a time by _inertia (one leaf of numpy's
 # pairwise summation tree) and by _keep_one_drops: small enough to stay in cache.
 _INERTIA_LEAF = 1 << 14
+# Rows per block of _balanced_weight's sums of squares.
+_FEATURE_ROWS = 256
 
 
 def _rtol(d: int) -> float:
@@ -192,23 +194,23 @@ def _rank(
     centroids: np.ndarray,
     c_sq: np.ndarray,
     cands: np.ndarray,
+    work: tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For each of ``features[rows]`` (every row if None): the candidate
     centroid with the smallest estimate ‖x‖² − 2·x·cᵀ + ‖c‖², that estimate
-    and the next smallest one. Row blocks go through one reused buffer; the
-    estimate has the bits of ``x_sq[:, None] − 2.0 * (x @ c.T) + c_sq``."""
+    and the next smallest one, a row block at a time through kmeans' reused
+    ``work`` buffers (block rows, estimates); the estimate has the bits of
+    ``x_sq[:, None] − 2.0 * (x @ c.T) + c_sq``."""
+    buf, est = work
     count = features.shape[0] if rows is None else rows.size
     c, c_sq = centroids[cands], c_sq[cands]
-    # a gathered block of rows counts against the budget too
-    width = cands.size if rows is None else max(cands.size, features.shape[1])
-    step = max(1, _ASSIGN_BLOCK_ELEMS // width)
-    buf = np.empty(min(count, step) * cands.size)
+    step = buf.shape[0]
     ids, first, second = np.empty(count, dtype=np.int64), np.empty(count), np.empty(count)
     for lo in range(0, count, step):
         part = slice(lo, lo + step)
         idx = part if rows is None else rows[part]
-        x = features[idx]
-        d2 = buf[: x.shape[0] * cands.size].reshape(x.shape[0], cands.size)
+        x = features[part] if rows is None else np.take(features, idx, axis=0, out=buf[: idx.size], mode="clip")
+        d2 = est[: x.shape[0] * cands.size].reshape(x.shape[0], cands.size)
         np.matmul(x, c.T, out=d2)
         d2 *= -2.0
         d2 += x_sq[idx][:, None]
@@ -238,9 +240,10 @@ def _assign(
     features: np.ndarray,
     centroids: np.ndarray,
     x_sq: np.ndarray,
-    prev: np.ndarray | None = None,
-    moved: np.ndarray | None = None,
-    prev_d2: np.ndarray | None = None,
+    prev: np.ndarray | None,
+    moved: np.ndarray | None,
+    prev_d2: np.ndarray | None,
+    work: tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nearest centroid per row, bit for bit the first-index argmin of the
     broadcast ``((x − c)**2).sum()`` over all k centroids, and each row's d²
@@ -256,7 +259,8 @@ def _assign(
     than gathering the rows of moved clusters. Candidates are ranked by
     ‖x‖² − 2·x·cᵀ + ‖c‖² (see ``_rank``), and rows whose two best estimates
     are near-tied are recomputed by the broadcast over the same candidates.
-    ``x_sq`` is ``(features**2).sum(axis=1)``, computed once by the caller.
+    ``x_sq`` is ``(features**2).sum(axis=1)``, computed once by the caller,
+    and ``work`` its reused buffers (see ``_rank``).
     """
     n, d = features.shape
     k = centroids.shape[0]
@@ -268,7 +272,7 @@ def _assign(
         return prev.copy(), prev_d2.copy()
     else:
         cols, rest, stay = np.flatnonzero(moved), np.flatnonzero(~moved), ~moved[prev]
-    ids, first, second = _rank(features, x_sq, None, centroids, c_sq, cols)
+    ids, first, second = _rank(features, x_sq, None, centroids, c_sq, cols, work)
     if rest.size:
         # a staying row's own centroid, at its d² from the last assignment
         own = (prev, np.where(stay, prev_d2, np.inf), np.inf)
@@ -276,7 +280,7 @@ def _assign(
         # rows of moved clusters: the unmoved centroids too
         full = np.flatnonzero(~stay)
         if full.size:
-            more = _rank(features, x_sq, full, centroids, c_sq, rest)
+            more = _rank(features, x_sq, full, centroids, c_sq, rest, work)
             ids[full], first[full], second[full] = _merge_two((ids[full], first[full], second[full]), more)
     # written as "not above" so NaN gaps take the exact path too
     for i in np.flatnonzero(~(second - first > _rtol(d) * (x_sq + c_sq.max()))):
@@ -366,11 +370,16 @@ def kmeans(features: np.ndarray, k: int, seed: int = 0, max_iters: int = 100) ->
 
     d = features.shape[1]
     rng = np.random.default_rng(seed)
-    x_sq = (features**2).sum(axis=1)
+    # one block of rows and its estimates against every centroid, reused throughout
+    step = min(n, max(1, _ASSIGN_BLOCK_ELEMS // max(k, d)))
+    buf = np.empty((step, d))
+    work = (buf, np.empty(step * k))
+    x_sq = np.empty(n)  # (features**2).sum(axis=1), a block of rows at a time
+    for lo in range(0, n, step):
+        np.square(features[lo : lo + step], out=buf[: min(step, n - lo)]).sum(axis=1, out=x_sq[lo : lo + step])
     rtol = _rtol(d)
     centroids = np.empty((k, d))
     centroids[0] = features[int(rng.integers(n))]
-    buf = np.empty((min(n, max(1, _ASSIGN_BLOCK_ELEMS // max(d, 1))), d))
     d2 = _row_d2(features, np.arange(n), centroids[0], buf)
     for c in range(1, k):
         total = d2.sum()
@@ -393,7 +402,7 @@ def kmeans(features: np.ndarray, k: int, seed: int = 0, max_iters: int = 100) ->
     converged = False
     reseeds = 0
     for _ in range(max_iters):
-        new_assignment, nearest_d2 = _assign(features, centroids, x_sq, assignment, moved, nearest_d2)
+        new_assignment, nearest_d2 = _assign(features, centroids, x_sq, assignment, moved, nearest_d2, work)
         history.append(_inertia(features, centroids, new_assignment))
         changed = new_assignment != assignment
         if not changed.any():
@@ -412,13 +421,16 @@ def kmeans(features: np.ndarray, k: int, seed: int = 0, max_iters: int = 100) ->
         empty = np.flatnonzero(counts == 0)
         if empty.size:
             # re-seed emptied clusters with the globally farthest points
-            dists = ((features - centroids[assignment]) ** 2).sum(axis=1)
+            dists = np.empty(n)  # ((features − centroids[assignment])**2).sum(axis=1)
+            for lo in range(0, n, step):
+                blk = _sq_diff(features, centroids, assignment, slice(lo, lo + step), buf.ravel())
+                blk.sum(axis=1, out=dists[lo : lo + step])
             centroids[empty] = features[np.argsort(-dists, kind="stable")[: empty.size]]
             reseeds += int(empty.size)
         moved = (centroids.view(np.int64) != before.view(np.int64)).any(axis=1)
     if not converged:
         # hit the iteration cap mid-update: re-anchor to the final centroids
-        assignment, _ = _assign(features, centroids, x_sq, assignment, moved, nearest_d2)
+        assignment, _ = _assign(features, centroids, x_sq, assignment, moved, nearest_d2, work)
         history.append(_inertia(features, centroids, assignment))
     return ClusterModel(
         k=k,

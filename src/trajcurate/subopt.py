@@ -150,8 +150,9 @@ def score_trajectory(
     w = seconds_to_frames(cfg.window_seconds, traj.fps)
     starts = np.arange(0, n - w + 1, cfg.stride_frames) if n >= w else np.empty(0, dtype=int)
     if starts.size:
-        obs = traj.obs.astype(np.float64)
-        deltas = obs[starts + w - 1] - obs[starts]
+        # dtype=float64 widens both frames before subtracting, as astype would
+        step = cfg.stride_frames
+        deltas = np.subtract(traj.obs[w - 1 :: step], traj.obs[: n - w + 1 : step], dtype=np.float64)
         t_p = progress_from_deltas(model, bins, deltas, cfg.progress_mode)
         ws = cfg.window_seconds - t_p
     else:
@@ -167,19 +168,23 @@ def score_trajectory(
 def score_dataset(
     ds: Dataset, model: nn.MlpClassifier, bins: TemporalBins, cfg: SuboptConfig
 ) -> tuple[list[ScoreSeries], CurationMask]:
-    """Score every trajectory in order."""
+    """Score every trajectory in order. Each per-frame array of the series and
+    masks is a view into one dataset-wide array, filled a trajectory at a time."""
+    bounds = np.cumsum([0, *(t.num_frames for t in ds.trajectories)]).tolist()
+    sample, discounted, final = (np.empty(bounds[-1]) for _ in range(3))
+    keep = np.empty(bounds[-1], dtype=bool)
+    reason = np.zeros(bounds[-1], dtype=np.uint8)
+    dup_similarity = np.full(bounds[-1], -1.0)
     series_list = []
     masks = {}
-    for traj in ds.trajectories:
+    for traj, lo, hi in zip(ds.trajectories, bounds, bounds[1:]):
         series, drop = score_trajectory(traj, model, bins, cfg)
-        series_list.append(series)
-        masks[traj.id] = TrajectoryMask(
-            traj_id=traj.id,
-            keep=~drop,
-            reason=drop * SUBOPTIMAL,
-            subopt_score=series.final,
-            dup_similarity=np.full(traj.num_frames, -1.0),
-        )
+        part = slice(lo, hi)
+        sample[part], discounted[part], final[part] = series.sample_scores, series.discounted, series.final
+        np.logical_not(drop, out=keep[part])
+        reason[part][drop] = SUBOPTIMAL
+        series_list.append(ScoreSeries(traj.id, series.window_scores, sample[part], discounted[part], final[part]))
+        masks[traj.id] = TrajectoryMask(traj.id, keep[part], reason[part], final[part], dup_similarity[part])
     return series_list, CurationMask(masks=masks)
 
 

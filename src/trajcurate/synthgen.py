@@ -492,10 +492,11 @@ def separation_self_check(ds: Dataset, gt: GroundTruth, action_weight: float | N
     planted_min, others_max, far_max = np.inf, -np.inf, -np.inf
     any_planted = any_far = False
     rows = max(1, _CHECK_BLOCK_ELEMS // n)
+    sims_buf, gap_buf = np.empty((2, min(rows, n) * n))  # reused: fresh blocks cost page faults
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         diag = (np.arange(hi - lo), np.arange(lo, hi))
-        sims = features[lo:hi] @ features.T
+        sims = np.matmul(features[lo:hi], features.T, out=sims_buf[: (hi - lo) * n].reshape(hi - lo, n))
         sims[diag] = -np.inf
         same_group = (ids[lo:hi, None] == ids[None, :]) & (ids[lo:hi, None] > 0)
         same_group[diag] = False
@@ -504,7 +505,8 @@ def separation_self_check(ds: Dataset, gt: GroundTruth, action_weight: float | N
             planted_min = np.minimum(planted_min, sims[same_group].min())
         sims[same_group] = -np.inf  # what is left are the non-planted pairs
         others_max = np.maximum(others_max, sims.max())
-        far_phase = np.abs(phases[lo:hi, None] - phases[None, :]) > 0.3
+        gap = np.subtract(phases[lo:hi, None], phases[None, :], out=gap_buf[: sims.size].reshape(sims.shape))
+        far_phase = np.abs(gap, out=gap) > 0.3
         if far_phase.any():
             any_far = True
             far_max = np.maximum(far_max, sims[far_phase].max())

@@ -227,8 +227,17 @@ def load_dataset(root_path: str | os.PathLike) -> Dataset:
     manifest_path = root / "manifest.json"
     if not manifest_path.is_file():
         raise MissingManifest(str(root))
+    seen: dict[str, str] = {}
+
+    def share_labels(entry: dict) -> dict:
+        # one string per distinct label, shared as each entry is parsed
+        labels = entry.get("labels")
+        if isinstance(labels, list) and set(map(type, labels)) <= {str}:
+            entry["labels"] = list(map(seen.setdefault, labels, labels))
+        return entry
+
     try:
-        manifest = json.loads(manifest_path.read_text())
+        manifest = json.loads(manifest_path.read_text(), object_hook=share_labels)
     except (json.JSONDecodeError, OSError) as exc:
         raise InvalidManifest(f"unreadable manifest: {exc}") from exc
     for key in ("format_version", "obs_dim", "action_dim", "trajectories"):

@@ -281,6 +281,9 @@ class _Literal(str):
     ("curate", "subopt", "window_seconds", 1e308),
     ("curate", "dedup", "chunk_seconds", 1e308),
     ("train-progress", "train", "dt_cap", 1e308),
+    ("score-subopt", "train", "dt_cap", 1e308),
+    ("curate", "train", "dt_cap", 1e308),
+    ("calibrate", "train", "dt_cap", 1e308),
     ("gen", "synth", "fps", 1e308),
     ("curate", "subopt", "epsilon_s", math.nan),
     ("curate", "dedup", "epsilon_d", math.nan),
@@ -298,7 +301,7 @@ def test_bad_config_value_is_config_error(pipeline, tmp_path, capsys, command, s
     argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
     if command != "gen":
         argv += ["--data", str(pipeline["data"])]
-    if command == "curate":
+    if command in ("score-subopt", "curate", "calibrate"):
         argv += ["--model", str(pipeline["model"])]
     capsys.readouterr()
     assert main(argv) == 1
@@ -488,6 +491,10 @@ _MANIFEST_MUTATIONS = {
     "labels_number": lambda m: m["trajectories"][0].update(labels=5),
     "labels_of_numbers": lambda m: m["trajectories"][0].update(
         labels=[0] * m["trajectories"][0]["num_frames"]),
+    "labels_unhashable": lambda m: m["trajectories"][0].update(
+        labels=[["clean"]] * m["trajectories"][0]["num_frames"]),
+    "labels_mixed": lambda m: m["trajectories"][0].update(
+        labels=["clean", 1.5, True] + ["clean"] * (m["trajectories"][0]["num_frames"] - 3)),
 }
 
 

@@ -272,6 +272,68 @@ def test_compute_features_matches_embed_chunk():
     np.testing.assert_array_equal(compute_features(ds, chunks, cfg)[0][1], 0.0)
 
 
+def test_compute_features_matches_embed_chunk_in_any_block_and_order():
+    rng = np.random.default_rng(17)
+    ds = make_dataset(rng, num_traj=3, n=80, fps=10.0)          # W = 20
+    ds.trajectories.append(make_trajectory(rng, "t003", n=95, fps=15.0))  # W = 30
+    cfg = DedupConfig()
+    chunks = chunk_dataset(ds, cfg)
+    for chosen in (chunks, [chunks[i] for i in rng.permutation(len(chunks))]):
+        for block_rows in (1, 3, dedup._FEATURE_ROWS):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(dedup, "_FEATURE_ROWS", block_rows)
+                feats, lam = compute_features(ds, chosen, cfg)
+            want = np.stack([
+                embed_chunk(
+                    ds.get(c.traj_id).obs[c.start + c.sub_indices],
+                    ds.get(c.traj_id).actions[c.start + c.sub_indices],
+                    lam,
+                )
+                for c in chosen
+            ])
+            assert feats.tobytes() == want.tobytes()
+            # the row block does not change λ's bits
+            assert lam == compute_features(ds, chosen, cfg)[1]
+
+
+def _traced_peak(fn):
+    """(result, bytes still allocated, peak bytes) of one call under tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, current, peak
+
+
+def test_compute_features_memory_is_its_output_plus_a_block():
+    """No (chunks, N, D) gathers and no second (n, d) array: the traced peak
+    stays within the features plus the sums' row block and one trajectory's
+    frames."""
+    ds = make_dataset(np.random.default_rng(18), num_traj=30, n=400, obs_dim=32, action_dim=4)
+    cfg = DedupConfig()
+    chunks = chunk_dataset(ds, cfg)
+    (feats, _), _, peak = _traced_peak(lambda: compute_features(ds, chunks, cfg))
+    block = dedup._FEATURE_ROWS * feats.shape[1] * 8
+    one_traj = 3 * (len(chunks) // len(ds)) * 8 * (32 + 4) * 8
+    assert len(chunks) == 600
+    assert peak < feats.nbytes + block + one_traj + (1 << 17)  # index lists, ufunc buffers
+
+
+def test_kmeans_memory_above_features_does_not_grow_with_n_times_d():
+    """Doubling n at fixed k and d adds only per-row vectors to k-means'
+    traced peak, far less than another (n, d) array such as the squares."""
+    rng = np.random.default_rng(19)
+    d, k = 128, 8
+    peaks = []
+    for n in (4000, 8000):
+        feats = random_unit_rows(rng, n, d)
+        _, _, peak = _traced_peak(lambda: kmeans(feats, k, seed=0, max_iters=4))
+        peaks.append(peak)
+    assert peaks[1] - peaks[0] < 0.25 * 4000 * d * 8
+
+
 # --- k-means --------------------------------------------------------------------------
 
 
@@ -412,7 +474,7 @@ def _spy_on_moved_centroid_assignments(monkeypatch):
     calls = []
     assign = dedup._assign
 
-    def spy(features, centroids, x_sq, prev=None, moved=None, prev_d2=None):
+    def spy(features, centroids, x_sq, prev, moved, prev_d2, work):
         if moved is None or not moved.any() or 2 * moved.sum() > len(moved):
             calls.append(None)
         else:
@@ -424,7 +486,7 @@ def _spy_on_moved_centroid_assignments(monkeypatch):
                 for i in np.flatnonzero(~moved[prev])
                 if (at_min[i] & moved).any() and (at_min[i] & ~moved).any()
             })
-        return assign(features, centroids, x_sq, prev, moved, prev_d2)
+        return assign(features, centroids, x_sq, prev, moved, prev_d2, work)
 
     monkeypatch.setattr(dedup, "_assign", spy)
     return calls

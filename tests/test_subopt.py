@@ -5,6 +5,8 @@ plain loops — no cumulative sums, no recurrences — so any vectorization bug
 in the implementation shows up as a mismatch.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +25,7 @@ from trajcurate.subopt import (
     subopt_mask,
     subopt_report,
 )
-from trajcurate.trajstore import REASONS, CurationMask, seconds_to_frames
+from trajcurate.trajstore import REASONS, SUBOPTIMAL, CurationMask, seconds_to_frames
 
 from conftest import make_dataset, make_trajectory
 
@@ -357,6 +359,55 @@ def test_score_dataset_threads_agree(tiny_model):
         assert a.final.tobytes() == b.final.tobytes()
     for tid in mask1.masks:
         np.testing.assert_array_equal(mask1[tid].keep, mask2[tid].keep)
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_score_dataset_views_match_score_trajectory(tiny_model, stride):
+    rng = np.random.default_rng(18)
+    ds = make_dataset(rng, num_traj=4, n=45, obs_dim=6)
+    ds.trajectories.insert(2, make_trajectory(rng, "short", n=12))  # shorter than a window
+    ds.trajectories.append(make_trajectory(rng, "slow", n=37, fps=7.0))
+    cfg = SuboptConfig(stride_frames=stride)
+    series, mask = score_dataset(ds, tiny_model, default_bins(), cfg)
+    assert [s.traj_id for s in series] == [t.id for t in ds.trajectories]
+    base = series[0].final.base
+    assert base is not None
+    for traj, s in zip(ds.trajectories, series):
+        want, drop = score_trajectory(traj, tiny_model, default_bins(), cfg)
+        for field in ("window_scores", "sample_scores", "discounted", "final"):
+            assert getattr(s, field).tobytes() == getattr(want, field).tobytes()
+        m = mask[traj.id]
+        assert m.keep.tobytes() == (~drop).tobytes()
+        assert m.reason.tobytes() == (drop * SUBOPTIMAL).astype(np.uint8).tobytes()
+        assert m.subopt_score.tobytes() == want.final.tobytes()
+        assert m.dup_similarity.tobytes() == np.full(traj.num_frames, -1.0).tobytes()
+        # one dataset-wide array per field
+        assert s.final.base is base and m.subopt_score.base is base
+    assert series[2].window_scores.size == 0 and not (~mask["short"].keep).any()
+
+
+def test_score_dataset_memory_is_its_outputs_plus_one_trajectory():
+    """The traced peak stays within what the result holds plus the peak of
+    scoring one trajectory alone: no stage keeps a trajectory's work, and
+    none gathers the whole dataset."""
+    rng = np.random.default_rng(19)
+    ds = make_dataset(rng, num_traj=20, n=1500, obs_dim=32)
+    model = init_mlp([32, 64, 64, 5], seed=3)
+    cfg = SuboptConfig()
+
+    def traced(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            return result, *tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+
+    _, _, one = traced(lambda: score_trajectory(ds.trajectories[0], model, default_bins(), cfg))
+    _, kept, peak = traced(lambda: score_dataset(ds, model, default_bins(), cfg))
+    assert kept > 20 * 1500 * (3 * 8 + 8 + 2)  # three score arrays, dup_similarity, keep, reason
+    # the previous trajectory's own score arrays live until the next call returns
+    assert peak < kept + one + 3 * 1500 * 8
 
 
 def test_score_dataset_mask_layout(tiny_model):

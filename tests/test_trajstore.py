@@ -80,6 +80,18 @@ def test_dataset_round_trip_bitwise(tmp_path):
         assert a.labels == b.labels
 
 
+def test_loaded_labels_share_one_string_per_value(tmp_path):
+    rng = np.random.default_rng(5)
+    ds = make_dataset(rng, num_traj=3, n=17)
+    for traj in ds.trajectories:
+        traj.labels = ["clean"] * 10 + ["pause"] * 7
+    save_dataset(ds, tmp_path / "data")
+    back = load_dataset(tmp_path / "data")
+    assert [t.labels for t in back.trajectories] == [t.labels for t in ds.trajectories]
+    assert all(type(label) is str for t in back.trajectories for label in t.labels)
+    assert len({id(label) for t in back.trajectories for label in t.labels}) == 2
+
+
 def test_dataset_save_is_deterministic(tmp_path):
     rng = np.random.default_rng(4)
     ds = make_dataset(rng, num_traj=2, n=9)
