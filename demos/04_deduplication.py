@@ -24,8 +24,9 @@ print(f"{len(chunks)} chunks -> k={model.k} clusters "
 order = np.argsort(scores)[::-1]
 print("\nhighest-similarity chunks:")
 for i in order[:5]:
-    c = chunks[i]
-    print(f"  {c.traj_id} frames [{c.start}, {c.start + c.span_frames})  "
+    # chunk i is frames [start, start + span) of trajectory number traj
+    tid, start, span = ds.trajectories[chunks.traj[i]].id, chunks.start[i], chunks.span[i]
+    print(f"  {tid} frames [{start}, {start + span})  "
           f"best same-cluster cosine {scores[i]:.5f}")
 print(f"similarity of a mid-pack chunk: {scores[order[len(order) // 2]]:.3f}")
 
@@ -37,9 +38,8 @@ print(f"planted-duplicate precision {metrics['precision']:.2f}, recall {metrics[
 
 # the blunter alternative drops *every* chunk over the threshold --
 # including the representatives, so whole duplicate groups vanish
-lens = {t.id: t.num_frames for t in ds.trajectories}
-keep_one, _ = duplicate_mask(chunks, scores, features, model, cfg.epsilon_d, lens)
-drop_all, _ = duplicate_mask(chunks, scores, features, model, cfg.epsilon_d, lens,
+keep_one, _ = duplicate_mask(ds, chunks, scores, features, model, cfg.epsilon_d)
+drop_all, _ = duplicate_mask(ds, chunks, scores, features, model, cfg.epsilon_d,
                              drop_all_over_threshold=True)
 print(f"\nchunks dropped: keep-one {int(keep_one.sum())}, drop-all {int(drop_all.sum())}")
 print(f"keep-one is a subset of drop-all: {bool(~(keep_one & ~drop_all).any())}")

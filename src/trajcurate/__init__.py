@@ -16,7 +16,7 @@ from .calibrate import (
     threshold_for_ratio,
 )
 from .dedup import (
-    Chunk,
+    Chunks,
     ClusterModel,
     DedupConfig,
     chunk_dataset,
@@ -77,7 +77,7 @@ __all__ = [
     "SuboptConfig", "ScoreSeries", "aggregate_sample_scores", "discount_scores",
     "mix_scores", "subopt_mask", "score_dataset",
     # dedup
-    "DedupConfig", "Chunk", "ClusterModel", "chunk_dataset", "embed_chunk",
+    "DedupConfig", "Chunks", "ClusterModel", "chunk_dataset", "embed_chunk",
     "kmeans", "similarity_scores", "duplicate_mask", "dedup_dataset",
     # calibration
     "RatioCurve", "ratio_curve", "dedup_ratio_curve", "threshold_for_ratio",

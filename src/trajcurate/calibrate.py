@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dedup import ClusterModel, Chunk, DedupConfig, _keep_one_drops, cluster_dataset
+from .dedup import Chunks, ClusterModel, DedupConfig, _keep_one_drops, cluster_dataset
 from .errors import EmptyScores, MaskShapeMismatch
 from .trajstore import DUPLICATE, SUBOPTIMAL, CurationMask, Dataset, TrajectoryMask
 
@@ -48,7 +48,7 @@ def dedup_ratio_curve(
     ds: Dataset,
     cfg: DedupConfig,
     thresholds: np.ndarray,
-    clustered: tuple[list[Chunk], np.ndarray, ClusterModel, np.ndarray] | None = None,
+    clustered: tuple[Chunks, np.ndarray, ClusterModel, np.ndarray] | None = None,
 ) -> RatioCurve:
     """Deletion ratio per threshold, from one replay of the keep-one rule.
 
@@ -65,8 +65,8 @@ def dedup_ratio_curve(
     if cfg.drop_all_over_threshold:
         drop = np.asarray(scores) > grid[:, None]
     else:
-        drop = _keep_one_drops(chunks, features, model, grid)
-    dropped = drop @ np.array([chunk.span_frames for chunk in chunks])
+        drop = _keep_one_drops(ds, chunks, features, model, grid)
+    dropped = drop @ chunks.span
     total = sum(t.num_frames for t in ds.trajectories)
     points = [(t, d / total if total else 0.0) for t, d in zip(grid.tolist(), dropped.tolist())]
     return RatioCurve(method="dedup", points=points)

@@ -25,12 +25,18 @@ UNCHUNKED_SENTINEL = -1.0
 CEMB_MAGIC = b"CEMB"
 
 
-@dataclass
-class Chunk:
-    traj_id: str
-    start: int
-    span_frames: int
-    sub_indices: np.ndarray  # N frame ordinals relative to start
+@dataclass(frozen=True)
+class Chunks:
+    """Chunks as parallel arrays: row ``j`` covers frames ``start[j]`` to
+    ``start[j] + span[j]`` of ``ds.trajectories[traj[j]]``. Rows are in
+    dataset order, then frame order."""
+
+    traj: np.ndarray    # (n,) int64 index into ds.trajectories
+    start: np.ndarray   # (n,) int64 first frame
+    span: np.ndarray    # (n,) int64 frames per chunk
+
+    def __len__(self) -> int:
+        return self.traj.shape[0]
 
 
 @dataclass
@@ -84,15 +90,26 @@ def subsample_indices(span_frames: int, n: int) -> np.ndarray:
     return np.floor(np.linspace(0, span_frames - 1, n)).astype(np.int64)
 
 
-def chunk_dataset(ds: Dataset, cfg: DedupConfig) -> list[Chunk]:
-    """Tile each trajectory into chunks; a short tail is left unchunked."""
-    chunks = []
-    for traj in ds.trajectories:
-        w = seconds_to_frames(cfg.chunk_seconds, traj.fps)
-        sub = subsample_indices(w, cfg.n_subsample)
-        for start in range(0, traj.num_frames - w + 1, w):
-            chunks.append(Chunk(traj.id, start, w, sub))
-    return chunks
+def chunk_dataset(ds: Dataset, cfg: DedupConfig) -> Chunks:
+    """Tile each trajectory into chunks back to back from frame 0; a short
+    tail is left unchunked."""
+    spans = np.array([seconds_to_frames(cfg.chunk_seconds, t.fps) for t in ds.trajectories], dtype=np.int64)
+    counts = np.array([t.num_frames for t in ds.trajectories], dtype=np.int64) // spans
+    traj = np.repeat(np.arange(spans.size), counts)
+    ordinal = np.arange(traj.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return Chunks(traj=traj, start=ordinal * spans[traj], span=spans[traj])
+
+
+def _per_frame(ds: Dataset, chunks: Chunks, values: np.ndarray, fill: float | bool) -> list[np.ndarray]:
+    """Per trajectory, in dataset order: each chunk's value over its frames,
+    ``fill`` on the unchunked tail."""
+    out, bounds = [], np.searchsorted(chunks.traj, np.arange(len(ds) + 1)).tolist()
+    for traj, lo, hi in zip(ds.trajectories, bounds, bounds[1:]):
+        frames = np.full(traj.num_frames, fill, dtype=values.dtype)
+        if hi > lo:  # the chunks tile the trajectory from frame 0
+            frames[: (hi - lo) * chunks.span[lo]].reshape(hi - lo, -1)[:] = values[lo:hi, None]
+        out.append(frames)
+    return out
 
 
 def embed_chunk(obs: np.ndarray, actions: np.ndarray, action_weight: float) -> np.ndarray:
@@ -133,7 +150,7 @@ def _balanced_weight(raw: np.ndarray, vis: int) -> float:
     return float(rms_v / rms_a) if rms_a > 0 else 1.0
 
 
-def compute_features(ds: Dataset, chunks: list[Chunk], cfg: DedupConfig) -> tuple[np.ndarray, float]:
+def compute_features(ds: Dataset, chunks: Chunks, cfg: DedupConfig) -> tuple[np.ndarray, float]:
     """The (n, d) matrix of ``embed_chunk`` features in chunk order, and λ.
 
     Each trajectory's chunk frames are gathered once and their mean, diff
@@ -142,19 +159,18 @@ def compute_features(ds: Dataset, chunks: list[Chunk], cfg: DedupConfig) -> tupl
     """
     if not chunks:
         return np.empty((0, 0)), 1.0 if cfg.action_weight is None else float(cfg.action_weight)
-    by_traj: dict[str, list[int]] = {}
-    for i, chunk in enumerate(chunks):
-        by_traj.setdefault(chunk.traj_id, []).append(i)
-    n_sub, dim = len(chunks[0].sub_indices), ds.obs_dim
+    n_sub, dim = cfg.n_subsample, ds.obs_dim
     vis = n_sub * dim
     raw = np.empty((len(chunks), vis + n_sub * ds.action_dim))
-    for traj_id, pos in by_traj.items():
-        traj = ds.get(traj_id)
-        idx = np.stack([chunks[i].start + chunks[i].sub_indices for i in pos])
+    bounds = np.searchsorted(chunks.traj, np.arange(len(ds) + 1)).tolist()
+    for traj, lo, hi in zip(ds.trajectories, bounds, bounds[1:]):
+        if lo == hi:
+            continue
+        idx = chunks.start[lo:hi, None] + subsample_indices(int(chunks.span[lo]), n_sub)
         obs = traj.obs[idx].astype(np.float64)
-        raw[pos, :dim] = obs.mean(axis=1)
-        raw[pos, dim:vis] = np.diff(obs, axis=1).reshape(len(pos), -1)
-        raw[pos, vis:] = traj.actions[idx].reshape(len(pos), -1)
+        raw[lo:hi, :dim] = obs.mean(axis=1)
+        raw[lo:hi, dim:vis] = np.diff(obs, axis=1).reshape(hi - lo, -1)
+        raw[lo:hi, vis:] = traj.actions[idx].reshape(hi - lo, -1)
     lam = float(cfg.action_weight) if cfg.action_weight is not None else _balanced_weight(raw, vis)
     raw[:, vis:] *= lam
     # one dot product per row, as embed_chunk's norm takes it
@@ -467,7 +483,7 @@ def similarity_scores(model: ClusterModel, features: np.ndarray) -> np.ndarray:
 
 
 def _keep_one_drops(
-    chunks: list[Chunk], features: np.ndarray, model: ClusterModel, thresholds: np.ndarray
+    ds: Dataset, chunks: Chunks, features: np.ndarray, model: ClusterModel, thresholds: np.ndarray
 ) -> np.ndarray:
     """(thresholds, chunks) drop flags of the greedy keep-one rule, replayed
     for every threshold together and through many clusters at once.
@@ -498,11 +514,11 @@ def _keep_one_drops(
         _sq_diff(features, model.centroids, model.assignment, blk, buf).sum(axis=1, out=dists[blk])
         x = features[blk]
         np.sqrt(np.square(x, out=buf[: x.size].reshape(x.shape)).sum(axis=1), out=norms[blk])
-    rank = {tid: r for r, tid in enumerate(sorted({chunk.traj_id for chunk in chunks}))}
-    id_rank = np.array([rank[chunk.traj_id] for chunk in chunks], dtype=np.int64)
-    starts = np.array([chunk.start for chunk in chunks], dtype=np.int64)
+    # each trajectory's position in id order
+    id_rank = np.empty(len(ds.trajectories), dtype=np.int64)
+    id_rank[sorted(range(id_rank.size), key=lambda i: ds.trajectories[i].id)] = np.arange(id_rank.size)
     # every cluster's members in visiting order, one cluster after another
-    order = np.lexsort((starts, id_rank, -dists, model.assignment))
+    order = np.lexsort((chunks.start, id_rank[chunks.traj], -dists, model.assignment))
     sizes = np.bincount(model.assignment, minlength=model.k)
     first = np.cumsum(sizes) - sizes
     norm_max = np.zeros(model.k)
@@ -555,15 +571,16 @@ def _keep_one_drops(
 
 
 def duplicate_mask(
-    chunks: list[Chunk],
+    ds: Dataset,
+    chunks: Chunks,
     scores: np.ndarray,
     features: np.ndarray,
     model: ClusterModel,
     epsilon_d: float,
-    traj_lens: dict[str, int],
     drop_all_over_threshold: bool = False,
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Per-chunk and per-frame drop flags.
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Per-chunk drop flags, and per-frame ones for each trajectory in
+    dataset order.
 
     Within each cluster, chunks are visited in descending distance from the
     centroid (ties broken by (traj_id, start)); a chunk is dropped iff its
@@ -575,18 +592,13 @@ def duplicate_mask(
     if drop_all_over_threshold:
         chunk_drop = np.asarray(scores) > epsilon_d
     else:
-        chunk_drop = _keep_one_drops(chunks, features, model, np.array([epsilon_d]))[0]
-
-    frame_drop = {tid: np.zeros(length, dtype=bool) for tid, length in traj_lens.items()}
-    for chunk, dropped in zip(chunks, chunk_drop):
-        if dropped:
-            frame_drop[chunk.traj_id][chunk.start : chunk.start + chunk.span_frames] = True
-    return chunk_drop, frame_drop
+        chunk_drop = _keep_one_drops(ds, chunks, features, model, np.array([epsilon_d]))[0]
+    return chunk_drop, _per_frame(ds, chunks, chunk_drop, False)
 
 
 def cluster_dataset(
     ds: Dataset, cfg: DedupConfig, precomputed: np.ndarray | None = None
-) -> tuple[list[Chunk], np.ndarray, ClusterModel, np.ndarray]:
+) -> tuple[Chunks, np.ndarray, ClusterModel, np.ndarray]:
     """chunk → embed → cluster → score, without masking.
 
     Exposed separately so threshold sweeps can reuse one clustering.
@@ -615,34 +627,20 @@ def dedup_dataset(
 ) -> tuple[CurationMask, dict]:
     """Run the full dedup pipeline; returns masks and a JSON-ready report."""
     chunks, features, model, scores = cluster_dataset(ds, cfg, precomputed)
-    traj_lens = {t.id: t.num_frames for t in ds.trajectories}
     _, frame_drop = duplicate_mask(
-        chunks, scores, features, model, cfg.epsilon_d, traj_lens,
-        cfg.drop_all_over_threshold,
+        ds, chunks, scores, features, model, cfg.epsilon_d, cfg.drop_all_over_threshold,
     )
-
-    sim_per_frame = {
-        tid: np.full(length, UNCHUNKED_SENTINEL) for tid, length in traj_lens.items()
-    }
-    for chunk, score in zip(chunks, scores):
-        sim_per_frame[chunk.traj_id][chunk.start : chunk.start + chunk.span_frames] = score
-
-    masks = {}
-    for traj in ds.trajectories:
-        drop = frame_drop[traj.id]
-        masks[traj.id] = TrajectoryMask(
-            traj_id=traj.id,
-            keep=~drop,
-            reason=drop * DUPLICATE,
-            subopt_score=np.zeros(traj.num_frames),
-            dup_similarity=sim_per_frame[traj.id],
-        )
-    mask = CurationMask(masks=masks)
+    sims = _per_frame(ds, chunks, scores, UNCHUNKED_SENTINEL)
+    mask = CurationMask(masks={
+        traj.id: TrajectoryMask(traj.id, keep=~drop, reason=drop * DUPLICATE,
+                                subopt_score=np.zeros(traj.num_frames), dup_similarity=sim)
+        for traj, drop, sim in zip(ds.trajectories, frame_drop, sims)
+    })
     return mask, dedup_report(chunks, model, scores, mask)
 
 
 def dedup_report(
-    chunks: list[Chunk], model: ClusterModel, scores: np.ndarray, mask: CurationMask
+    chunks: Chunks, model: ClusterModel, scores: np.ndarray, mask: CurationMask
 ) -> dict:
     sizes = np.bincount(model.assignment, minlength=model.k) if model.k else np.empty(0, int)
     size_values, size_counts = np.unique(sizes, return_counts=True) if model.k else ((), ())

@@ -474,21 +474,19 @@ def separation_self_check(ds: Dataset, gt: GroundTruth, action_weight: float | N
             "distinct_phase_max_similarity": float("nan"),
         }
     features, lam = compute_features(ds, chunks, cfg)
-    gid_of = {}
-    for tid, gids in gt.chunk_groups.items():
-        for c, gid in enumerate(gids):
-            gid_of[(tid, c * gt.chunk_span)] = gid
-    ids = np.array([gid_of.get((c.traj_id, c.start), 0) for c in chunks])
-
-    phases = []
-    for c in chunks:
-        phi = gt.phi.get(c.traj_id)
-        mid = c.start + c.span_frames // 2
-        phases.append(phi[mid] if phi is not None else np.nan)
-    phases = np.array(phases)
+    # each chunk's planted group (0: none) and the phase at its middle frame
+    n = len(chunks)
+    ids, phases = np.zeros(n, dtype=np.int64), np.full(n, np.nan)
+    bounds = np.searchsorted(chunks.traj, np.arange(len(ds) + 1)).tolist()
+    for traj, lo, hi in zip(ds.trajectories, bounds, bounds[1:]):
+        slot, off = np.divmod(chunks.start[lo:hi], gt.chunk_span)
+        gids = np.array([*gt.chunk_groups.get(traj.id, []), 0], dtype=np.int64)  # 0: past the grid
+        ids[lo:hi] = np.where(off == 0, gids[np.minimum(slot, gids.size - 1)], 0)
+        phi = gt.phi.get(traj.id)
+        if phi is not None:
+            phases[lo:hi] = phi[chunks.start[lo:hi] + chunks.span[lo:hi] // 2]
 
     # np.minimum/np.maximum, unlike min()/max(), carry a NaN through
-    n = len(chunks)
     planted_min, others_max, far_max = np.inf, -np.inf, -np.inf
     any_planted = any_far = False
     rows = max(1, _CHECK_BLOCK_ELEMS // n)

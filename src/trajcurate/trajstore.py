@@ -20,6 +20,7 @@ import json
 import math
 import os
 import re
+import shutil
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -96,7 +97,6 @@ class Dataset:
     obs_dim: int
     action_dim: int
     meta: dict = field(default_factory=dict)
-    _positions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.trajectories)
@@ -104,15 +104,6 @@ class Dataset:
     @property
     def total_frames(self) -> int:
         return sum(len(t) for t in self.trajectories)
-
-    def get(self, traj_id: str) -> Trajectory:
-        """The first trajectory with this id, found through an id → position
-        index that is rebuilt when it misses or has gone stale."""
-        pos = self._positions.get(traj_id)
-        if pos is None or pos >= len(self.trajectories) or self.trajectories[pos].id != traj_id:
-            self._positions = {t.id: i for i, t in reversed(list(enumerate(self.trajectories)))}
-            pos = self._positions[traj_id]
-        return self.trajectories[pos]
 
     def validate(self) -> None:
         seen: set[str] = set()
@@ -396,28 +387,40 @@ def _json_list(index: np.ndarray, tokens=None) -> str:
 
 
 def write_masks(mask: CurationMask, out_dir: str | os.PathLike) -> None:
-    """Write one ``masks/<id>.json`` per trajectory under ``out_dir``.
+    """Write one ``masks/<id>.json`` per trajectory under ``out_dir``, and no other.
 
     The text is ``json.dumps(doc, sort_keys=True, allow_nan=False)`` of the fields
     as lists, built by ``_json_list``. A NaN or Inf score raises ``NonFiniteValue``
-    before any file is written: JSON has no token for either.
+    before any file is written: JSON has no token for either. The files go into a
+    sibling directory that then replaces ``masks/``, so a re-run leaves no mask of
+    an earlier run, and a failed write leaves the previous ``masks/`` as it was.
     """
     for traj_id, m in sorted(mask.masks.items()):
         finite = np.isfinite(m.subopt_score) & np.isfinite(m.dup_similarity)
         if not finite.all():
             raise NonFiniteValue(f"mask of trajectory '{traj_id}'", int(np.argmin(finite)))
-    masks_dir = Path(out_dir) / "masks"
+    out = Path(out_dir)
+    masks_dir, staging = out / "masks", out / f".masks-{os.getpid()}"
     try:
-        masks_dir.mkdir(parents=True, exist_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
+        shutil.rmtree(staging, ignore_errors=True)  # left by a killed run with the same pid
+        (staging / "new").mkdir(parents=True)
         for traj_id, m in sorted(mask.masks.items()):
-            (masks_dir / f"{traj_id}.json").write_text(
+            (staging / "new" / f"{traj_id}.json").write_text(
                 f'{{"dup_similarity": {_json_list(m.dup_similarity)}, "format_version": '
                 f'{FORMAT_VERSION}, "id": {json.dumps(traj_id)}, "keep": '
                 f'{_json_list(m.keep, ("0", "1"))}, "reason": {_json_list(m.reason, _REASON_TOKENS)}, '
                 f'"subopt_score": {_json_list(m.subopt_score)}}}\n'
             )
+        if masks_dir.exists():
+            masks_dir.rename(staging / "old")
+        (staging / "new").rename(masks_dir)
     except OSError as exc:
+        if (staging / "old").exists() and not masks_dir.exists():
+            (staging / "old").rename(masks_dir)
         raise IoFailure(str(exc)) from exc
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 def read_masks(masks_dir: str | os.PathLike) -> CurationMask:

@@ -17,7 +17,6 @@ import pytest
 from trajcurate.calibrate import dedup_ratio_curve, ratio_curve, threshold_for_ratio
 from trajcurate.cli import main
 from trajcurate.dedup import (
-    Chunk,
     DedupConfig,
     chunk_dataset,
     cluster_dataset,
@@ -244,7 +243,7 @@ def test_criterion_5_dedup_exactness_and_planted_duplicates(default_benchmark, d
     )
     cfg = DedupConfig()
     mask2, _ = dedup_dataset(doubled, cfg)
-    chunked = sum(ch.span_frames for ch in chunk_dataset(doubled, cfg))
+    chunked = int(chunk_dataset(doubled, cfg).span.sum())
     dropped = sum(len(m.keep) - sum(m.keep) for m in mask2.masks.values())
     ratio = dropped / chunked
     assert abs(ratio - 0.5) <= 0.02
@@ -287,6 +286,13 @@ def test_criterion_6_calibration_inversion(anomalous_scores, default_benchmark, 
 # --- criterion 7 ------------------------------------------------------------------
 
 
+def _one_chunk_each(traj_ids):
+    """A dataset of 20-frame trajectories at 10 fps: one 2-second chunk each."""
+    rng = np.random.default_rng(0)
+    trajs = [make_trajectory(rng, tid, n=20, fps=10.0) for tid in traj_ids]
+    return Dataset(trajectories=trajs, obs_dim=6, action_dim=3)
+
+
 def test_criterion_7_monotonicity_and_boundaries():
     """Drop-sets monotone in both thresholds; gamma=0 and w=0 are identity
     transforms; constant scores are mixing fixed points; exact threshold
@@ -304,15 +310,13 @@ def test_criterion_7_monotonicity_and_boundaries():
     feats /= np.linalg.norm(feats, axis=1, keepdims=True)
     cmodel = kmeans(feats, 4, seed=0)
     sims = similarity_scores(cmodel, feats)
-    chunks = [
-        Chunk(traj_id=f"t{i:02d}", start=0, span_frames=20, sub_indices=np.arange(8))
-        for i in range(40)
-    ]
-    lens = {f"t{i:02d}": 20 for i in range(40)}
+    # one 20-frame chunk on each of 40 trajectories
+    ds = _one_chunk_each([f"t{i:02d}" for i in range(40)])
+    chunks = chunk_dataset(ds, DedupConfig())
     prev_all = None
     for eps in np.linspace(-1.05, 1.05, 9):
-        drop_all, _ = duplicate_mask(chunks, sims, feats, cmodel, float(eps), lens, True)
-        drop_keep, _ = duplicate_mask(chunks, sims, feats, cmodel, float(eps), lens)
+        drop_all, _ = duplicate_mask(ds, chunks, sims, feats, cmodel, float(eps), True)
+        drop_keep, _ = duplicate_mask(ds, chunks, sims, feats, cmodel, float(eps))
         assert not (drop_keep & ~drop_all).any()
         if prev_all is not None:
             assert not (drop_all & ~prev_all).any()
@@ -334,13 +338,10 @@ def test_criterion_7_monotonicity_and_boundaries():
     twins = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     tmodel = kmeans(twins, 1, seed=0)
     tsims = similarity_scores(tmodel, twins)
-    tchunks = [
-        Chunk(traj_id=f"p{i}", start=0, span_frames=20, sub_indices=np.arange(8))
-        for i in range(3)
-    ]
-    tlens = {f"p{i}": 20 for i in range(3)}
+    tds = _one_chunk_each([f"p{i}" for i in range(3)])
+    tchunks = chunk_dataset(tds, DedupConfig())
     for mode in (False, True):
-        tie_drop, _ = duplicate_mask(tchunks, tsims, twins, tmodel, 1.0, tlens, mode)
+        tie_drop, _ = duplicate_mask(tds, tchunks, tsims, twins, tmodel, 1.0, mode)
         assert not tie_drop.any()
 
     # k-means inertia is non-increasing across the recorded history

@@ -436,6 +436,21 @@ def test_unwritable_out_is_data_error(pipeline, tmp_path, capsys, command):
     assert err.startswith("trajcurate: data error: ") and err.count("\n") == 1
 
 
+def test_curate_again_into_one_out_leaves_only_its_masks(pipeline, tmp_path):
+    """A 6-trajectory curate, then a 4-trajectory one into the same --out:
+    the masks and the report cover the second dataset only."""
+    out = tmp_path / "curated"
+    for num_traj in (6, 4):
+        cfg = tmp_path / f"config{num_traj}.json"
+        cfg.write_text(json.dumps({**PIPELINE_CONFIG, "synth": {**PIPELINE_CONFIG["synth"], "num_traj": num_traj}}))
+        data = tmp_path / f"data{num_traj}"
+        assert main(["gen", "--config", str(cfg), "--out", str(data)]) == 0
+        assert main(["curate", "--config", str(cfg), "--data", str(data),
+                     "--model", str(pipeline["model"]), "--out", str(out)]) == 0
+    assert len(list((out / "masks").glob("*.json"))) == 4
+    assert main(["report", "--masks", str(out), "--truth", str(data)]) == 0
+
+
 def test_manifest_id_leaving_out_is_data_error(pipeline, tmp_path, capsys):
     data, run = tmp_path / "data", tmp_path / "run"
     shutil.copytree(pipeline["data"], data)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from trajcurate import dedup
 from trajcurate.calibrate import dedup_ratio_curve
 from trajcurate.dedup import (
-    Chunk,
+    Chunks,
     ClusterModel,
     DedupConfig,
     chunk_dataset,
@@ -32,7 +32,7 @@ from trajcurate.errors import (
     KTooLarge,
     NonFiniteValue,
 )
-from trajcurate.trajstore import Dataset
+from trajcurate.trajstore import Dataset, seconds_to_frames
 
 from conftest import make_dataset, make_trajectory
 
@@ -54,17 +54,28 @@ def oracle_similarity(assignment, features):
     return out
 
 
-def oracle_keep_one(chunks, features, model, eps):
+def oracle_chunks(ds, cfg):
+    """(trajectory index, start, span) of every chunk: each trajectory tiled
+    from frame 0 by a per-trajectory range loop."""
+    out = []
+    for i, traj in enumerate(ds.trajectories):
+        w = seconds_to_frames(cfg.chunk_seconds, traj.fps)
+        out += [(i, start, w) for start in range(0, traj.num_frames - w + 1, w)]
+    return out
+
+
+def oracle_keep_one(ds, chunks, features, model, eps):
     """The per-threshold keep-one loop: each cluster visited by descending
     distance from its centroid, ties by (traj_id, start), a chunk dropped
     when its cosine to an already-kept chunk exceeds ``eps``."""
     drop = np.zeros(len(chunks), dtype=bool)
     dists = ((features - model.centroids[model.assignment]) ** 2).sum(axis=1)
+    key = [(ds.trajectories[chunks.traj[j]].id, chunks.start[j]) for j in range(len(chunks))]
     for c in range(model.k):
         members = np.flatnonzero(model.assignment == c)
         if members.size < 2:
             continue
-        order = sorted(members, key=lambda i: (-dists[i], chunks[i].traj_id, chunks[i].start))
+        order = sorted(members, key=lambda i: (-dists[i], *key[i]))
         kept = []
         for i in order:
             if kept and (features[i] @ features[kept].T > eps).any():
@@ -80,9 +91,10 @@ def oracle_ratio_curve(ds, chunks, thresholds, chunk_drop_at):
     points = []
     for t in sorted(float(t) for t in thresholds):
         frames = {traj.id: np.zeros(traj.num_frames, dtype=bool) for traj in ds.trajectories}
-        for chunk, dropped in zip(chunks, chunk_drop_at(t)):
+        for j, dropped in enumerate(chunk_drop_at(t)):
             if dropped:
-                frames[chunk.traj_id][chunk.start : chunk.start + chunk.span_frames] = True
+                start = chunks.start[j]
+                frames[ds.trajectories[chunks.traj[j]].id][start : start + chunks.span[j]] = True
         points.append((t, sum(int(f.sum()) for f in frames.values()) / ds.total_frames))
     return points
 
@@ -177,18 +189,41 @@ def test_chunk_dataset_tiling():
     rng = np.random.default_rng(0)
     ds = make_dataset(rng, num_traj=2, n=45, fps=10.0)  # W = 20
     chunks = chunk_dataset(ds, DedupConfig())
-    assert [(c.traj_id, c.start) for c in chunks] == [
-        ("t000", 0), ("t000", 20), ("t001", 0), ("t001", 20),
-    ]
-    assert all(c.span_frames == 20 for c in chunks)
     # 5-frame tails are left unchunked
-    assert all(c.start + c.span_frames <= 45 for c in chunks)
+    assert list(zip(chunks.traj.tolist(), chunks.start.tolist(), chunks.span.tolist())) == [
+        (0, 0, 20), (0, 20, 20), (1, 0, 20), (1, 20, 20),
+    ]
+    assert all(a.dtype == np.int64 for a in (chunks.traj, chunks.start, chunks.span))
 
 
 def test_chunk_dataset_short_trajectories_skipped():
     rng = np.random.default_rng(1)
     ds = make_dataset(rng, num_traj=1, n=12, fps=10.0)
-    assert chunk_dataset(ds, DedupConfig()) == []
+    chunks = chunk_dataset(ds, DedupConfig())
+    assert len(chunks) == 0
+
+
+@given(
+    trajs=st.lists(
+        st.tuples(st.integers(1, 90), st.sampled_from([5.0, 10.0, 15.0, 30.0, 50.0])),
+        max_size=6,
+    ),
+    chunk_seconds=st.sampled_from([0.1, 0.5, 1.0, 1.3, 2.0, 4.0]),
+)
+@settings(max_examples=60, deadline=None)
+def test_chunk_dataset_matches_oracle(trajs, chunk_seconds):
+    """Mixed fps, trajectories shorter than one chunk and any chunk length
+    tile as the per-trajectory range loop does."""
+    rng = np.random.default_rng(0)
+    ds = Dataset(
+        trajectories=[make_trajectory(rng, f"t{i}", n=n, fps=fps) for i, (n, fps) in enumerate(trajs)],
+        obs_dim=6,
+        action_dim=3,
+    )
+    cfg = DedupConfig(chunk_seconds=chunk_seconds)
+    chunks = chunk_dataset(ds, cfg)
+    got = list(zip(chunks.traj.tolist(), chunks.start.tolist(), chunks.span.tolist()))
+    assert got == oracle_chunks(ds, cfg)
 
 
 # --- features -----------------------------------------------------------------------
@@ -247,6 +282,21 @@ def test_compute_features_threads_agree():
     assert f1.tobytes() == f2.tobytes()
 
 
+def _rows(chunks, rows):
+    """The chunks at ``rows``, an ascending index, so still in dataset order."""
+    return Chunks(traj=chunks.traj[rows], start=chunks.start[rows], span=chunks.span[rows])
+
+
+def _embed_each(ds, chunks, cfg, lam):
+    """``embed_chunk`` of every chunk, one at a time."""
+    feats = []
+    for j in range(len(chunks)):
+        traj = ds.trajectories[chunks.traj[j]]
+        frames = chunks.start[j] + subsample_indices(chunks.span[j], cfg.n_subsample)
+        feats.append(embed_chunk(traj.obs[frames], traj.actions[frames], lam))
+    return np.stack(feats)
+
+
 def test_compute_features_matches_embed_chunk():
     rng = np.random.default_rng(16)
     ds = make_dataset(rng, num_traj=2, n=60, fps=10.0)          # W = 20
@@ -255,45 +305,33 @@ def test_compute_features_matches_embed_chunk():
     ds.trajectories[0].actions[20:40] = 0.0
     cfg = DedupConfig()
     chunks = chunk_dataset(ds, cfg)
-    subset = [chunks[i] for i in (7, 1, 4, 0, 6)]
+    subset = _rows(chunks, [0, 1, 4, 6, 7])
     for chosen in (chunks, subset):
         feats, lam = compute_features(ds, chosen, cfg)
         assert lam == compute_features(ds, chosen, cfg)[1]
-        want = np.stack([
-            embed_chunk(
-                ds.get(c.traj_id).obs[c.start + c.sub_indices],
-                ds.get(c.traj_id).actions[c.start + c.sub_indices],
-                lam,
-            )
-            for c in chosen
-        ])
-        np.testing.assert_array_equal(feats, want)
-    assert [c.span_frames for c in chunks] == [20, 20, 20, 20, 20, 20, 30, 30, 30]
+        np.testing.assert_array_equal(feats, _embed_each(ds, chosen, cfg, lam))
+    assert chunks.span.tolist() == [20, 20, 20, 20, 20, 20, 30, 30, 30]
     np.testing.assert_array_equal(compute_features(ds, chunks, cfg)[0][1], 0.0)
 
 
 def test_compute_features_matches_embed_chunk_in_any_block_and_order():
+    """Any row block, any order of the dataset's trajectories and any subset
+    of its chunks give ``embed_chunk``'s bits."""
     rng = np.random.default_rng(17)
     ds = make_dataset(rng, num_traj=3, n=80, fps=10.0)          # W = 20
     ds.trajectories.append(make_trajectory(rng, "t003", n=95, fps=15.0))  # W = 30
+    shuffled = Dataset(trajectories=[ds.trajectories[i] for i in rng.permutation(4)], obs_dim=6, action_dim=3)
     cfg = DedupConfig()
-    chunks = chunk_dataset(ds, cfg)
-    for chosen in (chunks, [chunks[i] for i in rng.permutation(len(chunks))]):
-        for block_rows in (1, 3, dedup._FEATURE_ROWS):
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(dedup, "_FEATURE_ROWS", block_rows)
-                feats, lam = compute_features(ds, chosen, cfg)
-            want = np.stack([
-                embed_chunk(
-                    ds.get(c.traj_id).obs[c.start + c.sub_indices],
-                    ds.get(c.traj_id).actions[c.start + c.sub_indices],
-                    lam,
-                )
-                for c in chosen
-            ])
-            assert feats.tobytes() == want.tobytes()
-            # the row block does not change λ's bits
-            assert lam == compute_features(ds, chosen, cfg)[1]
+    for data in (ds, shuffled):
+        chunks = chunk_dataset(data, cfg)
+        for chosen in (chunks, _rows(chunks, np.flatnonzero(rng.random(len(chunks)) < 0.5))):
+            for block_rows in (1, 3, dedup._FEATURE_ROWS):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(dedup, "_FEATURE_ROWS", block_rows)
+                    feats, lam = compute_features(data, chosen, cfg)
+                assert feats.tobytes() == _embed_each(data, chosen, cfg, lam).tobytes()
+                # the row block does not change λ's bits
+                assert lam == compute_features(data, chosen, cfg)[1]
 
 
 def _traced_peak(fn):
@@ -601,47 +639,59 @@ def test_similarity_oracle_property(seed, n, k, block_elems):
 # --- duplicate masking -------------------------------------------------------------------
 
 
+def _curve_dataset(traj_ids):
+    """A dataset with one 20-frame chunk per entry of ``traj_ids`` on that
+    trajectory, plus a 5-frame tail. Trajectories are listed in reverse id
+    order, so list order and id order differ once there are two."""
+    rng = np.random.default_rng(0)
+    names = sorted(set(traj_ids), reverse=True)
+    trajs = [make_trajectory(rng, tid, n=20 * traj_ids.count(tid) + 5, fps=10.0) for tid in names]
+    return Dataset(trajectories=trajs, obs_dim=6, action_dim=3)
+
+
 def _cluster_fixture(features, assignment, k, traj_ids=None):
-    """Chunks laid out back to back on one 20-frame grid per trajectory, all
-    on "t0" unless ``traj_ids`` names each chunk's trajectory."""
-    chunks, next_start = [], {}
-    for tid in traj_ids or ["t0"] * len(features):
-        start = next_start.get(tid, 0)
-        next_start[tid] = start + 20
-        chunks.append(Chunk(tid, start=start, span_frames=20, sub_indices=np.arange(8)))
+    """(dataset, chunks, features, model, scores) for one chunk per row of
+    ``features``, all on "t0" unless ``traj_ids`` names each row's
+    trajectory. The chunks come from ``chunk_dataset`` (2 s at 10 fps, so 20
+    frames), and rows are reordered with them: by trajectory in dataset
+    order, then in their given order."""
+    traj_ids = list(traj_ids or ["t0"] * len(features))
+    ds = _curve_dataset(traj_ids)
+    position = {t.id: i for i, t in enumerate(ds.trajectories)}
+    rows = sorted(range(len(traj_ids)), key=lambda i: position[traj_ids[i]])
+    features, assignment = features[rows], assignment[rows]
+    chunks = chunk_dataset(ds, DedupConfig())
+    assert len(chunks) == len(features)
     centroids = np.stack([
         features[assignment == c].mean(axis=0) if (assignment == c).any() else np.zeros(features.shape[1])
         for c in range(k)
     ])
     model = ClusterModel(k=k, centroids=centroids, assignment=assignment, inertia=0.0)
     scores = similarity_scores(model, features)
-    return chunks, model, scores
+    return ds, chunks, features, model, scores
 
 
 def test_keep_one_drops_all_but_one_twin():
     base = np.array([0.6, 0.8, 0.0])
     feats = np.stack([base, base, base, [0.0, 0.0, 1.0]])
     assignment = np.zeros(4, dtype=np.int64)
-    chunks, model, scores = _cluster_fixture(feats, assignment, k=1)
-    chunk_drop, frame_drop = duplicate_mask(
-        chunks, scores, feats, model, epsilon_d=0.99, traj_lens={"t0": 80}
-    )
+    ds, chunks, feats, model, scores = _cluster_fixture(feats, assignment, k=1)
+    chunk_drop, frame_drop = duplicate_mask(ds, chunks, scores, feats, model, epsilon_d=0.99)
     assert chunk_drop.sum() == 2
     # the orthogonal chunk is never dropped
     assert not chunk_drop[3]
-    # dropped chunks blank exactly their frame spans
-    expected = np.zeros(80, bool)
+    # dropped chunks blank exactly their frame spans; the 5-frame tail stays
+    expected = np.zeros(85, bool)
     for i in np.flatnonzero(chunk_drop):
         expected[20 * i : 20 * i + 20] = True
-    np.testing.assert_array_equal(frame_drop["t0"], expected)
+    assert len(frame_drop) == 1
+    np.testing.assert_array_equal(frame_drop[0], expected)
 
 
 def test_keep_one_strict_threshold():
     feats = np.eye(2)  # cosine exactly 0 between the two chunks
-    chunks, model, scores = _cluster_fixture(feats, np.zeros(2, dtype=np.int64), k=1)
-    chunk_drop, _ = duplicate_mask(
-        chunks, scores, feats, model, epsilon_d=0.0, traj_lens={"t0": 40}
-    )
+    ds, chunks, feats, model, scores = _cluster_fixture(feats, np.zeros(2, dtype=np.int64), k=1)
+    chunk_drop, _ = duplicate_mask(ds, chunks, scores, feats, model, epsilon_d=0.0)
     assert not chunk_drop.any()  # ties at the threshold survive
 
 
@@ -649,11 +699,9 @@ def test_drop_all_mode_is_score_threshold():
     rng = np.random.default_rng(9)
     feats = random_unit_rows(rng, 12, 4)
     assignment = rng.integers(0, 3, size=12)
-    chunks, model, scores = _cluster_fixture(feats, assignment, k=3)
+    ds, chunks, feats, model, scores = _cluster_fixture(feats, assignment, k=3)
     eps = float(np.median(scores[scores > -1.5]))
-    chunk_drop, _ = duplicate_mask(
-        chunks, scores, feats, model, eps, {"t0": 240}, drop_all_over_threshold=True
-    )
+    chunk_drop, _ = duplicate_mask(ds, chunks, scores, feats, model, eps, drop_all_over_threshold=True)
     np.testing.assert_array_equal(chunk_drop, scores > eps)
 
 
@@ -664,12 +712,9 @@ def test_keep_one_is_subset_of_drop_all(seed, n, eps):
     feats = random_unit_rows(rng, n, 3)
     k = max(1, n // 8)
     assignment = rng.integers(0, k, size=n)
-    chunks, model, scores = _cluster_fixture(feats, assignment, k=k)
-    lens = {"t0": 20 * n}
-    keep_one, _ = duplicate_mask(chunks, scores, feats, model, eps, lens)
-    drop_all, _ = duplicate_mask(
-        chunks, scores, feats, model, eps, lens, drop_all_over_threshold=True
-    )
+    ds, chunks, feats, model, scores = _cluster_fixture(feats, assignment, k=k)
+    keep_one, _ = duplicate_mask(ds, chunks, scores, feats, model, eps)
+    drop_all, _ = duplicate_mask(ds, chunks, scores, feats, model, eps, drop_all_over_threshold=True)
     # a chunk dropped by keep-one matched a kept neighbor above eps, so its
     # own best-in-cluster similarity exceeds eps too
     assert not (keep_one & ~drop_all).any()
@@ -686,32 +731,20 @@ def test_drop_all_monotone_in_threshold(seed, eps_a, eps_b):
     rng = np.random.default_rng(seed)
     feats = random_unit_rows(rng, 24, 3)
     assignment = rng.integers(0, 3, size=24)
-    chunks, model, scores = _cluster_fixture(feats, assignment, k=3)
-    lens = {"t0": 480}
-    drop_hi, _ = duplicate_mask(chunks, scores, feats, model, hi, lens, True)
-    drop_lo, _ = duplicate_mask(chunks, scores, feats, model, lo, lens, True)
+    ds, chunks, feats, model, scores = _cluster_fixture(feats, assignment, k=3)
+    drop_hi, _ = duplicate_mask(ds, chunks, scores, feats, model, hi, True)
+    drop_lo, _ = duplicate_mask(ds, chunks, scores, feats, model, lo, True)
     assert not (drop_hi & ~drop_lo).any()
 
 
-def _curve_dataset(rng, chunks):
-    """A dataset whose trajectories hold ``chunks`` plus a 5-frame tail."""
-    spans = {}
-    for chunk in chunks:
-        spans[chunk.traj_id] = max(spans.get(chunk.traj_id, 0), chunk.start + chunk.span_frames)
-    trajs = [make_trajectory(rng, tid, n=end + 5) for tid, end in sorted(spans.items())]
-    return Dataset(trajectories=trajs, obs_dim=6, action_dim=3)
-
-
-def _assert_matches_oracles(rng, chunks, scores, feats, model, thresholds):
-    ds = _curve_dataset(rng, chunks)
-    lens = {t.id: t.num_frames for t in ds.trajectories}
+def _assert_matches_oracles(ds, chunks, scores, feats, model, thresholds):
     for t in thresholds:
-        chunk_drop, _ = duplicate_mask(chunks, scores, feats, model, float(t), lens)
-        np.testing.assert_array_equal(chunk_drop, oracle_keep_one(chunks, feats, model, float(t)))
+        chunk_drop, _ = duplicate_mask(ds, chunks, scores, feats, model, float(t))
+        np.testing.assert_array_equal(chunk_drop, oracle_keep_one(ds, chunks, feats, model, float(t)))
     clustered = (chunks, feats, model, scores)
     curve = dedup_ratio_curve(ds, DedupConfig(), thresholds, clustered)
     assert curve.points == oracle_ratio_curve(
-        ds, chunks, thresholds, lambda t: oracle_keep_one(chunks, feats, model, t)
+        ds, chunks, thresholds, lambda t: oracle_keep_one(ds, chunks, feats, model, t)
     )
     curve = dedup_ratio_curve(ds, DedupConfig(drop_all_over_threshold=True), thresholds, clustered)
     assert curve.points == oracle_ratio_curve(ds, chunks, thresholds, lambda t: scores > t)
@@ -733,9 +766,10 @@ def test_keep_one_replay_matches_per_threshold_oracle(seed, n, copies, k, d, per
     # exact copies tie on centroid distance and match each other at cosine 1
     feats = np.concatenate([feats, feats[rng.integers(0, n, size=copies)]])
     assignment = rng.integers(0, k, size=len(feats))
-    # ids whose string order is not their list or numeric order
+    # ids whose string order is not their numeric order, on a dataset that
+    # lists them t2, t10, t1: not in id order either
     traj_ids = rng.choice(["t2", "t10", "t1"], size=len(feats)).tolist()
-    chunks, model, scores = _cluster_fixture(feats, assignment, k, traj_ids)
+    ds, chunks, feats, model, scores = _cluster_fixture(feats, assignment, k, traj_ids)
     # thresholds on Gram entries bit for bit, on the scores, and anywhere
     thresholds = np.concatenate([
         rng.choice((feats @ feats.T).ravel(), per_kind),
@@ -745,7 +779,7 @@ def test_keep_one_replay_matches_per_threshold_oracle(seed, n, copies, k, d, per
     # Gram blocks of one row, of a few rows, and of whole clusters
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dedup, "_ASSIGN_BLOCK_ELEMS", block_elems)
-        _assert_matches_oracles(rng, chunks, scores, feats, model, thresholds)
+        _assert_matches_oracles(ds, chunks, scores, feats, model, thresholds)
 
 
 @pytest.mark.parametrize("seed", [1, 5])
@@ -756,10 +790,10 @@ def test_keep_one_replay_exact_where_gemm_and_gemv_round_apart(seed):
     around them, a replay that trusted the Gram entries flips a decision."""
     rng = np.random.default_rng(seed)
     feats = random_unit_rows(rng, 2, 8)
-    chunks, model, scores = _cluster_fixture(feats, np.zeros(2, dtype=np.int64), k=1)
+    ds, chunks, feats, model, scores = _cluster_fixture(feats, np.zeros(2, dtype=np.int64), k=1)
     cosines = [(feats[0] @ feats[[1]].T)[0], (feats[1] @ feats[[0]].T)[0], *scores]
     thresholds = np.unique([c + ulps * np.spacing(c) for c in cosines for ulps in range(-4, 5)])
-    _assert_matches_oracles(rng, chunks, scores, feats, model, thresholds)
+    _assert_matches_oracles(ds, chunks, scores, feats, model, thresholds)
 
 
 def test_keep_one_replay_pinned_cluster_beyond_gram_budget():
@@ -771,12 +805,12 @@ def test_keep_one_replay_pinned_cluster_beyond_gram_budget():
     feats = base[rng.integers(0, 10, size=52)] + 1e-3 * rng.normal(size=(52, 6))
     feats /= np.linalg.norm(feats, axis=1, keepdims=True)
     assignment = np.concatenate([np.zeros(40, dtype=np.int64), rng.integers(1, 4, size=12)])
-    chunks, model, scores = _cluster_fixture(feats, assignment, 4)
+    ds, chunks, feats, model, scores = _cluster_fixture(feats, assignment, 4)
     thresholds = np.concatenate([np.quantile(scores, np.linspace(0, 1, 9)), [0.999, 0.9999]])
     for block_elems in (64, 40 * 3):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dedup, "_ASSIGN_BLOCK_ELEMS", block_elems)
-            _assert_matches_oracles(rng, chunks, scores, feats, model, thresholds)
+            _assert_matches_oracles(ds, chunks, scores, feats, model, thresholds)
 
 
 def test_keep_one_replay_pinned_mixed_sizes_in_one_group():
@@ -786,39 +820,66 @@ def test_keep_one_replay_pinned_mixed_sizes_in_one_group():
     assignment = rng.permutation(np.repeat(np.arange(4), [17, 9, 4, 2]))
     largest = np.flatnonzero(assignment == 0)
     feats[largest[1:5]] = feats[largest[0]]  # exact copies
-    chunks, model, scores = _cluster_fixture(feats, assignment, 4)
+    ds, chunks, feats, model, scores = _cluster_fixture(feats, assignment, 4)
     thresholds = np.concatenate([rng.choice(scores, 6), [-1.0, 0.0, 1.0]])
-    _assert_matches_oracles(rng, chunks, scores, feats, model, thresholds)
+    _assert_matches_oracles(ds, chunks, scores, feats, model, thresholds)
 
 
 def test_keep_one_replay_pinned_single_threshold():
     rng = np.random.default_rng(5)
     feats = random_unit_rows(rng, 30, 3)
     feats[10:15] = feats[0]
-    chunks, model, scores = _cluster_fixture(feats, rng.integers(0, 3, size=30), 3)
+    ds, chunks, feats, model, scores = _cluster_fixture(feats, rng.integers(0, 3, size=30), 3)
     for t in (float(np.median(scores)), 0.99, scores.max()):
-        _assert_matches_oracles(rng, chunks, scores, feats, model, np.array([t]))
+        _assert_matches_oracles(ds, chunks, scores, feats, model, np.array([t]))
 
 
 def test_keep_one_replay_pinned_ties_in_visiting_order():
-    """Exact copies on trajectories whose ids sort apart from their list
-    order: equal centroid distances, so (traj_id, start) decides the visit."""
+    """Exact copies on trajectories listed t2, t10, t1, so their ids sort
+    apart from the dataset's order: equal centroid distances, so
+    (traj_id, start) decides the visit."""
     rng = np.random.default_rng(6)
     base = random_unit_rows(rng, 3, 5)
     feats = base[[0, 1, 0, 2, 0, 1, 0, 2, 1, 0]]
     traj_ids = ["t10", "t2", "t1", "t10", "t2", "t1", "t10", "t2", "t1", "t2"]
-    chunks, model, scores = _cluster_fixture(feats, np.zeros(10, dtype=np.int64), 1, traj_ids)
+    ds, chunks, feats, model, scores = _cluster_fixture(feats, np.zeros(10, dtype=np.int64), 1, traj_ids)
     cosines = np.unique(feats @ feats.T)
     thresholds = np.unique(np.concatenate([cosines, np.nextafter(cosines, -2.0), [-1.0]]))
-    _assert_matches_oracles(rng, chunks, scores, feats, model, thresholds)
+    _assert_matches_oracles(ds, chunks, scores, feats, model, thresholds)
+
+
+def test_dedup_dataset_breaks_ties_by_id_not_list_order():
+    """Exact-copy chunks across trajectories listed t2, t10, t1: copies tie
+    on their centroid distance, so the copy on the trajectory first in id
+    order (t1, listed last) is the one kept, as ``oracle_keep_one`` says."""
+    rng = np.random.default_rng(21)
+    ds = Dataset(
+        trajectories=[make_trajectory(rng, tid, n=65, fps=10.0) for tid in ("t2", "t10", "t1")],
+        obs_dim=6,
+        action_dim=3,
+    )
+    t2, t10, t1 = ds.trajectories
+    for target, a, source, b in ((t2, 20, t1, 40), (t10, 0, t1, 40), (t10, 40, t1, 0)):
+        target.obs[a : a + 20] = source.obs[b : b + 20]
+        target.actions[a : a + 20] = source.actions[b : b + 20]
+    cfg = DedupConfig(k=1)
+    mask, _ = dedup_dataset(ds, cfg)
+    chunks, feats, model, _ = cluster_dataset(ds, cfg)
+    want = oracle_keep_one(ds, chunks, feats, model, cfg.epsilon_d)
+    dropped = {(ds.trajectories[chunks.traj[j]].id, int(chunks.start[j])) for j in np.flatnonzero(want)}
+    assert dropped == {("t2", 20), ("t10", 0), ("t10", 40)}
+    for j in range(len(chunks)):
+        frames = slice(chunks.start[j], chunks.start[j] + chunks.span[j])
+        assert (mask[ds.trajectories[chunks.traj[j]].id].keep[frames] == (not want[j])).all()
+    assert all(m.keep[60:].all() for m in mask.masks.values())  # the unchunked tails
 
 
 def test_keep_one_always_keeps_a_representative():
     rng = np.random.default_rng(10)
     feats = random_unit_rows(rng, 30, 4)
     assignment = rng.integers(0, 3, size=30)
-    chunks, model, scores = _cluster_fixture(feats, assignment, k=3)
-    chunk_drop, _ = duplicate_mask(chunks, scores, feats, model, -1.0, {"t0": 600})
+    ds, chunks, feats, model, scores = _cluster_fixture(feats, assignment, k=3)
+    chunk_drop, _ = duplicate_mask(ds, chunks, scores, feats, model, -1.0)
     # even at an impossible threshold every cluster keeps >= 1 chunk
     for c in range(3):
         members = assignment == c

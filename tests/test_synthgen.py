@@ -1,5 +1,6 @@
 """Synthetic benchmark generator and its ground-truth evaluation helpers."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -16,7 +17,7 @@ from trajcurate.synthgen import (
     generate,
     separation_self_check,
 )
-from trajcurate.trajstore import CurationMask, TrajectoryMask
+from trajcurate.trajstore import CurationMask, Dataset, Trajectory, TrajectoryMask
 
 
 SMALL = SynthConfig(
@@ -37,6 +38,10 @@ def small_benchmark():
 def kind_of(gt, tid):
     segs = gt.anomaly_segments[tid]
     return segs[0][2] if segs else "clean"
+
+
+def _traj(ds, tid):
+    return next(t for t in ds.trajectories if t.id == tid)
 
 
 def oracle_auroc(scores, labels):
@@ -188,7 +193,7 @@ def test_pause_freezes_phase_and_actions(small_benchmark):
         phi = gt.phi[tid]
         np.testing.assert_array_equal(phi[a:b], phi[a])
         # frozen φ means frozen position, so the planted actions are zero
-        actions = ds.get(tid).actions
+        actions = _traj(ds, tid).actions
         np.testing.assert_array_equal(actions[a : b - 1], 0.0)
 
 
@@ -257,13 +262,14 @@ def test_duplicate_content_copied(small_benchmark):
     w = gt.chunk_span
     for members in gt.groups().values():
         (tid_a, a), (tid_b, b) = members
-        obs_a = ds.get(tid_a).obs[a : a + w].astype(np.float64).ravel()
-        obs_b = ds.get(tid_b).obs[b : b + w].astype(np.float64).ravel()
+        traj_a, traj_b = _traj(ds, tid_a), _traj(ds, tid_b)
+        obs_a = traj_a.obs[a : a + w].astype(np.float64).ravel()
+        obs_b = traj_b.obs[b : b + w].astype(np.float64).ravel()
         cos = obs_a @ obs_b / (np.linalg.norm(obs_a) * np.linalg.norm(obs_b))
         assert cos > 0.999
         # actions are copied verbatim
         np.testing.assert_array_equal(
-            ds.get(tid_a).actions[a : a + w], ds.get(tid_b).actions[b : b + w]
+            traj_a.actions[a : a + w], traj_b.actions[b : b + w]
         )
         # and the target's ground-truth phase now mirrors the source's
         np.testing.assert_array_equal(
@@ -293,7 +299,8 @@ def _dense_separation_check(ds, gt):
     for tid, gids in gt.chunk_groups.items():
         for c, gid in enumerate(gids):
             gid_of[(tid, c * gt.chunk_span)] = gid
-    ids = np.array([gid_of.get((c.traj_id, c.start), 0) for c in chunks])
+    tids = [ds.trajectories[i].id for i in chunks.traj]
+    ids = np.array([gid_of.get((tid, start), 0) for tid, start in zip(tids, chunks.start.tolist())])
 
     sims = features @ features.T
     np.fill_diagonal(sims, -np.inf)
@@ -304,9 +311,9 @@ def _dense_separation_check(ds, gt):
     others_max = float(others.max())
 
     phases = []
-    for c in chunks:
-        phi = gt.phi.get(c.traj_id)
-        mid = c.start + c.span_frames // 2
+    for tid, start, span in zip(tids, chunks.start, chunks.span):
+        phi = gt.phi.get(tid)
+        mid = start + span // 2
         phases.append(phi[mid] if phi is not None else np.nan)
     phases = np.array(phases)
     far_phase = np.abs(phases[:, None] - phases[None, :]) > 0.3
@@ -333,6 +340,27 @@ def test_separation_self_check_blocks_match_dense(small_benchmark, monkeypatch, 
     assert got["num_chunks"] == want["num_chunks"]
     assert got["action_weight"] == want["action_weight"]
     # a row block's matrix product may round differently from the full one
+    for key in ("planted_min_similarity", "nonplanted_max_similarity",
+                "distinct_phase_max_similarity"):
+        assert got[key] == pytest.approx(want[key], rel=0, abs=1e-12)
+
+
+def test_separation_self_check_matches_dense_off_the_planted_grid(small_benchmark):
+    """A copy of a planted trajectory at 1.5× its fps has 1.5× longer chunks,
+    so only every other one starts on the planted grid: that one takes the
+    group planted there, the others none, as in the per-chunk lookup."""
+    ds, gt = small_benchmark
+    src = next(t for t in ds.trajectories if any(gt.chunk_groups[t.id]))
+    fast = Trajectory(id="zz-fast", fps=1.5 * src.fps, obs=src.obs.copy(), actions=src.actions.copy())
+    mixed = Dataset(trajectories=[*ds.trajectories, fast], obs_dim=ds.obs_dim, action_dim=ds.action_dim)
+    truth = dataclasses.replace(
+        gt,
+        chunk_groups={**gt.chunk_groups, fast.id: gt.chunk_groups[src.id]},
+        phi={**gt.phi, fast.id: gt.phi[src.id]},
+    )
+    got, want = separation_self_check(mixed, truth), _dense_separation_check(mixed, truth)
+    assert got["num_chunks"] == want["num_chunks"] == 240 + 6
+    assert got["action_weight"] == want["action_weight"]
     for key in ("planted_min_similarity", "nonplanted_max_similarity",
                 "distinct_phase_max_similarity"):
         assert got[key] == pytest.approx(want[key], rel=0, abs=1e-12)

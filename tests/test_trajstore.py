@@ -2,6 +2,7 @@
 
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -221,21 +222,6 @@ def test_unsafe_manifest_id_rejected(tmp_path, bad_id):
         save_dataset(ds, tmp_path / "saved")
 
 
-def test_dataset_get_follows_trajectory_list():
-    rng = np.random.default_rng(10)
-    ds = make_dataset(rng, num_traj=3, n=4)
-    assert [ds.get(t.id) for t in ds.trajectories] == ds.trajectories
-    with pytest.raises(KeyError):
-        ds.get("missing")
-    ds.trajectories = ds.trajectories[::-1] + [make_trajectory(rng, "t999", n=4)]
-    assert ds.get("t999") is ds.trajectories[-1]
-    assert ds.get("t000") is ds.trajectories[2]
-    ds.trajectories[2] = make_trajectory(rng, "t777", n=4)
-    assert ds.get("t777") is ds.trajectories[2]
-    with pytest.raises(KeyError):
-        ds.get("t000")
-
-
 def test_trajectory_validate_errors():
     rng = np.random.default_rng(9)
     traj = make_trajectory(rng, n=5, obs_dim=4, action_dim=2)
@@ -449,6 +435,32 @@ def test_write_masks_equals_json_encoder_bytes(tmp_path_factory, columns, ids):
     write_masks(mask, root)
     written = {p.stem: p.read_bytes() for p in (root / "masks").iterdir()}
     assert written == {k: v.encode() for k, v in json_dumps_masks(mask).items()}
+
+
+def test_rewritten_masks_hold_only_the_new_run(tmp_path):
+    write_masks(CurationMask(masks={t: _mask(t) for t in "abcdef"}), tmp_path)
+    assert sorted(p.name for p in (tmp_path / "masks").iterdir()) == [f"{t}.json" for t in "abcdef"]
+    write_masks(CurationMask(masks={t: _mask(t) for t in "wxyz"}), tmp_path)
+    assert sorted(p.name for p in (tmp_path / "masks").iterdir()) == [f"{t}.json" for t in "wxyz"]
+    assert [p.name for p in tmp_path.iterdir()] == ["masks"]  # no staging or retired directory
+    assert sorted(read_masks(tmp_path / "masks").masks) == list("wxyz")
+
+
+def test_failed_mask_write_keeps_the_previous_masks(tmp_path, monkeypatch):
+    write_masks(CurationMask(masks={t: _mask(t) for t in "abc"}), tmp_path)
+    before = {p.name: p.read_bytes() for p in (tmp_path / "masks").iterdir()}
+    write_text = Path.write_text
+
+    def fail_on_y(path, *args, **kwargs):
+        if path.name == "y.json":
+            raise OSError(28, "No space left on device")
+        return write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", fail_on_y)
+    with pytest.raises(IoFailure, match="No space left"):
+        write_masks(CurationMask(masks={t: _mask(t) for t in "xyz"}), tmp_path)
+    assert {p.name: p.read_bytes() for p in (tmp_path / "masks").iterdir()} == before
+    assert [p.name for p in tmp_path.iterdir()] == ["masks"]
 
 
 def test_nonfinite_mask_writes_no_file_of_any_mask(tmp_path):
