@@ -52,7 +52,6 @@ from .trajstore import (
     CurationMask,
     Dataset,
     Trajectory,
-    TrajectoryMask,
     load_dataset,
     read_masks,
     save_dataset,
@@ -65,7 +64,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # containers
-    "Dataset", "Trajectory", "TrajectoryMask", "CurationMask", "load_dataset",
+    "Dataset", "Trajectory", "CurationMask", "load_dataset",
     "save_dataset", "read_masks", "write_masks", "seconds_to_frames",
     # classifier
     "MlpClassifier", "TrainConfig", "init_mlp", "forward", "train",

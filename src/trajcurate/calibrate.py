@@ -14,7 +14,7 @@ import numpy as np
 
 from .dedup import Chunks, ClusterModel, DedupConfig, _keep_one_drops, cluster_dataset
 from .errors import EmptyScores, MaskShapeMismatch
-from .trajstore import DUPLICATE, SUBOPTIMAL, CurationMask, Dataset, TrajectoryMask
+from .trajstore import DUPLICATE, SUBOPTIMAL, CurationMask, Dataset
 
 
 @dataclass
@@ -120,29 +120,16 @@ def invert_sampled_curve(curve: RatioCurve, target_ratio: float) -> tuple[float,
 def combine_masks(subopt: CurationMask, dup: CurationMask) -> CurationMask:
     """Union of drop decisions; kept frames stay kept only if both agree.
 
+    Both masks must list the same ids in the same order with the same bounds.
     Scores are carried over from their source mask: suboptimality scores
     from the first argument, duplicate similarities from the second.
     """
-    if set(subopt.masks) != set(dup.masks):
-        raise MaskShapeMismatch(
-            f"trajectory sets differ: {sorted(set(subopt.masks) ^ set(dup.masks))[:5]}"
-        )
-    combined = {}
-    for tid, s_mask in subopt.masks.items():
-        d_mask = dup.masks[tid]
-        if len(s_mask.keep) != len(d_mask.keep):
-            raise MaskShapeMismatch(
-                f"{tid}: {len(s_mask.keep)} frames vs {len(d_mask.keep)}"
-            )
-        drop_s, drop_d = ~s_mask.keep, ~d_mask.keep
-        combined[tid] = TrajectoryMask(
-            traj_id=tid,
-            keep=~(drop_s | drop_d),
-            reason=drop_s * SUBOPTIMAL | drop_d * DUPLICATE,
-            subopt_score=s_mask.subopt_score,
-            dup_similarity=d_mask.dup_similarity,
-        )
-    return CurationMask(masks=combined)
+    if subopt.ids != dup.ids or not np.array_equal(subopt.bounds, dup.bounds):
+        raise MaskShapeMismatch("the masks differ in their ids, the order of the ids or the frame counts")
+    drop_s, drop_d = ~subopt.keep, ~dup.keep
+    return CurationMask(subopt.ids, subopt.bounds, keep=~(drop_s | drop_d),
+                        reason=drop_s * np.uint8(SUBOPTIMAL) | drop_d * np.uint8(DUPLICATE),
+                        subopt_score=subopt.subopt_score, dup_similarity=dup.dup_similarity)
 
 
 def calibration_report(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -153,7 +154,7 @@ def _cmd_score_subopt(args, cfg: PipelineConfig) -> int:
             "discounted": s.discounted.tolist(),
             "final": s.final.tolist(),
         })
-    _write_json(out / "subopt_report.json", subopt_report(series, mask, cfg.subopt))
+    _write_json(out / "subopt_report.json", subopt_report(mask, cfg.subopt))
     _print_table(
         [
             ("frames", mask.total_frames),
@@ -217,18 +218,15 @@ def _cmd_calibrate(args, cfg: PipelineConfig) -> int:
     bins = _progress_bins(cfg, ds)
 
     # only the final scores stay: the other score arrays are freed before clustering
-    finals = np.concatenate([s.final for s in score_dataset(ds, model, bins, cfg.subopt)[0]])
+    finals = score_dataset(ds, model, bins, cfg.subopt)[1].subopt_score
     sub_curve = ratio_curve(finals, _quantile_grid(finals, 33))
 
     clustered = cluster_dataset(ds, cfg.dedup, _load_embeddings_if_present(data))
     sims = clustered[3][clustered[3] > -1.5]
+    dup_curves = []
     if sims.size:
         grid = np.append(_quantile_grid(sims, 17), max(1.0, float(sims.max()) + 1e-9))
-        dup_curve = dedup_ratio_curve(ds, cfg.dedup, grid, clustered)
-        dup_curves = [dup_curve]
-    else:
-        dup_curve = None
-        dup_curves = []
+        dup_curves.append(dedup_ratio_curve(ds, cfg.dedup, grid, clustered))
 
     points = []
     for target in targets:
@@ -237,7 +235,7 @@ def _cmd_calibrate(args, cfg: PipelineConfig) -> int:
             "method": "suboptimal", "target_ratio": target,
             "threshold": theta, "achieved_ratio": achieved,
         })
-        if dup_curve is not None:
+        for dup_curve in dup_curves:
             theta_d, achieved_d = invert_sampled_curve(dup_curve, target)
             points.append({
                 "method": "dedup", "target_ratio": target,
@@ -268,12 +266,11 @@ def _cmd_curate(args, cfg: PipelineConfig) -> int:
     ds = load_dataset(data)
     bins = _progress_bins(cfg, ds)
 
-    series, sub_mask = score_dataset(ds, model, bins, cfg.subopt)
-    sub_report = subopt_report(series, sub_mask, cfg.subopt)
-    del series  # the mask keeps what is written; the other score arrays go before clustering
+    # clustering first, while little more than the frames is held; scoring's
+    # arrays then take the memory k-means let go (a lower peak RSS)
     dup_mask, dedup_rep = dedup_dataset(ds, cfg.dedup, _load_embeddings_if_present(data))
+    sub_mask = score_dataset(ds, model, bins, cfg.subopt)[1]
     combined = combine_masks(sub_mask, dup_mask)
-    write_masks(combined, out)
 
     total = combined.total_frames
     counts = dict(zip(REASONS, combined.reason_counts().tolist()))
@@ -289,15 +286,14 @@ def _cmd_curate(args, cfg: PipelineConfig) -> int:
         "kept_frames": total - n_total,
         "trajectories": {
             tid: {
-                "num_frames": len(m.keep),
-                "kept_frames": int(m.keep.sum()),
-                "kept_ranges": _kept_ranges(m.keep),
+                "num_frames": part.stop - part.start,
+                "kept_frames": int(combined.keep[part].sum()),
+                "kept_ranges": _kept_ranges(combined.keep[part]),
             }
-            for tid, m in sorted(combined.masks.items())
+            for tid, part in combined.frames()
         },
     }
-    _write_json(out / "curated_manifest.json", manifest)
-    _write_json(out / "curation_report.json", {
+    report = {
         "format_version": 1,
         "total_frames": total,
         "dropped": {
@@ -307,9 +303,25 @@ def _cmd_curate(args, cfg: PipelineConfig) -> int:
             "total": n_total,
         },
         "ratios": ratios,
-        "subopt_report": sub_report,
+        "subopt_report": subopt_report(sub_mask, cfg.subopt),
         "dedup_report": dedup_rep,
-    })
+    }
+    # the reports are staged beside their targets before the masks are swapped
+    # in, so a failure leaves the previous run's masks and reports together
+    temps = {out / name: out / f".{name}-{os.getpid()}" for name in ("curated_manifest.json", "curation_report.json")}
+    try:
+        for (target, temp), payload in zip(temps.items(), (manifest, report)):
+            if target.is_dir():
+                raise IoFailure(f"{target} is a directory")
+            _write_json(temp, payload)
+        write_masks(combined, out)
+        for target, temp in temps.items():
+            os.replace(temp, target)
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
+    finally:
+        for temp in filter(Path.is_file, temps.values()):
+            temp.unlink()
     _print_table(
         [
             ("Suboptimal-Only", n_sub, f"{ratios['suboptimal']:.4f}"),

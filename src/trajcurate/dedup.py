@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput, IoFailure, KTooLarge, NonFiniteValue
-from .trajstore import DUPLICATE, CurationMask, Dataset, TrajectoryMask, seconds_to_frames
+from .trajstore import DUPLICATE, CurationMask, Dataset, seconds_to_frames
 
 SINGLETON_SENTINEL = -2.0
 UNCHUNKED_SENTINEL = -1.0
@@ -100,16 +100,17 @@ def chunk_dataset(ds: Dataset, cfg: DedupConfig) -> Chunks:
     return Chunks(traj=traj, start=ordinal * spans[traj], span=spans[traj])
 
 
-def _per_frame(ds: Dataset, chunks: Chunks, values: np.ndarray, fill: float | bool) -> list[np.ndarray]:
-    """Per trajectory, in dataset order: each chunk's value over its frames,
-    ``fill`` on the unchunked tail."""
-    out, bounds = [], np.searchsorted(chunks.traj, np.arange(len(ds) + 1)).tolist()
-    for traj, lo, hi in zip(ds.trajectories, bounds, bounds[1:]):
-        frames = np.full(traj.num_frames, fill, dtype=values.dtype)
+def _per_frame(ds: Dataset, chunks: Chunks, values: np.ndarray, fill: float | bool) -> np.ndarray:
+    """Per frame of the dataset, in order: each chunk's value over its frames,
+    ``fill`` on each trajectory's unchunked tail. Written a trajectory's slice
+    at a time, with no frame index."""
+    starts = ds.frame_bounds().tolist()
+    frames = np.full(starts[-1], fill, dtype=values.dtype)
+    bounds = np.searchsorted(chunks.traj, np.arange(len(ds) + 1)).tolist()
+    for start, lo, hi in zip(starts, bounds, bounds[1:]):
         if hi > lo:  # the chunks tile the trajectory from frame 0
-            frames[: (hi - lo) * chunks.span[lo]].reshape(hi - lo, -1)[:] = values[lo:hi, None]
-        out.append(frames)
-    return out
+            frames[start : start + (hi - lo) * chunks.span[lo]].reshape(hi - lo, -1)[:] = values[lo:hi, None]
+    return frames
 
 
 def embed_chunk(obs: np.ndarray, actions: np.ndarray, action_weight: float) -> np.ndarray:
@@ -578,9 +579,8 @@ def duplicate_mask(
     model: ClusterModel,
     epsilon_d: float,
     drop_all_over_threshold: bool = False,
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Per-chunk drop flags, and per-frame ones for each trajectory in
-    dataset order.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-chunk drop flags, and per-frame ones over the dataset's frames.
 
     Within each cluster, chunks are visited in descending distance from the
     centroid (ties broken by (traj_id, start)); a chunk is dropped iff its
@@ -627,15 +627,11 @@ def dedup_dataset(
 ) -> tuple[CurationMask, dict]:
     """Run the full dedup pipeline; returns masks and a JSON-ready report."""
     chunks, features, model, scores = cluster_dataset(ds, cfg, precomputed)
-    _, frame_drop = duplicate_mask(
+    _, drop = duplicate_mask(
         ds, chunks, scores, features, model, cfg.epsilon_d, cfg.drop_all_over_threshold,
     )
-    sims = _per_frame(ds, chunks, scores, UNCHUNKED_SENTINEL)
-    mask = CurationMask(masks={
-        traj.id: TrajectoryMask(traj.id, keep=~drop, reason=drop * DUPLICATE,
-                                subopt_score=np.zeros(traj.num_frames), dup_similarity=sim)
-        for traj, drop, sim in zip(ds.trajectories, frame_drop, sims)
-    })
+    mask = CurationMask(tuple(t.id for t in ds.trajectories), ds.frame_bounds(), ~drop, drop * np.uint8(DUPLICATE),
+                        np.zeros(drop.shape[0]), _per_frame(ds, chunks, scores, UNCHUNKED_SENTINEL))
     return mask, dedup_report(chunks, model, scores, mask)
 
 

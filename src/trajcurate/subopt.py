@@ -21,7 +21,6 @@ from .trajstore import (
     CurationMask,
     Dataset,
     Trajectory,
-    TrajectoryMask,
     seconds_to_frames,
 )
 
@@ -168,38 +167,28 @@ def score_trajectory(
 def score_dataset(
     ds: Dataset, model: nn.MlpClassifier, bins: TemporalBins, cfg: SuboptConfig
 ) -> tuple[list[ScoreSeries], CurationMask]:
-    """Score every trajectory in order. Each per-frame array of the series and
-    masks is a view into one dataset-wide array, filled a trajectory at a time."""
-    bounds = np.cumsum([0, *(t.num_frames for t in ds.trajectories)]).tolist()
+    """Score every trajectory in order into dataset-wide arrays, filled a
+    trajectory at a time: the mask's, and the series' per-frame views of them."""
+    bounds = ds.frame_bounds()
     sample, discounted, final = (np.empty(bounds[-1]) for _ in range(3))
     keep = np.empty(bounds[-1], dtype=bool)
     reason = np.zeros(bounds[-1], dtype=np.uint8)
-    dup_similarity = np.full(bounds[-1], -1.0)
     series_list = []
-    masks = {}
-    for traj, lo, hi in zip(ds.trajectories, bounds, bounds[1:]):
+    for traj, lo, hi in zip(ds.trajectories, bounds.tolist(), bounds[1:].tolist()):
         series, drop = score_trajectory(traj, model, bins, cfg)
         part = slice(lo, hi)
         sample[part], discounted[part], final[part] = series.sample_scores, series.discounted, series.final
         np.logical_not(drop, out=keep[part])
         reason[part][drop] = SUBOPTIMAL
         series_list.append(ScoreSeries(traj.id, series.window_scores, sample[part], discounted[part], final[part]))
-        masks[traj.id] = TrajectoryMask(traj.id, keep[part], reason[part], final[part], dup_similarity[part])
-    return series_list, CurationMask(masks=masks)
+    ids = tuple(t.id for t in ds.trajectories)
+    return series_list, CurationMask(ids, bounds, keep, reason, final, np.full(bounds[-1], -1.0))
 
 
-def subopt_report(series_list: list[ScoreSeries], mask: CurationMask, cfg: SuboptConfig) -> dict:
-    """Summary suitable for JSON: score histogram plus deletion ratio."""
-    finals = (
-        np.concatenate([s.final for s in series_list])
-        if series_list
-        else np.empty(0)
-    )
-    if finals.size:
-        counts, edges = np.histogram(finals, bins=64)
-        histogram = {"bin_edges": edges.tolist(), "counts": counts.tolist()}
-    else:
-        histogram = {"bin_edges": [], "counts": []}
+def subopt_report(mask: CurationMask, cfg: SuboptConfig) -> dict:
+    """Summary suitable for JSON: histogram of the mask's scores plus deletion ratio."""
+    counts, edges = np.histogram(mask.subopt_score, bins=64) if mask.total_frames else (np.empty(0),) * 2
+    histogram = {"bin_edges": edges.tolist(), "counts": counts.tolist()}
     total, dropped = mask.total_frames, mask.dropped_frames()
     return {
         "format_version": 1,

@@ -375,20 +375,13 @@ def evaluate_masks(mask: CurationMask, gt: GroundTruth) -> dict:
     set. Duplicate recall counts a group as fully recovered when all but
     one member was dropped.
     """
-    if set(mask.masks) != set(gt.frame_tags):
+    if set(mask.ids) != set(gt.frame_tags):
         raise ShapeMismatch("mask and ground truth cover different trajectories")
-
-    tids = sorted(mask.masks)
-    for tid in tids:
-        n, tags = len(mask.masks[tid].keep), gt.frame_tags[tid]
-        if len(tags) != n:
-            raise ShapeMismatch(f"{tid}: {n} mask frames vs {len(tags)} labels")
-    # each leading empty array sets the dtype when there are no trajectories
-    drop_sub = np.concatenate(
-        [np.empty(0, bool)] + [mask.masks[t].dropped(("suboptimal", "both")) for t in tids]
-    )
-    scores = np.concatenate([np.empty(0)] + [mask.masks[t].subopt_score for t in tids])
-    tags_all = np.concatenate([np.empty(0, str)] + [np.array(gt.frame_tags[t]) for t in tids])
+    if np.diff(mask.bounds).tolist() != [len(gt.frame_tags[tid]) for tid in mask.ids]:
+        raise ShapeMismatch("mask and ground truth disagree on a trajectory's frame count")
+    drop_sub = mask.dropped(("suboptimal", "both"))
+    # the leading empty array sets the dtype when there are no trajectories
+    tags_all = np.concatenate([np.empty(0, str)] + [np.array(gt.frame_tags[t]) for t in mask.ids])
     anomaly = tags_all != CLEAN
 
     n_dropped = int(drop_sub.sum())
@@ -405,7 +398,7 @@ def evaluate_masks(mask: CurationMask, gt: GroundTruth) -> dict:
     dup_metrics = _duplicate_metrics(mask, gt)
     return {
         "anomaly": {
-            "auroc": auroc(scores, anomaly),
+            "auroc": auroc(mask.subopt_score, anomaly),
             "precision": float(precision),
             "recall": float(recall),
             "fpr_clean": fpr,
@@ -418,12 +411,12 @@ def evaluate_masks(mask: CurationMask, gt: GroundTruth) -> dict:
 
 def _duplicate_metrics(mask: CurationMask, gt: GroundTruth) -> dict:
     w = gt.chunk_span
+    drop, parts = mask.dropped(("duplicate", "both")), dict(mask.frames())
     dropped_chunks: set[tuple[str, int]] = set()
     for tid, gids in gt.chunk_groups.items():
-        if tid not in mask.masks or len(gids) * w > len(mask.masks[tid].keep):
+        if tid not in parts or len(gids) * w > parts[tid].stop - parts[tid].start:
             raise ShapeMismatch(f"{tid}: {len(gids)} chunks of {w} frames exceed the mask")
-        drop = mask.masks[tid].dropped(("duplicate", "both"))[: len(gids) * w]
-        whole = drop.reshape(len(gids), w).all(axis=1)
+        whole = drop[parts[tid]][: len(gids) * w].reshape(len(gids), w).all(axis=1)
         dropped_chunks.update((tid, int(c) * w) for c in np.flatnonzero(whole))
 
     groups = gt.groups()

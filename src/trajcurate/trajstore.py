@@ -11,7 +11,8 @@ is ``TRJC`` magic, u32 LE format version, u32 LE frame count, then one record
 per frame: ``obs_dim`` f32 LE followed by ``action_dim`` f32 LE, no padding.
 
 Per-frame curation masks (written by the scoring/dedup stages) live in
-``<out>/masks/<id>.json``; see :class:`TrajectoryMask`.
+``<out>/masks/<id>.json``; in memory they are one :class:`CurationMask`
+of dataset-wide arrays.
 """
 
 from __future__ import annotations
@@ -104,6 +105,10 @@ class Dataset:
     @property
     def total_frames(self) -> int:
         return sum(len(t) for t in self.trajectories)
+
+    def frame_bounds(self) -> np.ndarray:
+        """int64 offset of each trajectory's first frame in dataset order, then the total."""
+        return np.cumsum([0, *(t.num_frames for t in self.trajectories)], dtype=np.int64)
 
     def validate(self) -> None:
         seen: set[str] = set()
@@ -279,9 +284,11 @@ REASONS = ("", "suboptimal", "duplicate", "both")
 SUBOPTIMAL = 1
 DUPLICATE = 2
 _REASON_NAMES = np.array(REASONS)
+_REASON_CODES = {name: code for code, name in enumerate(REASONS)}
+_MASK_FLOATS_AND_FLAGS = (("keep", bool), ("subopt_score", np.float64), ("dup_similarity", np.float64))
 
 
-def _reason_codes(reason, traj_id: str) -> np.ndarray:
+def _reason_codes(reason) -> np.ndarray:
     """uint8 codes of per-frame reasons given as names or as codes."""
     given = np.asarray(reason)
     if given.dtype.kind in "US":
@@ -290,50 +297,47 @@ def _reason_codes(reason, traj_id: str) -> np.ndarray:
     elif given.dtype.kind in "iu" or given.size == 0:
         bad, codes = (given < 0) | (given >= len(REASONS)), given
     else:
-        raise MaskShapeMismatch(f"trajectory '{traj_id}': reasons of dtype {given.dtype}")
+        raise MaskShapeMismatch(f"mask reasons of dtype {given.dtype}")
     if bad.any():
-        raise MaskShapeMismatch(
-            f"trajectory '{traj_id}': invalid reasons {sorted(set(given[bad].tolist()))}"
-        )
+        raise MaskShapeMismatch(f"invalid mask reasons {sorted(set(given[bad].tolist()))}")
     return codes.astype(np.uint8, copy=False)
 
 
-@dataclass
-class TrajectoryMask:
-    """Per-frame keep/drop decisions with provenance for one trajectory.
-
-    ``reason`` may be given as names from ``REASONS`` or as their codes and
-    is stored as a uint8 code array. ``dup_similarity`` is −1 on frames not
-    covered by any chunk and −2 on frames whose chunk sits alone in its
-    cluster.
+@dataclass(frozen=True)
+class CurationMask:
+    """Per-frame keep/drop decisions with provenance for a whole dataset, as
+    parallel arrays: trajectory ``ids[i]`` owns frames ``bounds[i]`` to
+    ``bounds[i + 1]`` of each per-frame array. ``reason`` may be given as names
+    from ``REASONS`` or as their codes. ``dup_similarity`` is −1 on frames not
+    covered by any chunk and −2 on frames whose chunk sits alone in its cluster.
     """
 
-    traj_id: str
-    keep: np.ndarray
-    reason: np.ndarray
-    subopt_score: np.ndarray
-    dup_similarity: np.ndarray
+    ids: tuple[str, ...]         # unique, in dataset order
+    bounds: np.ndarray           # (len(ids) + 1,) int64 frame offsets from 0
+    keep: np.ndarray             # (frames,) bool
+    reason: np.ndarray           # (frames,) uint8 code into REASONS
+    subopt_score: np.ndarray     # (frames,) float64
+    dup_similarity: np.ndarray   # (frames,) float64
 
     def __post_init__(self):
-        self.keep = np.asarray(self.keep, dtype=bool)
-        self.reason = _reason_codes(self.reason, self.traj_id)
-        self.subopt_score = np.asarray(self.subopt_score, dtype=np.float64)
-        self.dup_similarity = np.asarray(self.dup_similarity, dtype=np.float64)
-        arrays = (self.keep, self.reason, self.subopt_score, self.dup_similarity)
-        if any(a.ndim != 1 for a in arrays) or len({a.shape[0] for a in arrays}) != 1:
-            raise MaskShapeMismatch(
-                f"trajectory '{self.traj_id}': mask fields must be lists of one length"
-            )
+        object.__setattr__(self, "ids", tuple(self.ids))
+        object.__setattr__(self, "reason", _reason_codes(self.reason))
+        for name, kind in (("bounds", np.int64), *_MASK_FLOATS_AND_FLAGS):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=kind))
+        b, frames = self.bounds, (self.keep, self.reason, self.subopt_score, self.dup_similarity)
+        if (len(set(self.ids)) != len(self.ids) or b.shape != (len(self.ids) + 1,) or b[0] != 0
+                or (np.diff(b) < 0).any() or any(a.shape != (b[-1],) for a in frames)):
+            raise MaskShapeMismatch(f"mask of {len(self.ids)} trajectories: the ids must be unique, "
+                                    f"the bounds rise from 0 to each field's frame count")
 
-    @classmethod
-    def keep_all(cls, traj_id: str, n: int) -> "TrajectoryMask":
-        return cls(
-            traj_id=traj_id,
-            keep=np.ones(n, dtype=bool),
-            reason=np.zeros(n, dtype=np.uint8),
-            subopt_score=np.zeros(n),
-            dup_similarity=np.full(n, -1.0),
-        )
+    @property
+    def total_frames(self) -> int:
+        return self.keep.shape[0]
+
+    def frames(self) -> list[tuple[str, slice]]:
+        """``(id, slice of the per-frame arrays)`` per trajectory, in id order."""
+        b = self.bounds.tolist()
+        return sorted(zip(self.ids, map(slice, b, b[1:])))
 
     def dropped(self, reasons: tuple[str, ...] | None = None) -> np.ndarray:
         """Per-frame drop flags, limited to drops whose reason is named in
@@ -343,31 +347,12 @@ class TrajectoryMask:
             drop &= np.isin(_REASON_NAMES, reasons)[self.reason]
         return drop
 
-
-@dataclass
-class CurationMask:
-    """Masks for a whole dataset, keyed by trajectory id."""
-
-    masks: dict[str, TrajectoryMask]
-
-    def __getitem__(self, traj_id: str) -> TrajectoryMask:
-        return self.masks[traj_id]
-
-    @property
-    def total_frames(self) -> int:
-        return sum(m.keep.shape[0] for m in self.masks.values())
-
     def reason_counts(self) -> np.ndarray:
-        """Dropped frames per reason code, in ``REASONS`` order, over every
-        trajectory."""
-        counts = np.zeros(len(REASONS), dtype=np.int64)
-        for m in self.masks.values():
-            counts += np.bincount(m.reason[~m.keep], minlength=len(REASONS))
-        return counts
+        """Dropped frames per reason code, in ``REASONS`` order."""
+        return np.bincount(self.reason[~self.keep], minlength=len(REASONS))
 
     def dropped_frames(self, reasons: tuple[str, ...] | None = None) -> int:
-        counts = self.reason_counts()
-        return int((counts if reasons is None else counts[np.isin(_REASON_NAMES, reasons)]).sum())
+        return int(self.dropped(reasons).sum())
 
     def deletion_ratio(self, reasons: tuple[str, ...] | None = None) -> float:
         total = self.total_frames
@@ -389,28 +374,29 @@ def _json_list(index: np.ndarray, tokens=None) -> str:
 def write_masks(mask: CurationMask, out_dir: str | os.PathLike) -> None:
     """Write one ``masks/<id>.json`` per trajectory under ``out_dir``, and no other.
 
-    The text is ``json.dumps(doc, sort_keys=True, allow_nan=False)`` of the fields
-    as lists, built by ``_json_list``. A NaN or Inf score raises ``NonFiniteValue``
-    before any file is written: JSON has no token for either. The files go into a
-    sibling directory that then replaces ``masks/``, so a re-run leaves no mask of
-    an earlier run, and a failed write leaves the previous ``masks/`` as it was.
+    The text is ``json.dumps(doc, sort_keys=True, allow_nan=False)`` of the trajectory's
+    slice of each field as a list, built by ``_json_list``. A NaN or Inf score raises
+    ``NonFiniteValue`` before any file is written: JSON has no token for either. The files
+    go into a sibling directory that then replaces ``masks/``, so a re-run leaves no mask
+    of an earlier run, and a failed write leaves the previous ``masks/`` as it was.
     """
-    for traj_id, m in sorted(mask.masks.items()):
-        finite = np.isfinite(m.subopt_score) & np.isfinite(m.dup_similarity)
-        if not finite.all():
-            raise NonFiniteValue(f"mask of trajectory '{traj_id}'", int(np.argmin(finite)))
+    finite = np.isfinite(mask.subopt_score) & np.isfinite(mask.dup_similarity)
+    if not finite.all():
+        traj_id, part = next((t, p) for t, p in mask.frames() if not finite[p].all())
+        raise NonFiniteValue(f"mask of trajectory '{traj_id}'", int(np.argmin(finite[part])))
     out = Path(out_dir)
     masks_dir, staging = out / "masks", out / f".masks-{os.getpid()}"
     try:
         out.mkdir(parents=True, exist_ok=True)
         shutil.rmtree(staging, ignore_errors=True)  # left by a killed run with the same pid
         (staging / "new").mkdir(parents=True)
-        for traj_id, m in sorted(mask.masks.items()):
+        for traj_id, part in mask.frames():
             (staging / "new" / f"{traj_id}.json").write_text(
-                f'{{"dup_similarity": {_json_list(m.dup_similarity)}, "format_version": '
+                f'{{"dup_similarity": {_json_list(mask.dup_similarity[part])}, "format_version": '
                 f'{FORMAT_VERSION}, "id": {json.dumps(traj_id)}, "keep": '
-                f'{_json_list(m.keep, ("0", "1"))}, "reason": {_json_list(m.reason, _REASON_TOKENS)}, '
-                f'"subopt_score": {_json_list(m.subopt_score)}}}\n'
+                f'{_json_list(mask.keep[part], ("0", "1"))}, "reason": '
+                f'{_json_list(mask.reason[part], _REASON_TOKENS)}, '
+                f'"subopt_score": {_json_list(mask.subopt_score[part])}}}\n'
             )
         if masks_dir.exists():
             masks_dir.rename(staging / "old")
@@ -424,21 +410,29 @@ def write_masks(mask: CurationMask, out_dir: str | os.PathLike) -> None:
 
 
 def read_masks(masks_dir: str | os.PathLike) -> CurationMask:
-    """Load every ``*.json`` mask in a directory."""
-    masks: dict[str, TrajectoryMask] = {}
+    """Load every ``*.json`` mask in a directory, in file-name order. Two files
+    with one id are an ``InvalidManifest``, a NaN or Inf score a ``NonFiniteValue``."""
+    files: dict[str, Path] = {}  # id -> the file that holds it
+    columns = ([], [], [], [])   # keep, subopt_score, dup_similarity, reason codes
     for path in sorted(Path(masks_dir).glob("*.json")):
         try:
             doc = json.loads(path.read_text())
-            m = TrajectoryMask(
-                traj_id=doc["id"],
-                keep=np.array(doc["keep"], dtype=bool),
-                reason=np.array(doc["reason"], dtype=str),
-                subopt_score=np.array(doc["subopt_score"], dtype=np.float64),
-                dup_similarity=np.array(doc["dup_similarity"], dtype=np.float64),
-            )
+            fields = [np.array(doc[key], dtype=kind) for key, kind in _MASK_FLOATS_AND_FLAGS]
+            # names to codes through one dict lookup at C speed; an unknown name is a KeyError
+            fields.append(np.fromiter(map(_REASON_CODES.__getitem__, doc["reason"]), np.uint8))
+            if files.setdefault(doc["id"], path) != path:
+                raise InvalidManifest(f"{path}: id {doc['id']!r} repeats the id of {files[doc['id']]}")
         except OSError as exc:
             raise IoFailure(str(exc)) from exc
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidManifest(f"{path}: malformed mask: {exc!r}") from exc
-        masks[m.traj_id] = m
-    return CurationMask(masks=masks)
+        if any(a.shape != fields[3].shape for a in fields):
+            raise MaskShapeMismatch(f"{path}: mask fields must be lists of one length")
+        finite = np.isfinite(fields[1]) & np.isfinite(fields[2])
+        if not finite.all():
+            raise NonFiniteValue(f"mask {path}", int(np.argmin(finite)))
+        for column, a in zip(columns, fields):
+            column.append(a)
+    keep, subopt, dup, reason = (np.concatenate([np.empty(0, kind), *column])
+                                 for column, kind in zip(columns, (bool, np.float64, np.float64, np.uint8)))
+    return CurationMask(tuple(files), np.cumsum([0, *map(len, columns[0])]), keep, reason, subopt, dup)

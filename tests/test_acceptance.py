@@ -36,9 +36,9 @@ from trajcurate.subopt import (
     subopt_mask,
 )
 from trajcurate.synthgen import CLEAN, SynthConfig, auroc, evaluate_masks, generate
-from trajcurate.trajstore import CurationMask, Dataset, Trajectory, TrajectoryMask
+from trajcurate.trajstore import Dataset, Trajectory
 
-from conftest import make_trajectory
+from conftest import make_mask, make_trajectory
 from test_nn import numerical_gradient
 from test_subopt import _pipeline_oracle
 
@@ -176,17 +176,12 @@ def test_criterion_4_anomaly_detection(anomalous_benchmark, anomalous_scores):
     assert roc >= 0.80
 
     theta, _ = threshold_for_ratio(finals, float(anomaly.mean()))
-    masks = {}
+    parts = {}
     for traj, s in zip(ds.trajectories, series):
         drop = subopt_mask(s.final, theta, has_windows=s.window_scores.size > 0)
-        masks[traj.id] = TrajectoryMask(
-            traj_id=traj.id,
-            keep=(~drop).tolist(),
-            reason=["suboptimal" if d else "" for d in drop],
-            subopt_score=s.final.tolist(),
-            dup_similarity=[-1.0] * traj.num_frames,
-        )
-    metrics = evaluate_masks(CurationMask(masks=masks), gt)
+        parts[traj.id] = (~drop, ["suboptimal" if d else "" for d in drop], s.final,
+                          [-1.0] * traj.num_frames)
+    metrics = evaluate_masks(make_mask(parts), gt)
     per_type = metrics["anomaly"]["per_type_recall"]
     assert per_type["pause"] >= 0.6
     assert per_type["back_and_forth"] >= 0.6
@@ -244,7 +239,7 @@ def test_criterion_5_dedup_exactness_and_planted_duplicates(default_benchmark, d
     cfg = DedupConfig()
     mask2, _ = dedup_dataset(doubled, cfg)
     chunked = int(chunk_dataset(doubled, cfg).span.sum())
-    dropped = sum(len(m.keep) - sum(m.keep) for m in mask2.masks.values())
+    dropped = int((~mask2.keep).sum())
     ratio = dropped / chunked
     assert abs(ratio - 0.5) <= 0.02
     print(

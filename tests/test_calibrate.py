@@ -15,9 +15,9 @@ from trajcurate.calibrate import (
 )
 from trajcurate.dedup import DedupConfig
 from trajcurate.errors import EmptyScores, MaskShapeMismatch
-from trajcurate.trajstore import REASONS, CurationMask, TrajectoryMask
+from trajcurate.trajstore import REASONS
 
-from conftest import make_dataset
+from conftest import make_dataset, make_mask
 
 
 def oracle_threshold(scores, target):
@@ -201,45 +201,34 @@ def test_dedup_ratio_curve_empty_dataset():
 # --- mask combination ----------------------------------------------------------------
 
 
-def _mask_from_bits(tid, drops, reason):
-    n = len(drops)
-    return TrajectoryMask(
-        traj_id=tid,
-        keep=[not d for d in drops],
-        reason=[reason if d else "" for d in drops],
-        subopt_score=np.arange(n, dtype=np.float64),
-        dup_similarity=np.full(n, 0.5),
-    )
-
-
 def _cm(drops_by_tid, reason):
-    return CurationMask(masks={
-        tid: _mask_from_bits(tid, drops, reason) for tid, drops in drops_by_tid.items()
+    return make_mask({
+        tid: ([not d for d in drops], [reason if d else "" for d in drops],
+              np.arange(len(drops), dtype=np.float64), np.full(len(drops), 0.5))
+        for tid, drops in drops_by_tid.items()
     })
 
 
 def drop_sets(cm):
-    return {
-        tid: frozenset(np.flatnonzero(~cm[tid].keep).tolist()) for tid in cm.masks
-    }
+    return {tid: frozenset(np.flatnonzero(~cm.keep[part]).tolist()) for tid, part in cm.frames()}
 
 
 def test_combine_masks_reasons():
     sub = _cm({"a": [True, True, False, False]}, "suboptimal")
     dup = _cm({"a": [True, False, True, False]}, "duplicate")
     out = combine_masks(sub, dup)
-    assert [REASONS[r] for r in out["a"].reason] == ["both", "suboptimal", "duplicate", ""]
-    np.testing.assert_array_equal(out["a"].keep, [False, False, False, True])
+    assert [REASONS[r] for r in out.reason] == ["both", "suboptimal", "duplicate", ""]
+    np.testing.assert_array_equal(out.keep, [False, False, False, True])
     # scores come from their source masks
-    np.testing.assert_array_equal(out["a"].subopt_score, sub["a"].subopt_score)
-    np.testing.assert_array_equal(out["a"].dup_similarity, dup["a"].dup_similarity)
+    np.testing.assert_array_equal(out.subopt_score, sub.subopt_score)
+    np.testing.assert_array_equal(out.dup_similarity, dup.dup_similarity)
 
 
 def test_combine_masks_identical_masks_mark_both():
     sub = _cm({"a": [True, False]}, "suboptimal")
     dup = _cm({"a": [True, False]}, "duplicate")
     out = combine_masks(sub, dup)
-    assert [REASONS[r] for r in out["a"].reason] == ["both", ""]
+    assert [REASONS[r] for r in out.reason] == ["both", ""]
 
 
 def test_combine_masks_disjoint_ratios_add():
@@ -274,6 +263,17 @@ def test_combine_masks_shape_errors():
         combine_masks(_cm({"a": [True]}, "suboptimal"), _cm({"a": [True, False]}, "duplicate"))
 
 
+def test_combine_masks_needs_one_id_order():
+    # the same trajectories and frame counts, listed in another order
+    sub = _cm({"a": [True, False], "b": [False, False]}, "suboptimal")
+    dup = _cm({"b": [True, False], "a": [False, True]}, "duplicate")
+    with pytest.raises(MaskShapeMismatch):
+        combine_masks(sub, dup)
+    # the same ids in one order, split at other frames
+    with pytest.raises(MaskShapeMismatch):
+        combine_masks(sub, _cm({"a": [True], "b": [False, False, True]}, "duplicate"))
+
+
 @given(
     a=st.lists(st.booleans(), min_size=1, max_size=25),
     seed=st.integers(0, 2**16),
@@ -285,9 +285,10 @@ def test_combine_masks_dropset_algebra(a, seed):
     n = len(a)
     b = (rng.random(n) < 0.4).tolist()
     c = (rng.random(n) < 0.4).tolist()
-    ma = _cm({"t": a}, "suboptimal")
-    mb = _cm({"t": b}, "duplicate")
-    mc = _cm({"t": c}, "duplicate")
+    # a second trajectory holds the complement, so each union spans two slices
+    ma = _cm({"t": a, "u": [not x for x in a]}, "suboptimal")
+    mb = _cm({"t": b, "u": c}, "duplicate")
+    mc = _cm({"t": c, "u": b}, "duplicate")
 
     assert drop_sets(combine_masks(ma, mb)) == drop_sets(combine_masks(mb, ma))
     assert drop_sets(combine_masks(combine_masks(ma, mb), mc)) == drop_sets(
@@ -295,9 +296,8 @@ def test_combine_masks_dropset_algebra(a, seed):
     )
     assert drop_sets(combine_masks(ma, ma)) == drop_sets(ma)
     # and the union really is the set union
-    assert drop_sets(combine_masks(ma, mb))["t"] == (
-        drop_sets(ma)["t"] | drop_sets(mb)["t"]
-    )
+    for tid in ("t", "u"):
+        assert drop_sets(combine_masks(ma, mb))[tid] == drop_sets(ma)[tid] | drop_sets(mb)[tid]
 
 
 # --- report ---------------------------------------------------------------------------

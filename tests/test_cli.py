@@ -22,8 +22,8 @@ from trajcurate.errors import ConfigError
 from trajcurate.nn import TrainConfig, load_model
 from trajcurate.progress import SamplingConfig
 from trajcurate.subopt import SuboptConfig
-from trajcurate.synthgen import SynthConfig
-from trajcurate.trajstore import load_dataset
+from trajcurate.synthgen import SynthConfig, generate
+from trajcurate.trajstore import load_dataset, save_dataset
 
 
 PIPELINE_CONFIG = {
@@ -341,6 +341,7 @@ def test_corrupt_blob_is_data_error(tmp_path):
     "zero_chunk_span", "chunk_groups_past_frames",
     "segment_negative_start", "segment_reversed", "segment_past_end",
     "segment_of_uncounted_id", "segment_of_unknown_type",
+    "mask_id_repeated", "mask_nan_score", "mask_infinite_similarity",
 ])
 def test_report_bad_input_is_data_error(tmp_path, capsys, corrupt):
     data, out = tmp_path / "data", tmp_path / "d"
@@ -359,6 +360,15 @@ def test_report_bad_input_is_data_error(tmp_path, capsys, corrupt):
         mask.write_text(json.dumps({**doc, "subopt_score": 0.5}))
     elif corrupt == "nested_dup_similarity":
         mask.write_text(json.dumps({**doc, "dup_similarity": [[v] for v in doc["dup_similarity"]]}))
+    elif corrupt == "mask_id_repeated":
+        # a later file holding another trajectory's data under the first one's id
+        other = json.loads(sorted((out / "masks").glob("*.json"))[1].read_text())
+        (out / "masks" / "zzz.json").write_text(json.dumps({**other, "id": doc["id"]}))
+    elif corrupt in ("mask_nan_score", "mask_infinite_similarity"):
+        key, token = {"mask_nan_score": ("subopt_score", "NaN"),
+                      "mask_infinite_similarity": ("dup_similarity", "Infinity")}[corrupt]
+        head, tail = mask.read_text().split(f'"{key}": [', 1)
+        mask.write_text(f'{head}"{key}": [{token}, {tail.split(", ", 1)[1]}')  # in the first value's place
     elif corrupt != "empty_ground_truth":
         truth = json.loads((data / "ground_truth.json").read_text())
         frames = truth["frame_counts"][doc["id"]]
@@ -449,6 +459,40 @@ def test_curate_again_into_one_out_leaves_only_its_masks(pipeline, tmp_path):
                      "--model", str(pipeline["model"]), "--out", str(out)]) == 0
     assert len(list((out / "masks").glob("*.json"))) == 4
     assert main(["report", "--masks", str(out), "--truth", str(data)]) == 0
+
+
+@pytest.mark.parametrize("failure", ["manifest_is_directory", "mask_write"])
+def test_failed_curate_leaves_the_previous_run_whole(pipeline, tmp_path, capsys, monkeypatch, failure):
+    """A 6-trajectory curate, then a 4-trajectory one into the same --out that
+    fails: the first run's masks and reports stay as they were, byte for byte,
+    and no staged file is left."""
+    out = tmp_path / "curated"
+    for num_traj in (6, 4):
+        cfg = tmp_path / f"config{num_traj}.json"
+        cfg.write_text(json.dumps({**PIPELINE_CONFIG, "synth": {**PIPELINE_CONFIG["synth"], "num_traj": num_traj}}))
+        assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / f"data{num_traj}")]) == 0
+    argv = ["curate", "--config", str(cfg), "--model", str(pipeline["model"]), "--out", str(out)]
+    assert main([*argv, "--data", str(tmp_path / "data6")]) == 0
+    if failure == "manifest_is_directory":
+        (out / "curated_manifest.json").unlink()
+        (out / "curated_manifest.json").mkdir()
+    else:
+        write_text = Path.write_text
+
+        def fail_on_masks(path, *args, **kwargs):
+            if path.parent.name == "new":  # a mask in write_masks' staging directory
+                raise OSError(28, "No space left on device")
+            return write_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", fail_on_masks)
+    before = {p.relative_to(out): p.read_bytes() if p.is_file() else None for p in out.rglob("*")}
+    capsys.readouterr()
+    assert main([*argv, "--data", str(tmp_path / "data4")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("trajcurate: data error: ") and err.count("\n") == 1
+    after = {p.relative_to(out): p.read_bytes() if p.is_file() else None for p in out.rglob("*")}
+    assert after == before
+    assert len(list((out / "masks").glob("*.json"))) == 6
 
 
 def test_manifest_id_leaving_out_is_data_error(pipeline, tmp_path, capsys):
@@ -632,3 +676,19 @@ def test_precomputed_embeddings_are_used(tmp_path, capsys):
     save_chunk_embeddings(out / "chunk_embeddings.bin", rng.normal(size=(9, 4)))
     assert main(["dedup", "--data", str(out), "--out", str(tmp_path / "dd")]) == 0
     assert "precomputed chunk embeddings" in capsys.readouterr().err
+
+
+def test_readme_library_use_runs(tmp_path, monkeypatch, capsys):
+    """README's "Library use" snippet, run as written on a small generated
+    dataset, so the documented API cannot drift from the code."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    snippet = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    ds, _ = generate(SynthConfig(num_traj=6, frames_per_traj=60, obs_dim=8))
+    save_dataset(ds, "bench")
+    capsys.readouterr()
+    exec(compile(snippet, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("held-out bin accuracy ")
+    assert sorted(p.name for p in (tmp_path / "curated" / "masks").iterdir()) == [
+        f"{t.id}.json" for t in sorted(ds.trajectories, key=lambda t: t.id)
+    ]

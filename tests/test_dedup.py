@@ -684,8 +684,8 @@ def test_keep_one_drops_all_but_one_twin():
     expected = np.zeros(85, bool)
     for i in np.flatnonzero(chunk_drop):
         expected[20 * i : 20 * i + 20] = True
-    assert len(frame_drop) == 1
-    np.testing.assert_array_equal(frame_drop[0], expected)
+    assert frame_drop.shape == (85,)  # one trajectory
+    np.testing.assert_array_equal(frame_drop, expected)
 
 
 def test_keep_one_strict_threshold():
@@ -868,10 +868,11 @@ def test_dedup_dataset_breaks_ties_by_id_not_list_order():
     want = oracle_keep_one(ds, chunks, feats, model, cfg.epsilon_d)
     dropped = {(ds.trajectories[chunks.traj[j]].id, int(chunks.start[j])) for j in np.flatnonzero(want)}
     assert dropped == {("t2", 20), ("t10", 0), ("t10", 40)}
+    assert mask.ids == ("t2", "t10", "t1") and mask.bounds.tolist() == [0, 65, 130, 195]
     for j in range(len(chunks)):
-        frames = slice(chunks.start[j], chunks.start[j] + chunks.span[j])
-        assert (mask[ds.trajectories[chunks.traj[j]].id].keep[frames] == (not want[j])).all()
-    assert all(m.keep[60:].all() for m in mask.masks.values())  # the unchunked tails
+        first = mask.bounds[chunks.traj[j]] + chunks.start[j]
+        assert (mask.keep[first : first + chunks.span[j]] == (not want[j])).all()
+    assert all(mask.keep[lo + 60 : lo + 65].all() for lo in (0, 65, 130))  # the unchunked tails
 
 
 def test_keep_one_always_keeps_a_representative():
@@ -894,11 +895,12 @@ def test_dedup_dataset_sentinels_and_report():
     rng = np.random.default_rng(11)
     ds = make_dataset(rng, num_traj=3, n=45, fps=10.0)  # 2 chunks + 5-frame tail
     mask, report = dedup_dataset(ds, DedupConfig(k=2))
-    for traj in ds.trajectories:
-        m = mask[traj.id]
+    assert mask.bounds.tolist() == [0, 45, 90, 135]
+    for lo in (0, 45, 90):
         # tail frames carry the unchunked sentinel
-        assert (m.dup_similarity[40:] == -1.0).all()
-        assert (m.dup_similarity[:40] >= -2.0).all()
+        assert (mask.dup_similarity[lo + 40 : lo + 45] == -1.0).all()
+        assert (mask.dup_similarity[lo : lo + 40] >= -2.0).all()
+    assert (mask.subopt_score == 0.0).all()
     assert report["format_version"] == 1
     assert report["num_chunks"] == 6
     assert report["k"] == 2
@@ -914,14 +916,11 @@ def test_dedup_dataset_drops_planted_twin():
     ds.trajectories[3].obs = ds.trajectories[0].obs.copy()
     ds.trajectories[3].actions = ds.trajectories[0].actions.copy()
     mask, _ = dedup_dataset(ds, DedupConfig(k=2))
-    pair_drops = [
-        mask["t000"].keep[:40].all(),
-        mask["t003"].keep[:40].all(),
-    ]
+    kept = [mask.keep[lo : lo + 40].all() for lo in range(0, 160, 40)]
     # exactly one of the two copies survives
-    assert sorted(pair_drops) == [False, True]
+    assert sorted([kept[0], kept[3]]) == [False, True]
     # untouched trajectories survive
-    assert mask["t001"].keep.all() and mask["t002"].keep.all()
+    assert kept[1] and kept[2]
 
 
 def test_cluster_dataset_precomputed_embeddings():
@@ -944,9 +943,8 @@ def test_dedup_threads_agree():
     mask1, rep1 = dedup_dataset(ds, cfg)
     mask2, rep2 = dedup_dataset(ds, cfg)
     assert rep1 == rep2
-    for tid in mask1.masks:
-        np.testing.assert_array_equal(mask1[tid].keep, mask2[tid].keep)
-        assert mask1[tid].dup_similarity.tobytes() == mask2[tid].dup_similarity.tobytes()
+    np.testing.assert_array_equal(mask1.keep, mask2.keep)
+    assert mask1.dup_similarity.tobytes() == mask2.dup_similarity.tobytes()
 
 
 # --- packed embedding file -------------------------------------------------------------------

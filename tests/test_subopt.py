@@ -25,9 +25,9 @@ from trajcurate.subopt import (
     subopt_mask,
     subopt_report,
 )
-from trajcurate.trajstore import REASONS, SUBOPTIMAL, CurationMask, seconds_to_frames
+from trajcurate.trajstore import REASONS, SUBOPTIMAL, seconds_to_frames
 
-from conftest import make_dataset, make_trajectory
+from conftest import make_dataset, make_mask, make_trajectory
 
 
 # --- oracles -------------------------------------------------------------------
@@ -357,8 +357,7 @@ def test_score_dataset_threads_agree(tiny_model):
     series2, mask2 = score_dataset(ds, tiny_model, bins, cfg)
     for a, b in zip(series1, series2):
         assert a.final.tobytes() == b.final.tobytes()
-    for tid in mask1.masks:
-        np.testing.assert_array_equal(mask1[tid].keep, mask2[tid].keep)
+    np.testing.assert_array_equal(mask1.keep, mask2.keep)
 
 
 @pytest.mark.parametrize("stride", [1, 3])
@@ -370,20 +369,19 @@ def test_score_dataset_views_match_score_trajectory(tiny_model, stride):
     cfg = SuboptConfig(stride_frames=stride)
     series, mask = score_dataset(ds, tiny_model, default_bins(), cfg)
     assert [s.traj_id for s in series] == [t.id for t in ds.trajectories]
-    base = series[0].final.base
-    assert base is not None
-    for traj, s in zip(ds.trajectories, series):
+    assert mask.ids == tuple(t.id for t in ds.trajectories)
+    assert mask.bounds.tolist() == [0, 45, 90, 102, 147, 192, 229]
+    assert (mask.dup_similarity == -1.0).all()
+    for traj, s, lo, hi in zip(ds.trajectories, series, mask.bounds, mask.bounds[1:]):
         want, drop = score_trajectory(traj, tiny_model, default_bins(), cfg)
         for field in ("window_scores", "sample_scores", "discounted", "final"):
             assert getattr(s, field).tobytes() == getattr(want, field).tobytes()
-        m = mask[traj.id]
-        assert m.keep.tobytes() == (~drop).tobytes()
-        assert m.reason.tobytes() == (drop * SUBOPTIMAL).astype(np.uint8).tobytes()
-        assert m.subopt_score.tobytes() == want.final.tobytes()
-        assert m.dup_similarity.tobytes() == np.full(traj.num_frames, -1.0).tobytes()
-        # one dataset-wide array per field
-        assert s.final.base is base and m.subopt_score.base is base
-    assert series[2].window_scores.size == 0 and not (~mask["short"].keep).any()
+        assert mask.keep[lo:hi].tobytes() == (~drop).tobytes()
+        assert mask.reason[lo:hi].tobytes() == (drop * SUBOPTIMAL).astype(np.uint8).tobytes()
+        assert mask.subopt_score[lo:hi].tobytes() == want.final.tobytes()
+        # the series' finals are views of the mask's dataset-wide scores
+        assert s.final.base is mask.subopt_score
+    assert series[2].window_scores.size == 0 and mask.keep[90:102].all()
 
 
 def test_score_dataset_memory_is_its_outputs_plus_one_trajectory():
@@ -415,30 +413,30 @@ def test_score_dataset_mask_layout(tiny_model):
     ds = make_dataset(rng, num_traj=3, n=45, obs_dim=6)
     cfg = SuboptConfig(epsilon_s=-10.0)  # everything scores above this
     _, mask = score_dataset(ds, tiny_model, default_bins(), cfg)
-    assert set(mask.masks) == {t.id for t in ds.trajectories}
-    for tid in mask.masks:
-        m = mask[tid]
-        assert not m.keep.any()
-        assert {REASONS[r] for r in m.reason} == {"suboptimal"}
-        assert (m.dup_similarity == -1.0).all()
+    assert mask.ids == tuple(t.id for t in ds.trajectories)
+    assert mask.bounds.tolist() == [0, 45, 90, 135]
+    assert not mask.keep.any()
+    assert {REASONS[r] for r in mask.reason} == {"suboptimal"}
+    assert (mask.dup_similarity == -1.0).all()
 
 
 def test_subopt_report_shape(tiny_model):
     rng = np.random.default_rng(17)
     ds = make_dataset(rng, num_traj=3, n=45, obs_dim=6)
     cfg = SuboptConfig()
-    series, mask = score_dataset(ds, tiny_model, default_bins(), cfg)
-    report = subopt_report(series, mask, cfg)
+    _, mask = score_dataset(ds, tiny_model, default_bins(), cfg)
+    report = subopt_report(mask, cfg)
     assert report["format_version"] == 1
     assert report["num_frames"] == 3 * 45
     assert report["epsilon_s"] == cfg.epsilon_s
     hist = report["score_histogram"]
     assert sum(hist["counts"]) == 3 * 45
     assert len(hist["bin_edges"]) == 65
+    assert hist["counts"] == np.histogram(mask.subopt_score, bins=64)[0].tolist()
     assert 0.0 <= report["deletion_ratio"] <= 1.0
 
 
 def test_subopt_report_empty():
-    report = subopt_report([], CurationMask(masks={}), SuboptConfig())
+    report = subopt_report(make_mask({}), SuboptConfig())
     assert report["num_frames"] == 0
     assert report["score_histogram"]["counts"] == []

@@ -17,7 +17,9 @@ from trajcurate.synthgen import (
     generate,
     separation_self_check,
 )
-from trajcurate.trajstore import CurationMask, Dataset, Trajectory, TrajectoryMask
+from trajcurate.trajstore import Dataset, Trajectory
+
+from conftest import make_mask
 
 
 SMALL = SynthConfig(
@@ -439,19 +441,13 @@ def _tiny_gt():
 
 
 def _mask_for(gt, drops_by_tid, reason, scores_by_tid=None):
-    masks = {}
+    parts = {}
     for tid, tags in gt.frame_tags.items():
         n = len(tags)
         drops = drops_by_tid.get(tid, [False] * n)
         scores = (scores_by_tid or {}).get(tid, [0.0] * n)
-        masks[tid] = TrajectoryMask(
-            traj_id=tid,
-            keep=[not d for d in drops],
-            reason=[reason if d else "" for d in drops],
-            subopt_score=scores,
-            dup_similarity=[-1.0] * n,
-        )
-    return CurationMask(masks=masks)
+        parts[tid] = ([not d for d in drops], [reason if d else "" for d in drops], scores, [-1.0] * n)
+    return make_mask(parts)
 
 
 def test_evaluate_masks_perfect_detection():
@@ -471,6 +467,19 @@ def test_evaluate_masks_perfect_detection():
     assert metrics["anomaly"]["per_type_recall"]["pause"] == 1.0
     assert np.isnan(metrics["anomaly"]["per_type_recall"]["slow"])
     assert metrics["anomaly"]["no_drops"] is False
+
+
+def test_evaluate_masks_follows_ids_not_layout():
+    """A mask laid out t1 then t0 scores as the one laid out t0 then t1."""
+    gt = _tiny_gt()
+    drops = {"t0": [i % 3 == 0 for i in range(10)], "t1": [i >= 5 for i in range(10)]}
+    scores = {tid: np.random.default_rng(i).random(10).tolist() for i, tid in enumerate(gt.frame_tags)}
+    for reason in ("suboptimal", "duplicate"):
+        mask = _mask_for(gt, drops, reason, scores)
+        reversed_gt = dataclasses.replace(gt, frame_tags=dict(reversed(gt.frame_tags.items())))
+        flipped = _mask_for(reversed_gt, drops, reason, scores)
+        assert flipped.ids == ("t1", "t0")
+        assert json.dumps(evaluate_masks(flipped, gt)) == json.dumps(evaluate_masks(mask, gt))
 
 
 def test_evaluate_masks_no_drops_convention():
@@ -534,13 +543,13 @@ def test_evaluate_masks_reason_attribution():
     assert metrics["anomaly"]["no_drops"] is True
 
 
+def _kept(n):
+    return [True] * n, [""] * n, [0.0] * n, [-1.0] * n
+
+
 def test_evaluate_masks_shape_errors():
     gt = _tiny_gt()
     with pytest.raises(ShapeMismatch):
-        evaluate_masks(CurationMask(masks={"t0": TrajectoryMask.keep_all("t0", 10)}), gt)
-    bad = CurationMask(masks={
-        "t0": TrajectoryMask.keep_all("t0", 10),
-        "t1": TrajectoryMask.keep_all("t1", 9),
-    })
+        evaluate_masks(make_mask({"t0": _kept(10)}), gt)
     with pytest.raises(ShapeMismatch):
-        evaluate_masks(bad, gt)
+        evaluate_masks(make_mask({"t0": _kept(10), "t1": _kept(9)}), gt)

@@ -22,7 +22,6 @@ from trajcurate.trajstore import (
     CurationMask,
     Dataset,
     Trajectory,
-    TrajectoryMask,
     load_dataset,
     read_masks,
     save_dataset,
@@ -30,7 +29,7 @@ from trajcurate.trajstore import (
     write_masks,
 )
 
-from conftest import make_dataset, make_trajectory
+from conftest import make_dataset, make_mask, make_trajectory
 
 
 # --- frame/second conversion ----------------------------------------------------
@@ -267,41 +266,62 @@ def test_round_trip_property(tmp_path_factory, n, obs_dim, action_dim, seed):
 # --- curation masks ----------------------------------------------------------------
 
 
-def _mask(traj_id="t0", keep=(1, 0, 1), reason=("", "suboptimal", "")):
+def _fields(keep=(1, 0, 1), reason=("", "suboptimal", "")):
     n = len(keep)
-    return TrajectoryMask(
-        traj_id=traj_id,
-        keep=np.array(keep, dtype=bool),
-        reason=list(reason),
-        subopt_score=np.linspace(0, 1, n),
-        dup_similarity=np.full(n, -1.0),
-    )
+    return np.array(keep, dtype=bool), list(reason), np.linspace(0, 1, n), np.full(n, -1.0)
+
+
+def _masks(ids):
+    return make_mask({t: _fields() for t in ids})
+
+
+def _part(mask, traj_id):
+    """One trajectory's (keep, reason, subopt_score, dup_similarity)."""
+    part = dict(mask.frames())[traj_id]
+    return mask.keep[part], mask.reason[part], mask.subopt_score[part], mask.dup_similarity[part]
 
 
 def test_mask_shape_validation():
     with pytest.raises(MaskShapeMismatch):
-        TrajectoryMask("t0", np.ones(3, bool), [""] * 2, np.zeros(3), np.zeros(3))
+        make_mask({"t0": (np.ones(3, bool), [""] * 2, np.zeros(3), np.zeros(3))})
     with pytest.raises(MaskShapeMismatch):
-        _mask(reason=("", "bogus", ""))
+        make_mask({"t0": _fields(reason=("", "bogus", ""))})
 
 
-def test_keep_all():
-    m = TrajectoryMask.keep_all("t9", 5)
-    assert m.keep.all() and [REASONS[r] for r in m.reason] == [""] * 5
-    assert (m.dup_similarity == -1.0).all()
+@pytest.mark.parametrize("ids, bounds", [
+    (("a", "b"), [0, 2]),
+    (("a", "b"), [0, 2, 4, 6]),
+    (("a", "b"), [1, 3, 6]),
+    (("a", "b"), [0, 7, 6]),
+    (("a", "b"), [0, 2, 5]),
+    (("a", "a"), [0, 2, 6]),
+], ids=["one_offset_short", "one_offset_too_many", "not_from_frame_0", "falling",
+        "short_of_the_frames", "repeated_id"])
+def test_mask_rejects_inconsistent_bounds(ids, bounds):
+    good = CurationMask(("a", "b"), [0, 2, 6], np.ones(6, bool), np.zeros(6, np.uint8),
+                        np.zeros(6), np.zeros(6))
+    assert good.frames() == [("a", slice(0, 2)), ("b", slice(2, 6))]
+    with pytest.raises(MaskShapeMismatch):
+        CurationMask(ids, bounds, good.keep, good.reason, good.subopt_score, good.dup_similarity)
+
+
+def test_mask_frames_are_in_id_order():
+    mask = make_mask({"t2": _fields(), "t10": _fields((1,), ("",)), "t1": _fields((0, 0), ("both",) * 2)})
+    assert mask.frames() == [("t1", slice(4, 6)), ("t10", slice(3, 4)), ("t2", slice(0, 3))]
 
 
 def test_curation_mask_counting():
-    cm = CurationMask(masks={
-        "a": _mask("a", keep=(1, 0, 0), reason=("", "suboptimal", "duplicate")),
-        "b": _mask("b", keep=(0, 1, 1), reason=("both", "", "")),
+    cm = make_mask({
+        "a": _fields(keep=(1, 0, 0), reason=("", "suboptimal", "duplicate")),
+        "b": _fields(keep=(0, 1, 1), reason=("both", "", "")),
     })
     assert cm.total_frames == 6
+    assert cm.reason_counts().tolist() == [0, 1, 1, 1]
     assert cm.dropped_frames() == 3
     assert cm.dropped_frames(reasons=("suboptimal", "both")) == 2
     assert cm.dropped_frames(reasons=("duplicate",)) == 1
     assert cm.deletion_ratio() == pytest.approx(0.5)
-    assert cm["a"].traj_id == "a"
+    assert [REASONS[r] for r in cm.reason] == ["", "suboptimal", "duplicate", "both", "", ""]
 
 
 @given(
@@ -313,9 +333,8 @@ def test_curation_mask_counting():
 )
 @settings(max_examples=200, deadline=None)
 def test_dropped_frames_matches_frame_walk(frames, reasons):
-    cm = CurationMask(masks={
-        f"t{i}": TrajectoryMask(f"t{i}", [k for k, _ in fr], [r for _, r in fr],
-                                np.zeros(len(fr)), np.zeros(len(fr)))
+    cm = make_mask({
+        f"t{i}": ([k for k, _ in fr], [r for _, r in fr], np.zeros(len(fr)), np.zeros(len(fr)))
         for i, fr in enumerate(frames)
     })
     if reasons is None:
@@ -326,27 +345,25 @@ def test_dropped_frames_matches_frame_walk(frames, reasons):
 
 
 def test_empty_mask_ratio_is_zero():
-    assert CurationMask(masks={}).deletion_ratio() == 0.0
+    assert make_mask({}).deletion_ratio() == 0.0
 
 
 def test_mask_round_trip(tmp_path):
-    cm = CurationMask(masks={
-        "a": _mask("a"),
-        "b": _mask("b", keep=(0, 0, 1, 1), reason=("both", "duplicate", "", "")),
+    cm = make_mask({
+        "a": _fields(),
+        "b": _fields(keep=(0, 0, 1, 1), reason=("both", "duplicate", "", "")),
     })
     write_masks(cm, tmp_path)
     assert (tmp_path / "masks" / "a.json").is_file()
     back = read_masks(tmp_path / "masks")
-    assert set(back.masks) == {"a", "b"}
-    for tid in cm.masks:
-        np.testing.assert_array_equal(back[tid].keep, cm[tid].keep)
-        np.testing.assert_array_equal(back[tid].reason, cm[tid].reason)
-        np.testing.assert_array_equal(back[tid].subopt_score, cm[tid].subopt_score)
-        np.testing.assert_array_equal(back[tid].dup_similarity, cm[tid].dup_similarity)
+    assert back.ids == ("a", "b") and back.bounds.tolist() == [0, 3, 7]
+    for field in ("keep", "reason", "subopt_score", "dup_similarity"):
+        assert getattr(back, field).dtype == getattr(cm, field).dtype
+        np.testing.assert_array_equal(getattr(back, field), getattr(cm, field))
 
 
 def test_mask_files_are_valid_sorted_json(tmp_path):
-    write_masks(CurationMask(masks={"a": _mask("a")}), tmp_path)
+    write_masks(_masks("a"), tmp_path)
     text = (tmp_path / "masks" / "a.json").read_text()
     assert text.endswith("\n")
     doc = json.loads(text)
@@ -358,10 +375,10 @@ def test_mask_files_are_valid_sorted_json(tmp_path):
     ("subopt_score", np.nan), ("subopt_score", -np.inf), ("dup_similarity", np.inf),
 ])
 def test_nonfinite_mask_is_rejected_before_writing(tmp_path, field, value):
-    bad = _mask("b")
+    bad = _masks("b")
     getattr(bad, field)[1] = value
     with pytest.raises(NonFiniteValue, match="mask of trajectory 'b' frame 1"):
-        write_masks(CurationMask(masks={"b": bad}), tmp_path)
+        write_masks(bad, tmp_path)
     assert not (tmp_path / "masks" / "b.json").exists()
 
 
@@ -374,34 +391,32 @@ def test_mask_round_trip_property(tmp_path_factory, keep, seed):
     rng = np.random.default_rng(seed)
     n = len(keep)
     reasons = ["" if k else rng.choice(["suboptimal", "duplicate", "both"]) for k in keep]
-    cm = CurationMask(masks={
-        "t": TrajectoryMask("t", np.array(keep), reasons,
-                            rng.normal(size=n), rng.uniform(-2, 1, n)),
-    })
+    cm = make_mask({"t": (np.array(keep), reasons, rng.normal(size=n), rng.uniform(-2, 1, n))})
     root = tmp_path_factory.mktemp("masks")
     write_masks(cm, root)
     back = read_masks(root / "masks")
-    np.testing.assert_array_equal(back["t"].keep, cm["t"].keep)
-    np.testing.assert_array_equal(back["t"].reason, cm["t"].reason)
+    np.testing.assert_array_equal(back.keep, cm.keep)
+    np.testing.assert_array_equal(back.reason, cm.reason)
     # JSON float text round-trips IEEE doubles exactly
-    np.testing.assert_array_equal(back["t"].subopt_score, cm["t"].subopt_score)
-    np.testing.assert_array_equal(back["t"].dup_similarity, cm["t"].dup_similarity)
+    np.testing.assert_array_equal(back.subopt_score, cm.subopt_score)
+    np.testing.assert_array_equal(back.dup_similarity, cm.dup_similarity)
 
 
 def json_dumps_masks(mask):
     """The mask files as the ``json`` encoder writes them: the byte-level
     reference for ``write_masks``' token-built text."""
-    return {
-        traj_id: json.dumps({
+    docs = {}
+    for traj_id, part in mask.frames():
+        keep, reason, subopt_score, dup_similarity = _part(mask, traj_id)
+        docs[traj_id] = json.dumps({
             "format_version": 1,
             "id": traj_id,
-            "keep": m.keep.astype(int).tolist(),
-            "reason": [REASONS[c] for c in m.reason.tolist()],
-            "subopt_score": m.subopt_score.tolist(),
-            "dup_similarity": m.dup_similarity.tolist(),
+            "keep": keep.astype(int).tolist(),
+            "reason": [REASONS[c] for c in reason.tolist()],
+            "subopt_score": subopt_score.tolist(),
+            "dup_similarity": dup_similarity.tolist(),
         }, sort_keys=True, allow_nan=False) + "\n"
-        for traj_id, m in mask.masks.items()
-    }
+    return docs
 
 
 _BOUNDARY_FLOATS = [
@@ -422,15 +437,14 @@ _mask_floats = st.lists(
 )
 @settings(max_examples=150, deadline=None)
 def test_write_masks_equals_json_encoder_bytes(tmp_path_factory, columns, ids):
-    masks = {}
+    parts = {}
     for traj_id, (values, seed) in zip(ids, columns):
         rng = np.random.default_rng(seed)
         n, scores = len(values), np.array(values, dtype=np.float64)
         # the dup column repeats at most three of the values, as chunk similarities do
         dup = scores[rng.integers(0, max(1, min(3, n)), size=n)]
-        masks[traj_id] = TrajectoryMask(traj_id, rng.random(n) < 0.5,
-                                        rng.integers(0, 4, size=n), scores, dup)
-    mask = CurationMask(masks=masks)
+        parts[traj_id] = (rng.random(n) < 0.5, rng.integers(0, 4, size=n), scores, dup)
+    mask = make_mask(parts)
     root = tmp_path_factory.mktemp("masks")
     write_masks(mask, root)
     written = {p.stem: p.read_bytes() for p in (root / "masks").iterdir()}
@@ -438,16 +452,16 @@ def test_write_masks_equals_json_encoder_bytes(tmp_path_factory, columns, ids):
 
 
 def test_rewritten_masks_hold_only_the_new_run(tmp_path):
-    write_masks(CurationMask(masks={t: _mask(t) for t in "abcdef"}), tmp_path)
+    write_masks(_masks("abcdef"), tmp_path)
     assert sorted(p.name for p in (tmp_path / "masks").iterdir()) == [f"{t}.json" for t in "abcdef"]
-    write_masks(CurationMask(masks={t: _mask(t) for t in "wxyz"}), tmp_path)
+    write_masks(_masks("wxyz"), tmp_path)
     assert sorted(p.name for p in (tmp_path / "masks").iterdir()) == [f"{t}.json" for t in "wxyz"]
     assert [p.name for p in tmp_path.iterdir()] == ["masks"]  # no staging or retired directory
-    assert sorted(read_masks(tmp_path / "masks").masks) == list("wxyz")
+    assert read_masks(tmp_path / "masks").ids == tuple("wxyz")
 
 
 def test_failed_mask_write_keeps_the_previous_masks(tmp_path, monkeypatch):
-    write_masks(CurationMask(masks={t: _mask(t) for t in "abc"}), tmp_path)
+    write_masks(_masks("abc"), tmp_path)
     before = {p.name: p.read_bytes() for p in (tmp_path / "masks").iterdir()}
     write_text = Path.write_text
 
@@ -458,14 +472,43 @@ def test_failed_mask_write_keeps_the_previous_masks(tmp_path, monkeypatch):
 
     monkeypatch.setattr(Path, "write_text", fail_on_y)
     with pytest.raises(IoFailure, match="No space left"):
-        write_masks(CurationMask(masks={t: _mask(t) for t in "xyz"}), tmp_path)
+        write_masks(_masks("xyz"), tmp_path)
     assert {p.name: p.read_bytes() for p in (tmp_path / "masks").iterdir()} == before
     assert [p.name for p in tmp_path.iterdir()] == ["masks"]
 
 
 def test_nonfinite_mask_writes_no_file_of_any_mask(tmp_path):
-    bad = _mask("b")
-    bad.dup_similarity[2] = np.nan
+    bad = _masks("ab")
+    bad.dup_similarity[3 + 2] = np.nan
     with pytest.raises(NonFiniteValue, match="mask of trajectory 'b' frame 2"):
-        write_masks(CurationMask(masks={"a": _mask("a"), "b": bad}), tmp_path)
+        write_masks(bad, tmp_path)
     assert not (tmp_path / "masks").exists()
+
+
+@pytest.mark.parametrize("corrupt, error", [
+    ("repeated_id", InvalidManifest),
+    ("nan_score", NonFiniteValue),
+    ("infinite_similarity", NonFiniteValue),
+    ("overflowing_score", NonFiniteValue),
+    ("numeric_reason", InvalidManifest),
+    ("unknown_reason", InvalidManifest),
+    ("short_reason", MaskShapeMismatch),
+])
+def test_read_masks_rejects_corrupt_files(tmp_path, corrupt, error):
+    write_masks(_masks("ab"), tmp_path)
+    masks = tmp_path / "masks"
+    doc = json.loads((masks / "b.json").read_text())
+    if corrupt == "repeated_id":
+        (masks / "z.json").write_text((masks / "a.json").read_text())
+    elif corrupt in ("nan_score", "infinite_similarity", "overflowing_score"):
+        token = {"nan_score": "NaN", "infinite_similarity": "-Infinity", "overflowing_score": "1e999"}
+        text = (masks / "b.json").read_text()
+        field = "dup_similarity" if corrupt == "infinite_similarity" else "subopt_score"
+        head, rest = text.split(f'"{field}": [', 1)
+        (masks / "b.json").write_text(f'{head}"{field}": [{token[corrupt]}, {rest.split(", ", 1)[1]}')
+    else:
+        doc["reason"] = {"numeric_reason": [0, 1, 0], "unknown_reason": ["", "bogus", ""],
+                         "short_reason": [""]}[corrupt]
+        (masks / "b.json").write_text(json.dumps(doc))
+    with pytest.raises(error):
+        read_masks(masks)
