@@ -60,6 +60,25 @@ def _write_json(path: Path, payload: dict) -> None:
         raise IoFailure(str(exc)) from exc
 
 
+def _write_masks_and_reports(out: Path, mask, reports: dict[str, dict]) -> None:
+    """Write ``out/masks`` and the named JSON reports in ``out``, staging the reports
+    first so that a failure leaves the previous run's masks and reports together."""
+    temps = {out / name: out / f".{name}-{os.getpid()}" for name in reports}
+    try:
+        for (target, temp), payload in zip(temps.items(), reports.values()):
+            if target.is_dir():
+                raise IoFailure(f"{target} is a directory")
+            _write_json(temp, payload)
+        write_masks(mask, out)
+        for target, temp in temps.items():
+            os.replace(temp, target)
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
+    finally:
+        for temp in filter(Path.is_file, temps.values()):
+            temp.unlink()
+
+
 def _require(value: str | None, fallback: str | None, name: str) -> str:
     resolved = value if value is not None else fallback
     if resolved is None:
@@ -102,10 +121,8 @@ def _cmd_gen(args, cfg: PipelineConfig) -> int:
     for segs in gt.anomaly_segments.values():
         kind = segs[0][2] if segs else "clean"
         by_kind[kind] = by_kind.get(kind, 0) + 1
-    rows = [(k, v) for k, v in sorted(by_kind.items())]
-    rows.append(("duplicate groups", len(gt.groups())))
-    rows.append(("planted min cosine", f"{check['planted_min_similarity']:.6f}"))
-    rows.append(("non-planted max cosine", f"{check['nonplanted_max_similarity']:.6f}"))
+    rows = [*sorted(by_kind.items()), ("duplicate groups", len(gt.groups())),
+            ("planted min cosine", f"{check['planted_min_similarity']:.6f}")]
     _print_table(rows, ("category", "value"))
     return 0
 
@@ -139,7 +156,6 @@ def _cmd_score_subopt(args, cfg: PipelineConfig) -> int:
     ds = load_dataset(data)
     bins = _progress_bins(cfg, ds)
     series, mask = score_dataset(ds, model, bins, cfg.subopt)
-    write_masks(mask, out)
     scores_dir = out / "scores"
     try:
         scores_dir.mkdir(parents=True, exist_ok=True)
@@ -154,7 +170,7 @@ def _cmd_score_subopt(args, cfg: PipelineConfig) -> int:
             "discounted": s.discounted.tolist(),
             "final": s.final.tolist(),
         })
-    _write_json(out / "subopt_report.json", subopt_report(mask, cfg.subopt))
+    _write_masks_and_reports(out, mask, {"subopt_report.json": subopt_report(mask, cfg.subopt)})
     _print_table(
         [
             ("frames", mask.total_frames),
@@ -180,8 +196,7 @@ def _cmd_dedup(args, cfg: PipelineConfig) -> int:
     out = Path(_require(args.out, cfg.out, "out"))
     ds = load_dataset(data)
     mask, report = dedup_dataset(ds, cfg.dedup, _load_embeddings_if_present(data))
-    write_masks(mask, out)
-    _write_json(out / "dedup_report.json", report)
+    _write_masks_and_reports(out, mask, {"dedup_report.json": report})
     _print_table(
         [
             ("chunks", report["num_chunks"]),
@@ -306,22 +321,7 @@ def _cmd_curate(args, cfg: PipelineConfig) -> int:
         "subopt_report": subopt_report(sub_mask, cfg.subopt),
         "dedup_report": dedup_rep,
     }
-    # the reports are staged beside their targets before the masks are swapped
-    # in, so a failure leaves the previous run's masks and reports together
-    temps = {out / name: out / f".{name}-{os.getpid()}" for name in ("curated_manifest.json", "curation_report.json")}
-    try:
-        for (target, temp), payload in zip(temps.items(), (manifest, report)):
-            if target.is_dir():
-                raise IoFailure(f"{target} is a directory")
-            _write_json(temp, payload)
-        write_masks(combined, out)
-        for target, temp in temps.items():
-            os.replace(temp, target)
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-    finally:
-        for temp in filter(Path.is_file, temps.values()):
-            temp.unlink()
+    _write_masks_and_reports(out, combined, {"curated_manifest.json": manifest, "curation_report.json": report})
     _print_table(
         [
             ("Suboptimal-Only", n_sub, f"{ratios['suboptimal']:.4f}"),

@@ -380,9 +380,12 @@ def evaluate_masks(mask: CurationMask, gt: GroundTruth) -> dict:
     if np.diff(mask.bounds).tolist() != [len(gt.frame_tags[tid]) for tid in mask.ids]:
         raise ShapeMismatch("mask and ground truth disagree on a trajectory's frame count")
     drop_sub = mask.dropped(("suboptimal", "both"))
-    # the leading empty array sets the dtype when there are no trajectories
-    tags_all = np.concatenate([np.empty(0, str)] + [np.array(gt.frame_tags[t]) for t in mask.ids])
-    anomaly = tags_all != CLEAN
+    # per-frame tag codes: 0 clean, then 1 + the index into ANOMALY_TYPES
+    tags = np.zeros(mask.bounds[-1], dtype=np.uint8)
+    for tid, lo in zip(mask.ids, mask.bounds.tolist()):
+        for a, b, t in gt.anomaly_segments.get(tid, ()):
+            tags[lo + a : lo + b] = 1 + ANOMALY_TYPES.index(t)
+    anomaly = tags > 0
 
     n_dropped = int(drop_sub.sum())
     tp = int((drop_sub & anomaly).sum())
@@ -391,8 +394,8 @@ def evaluate_masks(mask: CurationMask, gt: GroundTruth) -> dict:
     recall = tp / int(anomaly.sum()) if anomaly.any() else float("nan")
     fpr = float((drop_sub & ~anomaly).sum() / max(1, int((~anomaly).sum())))
     per_type = {}
-    for t in ANOMALY_TYPES:
-        sel = tags_all == t
+    for code, t in enumerate(ANOMALY_TYPES, 1):
+        sel = tags == code
         per_type[t] = float(drop_sub[sel].mean()) if sel.any() else float("nan")
 
     dup_metrics = _duplicate_metrics(mask, gt)
@@ -440,18 +443,13 @@ def _duplicate_metrics(mask: CurationMask, gt: GroundTruth) -> dict:
     }
 
 
-# Entries in one row block of separation_self_check's (rows × chunks) matrices.
-_CHECK_BLOCK_ELEMS = 1 << 18
-
-
 def separation_self_check(ds: Dataset, gt: GroundTruth, action_weight: float | None = None) -> dict:
     """Empirical geometry check of the planted-duplicate construction.
 
-    Confirms planted twins sit above the dedup threshold band while every
-    other chunk pair sits safely below it, and reports the extremes. It works
-    in bounded memory: chunk-pair similarities are taken in row blocks of at
-    most ``_CHECK_BLOCK_ELEMS`` entries, keeping running minima and maxima, so
-    no chunks² matrix is ever built.
+    Reports the lowest cosine between two members of one planted group, which
+    must sit above the dedup threshold band. λ depends on every chunk, so all
+    chunks are embedded, but only pairs inside a planted group are compared:
+    the cost beyond the features is O(planted pairs).
     """
     from .dedup import DedupConfig, chunk_dataset, compute_features
 
@@ -459,53 +457,31 @@ def separation_self_check(ds: Dataset, gt: GroundTruth, action_weight: float | N
                       action_weight=action_weight)
     chunks = chunk_dataset(ds, cfg)
     if len(chunks) < 2:
-        return {
-            "action_weight": float("nan"),
-            "num_chunks": len(chunks),
-            "planted_min_similarity": float("nan"),
-            "nonplanted_max_similarity": float("nan"),
-            "distinct_phase_max_similarity": float("nan"),
-        }
+        return {"action_weight": float("nan"), "num_chunks": len(chunks),
+                "planted_min_similarity": float("nan")}
     features, lam = compute_features(ds, chunks, cfg)
-    # each chunk's planted group (0: none) and the phase at its middle frame
-    n = len(chunks)
-    ids, phases = np.zeros(n, dtype=np.int64), np.full(n, np.nan)
+    # each chunk's planted group (0: none)
+    ids = np.zeros(len(chunks), dtype=np.int64)
     bounds = np.searchsorted(chunks.traj, np.arange(len(ds) + 1)).tolist()
     for traj, lo, hi in zip(ds.trajectories, bounds, bounds[1:]):
         slot, off = np.divmod(chunks.start[lo:hi], gt.chunk_span)
         gids = np.array([*gt.chunk_groups.get(traj.id, []), 0], dtype=np.int64)  # 0: past the grid
         ids[lo:hi] = np.where(off == 0, gids[np.minimum(slot, gids.size - 1)], 0)
-        phi = gt.phi.get(traj.id)
-        if phi is not None:
-            phases[lo:hi] = phi[chunks.start[lo:hi] + chunks.span[lo:hi] // 2]
 
-    # np.minimum/np.maximum, unlike min()/max(), carry a NaN through
-    planted_min, others_max, far_max = np.inf, -np.inf, -np.inf
-    any_planted = any_far = False
-    rows = max(1, _CHECK_BLOCK_ELEMS // n)
-    sims_buf, gap_buf = np.empty((2, min(rows, n) * n))  # reused: fresh blocks cost page faults
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        diag = (np.arange(hi - lo), np.arange(lo, hi))
-        sims = np.matmul(features[lo:hi], features.T, out=sims_buf[: (hi - lo) * n].reshape(hi - lo, n))
-        sims[diag] = -np.inf
-        same_group = (ids[lo:hi, None] == ids[None, :]) & (ids[lo:hi, None] > 0)
-        same_group[diag] = False
-        if same_group.any():
-            any_planted = True
-            planted_min = np.minimum(planted_min, sims[same_group].min())
-        sims[same_group] = -np.inf  # what is left are the non-planted pairs
-        others_max = np.maximum(others_max, sims.max())
-        gap = np.subtract(phases[lo:hi, None], phases[None, :], out=gap_buf[: sims.size].reshape(sims.shape))
-        far_phase = np.abs(gap, out=gap) > 0.3
-        if far_phase.any():
-            any_far = True
-            far_max = np.maximum(far_max, sims[far_phase].max())
-
+    # members grouped by id; groups of one size go through one (groups, s, d) product
+    members = np.flatnonzero(ids)
+    members = members[np.argsort(ids[members], kind="stable")]
+    _, first, sizes = np.unique(ids[members], return_index=True, return_counts=True)
+    shared = np.unique(sizes[sizes > 1]).tolist()  # a lone member makes no pair
+    # np.minimum, unlike min(), carries a NaN through
+    planted_min = np.inf if shared else np.nan
+    for s in shared:
+        rows = features[members[first[sizes == s, None] + np.arange(s)]]
+        sims = np.matmul(rows, rows.transpose(0, 2, 1))
+        upper = np.triu_indices(s, 1)
+        planted_min = np.minimum(planted_min, sims[:, upper[0], upper[1]].min())
     return {
         "action_weight": lam,
         "num_chunks": len(chunks),
-        "planted_min_similarity": float(planted_min) if any_planted else float("nan"),
-        "nonplanted_max_similarity": float(others_max),
-        "distinct_phase_max_similarity": float(far_max) if any_far else float("nan"),
+        "planted_min_similarity": float(planted_min),
     }

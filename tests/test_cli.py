@@ -495,6 +495,39 @@ def test_failed_curate_leaves_the_previous_run_whole(pipeline, tmp_path, capsys,
     assert len(list((out / "masks").glob("*.json"))) == 6
 
 
+@pytest.mark.parametrize("command, report", [("dedup", "dedup_report.json"),
+                                             ("score-subopt", "subopt_report.json")])
+def test_failed_report_leaves_the_previous_masks_and_report(pipeline, tmp_path, capsys, command, report):
+    """A 6-trajectory run, then a 4-trajectory one into the same --out whose
+    report target is a directory: the first run's masks and report stay as
+    they were, byte for byte, and no staged file is left. (score-subopt's
+    scores/ is written in place.)"""
+    out = tmp_path / "out"
+    for num_traj in (6, 4):
+        cfg = tmp_path / f"config{num_traj}.json"
+        cfg.write_text(json.dumps({**PIPELINE_CONFIG, "synth": {**PIPELINE_CONFIG["synth"], "num_traj": num_traj}}))
+        assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / f"data{num_traj}")]) == 0
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    if command == "score-subopt":
+        argv += ["--model", str(pipeline["model"])]
+    assert main([*argv, "--data", str(tmp_path / "data6")]) == 0
+    (out / report).unlink()
+    (out / report).mkdir()
+
+    def outputs():
+        return {p.relative_to(out): p.read_bytes() if p.is_file() else None
+                for p in out.rglob("*") if "scores" not in p.relative_to(out).parts}
+
+    before = outputs()
+    capsys.readouterr()
+    assert main([*argv, "--data", str(tmp_path / "data4")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("trajcurate: data error: ") and err.count("\n") == 1
+    assert "is a directory" in err
+    assert outputs() == before
+    assert len(list((out / "masks").glob("*.json"))) == 6
+
+
 def test_manifest_id_leaving_out_is_data_error(pipeline, tmp_path, capsys):
     data, run = tmp_path / "data", tmp_path / "run"
     shutil.copytree(pipeline["data"], data)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -279,17 +280,6 @@ def test_duplicate_content_copied(small_benchmark):
         )
 
 
-def test_separation_self_check(small_benchmark):
-    ds, gt = small_benchmark
-    check = separation_self_check(ds, gt)
-    assert check["num_chunks"] == 24 * 10
-    # planted twins sit far above every unplanted pair
-    assert check["planted_min_similarity"] > 0.99
-    assert check["nonplanted_max_similarity"] < 0.99
-    assert check["distinct_phase_max_similarity"] < 0.9
-    assert check["action_weight"] > 0
-
-
 def _dense_separation_check(ds, gt):
     """Reference: the same extremes from full chunks × chunks matrices."""
     from trajcurate.dedup import DedupConfig, chunk_dataset, compute_features
@@ -326,33 +316,43 @@ def _dense_separation_check(ds, gt):
         "planted_min_similarity": planted_min,
         "nonplanted_max_similarity": others_max,
         "distinct_phase_max_similarity": far_max,
+        "group_sizes": np.unique(ids[ids > 0], return_counts=True)[1],
     }
 
 
-@pytest.mark.parametrize("block_elems", [1, 7 * 240, 1 << 18])
-def test_separation_self_check_blocks_match_dense(small_benchmark, monkeypatch, block_elems):
-    # 1 entry gives one row per block; 7 * 240 gives 7-row blocks, the last
-    # one partial; the default fits all 240 chunks in one block.
-    from trajcurate import synthgen
-
-    ds, gt = small_benchmark
-    monkeypatch.setattr(synthgen, "_CHECK_BLOCK_ELEMS", block_elems)
-    got = separation_self_check(ds, gt)
-    want = _dense_separation_check(ds, gt)
+def _assert_check_matches_dense(got, want):
+    assert set(got) == {"action_weight", "num_chunks", "planted_min_similarity"}
     assert got["num_chunks"] == want["num_chunks"]
-    assert got["action_weight"] == want["action_weight"]
-    # a row block's matrix product may round differently from the full one
-    for key in ("planted_min_similarity", "nonplanted_max_similarity",
-                "distinct_phase_max_similarity"):
-        assert got[key] == pytest.approx(want[key], rel=0, abs=1e-12)
+    # a stacked (groups, s, d) product may round differently from the full one
+    for key in ("action_weight", "planted_min_similarity"):
+        assert got[key] == pytest.approx(want[key], rel=0, abs=1e-12, nan_ok=True)
+
+
+def test_planted_geometry(small_benchmark):
+    """The generator's promise, read off the dense oracle: planted twins sit
+    above the 0.99 decision threshold, every other chunk pair below it, and
+    chunks of distant phases far below."""
+    check = _dense_separation_check(*small_benchmark)
+    assert check["num_chunks"] == 24 * 10
+    assert check["planted_min_similarity"] > 0.99 > check["nonplanted_max_similarity"]
+    assert check["distinct_phase_max_similarity"] < 0.9
+    assert check["action_weight"] > 0
+
+
+def test_separation_self_check(small_benchmark):
+    got, want = separation_self_check(*small_benchmark), _dense_separation_check(*small_benchmark)
+    _assert_check_matches_dense(got, want)
+    assert got["planted_min_similarity"] > 0.99
 
 
 def test_separation_self_check_matches_dense_off_the_planted_grid(small_benchmark):
     """A copy of a planted trajectory at 1.5× its fps has 1.5× longer chunks,
-    so only every other one starts on the planted grid: that one takes the
-    group planted there, the others none, as in the per-chunk lookup."""
+    so only every other one starts on the planted grid (slots 0, 3 and 6):
+    that one takes the group planted there, the others none, as in the
+    per-chunk lookup. A group planted on one of those slots gains a third
+    member."""
     ds, gt = small_benchmark
-    src = next(t for t in ds.trajectories if any(gt.chunk_groups[t.id]))
+    src = next(t for t in ds.trajectories if any(gt.chunk_groups[t.id][:9:3]))
     fast = Trajectory(id="zz-fast", fps=1.5 * src.fps, obs=src.obs.copy(), actions=src.actions.copy())
     mixed = Dataset(trajectories=[*ds.trajectories, fast], obs_dim=ds.obs_dim, action_dim=ds.action_dim)
     truth = dataclasses.replace(
@@ -361,11 +361,49 @@ def test_separation_self_check_matches_dense_off_the_planted_grid(small_benchmar
         phi={**gt.phi, fast.id: gt.phi[src.id]},
     )
     got, want = separation_self_check(mixed, truth), _dense_separation_check(mixed, truth)
-    assert got["num_chunks"] == want["num_chunks"] == 240 + 6
-    assert got["action_weight"] == want["action_weight"]
-    for key in ("planted_min_similarity", "nonplanted_max_similarity",
-                "distinct_phase_max_similarity"):
-        assert got[key] == pytest.approx(want[key], rel=0, abs=1e-12)
+    assert got["num_chunks"] == 240 + 6
+    assert set(want["group_sizes"].tolist()) == {2, 3}
+    _assert_check_matches_dense(got, want)
+
+
+def test_separation_self_check_without_planted_groups_is_nan(small_benchmark):
+    ds, gt = small_benchmark
+    # group 1 keeps one member only: a lone chunk is no planted pair either
+    (tid, start), _ = gt.groups()[1]
+    solo = {t: [0] * len(g) for t, g in gt.chunk_groups.items()}
+    solo[tid][start // gt.chunk_span] = 1
+    for groups in ({t: [0] * len(g) for t, g in gt.chunk_groups.items()}, solo):
+        truth = dataclasses.replace(gt, chunk_groups=groups)
+        got, want = separation_self_check(ds, truth), _dense_separation_check(ds, truth)
+        assert np.isnan(got["planted_min_similarity"])
+        _assert_check_matches_dense(got, want)
+
+
+def test_separation_self_check_memory_is_the_features_plus_planted_members():
+    """Beyond embedding every chunk, the check holds O(planted members): on
+    800 chunks a chunks² similarity pass (5.1 MB) would be nearly four times
+    the (800, 208) features."""
+    from trajcurate.dedup import DedupConfig, chunk_dataset, compute_features
+
+    ds, gt = generate(dataclasses.replace(SMALL, num_traj=80))
+    cfg = DedupConfig(chunk_seconds=2.0)
+    chunks = chunk_dataset(ds, cfg)
+    separation_self_check(ds, gt)  # lazy imports stay out of the trace
+    tracemalloc.start()
+    try:
+        features, _ = compute_features(ds, chunks, cfg)
+        embed_peak = tracemalloc.get_traced_memory()[1]
+        del features
+        tracemalloc.reset_peak()
+        separation_self_check(ds, gt)
+        check_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    members = sum(len(m) for m in gt.groups().values())
+    assert len(chunks) == 800 and members == 80
+    # chunking and the group ids take 32 bytes a chunk; the member rows, their
+    # products and the group bookkeeping a few d-rows a member
+    assert check_peak <= embed_peak + 32 * len(chunks) + 4 * members * 208 * 8
 
 
 # --- ground truth round trips --------------------------------------------------------
@@ -448,6 +486,38 @@ def _mask_for(gt, drops_by_tid, reason, scores_by_tid=None):
         scores = (scores_by_tid or {}).get(tid, [0.0] * n)
         parts[tid] = ([not d for d in drops], [reason if d else "" for d in drops], scores, [-1.0] * n)
     return make_mask(parts)
+
+
+def _string_tag_anomaly_metrics(mask, gt):
+    """Reference: evaluate_masks' anomaly metrics from the per-frame string tags."""
+    tags = np.concatenate([np.array(gt.frame_tags[t]) for t in mask.ids])
+    drop, anomaly = mask.dropped(("suboptimal", "both")), tags != "clean"
+    n_dropped, tp = int(drop.sum()), int((drop & anomaly).sum())
+    return {
+        "auroc": auroc(mask.subopt_score, anomaly),
+        "precision": 1.0 if n_dropped == 0 else tp / n_dropped,
+        "recall": tp / int(anomaly.sum()),
+        "fpr_clean": float((drop & ~anomaly).sum() / max(1, int((~anomaly).sum()))),
+        "per_type_recall": {t: float(drop[tags == t].mean()) for t in ANOMALY_TYPES},
+        "no_drops": n_dropped == 0,
+    }
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_evaluate_masks_tag_codes_match_string_tags(small_benchmark, order):
+    """Every anomaly type, random drops of every reason, in dataset order and
+    reversed: the same metrics, to the byte, as from the string tags."""
+    ds, gt = small_benchmark
+    rng = np.random.default_rng(5)
+    parts = {}
+    for traj in ds.trajectories[::order]:
+        reasons = rng.choice(["", "", "suboptimal", "duplicate", "both"], traj.num_frames).tolist()
+        parts[traj.id] = ([r == "" for r in reasons], reasons, rng.random(traj.num_frames).tolist(),
+                          [-1.0] * traj.num_frames)
+    mask = make_mask(parts)
+    got = evaluate_masks(mask, gt)["anomaly"]
+    assert set(got["per_type_recall"]) == set(ANOMALY_TYPES)
+    assert json.dumps(got) == json.dumps(_string_tag_anomaly_metrics(mask, gt))
 
 
 def test_evaluate_masks_perfect_detection():
