@@ -8,8 +8,6 @@ sorted keys and no timestamps, so identical runs produce identical bytes.
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -38,6 +36,8 @@ from .trajstore import (
     read_masks,
     save_dataset,
     seconds_to_frames,
+    staged_outputs,
+    write_json,
     write_masks,
 )
 
@@ -50,33 +50,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-
-
-def _write_masks_and_reports(out: Path, mask, reports: dict[str, dict]) -> None:
-    """Write ``out/masks`` and the named JSON reports in ``out``, staging the reports
-    first so that a failure leaves the previous run's masks and reports together."""
-    temps = {out / name: out / f".{name}-{os.getpid()}" for name in reports}
-    try:
-        for (target, temp), payload in zip(temps.items(), reports.values()):
-            if target.is_dir():
-                raise IoFailure(f"{target} is a directory")
-            _write_json(temp, payload)
-        write_masks(mask, out)
-        for target, temp in temps.items():
-            os.replace(temp, target)
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-    finally:
-        for temp in filter(Path.is_file, temps.values()):
-            temp.unlink()
 
 
 def _require(value: str | None, fallback: str | None, name: str) -> str:
@@ -92,7 +65,7 @@ def _kept_ranges(keep: np.ndarray) -> list[list[int]]:
     return edges.reshape(-1, 2).tolist()
 
 
-def _print_table(rows: list[tuple], header: tuple) -> None:
+def _print_table(header: tuple, *rows: tuple) -> None:
     widths = [max(len(str(r[i])) for r in [header, *rows]) for i in range(len(header))]
     for row in [header, *rows]:
         print("  ".join(str(cell).ljust(w) for cell, w in zip(row, widths)))
@@ -105,15 +78,30 @@ def _progress_bins(cfg: PipelineConfig, ds) -> TemporalBins:
     return default_bins(cfg.sampling.dt_cap)
 
 
+def _scoring_inputs(args, cfg: PipelineConfig, data: str):
+    """The checkpoint, the dataset and the config's bins, which must be the ones
+    the checkpoint was trained with (a ConfigError names both)."""
+    model = load_model(_require(args.model, None, "model"))
+    ds = load_dataset(data)
+    bins = _progress_bins(cfg, ds)
+    trained, wanted = model.meta.get("bins"), {k: list(v) for k, v in asdict(bins).items()}
+    if trained is None:
+        raise IoFailure(f"checkpoint {args.model} records no progress bins: retrain it with train-progress")
+    if trained != wanted:
+        raise ConfigError(f"checkpoint {args.model} was trained with bins {trained}, the config gives {wanted}")
+    return model, ds, bins
+
+
 # --- subcommands ------------------------------------------------------------------
 
 
 def _cmd_gen(args, cfg: PipelineConfig) -> int:
     out = Path(_require(args.out, cfg.out, "out"))
     ds, gt = generate(cfg.synth)
-    save_dataset(ds, out)
-    gt.save(out / "ground_truth.json")
-    gt.save_duplicates(out / "duplicates.json", cfg.synth.chunk_seconds)
+    with staged_outputs(out) as stage:
+        save_dataset(ds, stage)
+        write_json(stage / "ground_truth.json", gt.to_dict())
+        write_json(stage / "duplicates.json", gt.duplicates_doc(cfg.synth.chunk_seconds))
     check = separation_self_check(ds, gt)
     print(f"generated {len(ds)} trajectories, {ds.total_frames} frames -> {out}", file=sys.stderr)
 
@@ -123,7 +111,7 @@ def _cmd_gen(args, cfg: PipelineConfig) -> int:
         by_kind[kind] = by_kind.get(kind, 0) + 1
     rows = [*sorted(by_kind.items()), ("duplicate groups", len(gt.groups())),
             ("planted min cosine", f"{check['planted_min_similarity']:.6f}")]
-    _print_table(rows, ("category", "value"))
+    _print_table(("category", "value"), *rows)
     return 0
 
 
@@ -134,51 +122,39 @@ def _cmd_train_progress(args, cfg: PipelineConfig) -> int:
     bins = _progress_bins(cfg, ds)
     print(f"training on {len(ds)} trajectories ({ds.total_frames} frames)", file=sys.stderr)
     model, report = train_progress_model(ds, bins, cfg.train, cfg.sampling, cfg.hidden_sizes)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_model(model, out)
-    _write_json(Path(str(out) + ".validation.json"),
-                {"format_version": 1, **asdict(report)})
-    _print_table(
-        [
-            ("train pairs", report.pairs_train),
-            ("validation pairs", report.pairs_val),
-            ("held-out accuracy", f"{report.accuracy:.4f}"),
-        ],
-        ("metric", "value"),
-    )
+    model.meta["bins"] = asdict(bins)
+    with staged_outputs(out.parent) as stage:
+        save_model(model, stage / out.name)
+        write_json(stage / f"{out.name}.validation.json", {"format_version": 1, **asdict(report)})
+    _print_table(("metric", "value"),
+                 ("train pairs", report.pairs_train),
+                 ("validation pairs", report.pairs_val),
+                 ("held-out accuracy", f"{report.accuracy:.4f}"))
     return 0
 
 
 def _cmd_score_subopt(args, cfg: PipelineConfig) -> int:
     data = _require(args.data, cfg.data, "data")
     out = Path(_require(args.out, cfg.out, "out"))
-    model = load_model(_require(args.model, None, "model"))
-    ds = load_dataset(data)
-    bins = _progress_bins(cfg, ds)
+    model, ds, bins = _scoring_inputs(args, cfg, data)
     series, mask = score_dataset(ds, model, bins, cfg.subopt)
-    scores_dir = out / "scores"
-    try:
-        scores_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-    for s in series:
-        _write_json(scores_dir / f"{s.traj_id}.json", {
-            "format_version": 1,
-            "id": s.traj_id,
-            "window_scores": s.window_scores.tolist(),
-            "sample_scores": s.sample_scores.tolist(),
-            "discounted": s.discounted.tolist(),
-            "final": s.final.tolist(),
-        })
-    _write_masks_and_reports(out, mask, {"subopt_report.json": subopt_report(mask, cfg.subopt)})
-    _print_table(
-        [
-            ("frames", mask.total_frames),
-            ("dropped", mask.dropped_frames()),
-            ("deletion ratio", f"{mask.deletion_ratio():.4f}"),
-        ],
-        ("metric", "value"),
-    )
+    with staged_outputs(out) as stage:
+        (stage / "scores").mkdir()
+        for s in series:
+            write_json(stage / "scores" / f"{s.traj_id}.json", {
+                "format_version": 1,
+                "id": s.traj_id,
+                "window_scores": s.window_scores.tolist(),
+                "sample_scores": s.sample_scores.tolist(),
+                "discounted": s.discounted.tolist(),
+                "final": s.final.tolist(),
+            })
+        write_masks(mask, stage)
+        write_json(stage / "subopt_report.json", subopt_report(mask, cfg.subopt))
+    _print_table(("metric", "value"),
+                 ("frames", mask.total_frames),
+                 ("dropped", mask.dropped_frames()),
+                 ("deletion ratio", f"{mask.deletion_ratio():.4f}"))
     return 0
 
 
@@ -196,16 +172,14 @@ def _cmd_dedup(args, cfg: PipelineConfig) -> int:
     out = Path(_require(args.out, cfg.out, "out"))
     ds = load_dataset(data)
     mask, report = dedup_dataset(ds, cfg.dedup, _load_embeddings_if_present(data))
-    _write_masks_and_reports(out, mask, {"dedup_report.json": report})
-    _print_table(
-        [
-            ("chunks", report["num_chunks"]),
-            ("clusters", report["k"]),
-            ("dropped frames", mask.dropped_frames()),
-            ("deletion ratio", f"{mask.deletion_ratio():.4f}"),
-        ],
-        ("metric", "value"),
-    )
+    with staged_outputs(out) as stage:
+        write_masks(mask, stage)
+        write_json(stage / "dedup_report.json", report)
+    _print_table(("metric", "value"),
+                 ("chunks", report["num_chunks"]),
+                 ("clusters", report["k"]),
+                 ("dropped frames", mask.dropped_frames()),
+                 ("deletion ratio", f"{mask.deletion_ratio():.4f}"))
     return 0
 
 
@@ -228,9 +202,7 @@ def _cmd_calibrate(args, cfg: PipelineConfig) -> int:
     data = _require(args.data, cfg.data, "data")
     out = Path(args.out if args.out is not None else (cfg.out or data))
     targets = _parse_targets(args.targets)
-    model = load_model(_require(args.model, None, "model"))
-    ds = load_dataset(data)
-    bins = _progress_bins(cfg, ds)
+    model, ds, bins = _scoring_inputs(args, cfg, data)
 
     # only the final scores stay: the other score arrays are freed before clustering
     finals = score_dataset(ds, model, bins, cfg.subopt)[1].subopt_score
@@ -256,30 +228,26 @@ def _cmd_calibrate(args, cfg: PipelineConfig) -> int:
                 "method": "dedup", "target_ratio": target,
                 "threshold": theta_d, "achieved_ratio": achieved_d,
             })
-    _write_json(out / "calibration_report.json",
-                calibration_report([sub_curve, *dup_curves], points))
+    with staged_outputs(out) as stage:
+        write_json(stage / "calibration_report.json", calibration_report([sub_curve, *dup_curves], points))
 
     rows = [
         (c.method, f"{t:.6f}", f"{r:.4f}")
         for c in [sub_curve, *dup_curves]
         for t, r in c.points
     ]
-    _print_table(rows, ("method", "threshold", "deletion_ratio"))
+    _print_table(("method", "threshold", "deletion_ratio"), *rows)
     print()
-    _print_table(
-        [(p["method"], p["target_ratio"], f"{p['threshold']:.6f}", f"{p['achieved_ratio']:.4f}")
-         for p in points],
-        ("method", "target", "threshold", "achieved"),
-    )
+    _print_table(("method", "target", "threshold", "achieved"),
+                 *[(p["method"], p["target_ratio"], f"{p['threshold']:.6f}", f"{p['achieved_ratio']:.4f}")
+                   for p in points])
     return 0
 
 
 def _cmd_curate(args, cfg: PipelineConfig) -> int:
     data = _require(args.data, cfg.data, "data")
     out = Path(_require(args.out, cfg.out, "out"))
-    model = load_model(_require(args.model, None, "model"))
-    ds = load_dataset(data)
-    bins = _progress_bins(cfg, ds)
+    model, ds, bins = _scoring_inputs(args, cfg, data)
 
     # clustering first, while little more than the frames is held; scoring's
     # arrays then take the memory k-means let go (a lower peak RSS)
@@ -321,15 +289,14 @@ def _cmd_curate(args, cfg: PipelineConfig) -> int:
         "subopt_report": subopt_report(sub_mask, cfg.subopt),
         "dedup_report": dedup_rep,
     }
-    _write_masks_and_reports(out, combined, {"curated_manifest.json": manifest, "curation_report.json": report})
-    _print_table(
-        [
-            ("Suboptimal-Only", n_sub, f"{ratios['suboptimal']:.4f}"),
-            ("Deduplication-Only", n_dup, f"{ratios['dedup']:.4f}"),
-            ("Total", n_total, f"{ratios['total']:.4f}"),
-        ],
-        ("method", "frames dropped", "deletion ratio"),
-    )
+    with staged_outputs(out) as stage:
+        write_masks(combined, stage)
+        write_json(stage / "curated_manifest.json", manifest)
+        write_json(stage / "curation_report.json", report)
+    _print_table(("method", "frames dropped", "deletion ratio"),
+                 ("Suboptimal-Only", n_sub, f"{ratios['suboptimal']:.4f}"),
+                 ("Deduplication-Only", n_dup, f"{ratios['dedup']:.4f}"),
+                 ("Total", n_total, f"{ratios['total']:.4f}"))
     return 0
 
 
@@ -339,7 +306,8 @@ def _cmd_report(args, cfg: PipelineConfig) -> int:
     mask = read_masks(masks_root / "masks")
     gt = GroundTruth.load(truth_root / "ground_truth.json")
     metrics = evaluate_masks(mask, gt)
-    _write_json(masks_root / "evaluation_report.json", {"format_version": 1, **metrics})
+    with staged_outputs(masks_root) as stage:
+        write_json(stage / "evaluation_report.json", {"format_version": 1, **metrics})
 
     anom = metrics["anomaly"]
     dup = metrics["duplicates"]
@@ -352,7 +320,7 @@ def _cmd_report(args, cfg: PipelineConfig) -> int:
         ("duplicate precision", f"{dup['precision']:.4f}"),
         ("duplicate recall", f"{dup['recall']:.4f}"),
     ]
-    _print_table(rows, ("metric", "value"))
+    _print_table(("metric", "value"), *rows)
     return 0
 
 

@@ -140,7 +140,7 @@ def load_config(path: str | Path | None) -> PipelineConfig:
         return PipelineConfig()
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         raw = json.loads(text)

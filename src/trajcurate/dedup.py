@@ -671,11 +671,11 @@ def load_chunk_embeddings(path: str | Path) -> np.ndarray:
     expected = 12 + count * dim * 4
     if len(raw) != expected:
         raise IoFailure(f"{path}: {len(raw)} bytes, expected {expected}")
-    emb = np.frombuffer(raw[12:], dtype="<f4").astype(np.float64).reshape(count, dim)
-    finite = np.isfinite(emb).all(axis=1)
+    emb = np.frombuffer(raw[12:], dtype="<f4").reshape(count, dim)
+    finite = np.isfinite(emb).all(axis=1)  # before the cast, which warns on a signaling NaN
     if not finite.all():
         raise NonFiniteValue(str(path), int(np.argmin(finite)), unit="chunk")
-    return emb
+    return emb.astype(np.float64)
 
 
 def save_chunk_embeddings(path: str | Path, embeddings: np.ndarray) -> None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable
 
@@ -43,6 +43,7 @@ class MlpClassifier:
     biases: list[np.ndarray]
     activation: str = "relu"
     seed: int = 0
+    meta: dict = field(default_factory=dict)  # more checkpoint header entries
 
     @property
     def input_dim(self) -> int:
@@ -299,8 +300,10 @@ def flatten_grads(grads: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
 
 
 def save_model(model: MlpClassifier, path: str | os.PathLike) -> None:
-    """One file: newline-terminated JSON header, then the f32 LE blob."""
+    """One file: newline-terminated JSON header (``model.meta`` and the
+    architecture), then the f32 LE blob."""
     header = {
+        **model.meta,
         "layer_sizes": list(model.layer_sizes),
         "activation": model.activation,
         "seed": model.seed,
@@ -330,10 +333,10 @@ def load_model(path: str | os.PathLike) -> MlpClassifier:
         raise IoFailure(f"checkpoint {path}: no header line")
     try:
         header = json.loads(raw[:nl].decode("utf-8"))
-        sizes = tuple(int(s) for s in header["layer_sizes"])
-        seed = int(header.get("seed", 0))
-        activation = str(header.get("activation", "relu"))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        sizes = tuple(int(s) for s in header.pop("layer_sizes"))
+        seed = int(header.pop("seed", 0))
+        activation = str(header.pop("activation", "relu"))
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise IoFailure(f"checkpoint {path}: bad header ({exc})") from exc
     if seed < 0:
         raise IoFailure(f"checkpoint {path}: negative seed {seed}")
@@ -343,10 +346,10 @@ def load_model(path: str | os.PathLike) -> MlpClassifier:
     expected = 4 * sum(n_in * n_out + n_out for n_in, n_out in zip(sizes[:-1], sizes[1:]))
     if len(blob) != expected:
         raise IoFailure(f"checkpoint {path}: blob {len(blob)} bytes, expected {expected}")
-    params = np.frombuffer(blob, dtype="<f4").astype(np.float64)
-    if not np.isfinite(params).all():
+    params = np.frombuffer(blob, dtype="<f4")
+    if not np.isfinite(params).all():  # checked before the cast, which warns on a signaling NaN
         raise IoFailure(f"checkpoint {path}: non-finite parameters")
     model = init_mlp(sizes, seed=seed)
-    model.activation = activation
+    model.activation, model.meta = activation, header
     set_flat_params(model, params)
     return model

@@ -141,12 +141,6 @@ class GroundTruth:
             anomaly_segments=segments,
         )
 
-    def save(self, path: str | Path) -> None:
-        try:
-            Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n")
-        except OSError as exc:
-            raise IoFailure(str(exc)) from exc
-
     @classmethod
     def load(cls, path: str | Path) -> "GroundTruth":
         try:
@@ -156,8 +150,9 @@ class GroundTruth:
         except ValueError as exc:
             raise InvalidManifest(f"{path}: unreadable ground truth: {exc}") from exc
 
-    def save_duplicates(self, path: str | Path, chunk_seconds: float) -> None:
-        payload = {
+    def duplicates_doc(self, chunk_seconds: float) -> dict:
+        """The planted groups as ``duplicates.json`` holds them."""
+        return {
             "format_version": 1,
             "chunk_seconds": chunk_seconds,
             "groups": {
@@ -165,10 +160,6 @@ class GroundTruth:
                 for gid, members in sorted(self.groups().items())
             },
         }
-        try:
-            Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        except OSError as exc:
-            raise IoFailure(str(exc)) from exc
 
 
 def _path_position(phi: np.ndarray, start: np.ndarray, goal: np.ndarray,

@@ -23,6 +23,9 @@ import os
 import re
 import shutil
 import struct
+import tempfile
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -147,8 +150,8 @@ def _write_blob(path: Path, traj: Trajectory) -> None:
 def _read_blob(path: Path, traj_id: str, obs_dim: int, action_dim: int, num_frames: int) -> tuple[np.ndarray, np.ndarray]:
     try:
         raw = path.read_bytes()
-    except FileNotFoundError:
-        raise TruncatedBlob(traj_id, "blob file missing")
+    except OSError as exc:
+        raise TruncatedBlob(traj_id, f"unreadable blob file: {exc.strerror}") from exc
     if len(raw) < 12 or raw[:4] != BLOB_MAGIC:
         raise TruncatedBlob(traj_id, "bad or missing TRJC header")
     version, n = struct.unpack("<II", raw[4:12])
@@ -180,11 +183,10 @@ def _read_blob(path: Path, traj_id: str, obs_dim: int, action_dim: int, num_fram
 
 
 def save_dataset(ds: Dataset, root_path: str | os.PathLike) -> None:
-    """Write the manifest + one blob per trajectory; round-trips bit-exactly."""
+    """Write the manifest + one blob per trajectory, staged; round-trips bit-exactly."""
     ds.validate()
-    root = Path(root_path)
-    try:
-        (root / "trajectories").mkdir(parents=True, exist_ok=True)
+    with staged_outputs(root_path) as stage:
+        (stage / "trajectories").mkdir()
         index = []
         for traj in ds.trajectories:
             if not _ID_RE.fullmatch(traj.id):
@@ -193,19 +195,14 @@ def save_dataset(ds: Dataset, root_path: str | os.PathLike) -> None:
             if traj.labels is not None:
                 entry["labels"] = traj.labels
             index.append(entry)
-            _write_blob(root / "trajectories" / f"{traj.id}.bin", traj)
-        manifest = {
+            _write_blob(stage / "trajectories" / f"{traj.id}.bin", traj)
+        write_json(stage / "manifest.json", {
             "format_version": FORMAT_VERSION,
             "obs_dim": ds.obs_dim,
             "action_dim": ds.action_dim,
             "meta": ds.meta,
             "trajectories": index,
-        }
-        with open(root / "manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+        })
 
 
 def _number(entry: dict, key: str, kind: type):
@@ -234,7 +231,7 @@ def load_dataset(root_path: str | os.PathLike) -> Dataset:
 
     try:
         manifest = json.loads(manifest_path.read_text(), object_hook=share_labels)
-    except (json.JSONDecodeError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # a JSONDecodeError or UnicodeDecodeError is a ValueError
         raise InvalidManifest(f"unreadable manifest: {exc}") from exc
     for key in ("format_version", "obs_dim", "action_dim", "trajectories"):
         if not isinstance(manifest, dict) or key not in manifest:
@@ -274,6 +271,60 @@ def load_dataset(root_path: str | os.PathLike) -> Dataset:
     )
     ds.validate()
     return ds
+
+
+# --- output commits -------------------------------------------------------------
+
+
+def write_json(path: str | os.PathLike, payload: dict) -> None:
+    """``payload`` as JSON with sorted keys, two-space indents and a final newline, streamed:
+    the indenting encoder's pieces of a large manifest take several times its text. Write
+    inside ``staged_outputs``, which makes an ``OSError`` an ``IoFailure``."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+@contextmanager
+def staged_outputs(root_path: str | os.PathLike) -> Iterator[Path]:
+    """Yield an empty staging directory ``root/.trajcurate-<pid>``; on a clean exit,
+    move each entry written there into ``root`` in place of the entry of that name.
+
+    A staged file whose target is a directory, or the reverse, raises ``IoFailure``
+    before anything moves. Replaced entries are set aside in the staging directory. If a
+    move fails, the moves made are undone, so ``root`` holds all of the new entries or all
+    of the old ones. ``OSError`` becomes ``IoFailure``. The staging directory goes on every
+    path but one: an undo that fails too leaves it, with what it could not put back.
+    """
+    root = Path(root_path)
+    stage, undone = root / f".trajcurate-{os.getpid()}", True
+    try:
+        root.mkdir(parents=True, exist_ok=True)
+        shutil.rmtree(stage, ignore_errors=True)  # left by a killed run with the same pid
+        stage.mkdir()
+        yield stage
+        moves, retired = [], Path(tempfile.mkdtemp(dir=stage))
+        for name in sorted(set(os.listdir(stage)) - {retired.name}):
+            if os.path.lexists(root / name):
+                if (root / name).is_dir() != (stage / name).is_dir():
+                    raise IoFailure(f"{root / name} is {'' if (root / name).is_dir() else 'not '}a directory")
+                moves.append((root / name, retired / name))
+            moves.append((stage / name, root / name))
+        done = 0
+        try:
+            for done, (source, target) in enumerate(moves):
+                os.replace(source, target)
+        except OSError:
+            undone = False
+            for source, target in reversed(moves[:done]):
+                os.replace(target, source)
+            undone = True
+            raise
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
+    finally:
+        if undone:
+            shutil.rmtree(stage, ignore_errors=True)
 
 
 # --- curation masks -----------------------------------------------------------
@@ -376,37 +427,24 @@ def write_masks(mask: CurationMask, out_dir: str | os.PathLike) -> None:
 
     The text is ``json.dumps(doc, sort_keys=True, allow_nan=False)`` of the trajectory's
     slice of each field as a list, built by ``_json_list``. A NaN or Inf score raises
-    ``NonFiniteValue`` before any file is written: JSON has no token for either. The files
-    go into a sibling directory that then replaces ``masks/``, so a re-run leaves no mask
-    of an earlier run, and a failed write leaves the previous ``masks/`` as it was.
+    ``NonFiniteValue`` before any file is written: JSON has no token for either. ``masks/``
+    is committed whole through ``staged_outputs``, so a re-run leaves no mask of an
+    earlier run, and a failed write leaves the previous ``masks/`` as it was.
     """
     finite = np.isfinite(mask.subopt_score) & np.isfinite(mask.dup_similarity)
     if not finite.all():
         traj_id, part = next((t, p) for t, p in mask.frames() if not finite[p].all())
         raise NonFiniteValue(f"mask of trajectory '{traj_id}'", int(np.argmin(finite[part])))
-    out = Path(out_dir)
-    masks_dir, staging = out / "masks", out / f".masks-{os.getpid()}"
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        shutil.rmtree(staging, ignore_errors=True)  # left by a killed run with the same pid
-        (staging / "new").mkdir(parents=True)
+    with staged_outputs(out_dir) as stage:
+        (stage / "masks").mkdir()
         for traj_id, part in mask.frames():
-            (staging / "new" / f"{traj_id}.json").write_text(
+            (stage / "masks" / f"{traj_id}.json").write_text(
                 f'{{"dup_similarity": {_json_list(mask.dup_similarity[part])}, "format_version": '
                 f'{FORMAT_VERSION}, "id": {json.dumps(traj_id)}, "keep": '
                 f'{_json_list(mask.keep[part], ("0", "1"))}, "reason": '
                 f'{_json_list(mask.reason[part], _REASON_TOKENS)}, '
                 f'"subopt_score": {_json_list(mask.subopt_score[part])}}}\n'
             )
-        if masks_dir.exists():
-            masks_dir.rename(staging / "old")
-        (staging / "new").rename(masks_dir)
-    except OSError as exc:
-        if (staging / "old").exists() and not masks_dir.exists():
-            (staging / "old").rename(masks_dir)
-        raise IoFailure(str(exc)) from exc
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
 
 
 def read_masks(masks_dir: str | os.PathLike) -> CurationMask:

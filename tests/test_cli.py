@@ -1,6 +1,9 @@
 """Subcommand plumbing: artifacts, exit codes, config/flag precedence."""
 
+import contextlib
 import inspect
+import io
+import itertools
 import json
 import math
 import os
@@ -446,86 +449,215 @@ def test_unwritable_out_is_data_error(pipeline, tmp_path, capsys, command):
     assert err.startswith("trajcurate: data error: ") and err.count("\n") == 1
 
 
-def test_curate_again_into_one_out_leaves_only_its_masks(pipeline, tmp_path):
-    """A 6-trajectory curate, then a 4-trajectory one into the same --out:
-    the masks and the report cover the second dataset only."""
-    out = tmp_path / "curated"
-    for num_traj in (6, 4):
-        cfg = tmp_path / f"config{num_traj}.json"
-        cfg.write_text(json.dumps({**PIPELINE_CONFIG, "synth": {**PIPELINE_CONFIG["synth"], "num_traj": num_traj}}))
-        data = tmp_path / f"data{num_traj}"
-        assert main(["gen", "--config", str(cfg), "--out", str(data)]) == 0
-        assert main(["curate", "--config", str(cfg), "--data", str(data),
-                     "--model", str(pipeline["model"]), "--out", str(out)]) == 0
-    assert len(list((out / "masks").glob("*.json"))) == 4
-    assert main(["report", "--masks", str(out), "--truth", str(data)]) == 0
+# Every command in pipeline order, each writing under one directory: the six
+# or four trajectories of TINY_CONFIG come from the config file named for them.
+_COMMAND_FLAGS = {
+    "gen": ["--out", "data"],
+    "train-progress": ["--data", "data", "--out", "model.ckpt"],
+    "score-subopt": ["--data", "data", "--model", "model.ckpt", "--out", "scored"],
+    "dedup": ["--data", "data", "--out", "deduped"],
+    "calibrate": ["--data", "data", "--model", "model.ckpt", "--out", "calib"],
+    "curate": ["--data", "data", "--model", "model.ckpt", "--out", "curated"],
+    "report": ["--masks", "curated", "--truth", "data"],
+}
+TINY_CONFIG = {
+    "seed": 0,
+    "synth": {"num_traj": 6, "frames_per_traj": 60, "obs_dim": 8, "duplicate_rate": 0.2},
+    "train": {"epochs": 2, "pairs_per_traj": 20, "hidden_sizes": [8]},
+}
 
 
-@pytest.mark.parametrize("failure", ["manifest_is_directory", "mask_write"])
-def test_failed_curate_leaves_the_previous_run_whole(pipeline, tmp_path, capsys, monkeypatch, failure):
-    """A 6-trajectory curate, then a 4-trajectory one into the same --out that
-    fails: the first run's masks and reports stay as they were, byte for byte,
-    and no staged file is left."""
-    out = tmp_path / "curated"
-    for num_traj in (6, 4):
-        cfg = tmp_path / f"config{num_traj}.json"
-        cfg.write_text(json.dumps({**PIPELINE_CONFIG, "synth": {**PIPELINE_CONFIG["synth"], "num_traj": num_traj}}))
-        assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / f"data{num_traj}")]) == 0
-    argv = ["curate", "--config", str(cfg), "--model", str(pipeline["model"]), "--out", str(out)]
-    assert main([*argv, "--data", str(tmp_path / "data6")]) == 0
-    if failure == "manifest_is_directory":
-        (out / "curated_manifest.json").unlink()
-        (out / "curated_manifest.json").mkdir()
+def _argv(command, num_traj):
+    return [command, "--config", f"tiny{num_traj}.json", *_COMMAND_FLAGS[command]]
+
+
+def _run_chain(num_traj, commands=tuple(_COMMAND_FLAGS)):
+    """Run ``commands`` in the working directory on ``num_traj`` trajectories."""
+    for command in commands:
+        assert main(_argv(command, num_traj)) == 0, command
+
+
+def _tree(root):
+    """Every file and directory under ``root``: relative path -> bytes, or None for a directory."""
+    return {p.relative_to(root): p.read_bytes() if p.is_file() else None for p in sorted(root.rglob("*"))}
+
+
+@pytest.fixture(scope="module")
+def six_run(tmp_path_factory):
+    """A directory holding every command's outputs on six trajectories, and the
+    configs of six and of four."""
+    root = tmp_path_factory.mktemp("six_run")
+    for n in (6, 4):
+        (root / f"tiny{n}.json").write_text(json.dumps(
+            {**TINY_CONFIG, "synth": {**TINY_CONFIG["synth"], "num_traj": n}}))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(root)
+        _run_chain(6)
+    return root
+
+
+def test_every_command_run_again_equals_a_fresh_run(six_run, tmp_path, monkeypatch):
+    """Every command on four trajectories into the paths of a six-trajectory
+    run leaves exactly the files of a fresh four-trajectory run."""
+    shutil.copytree(six_run, tmp_path / "run")
+    monkeypatch.chdir(tmp_path / "run")
+    _run_chain(4)
+    again = _tree(Path("."))
+    for path in Path(".").iterdir():
+        if not path.name.startswith("tiny"):
+            shutil.rmtree(path) if path.is_dir() else path.unlink()
+    _run_chain(4)
+    assert again == _tree(Path("."))
+    assert len(list(Path("curated/masks").iterdir())) == 4
+
+
+# the output that each command finds replaced: a file by a directory, or masks/ by a file
+_BLOCKED_TARGET = {
+    "gen": "data/duplicates.json",
+    "train-progress": "model.ckpt.validation.json",
+    "score-subopt": "scored/subopt_report.json",
+    "dedup": "deduped/dedup_report.json",
+    "calibrate": "calib/calibration_report.json",
+    "curate": "curated/masks",
+    "report": "curated/evaluation_report.json",
+}
+
+
+@pytest.mark.parametrize("fault", ["target_kind", "nth_move"])
+@pytest.mark.parametrize("command", list(_COMMAND_FLAGS))
+def test_failed_command_leaves_the_previous_outputs_whole(six_run, tmp_path, monkeypatch, capsys,
+                                                          command, fault):
+    """A four-trajectory run into the paths of a six-trajectory one fails, when
+    one target has the other kind (file or directory), or at the n-th move of
+    its commit for every n: every file stays as it was, byte for byte, and no
+    staging directory is left."""
+    shutil.copytree(six_run, tmp_path / "run")
+    monkeypatch.chdir(tmp_path / "run")
+    commands = list(_COMMAND_FLAGS)
+    _run_chain(4, commands[:commands.index(command)])
+
+    def failed_whole():
+        """The error line of a failed run that changed nothing, or None when the run went through."""
+        before = _tree(Path("."))
+        capsys.readouterr()
+        code = main(_argv(command, 4))
+        err = capsys.readouterr().err.splitlines()
+        if code == 0:
+            return None
+        assert code == 2 and err[-1].startswith("trajcurate: data error: ")
+        assert _tree(Path(".")) == before
+        assert not list(Path(".").rglob(".trajcurate-*"))
+        return err[-1]
+
+    if fault == "target_kind":
+        target = Path(_BLOCKED_TARGET[command])
+        if target.is_dir():
+            shutil.rmtree(target)
+            target.write_text("a file\n")
+        else:
+            target.unlink()
+            target.mkdir()
+        assert failed_whole().endswith(f" {target} is {'not ' if target.is_file() else ''}a directory")
+        return
+    replace, countdown = os.replace, [0]
+
+    def fail_nth(src, dst):
+        countdown[0] -= 1
+        if countdown[0] == 0:
+            raise OSError(28, "No space left on device")
+        return replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", fail_nth)
+    for n in itertools.count(1):
+        countdown[0] = n
+        if failed_whole() is None:
+            break
+    # every command replaces at least one previous output: a move aside, a move in
+    assert n > 2
+
+
+def test_checkpoint_bins_must_match_the_config(six_run, tmp_path, monkeypatch, capsys):
+    """A checkpoint records the bins it was trained with: scored with a config
+    whose gap cap moves the last bin's representative, every scoring command
+    exits 1 naming both and writes nothing."""
+    shutil.copytree(six_run, tmp_path / "run")
+    monkeypatch.chdir(tmp_path / "run")
+    header = json.loads(Path("model.ckpt").read_bytes().split(b"\n", 1)[0])
+    assert header["bins"] == {"edges": [0.0, 0.5, 1.0, 2.0, 5.0],
+                              "representatives": [0.25, 0.75, 1.5, 3.5, 7.5]}
+    Path("cap30.json").write_text(json.dumps({**TINY_CONFIG, "train": {**TINY_CONFIG["train"], "dt_cap": 30}}))
+    before = _tree(Path("."))
+    for command in ("score-subopt", "calibrate", "curate"):
+        capsys.readouterr()
+        assert main([command, "--config", "cap30.json", *_COMMAND_FLAGS[command]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("trajcurate: config error: ") and err.count("\n") == 1
+        assert "3.5, 7.5]" in err and "3.5, 17.5]" in err
+        assert _tree(Path(".")) == before
+
+
+def test_checkpoint_without_bins_is_data_error(six_run, tmp_path, monkeypatch, capsys):
+    """A header without bins is not scored with the config's: it asks for retraining."""
+    shutil.copytree(six_run, tmp_path / "run")
+    monkeypatch.chdir(tmp_path / "run")
+    header, blob = Path("model.ckpt").read_bytes().split(b"\n", 1)
+    header = json.loads(header)
+    del header["bins"]
+    Path("model.ckpt").write_bytes(json.dumps(header).encode() + b"\n" + blob)
+    for command in ("score-subopt", "calibrate", "curate"):
+        capsys.readouterr()
+        assert main(_argv(command, 6)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("trajcurate: data error: ") and err.count("\n") == 1
+        assert "retrain" in err
+
+
+_DATA_READERS = ("train-progress", "score-subopt", "dedup", "calibrate", "curate")
+# each input of the six-trajectory run, and the commands that read it
+_INPUTS = {
+    "manifest": ("data/manifest.json", _DATA_READERS),
+    "blob": ("data/trajectories/traj_0001.bin", _DATA_READERS),
+    "checkpoint": ("model.ckpt", ("score-subopt", "calibrate", "curate")),
+    "mask": ("curated/masks/traj_0001.json", ("report",)),
+    "ground_truth": ("data/ground_truth.json", ("report",)),
+    "config": ("tiny6.json", tuple(_COMMAND_FLAGS)),
+}
+
+
+@pytest.mark.parametrize("corruption", ["truncate", "flip", "directory"])
+@pytest.mark.parametrize("name", sorted(_INPUTS))
+@given(data=st.data())
+@settings(max_examples=4, deadline=None)
+def test_corrupt_input_ends_in_one_error_line(six_run, tmp_path_factory, data, name, corruption):
+    """One input truncated, one byte of it flipped, or the file replaced by a
+    directory: a command that reads it exits 1 or 2 with one error line, and
+    never with a traceback. A flipped byte may leave a valid file (a float in
+    a blob, a digit in a number); then the command may succeed."""
+    path, readers = _INPUTS[name]
+    command = data.draw(st.sampled_from(readers), label="command")
+    run = tmp_path_factory.mktemp("corrupt")
+    shutil.copytree(six_run, run, dirs_exist_ok=True)
+    target = run / path
+    raw = target.read_bytes()
+    if corruption == "truncate":  # at least the closing brace of a JSON file goes
+        target.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 2), label="length")])
+    elif corruption == "flip":
+        at = data.draw(st.integers(0, len(raw) - 1), label="at")
+        bits = data.draw(st.integers(1, 255), label="bits")
+        target.write_bytes(raw[:at] + bytes([raw[at] ^ bits]) + raw[at + 1:])
     else:
-        write_text = Path.write_text
-
-        def fail_on_masks(path, *args, **kwargs):
-            if path.parent.name == "new":  # a mask in write_masks' staging directory
-                raise OSError(28, "No space left on device")
-            return write_text(path, *args, **kwargs)
-
-        monkeypatch.setattr(Path, "write_text", fail_on_masks)
-    before = {p.relative_to(out): p.read_bytes() if p.is_file() else None for p in out.rglob("*")}
-    capsys.readouterr()
-    assert main([*argv, "--data", str(tmp_path / "data4")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("trajcurate: data error: ") and err.count("\n") == 1
-    after = {p.relative_to(out): p.read_bytes() if p.is_file() else None for p in out.rglob("*")}
-    assert after == before
-    assert len(list((out / "masks").glob("*.json"))) == 6
-
-
-@pytest.mark.parametrize("command, report", [("dedup", "dedup_report.json"),
-                                             ("score-subopt", "subopt_report.json")])
-def test_failed_report_leaves_the_previous_masks_and_report(pipeline, tmp_path, capsys, command, report):
-    """A 6-trajectory run, then a 4-trajectory one into the same --out whose
-    report target is a directory: the first run's masks and report stay as
-    they were, byte for byte, and no staged file is left. (score-subopt's
-    scores/ is written in place.)"""
-    out = tmp_path / "out"
-    for num_traj in (6, 4):
-        cfg = tmp_path / f"config{num_traj}.json"
-        cfg.write_text(json.dumps({**PIPELINE_CONFIG, "synth": {**PIPELINE_CONFIG["synth"], "num_traj": num_traj}}))
-        assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / f"data{num_traj}")]) == 0
-    argv = [command, "--config", str(cfg), "--out", str(out)]
-    if command == "score-subopt":
-        argv += ["--model", str(pipeline["model"])]
-    assert main([*argv, "--data", str(tmp_path / "data6")]) == 0
-    (out / report).unlink()
-    (out / report).mkdir()
-
-    def outputs():
-        return {p.relative_to(out): p.read_bytes() if p.is_file() else None
-                for p in out.rglob("*") if "scores" not in p.relative_to(out).parts}
-
-    before = outputs()
-    capsys.readouterr()
-    assert main([*argv, "--data", str(tmp_path / "data4")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("trajcurate: data error: ") and err.count("\n") == 1
-    assert "is a directory" in err
-    assert outputs() == before
-    assert len(list((out / "masks").glob("*.json"))) == 6
+        target.unlink()
+        target.mkdir()
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        mp.chdir(run)
+        code = main(_argv(command, 6))
+    lines = err.getvalue().splitlines()
+    if code != 0 or corruption != "flip":
+        assert code in (1, 2)
+        errors = [line for line in lines if line.startswith("trajcurate: ")]
+        assert errors and errors == lines[-1:]
 
 
 def test_manifest_id_leaving_out_is_data_error(pipeline, tmp_path, capsys):

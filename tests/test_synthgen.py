@@ -18,7 +18,7 @@ from trajcurate.synthgen import (
     generate,
     separation_self_check,
 )
-from trajcurate.trajstore import Dataset, Trajectory
+from trajcurate.trajstore import Dataset, Trajectory, write_json
 
 from conftest import make_mask
 
@@ -411,7 +411,7 @@ def test_separation_self_check_memory_is_the_features_plus_planted_members():
 
 def test_ground_truth_round_trip(small_benchmark, tmp_path):
     _, gt = small_benchmark
-    gt.save(tmp_path / "ground_truth.json")
+    write_json(tmp_path / "ground_truth.json", gt.to_dict())
     back = GroundTruth.load(tmp_path / "ground_truth.json")
     assert back.frame_tags == gt.frame_tags
     assert back.chunk_groups == gt.chunk_groups
@@ -421,7 +421,7 @@ def test_ground_truth_round_trip(small_benchmark, tmp_path):
 
 def test_duplicates_file(small_benchmark, tmp_path):
     _, gt = small_benchmark
-    gt.save_duplicates(tmp_path / "duplicates.json", 2.0)
+    write_json(tmp_path / "duplicates.json", gt.duplicates_doc(2.0))
     doc = json.loads((tmp_path / "duplicates.json").read_text())
     assert doc["format_version"] == 1
     assert doc["chunk_seconds"] == 2.0

@@ -1,6 +1,7 @@
 """Container format, frame/second conversion, and curation-mask round trips."""
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -475,6 +476,27 @@ def test_failed_mask_write_keeps_the_previous_masks(tmp_path, monkeypatch):
         write_masks(_masks("xyz"), tmp_path)
     assert {p.name: p.read_bytes() for p in (tmp_path / "masks").iterdir()} == before
     assert [p.name for p in tmp_path.iterdir()] == ["masks"]
+
+
+def test_failed_undo_keeps_the_previous_masks_in_the_staging_directory(tmp_path, monkeypatch):
+    """The new masks/ fails to move in after the old one was set aside, and the
+    undo fails too: nothing is deleted, the old masks stay in the staging directory."""
+    write_masks(_masks("abc"), tmp_path)
+    before = {p.name: p.read_bytes() for p in (tmp_path / "masks").iterdir()}
+    replace, calls = os.replace, []
+
+    def fail_from_the_second(src, dst):  # the first sets the old masks/ aside
+        calls.append(src)
+        if len(calls) >= 2:
+            raise OSError(5, "Input/output error")
+        return replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", fail_from_the_second)
+    with pytest.raises(IoFailure, match="Input/output error"):
+        write_masks(_masks("xyz"), tmp_path)
+    assert len(calls) == 3 and not (tmp_path / "masks").exists()
+    (kept,) = (tmp_path / f".trajcurate-{os.getpid()}").glob("*/masks")
+    assert {p.name: p.read_bytes() for p in kept.iterdir()} == before
 
 
 def test_nonfinite_mask_writes_no_file_of_any_mask(tmp_path):
