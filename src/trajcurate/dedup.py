@@ -132,47 +132,52 @@ def embed_chunk(obs: np.ndarray, actions: np.ndarray, action_weight: float) -> n
     return raw / norm if norm > 0 else raw
 
 
-def _balanced_weight(raw: np.ndarray, vis: int) -> float:
-    """λ that gives the action block ``raw[:, vis:]`` the RMS of the visual
-    block ``raw[:, :vis]``. Per-chunk sums of squares are taken through one
-    buffer of ``_FEATURE_ROWS`` rows and added one by one in chunk order (a
-    cumulative sum)."""
-    n = raw.shape[0]
-    sq_v, sq_a = np.empty(n), np.empty(n)
-    buf = np.empty((min(n, _FEATURE_ROWS), raw.shape[1]))
-    for lo in range(0, n, _FEATURE_ROWS):
-        blk = np.square(raw[lo : lo + _FEATURE_ROWS], out=buf[: min(_FEATURE_ROWS, n - lo)])
-        blk[:, :vis].sum(axis=1, out=sq_v[lo : lo + blk.shape[0]])
-        blk[:, vis:].sum(axis=1, out=sq_a[lo : lo + blk.shape[0]])
+def _balanced_weight(sq_v: np.ndarray, sq_a: np.ndarray, vis: int, act: int) -> float:
+    """λ that gives the action blocks (``act`` wide) the RMS of the visual
+    blocks (``vis`` wide), from each chunk's sums of squares of the two,
+    added one by one in chunk order (a cumulative sum)."""
+    n = sq_v.size
     sum_v, sum_a = np.cumsum(sq_v)[-1], np.cumsum(sq_a)[-1]
     if sum_a == 0.0:  # also no action entries
         return 1.0
-    rms_v, rms_a = np.sqrt(sum_v / (n * vis)), np.sqrt(sum_a / (raw.size - n * vis))
+    rms_v, rms_a = np.sqrt(sum_v / (n * vis)), np.sqrt(sum_a / (n * act))
     return float(rms_v / rms_a) if rms_a > 0 else 1.0
 
 
-def compute_features(ds: Dataset, chunks: Chunks, cfg: DedupConfig) -> tuple[np.ndarray, float]:
+def compute_features(
+    ds: Dataset, chunks: Chunks, cfg: DedupConfig, members: np.ndarray | None = None
+) -> tuple[np.ndarray, float]:
     """The (n, d) matrix of ``embed_chunk`` features in chunk order, and λ.
 
     Each trajectory's chunk frames are gathered once and their mean, diff
     and action blocks written straight into the result's rows, which are
-    then scaled and normalized in place.
+    then scaled and normalized in place. With ``members`` (ascending chunk
+    indices) the result holds only their rows, and each trajectory's rows
+    pass through a block of their own: λ still weighs every chunk.
     """
     if not chunks:
         return np.empty((0, 0)), 1.0 if cfg.action_weight is None else float(cfg.action_weight)
     n_sub, dim = cfg.n_subsample, ds.obs_dim
-    vis = n_sub * dim
-    raw = np.empty((len(chunks), vis + n_sub * ds.action_dim))
+    vis, d = n_sub * dim, n_sub * (dim + ds.action_dim)
+    raw = np.empty((len(chunks) if members is None else members.size, d))
+    sq_v, sq_a = np.empty(len(chunks)), np.empty(len(chunks))  # λ's sums of squares
     bounds = np.searchsorted(chunks.traj, np.arange(len(ds) + 1)).tolist()
-    for traj, lo, hi in zip(ds.trajectories, bounds, bounds[1:]):
+    at = bounds if members is None else np.searchsorted(members, bounds).tolist()
+    for traj, lo, hi, a, b in zip(ds.trajectories, bounds, bounds[1:], at, at[1:]):
         if lo == hi:
             continue
+        rows = raw[lo:hi] if members is None else np.empty((hi - lo, d))
         idx = chunks.start[lo:hi, None] + subsample_indices(int(chunks.span[lo]), n_sub)
         obs = traj.obs[idx].astype(np.float64)
-        raw[lo:hi, :dim] = obs.mean(axis=1)
-        raw[lo:hi, dim:vis] = np.diff(obs, axis=1).reshape(hi - lo, -1)
-        raw[lo:hi, vis:] = traj.actions[idx].reshape(hi - lo, -1)
-    lam = float(cfg.action_weight) if cfg.action_weight is not None else _balanced_weight(raw, vis)
+        rows[:, :dim] = obs.mean(axis=1)
+        rows[:, dim:vis] = np.diff(obs, axis=1).reshape(hi - lo, -1)
+        rows[:, vis:] = traj.actions[idx].reshape(hi - lo, -1)
+        sq = np.square(rows)
+        sq[:, :vis].sum(axis=1, out=sq_v[lo:hi])
+        sq[:, vis:].sum(axis=1, out=sq_a[lo:hi])
+        if members is not None:
+            raw[a:b] = rows[members[a:b] - lo]
+    lam = float(cfg.action_weight) if cfg.action_weight is not None else _balanced_weight(sq_v, sq_a, vis, d - vis)
     raw[:, vis:] *= lam
     # one dot product per row, as embed_chunk's norm takes it
     norms = np.sqrt((raw[:, None, :] @ raw[:, :, None]).ravel())
@@ -192,8 +197,6 @@ _ASSIGN_BLOCK_ELEMS = 1 << 18
 # Most entries of (x − c)² filled at a time by _inertia (one leaf of numpy's
 # pairwise summation tree) and by _keep_one_drops: small enough to stay in cache.
 _INERTIA_LEAF = 1 << 14
-# Rows per block of _balanced_weight's sums of squares.
-_FEATURE_ROWS = 256
 
 
 def _rtol(d: int) -> float:

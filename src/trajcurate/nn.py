@@ -8,16 +8,18 @@ test suite pits it against central finite differences.
 ``train`` and ``loss_and_grad`` share one backprop (``_backprop``), so the
 finite-difference checks test the gradient that training applies. ``train``
 checks its inputs once and gathers each epoch's shuffled rows and one-hot
-targets once. Its parameters and gradient are two flat vectors with
-per-layer views, and each step runs in preallocated work arrays. The float
-operations and their order are those of per-layer SGD over
-``loss_and_grad``, so the trained parameters match it bit for bit.
+targets into two reused buffers a block of whole batches at a time. Its
+parameters and gradient are two flat vectors with per-layer views, and
+each step runs in preallocated work arrays. The float operations and their
+order are those of per-layer SGD over ``loss_and_grad``, so the trained
+parameters match it bit for bit.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import zlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable
@@ -138,6 +140,10 @@ def _check_batch(
     return x, y
 
 
+# Rows per block of train's gathered epoch, rounded down to whole batches.
+_GATHER_ROWS = 1 << 14
+
+
 class _Workspace:
     """Work arrays for backprop over exactly ``rows`` rows, so a step
     allocates nothing. The gradient lands in the flat ``grad``
@@ -225,7 +231,7 @@ def train(
     """Run minibatch SGD and return the trained copy; the input is untouched.
 
     ``x`` and ``labels`` are checked once, up front, with the same typed
-    errors as ``loss_and_grad``. Each step slices the epoch's gathered rows,
+    errors as ``loss_and_grad``. Each step slices the gathered block of rows,
     runs the shared backprop and updates every parameter at once
     (``grad *= lr; params -= grad``: the products of ``W -= lr * dW``). The
     returned model's arrays are views of one new float64 vector. A run that
@@ -239,24 +245,27 @@ def train(
     grad = np.empty_like(params)
     starts = range(0, n, size)
     spaces = {r: _Workspace(model.layer_sizes, r, grad) for r in {min(size, n - i) for i in starts}}
-    steps = [(slice(i, i + size), spaces[min(size, n - i)]) for i in starts]
 
-    onehot = np.eye(model.num_classes)[y]
-    x_epoch, onehot_epoch = np.empty_like(x), np.empty_like(onehot)
+    rows = min(n, max(1, _GATHER_ROWS // size) * size)  # whole batches
+    eye = np.eye(model.num_classes)
+    x_block, onehot_block = np.empty((rows, x.shape[1])), np.empty((rows, model.num_classes))
     lr, l2 = cfg.learning_rate, cfg.l2
     rng = np.random.default_rng(cfg.seed)
     # a diverging run overflows to Inf/NaN; that is checked once at the end
     with np.errstate(all="ignore"):
         for _ in range(cfg.epochs):
             perm = rng.permutation(n)
-            # mode="clip" never goes out of bounds here and, unlike the default,
-            # writes straight into ``out`` without a temporary
-            np.take(x, perm, axis=0, out=x_epoch, mode="clip")
-            np.take(onehot, perm, axis=0, out=onehot_epoch, mode="clip")
-            for batch, ws in steps:
-                _backprop(weights, biases, x_epoch[batch], onehot_epoch[batch], l2, ws)
-                grad *= lr
-                params -= grad
+            for lo in range(0, n, rows):
+                idx = perm[lo : lo + rows]
+                # mode="clip" never goes out of bounds here and, unlike the
+                # default, writes straight into ``out`` without a temporary
+                xb = np.take(x, idx, axis=0, out=x_block[: idx.size], mode="clip")
+                onehot = np.take(eye, y[idx], axis=0, out=onehot_block[: idx.size], mode="clip")
+                for i in range(0, idx.size, size):
+                    ws = spaces[min(size, idx.size - i)]
+                    _backprop(weights, biases, xb[i : i + size], onehot[i : i + size], l2, ws)
+                    grad *= lr
+                    params -= grad
     # checkpoints store float32, so a parameter beyond its range diverged too
     finite = np.abs(params) <= np.finfo(np.float32).max
     if not finite.all():
@@ -300,19 +309,21 @@ def flatten_grads(grads: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
 
 
 def save_model(model: MlpClassifier, path: str | os.PathLike) -> None:
-    """One file: newline-terminated JSON header (``model.meta`` and the
-    architecture), then the f32 LE blob."""
+    """One file: newline-terminated JSON header (``model.meta``, the
+    architecture and the blob's ``crc32``), then the f32 LE blob."""
+    blob = get_flat_params(model).astype("<f4").tobytes()
     header = {
         **model.meta,
         "layer_sizes": list(model.layer_sizes),
         "activation": model.activation,
         "seed": model.seed,
+        "crc32": zlib.crc32(blob),
     }
     try:
         with open(path, "wb") as fh:
             fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
             fh.write(b"\n")
-            fh.write(get_flat_params(model).astype("<f4").tobytes())
+            fh.write(blob)
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
 
@@ -320,9 +331,9 @@ def save_model(model: MlpClassifier, path: str | os.PathLike) -> None:
 def load_model(path: str | os.PathLike) -> MlpClassifier:
     """Read a ``save_model`` checkpoint.
 
-    A missing, truncated or malformed file, or one holding NaN/Inf
-    parameters, raises ``IoFailure``; impossible layer sizes raise
-    ``InvalidArchitecture``.
+    A missing, truncated or malformed file, one without a checksum or whose
+    parameters do not match it, or one holding NaN/Inf parameters, raises
+    ``IoFailure``; impossible layer sizes raise ``InvalidArchitecture``.
     """
     try:
         raw = Path(path).read_bytes()
@@ -336,6 +347,7 @@ def load_model(path: str | os.PathLike) -> MlpClassifier:
         sizes = tuple(int(s) for s in header.pop("layer_sizes"))
         seed = int(header.pop("seed", 0))
         activation = str(header.pop("activation", "relu"))
+        crc = header.pop("crc32", None)
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise IoFailure(f"checkpoint {path}: bad header ({exc})") from exc
     if seed < 0:
@@ -346,6 +358,10 @@ def load_model(path: str | os.PathLike) -> MlpClassifier:
     expected = 4 * sum(n_in * n_out + n_out for n_in, n_out in zip(sizes[:-1], sizes[1:]))
     if len(blob) != expected:
         raise IoFailure(f"checkpoint {path}: blob {len(blob)} bytes, expected {expected}")
+    if crc is None:
+        raise IoFailure(f"checkpoint {path} records no checksum: retrain it with train-progress")
+    if zlib.crc32(blob) != crc:
+        raise IoFailure(f"checkpoint {path}: parameters do not match their crc32")
     params = np.frombuffer(blob, dtype="<f4")
     if not np.isfinite(params).all():  # checked before the cast, which warns on a signaling NaN
         raise IoFailure(f"checkpoint {path}: non-finite parameters")

@@ -115,19 +115,22 @@ def sample_training_pairs(
     gap uniform over the bin's feasible gaps (open-ended bin truncated at
     ``dt_cap``). Sampling durations on the frame grid keeps every label
     exactly ``bin_of(dt)``. Each trajectory gets its own child RNG stream, so
-    results are stable per trajectory. All draws come first; then one
-    gather per trajectory writes its deltas into the exact-size ``x``.
+    results are stable per trajectory. All draws come first, into int64
+    columns; then one gather per trajectory writes its deltas into ``x``.
     """
     if dt_cap <= bins.edges[-1]:
         raise ValueError(f"dt_cap {dt_cap} must exceed last edge {bins.edges[-1]}")
     children = np.random.SeedSequence(seed).spawn(len(ds.trajectories))
-    draws: list[int] = []  # (bin, trajectory, anchor, gap) per pair, flattened
+    # (bin, trajectory, anchor, gap) per pair, a trajectory's draws at a time
+    label, owner, t, gap = (np.empty(pairs_per_traj * len(ds.trajectories), dtype=np.int64) for _ in range(4))
+    count = 0
     for k, (traj, child) in enumerate(zip(ds.trajectories, children)):
         n = traj.num_frames
         if n < 2:
             continue
         rng = np.random.default_rng(child)
         ranges = [_gap_range(bins, b, traj.fps, dt_cap) for b in range(bins.num_bins)]
+        draws: list[int] = []  # (bin, anchor, gap) per pair, flattened
         for _ in range(pairs_per_traj):
             i = int(rng.integers(0, n - 1))
             feasible = [
@@ -138,17 +141,21 @@ def sample_training_pairs(
             if not feasible:
                 continue
             b, lo, hi = feasible[int(rng.integers(0, len(feasible)))]
-            draws += (b, k, i, int(rng.integers(lo, hi + 1)))
+            draws += (b, i, int(rng.integers(lo, hi + 1)))
+        end = count + len(draws) // 3
+        label[count:end], t[count:end], gap[count:end] = np.array(draws, dtype=np.int64).reshape(-1, 3).T
+        owner[count:end] = k
+        count = end
 
-    label, owner, t, gap = np.array(draws, dtype=np.int64).reshape(-1, 4).T.copy()
-    del draws  # before x, so the two never coexist
-    x = np.empty((t.shape[0], ds.obs_dim))
+    label, owner, t, gap = label[:count], owner[:count], t[:count], gap[:count]
+    x = np.empty((count, ds.obs_dim))
     bounds = np.searchsorted(owner, np.arange(len(ds.trajectories) + 1)).tolist()
     for traj, lo, hi in zip(ds.trajectories, bounds, bounds[1:]):
         # dtype=float64 widens both frames before subtracting, as astype would
         np.subtract(traj.obs[t[lo:hi] + gap[lo:hi]], traj.obs[t[lo:hi]], out=x[lo:hi], dtype=np.float64)
-    fps = np.array([traj.fps for traj in ds.trajectories], dtype=np.float64)
-    return TrainingPairs(x=x, label=label, traj=owner, t=t, dt=gap / fps[owner])
+    dt = np.array([traj.fps for traj in ds.trajectories], dtype=np.float64)[owner]
+    np.divide(gap, dt, out=dt)  # seconds: gap / fps, with no second float array
+    return TrainingPairs(x=x, label=label, traj=owner, t=t, dt=dt)
 
 
 @dataclass
@@ -206,15 +213,19 @@ def train_progress_model(
         raise EmptyTrainingSet("validation split consumed every pair")
 
     # a stable partition without a copy of the training rows: the held-out
-    # rows are copied aside, then the training rows move, in order and a
-    # block at a time, to the front of x, which SGD reads as a prefix view
-    x, y = pairs.x, pairs.label
+    # rows are copied aside, then the training rows and labels move, in order
+    # and a block at a time, to the front of x and y, which SGD reads as
+    # prefix views
+    x, y, n_train = pairs.x, pairs.label, train_rows.size
+    del pairs  # the other columns are not needed for training
     x_val, truth = x[in_val], y[in_val]
-    for lo in range(0, train_rows.size, _PARTITION_ROWS):
+    for lo in range(0, n_train, _PARTITION_ROWS):
         rows = train_rows[lo : lo + _PARTITION_ROWS]
-        x[lo : lo + rows.size] = x[rows]
+        x[lo : lo + rows.size], y[lo : lo + rows.size] = x[rows], y[rows]
+    del train_rows
     model = nn.init_mlp([ds.obs_dim, *hidden_sizes, bins.num_bins], seed=nn_cfg.seed)
-    model = nn.train(model, x[: train_rows.size], y[train_rows], nn_cfg)
+    model = nn.train(model, x[:n_train], y[:n_train], nn_cfg)
+    del x, y  # the training rows go before the validation forward
 
     b = bins.num_bins
     confusion = np.zeros((b, b), dtype=np.int64)
@@ -226,7 +237,7 @@ def train_progress_model(
     else:
         accuracy = float("nan")
     report = ValidationReport(
-        pairs_train=train_rows.size,
+        pairs_train=n_train,
         pairs_val=n_val,
         accuracy=accuracy,
         confusion=confusion.tolist(),

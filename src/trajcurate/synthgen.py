@@ -6,11 +6,14 @@ lateral wiggle, all as pure functions of φ. The latent state is
 (position, phase on a circular arc, per-trajectory context); observations
 lift that latent into obs_dim through a fixed seeded orthonormal basis and
 add Gaussian noise. The arc embedding matters: it makes cosine distance
-between chunks grow with |Δφ| instead of saturating, so genuinely different
-moments never look like duplicates while exact copies still do. Actions are
-per-frame displacements. Anomalies rewrite φ increments on one segment per
-afflicted trajectory; duplicates copy chunk-grid-aligned blocks between
-clean trajectories with a tenth of the observation noise.
+between chunks grow with |Δφ| instead of saturating, so distant moments look
+unlike each other while exact copies still look alike. Yet the closest
+unplanted chunk pair reaches a cosine above ε_d = 0.99 on the benchmark
+data (seed 0): 0.9908 in the README config, 0.9916 at 50 Hz and 0.9931 at
+1000 trajectories. Actions are per-frame displacements. Anomalies rewrite φ
+increments on one segment per afflicted trajectory; duplicates copy
+chunk-grid-aligned blocks between clean trajectories with a tenth of the
+observation noise.
 
 Ground truth (per-frame anomaly tags, per-chunk duplicate groups) rides
 along so curation quality is measurable, not just plottable.
@@ -32,6 +35,8 @@ CLEAN = "clean"
 
 _GLOBAL_STREAM = 0x474C4F42   # decisions shared across trajectories
 _PROJ_STREAM = 0x50524F4A     # observation projection matrix
+# Positives ranked per block by auroc's binary searches.
+_RANK_BLOCK = 1 << 14
 
 
 @dataclass
@@ -337,24 +342,24 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
 # --- evaluation ------------------------------------------------------------------
 
 
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing their average rank; NaNs never tie."""
-    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True, equal_nan=False)
-    last = np.cumsum(counts) - 1
-    first = last - counts + 1
-    return (0.5 * (first + last) + 1.0)[inverse]
-
-
 def auroc(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Rank-based AUROC; nan when one class is empty."""
+    """Rank-based AUROC; nan when one class is empty. Ties share their average
+    1-based rank, which binary search in one sorted copy of the scores finds
+    for each positive; NaN scores tie with each other above every number."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=bool)
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         return float("nan")
-    ranks = _average_ranks(scores)
-    return float((ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    ordered = np.sort(scores)
+    ranks = scores[labels]  # the positives' scores, overwritten by their ranks
+    for lo in range(0, n_pos, _RANK_BLOCK):
+        block = ranks[lo : lo + _RANK_BLOCK]
+        ends = np.searchsorted(ordered, block, side="left")  # first + last position
+        ends += np.searchsorted(ordered, block, side="right") - 1
+        block[:] = 0.5 * ends + 1.0
+    return float((ranks.sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
 def evaluate_masks(mask: CurationMask, gt: GroundTruth) -> dict:
@@ -438,9 +443,10 @@ def separation_self_check(ds: Dataset, gt: GroundTruth, action_weight: float | N
     """Empirical geometry check of the planted-duplicate construction.
 
     Reports the lowest cosine between two members of one planted group, which
-    must sit above the dedup threshold band. λ depends on every chunk, so all
-    chunks are embedded, but only pairs inside a planted group are compared:
-    the cost beyond the features is O(planted pairs).
+    must sit above the dedup threshold band. λ depends on every chunk, so
+    every chunk is embedded, but only planted members' rows are kept and only
+    pairs inside a planted group are compared: beyond O(chunks) scalars the
+    cost is O(planted pairs).
     """
     from .dedup import DedupConfig, chunk_dataset, compute_features
 
@@ -450,7 +456,6 @@ def separation_self_check(ds: Dataset, gt: GroundTruth, action_weight: float | N
     if len(chunks) < 2:
         return {"action_weight": float("nan"), "num_chunks": len(chunks),
                 "planted_min_similarity": float("nan")}
-    features, lam = compute_features(ds, chunks, cfg)
     # each chunk's planted group (0: none)
     ids = np.zeros(len(chunks), dtype=np.int64)
     bounds = np.searchsorted(chunks.traj, np.arange(len(ds) + 1)).tolist()
@@ -459,9 +464,13 @@ def separation_self_check(ds: Dataset, gt: GroundTruth, action_weight: float | N
         gids = np.array([*gt.chunk_groups.get(traj.id, []), 0], dtype=np.int64)  # 0: past the grid
         ids[lo:hi] = np.where(off == 0, gids[np.minimum(slot, gids.size - 1)], 0)
 
+    # the planted members' rows, in chunk order; λ still weighs every chunk
+    planted = np.flatnonzero(ids)
+    features, lam = compute_features(ds, chunks, cfg, planted)
+    ids = ids[planted]
+
     # members grouped by id; groups of one size go through one (groups, s, d) product
-    members = np.flatnonzero(ids)
-    members = members[np.argsort(ids[members], kind="stable")]
+    members = np.argsort(ids, kind="stable")
     _, first, sizes = np.unique(ids[members], return_index=True, return_counts=True)
     shared = np.unique(sizes[sizes > 1]).tolist()  # a lone member makes no pair
     # np.minimum, unlike min(), carries a NaN through

@@ -598,11 +598,20 @@ def test_checkpoint_bins_must_match_the_config(six_run, tmp_path, monkeypatch, c
 
 def test_checkpoint_without_bins_is_data_error(six_run, tmp_path, monkeypatch, capsys):
     """A header without bins is not scored with the config's: it asks for retraining."""
+    _assert_header_entry_asks_for_retraining(six_run, tmp_path, monkeypatch, capsys, "bins")
+
+
+def test_checkpoint_without_checksum_is_data_error(six_run, tmp_path, monkeypatch, capsys):
+    """A header without the parameters' crc32 is not trusted: it asks for retraining."""
+    _assert_header_entry_asks_for_retraining(six_run, tmp_path, monkeypatch, capsys, "crc32")
+
+
+def _assert_header_entry_asks_for_retraining(six_run, tmp_path, monkeypatch, capsys, entry):
     shutil.copytree(six_run, tmp_path / "run")
     monkeypatch.chdir(tmp_path / "run")
     header, blob = Path("model.ckpt").read_bytes().split(b"\n", 1)
     header = json.loads(header)
-    del header["bins"]
+    del header[entry]
     Path("model.ckpt").write_bytes(json.dumps(header).encode() + b"\n" + blob)
     for command in ("score-subopt", "calibrate", "curate"):
         capsys.readouterr()
@@ -632,7 +641,8 @@ def test_corrupt_input_ends_in_one_error_line(six_run, tmp_path_factory, data, n
     """One input truncated, one byte of it flipped, or the file replaced by a
     directory: a command that reads it exits 1 or 2 with one error line, and
     never with a traceback. A flipped byte may leave a valid file (a float in
-    a blob, a digit in a number); then the command may succeed."""
+    a dataset blob, a digit in a number); then the command may succeed. A
+    flipped byte in a checkpoint's parameters always exits 2."""
     path, readers = _INPUTS[name]
     command = data.draw(st.sampled_from(readers), label="command")
     run = tmp_path_factory.mktemp("corrupt")
@@ -654,6 +664,8 @@ def test_corrupt_input_ends_in_one_error_line(six_run, tmp_path_factory, data, n
         mp.chdir(run)
         code = main(_argv(command, 6))
     lines = err.getvalue().splitlines()
+    if name == "checkpoint" and corruption == "flip" and at > raw.index(b"\n"):
+        assert code == 2  # a changed parameter byte fails the checkpoint's crc32
     if code != 0 or corruption != "flip":
         assert code in (1, 2)
         errors = [line for line in lines if line.startswith("trajcurate: ")]

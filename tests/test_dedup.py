@@ -314,9 +314,26 @@ def test_compute_features_matches_embed_chunk():
     np.testing.assert_array_equal(compute_features(ds, chunks, cfg)[0][1], 0.0)
 
 
+def _balanced_weight_each(ds, chunks, cfg):
+    """λ from each chunk's unscaled ``embed_chunk`` row squared and summed on
+    its own, then added in chunk order."""
+    sums = []
+    for j in range(len(chunks)):
+        traj = ds.trajectories[chunks.traj[j]]
+        frames = chunks.start[j] + subsample_indices(chunks.span[j], cfg.n_subsample)
+        obs = traj.obs[frames].astype(np.float64)
+        vis = np.square(np.concatenate([obs.mean(axis=0), np.diff(obs, axis=0).ravel()]))
+        act = np.square(traj.actions[frames].astype(np.float64).ravel())
+        sums.append((vis.sum(), act.sum(), vis.size, act.size))
+    sq_v, sq_a, n_vis, n_act = np.array(sums).T
+    rms_v = np.sqrt(np.cumsum(sq_v)[-1] / n_vis.sum())
+    return float(rms_v / np.sqrt(np.cumsum(sq_a)[-1] / n_act.sum()))
+
+
 def test_compute_features_matches_embed_chunk_in_any_block_and_order():
-    """Any row block, any order of the dataset's trajectories and any subset
-    of its chunks give ``embed_chunk``'s bits."""
+    """Any order of the dataset's trajectories and any subset of its chunks
+    give ``embed_chunk``'s bits, and λ from sums taken a trajectory's rows at
+    a time has the bits of λ from sums taken one chunk at a time."""
     rng = np.random.default_rng(17)
     ds = make_dataset(rng, num_traj=3, n=80, fps=10.0)          # W = 20
     ds.trajectories.append(make_trajectory(rng, "t003", n=95, fps=15.0))  # W = 30
@@ -325,13 +342,9 @@ def test_compute_features_matches_embed_chunk_in_any_block_and_order():
     for data in (ds, shuffled):
         chunks = chunk_dataset(data, cfg)
         for chosen in (chunks, _rows(chunks, np.flatnonzero(rng.random(len(chunks)) < 0.5))):
-            for block_rows in (1, 3, dedup._FEATURE_ROWS):
-                with pytest.MonkeyPatch.context() as patch:
-                    patch.setattr(dedup, "_FEATURE_ROWS", block_rows)
-                    feats, lam = compute_features(data, chosen, cfg)
-                assert feats.tobytes() == _embed_each(data, chosen, cfg, lam).tobytes()
-                # the row block does not change λ's bits
-                assert lam == compute_features(data, chosen, cfg)[1]
+            feats, lam = compute_features(data, chosen, cfg)
+            assert feats.tobytes() == _embed_each(data, chosen, cfg, lam).tobytes()
+            assert lam == _balanced_weight_each(data, chosen, cfg)
 
 
 def _traced_peak(fn):
@@ -347,16 +360,15 @@ def _traced_peak(fn):
 
 def test_compute_features_memory_is_its_output_plus_a_block():
     """No (chunks, N, D) gathers and no second (n, d) array: the traced peak
-    stays within the features plus the sums' row block and one trajectory's
-    frames."""
+    stays within the features, two sums of squares a chunk and one
+    trajectory's frames and squared rows."""
     ds = make_dataset(np.random.default_rng(18), num_traj=30, n=400, obs_dim=32, action_dim=4)
     cfg = DedupConfig()
     chunks = chunk_dataset(ds, cfg)
     (feats, _), _, peak = _traced_peak(lambda: compute_features(ds, chunks, cfg))
-    block = dedup._FEATURE_ROWS * feats.shape[1] * 8
     one_traj = 3 * (len(chunks) // len(ds)) * 8 * (32 + 4) * 8
     assert len(chunks) == 600
-    assert peak < feats.nbytes + block + one_traj + (1 << 17)  # index lists, ufunc buffers
+    assert peak < feats.nbytes + 16 * len(chunks) + one_traj + (1 << 17)  # index lists, ufunc buffers
 
 
 def test_kmeans_memory_above_features_does_not_grow_with_n_times_d():

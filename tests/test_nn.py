@@ -1,9 +1,14 @@
 """Classifier internals: forward math, gradients vs finite differences, SGD."""
 
+import json
+import tracemalloc
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trajcurate import nn
 from trajcurate.errors import (
     DimensionMismatch,
     EmptyTrainingSet,
@@ -373,6 +378,46 @@ def test_train_bits_match_oracles_property(case):
     assert got == _textbook_sgd(m, x, y, case["cfg"]).tobytes()
 
 
+@pytest.mark.parametrize("gather_rows", [3, 16, 40])
+def test_train_in_blocks_equals_one_block(gather_rows, monkeypatch):
+    """Blocks of whole batches (7 rows a batch: blocks of 7, 14 and 35 rows)
+    and a partial last batch train the bits of one gathered epoch."""
+    rng = np.random.default_rng(20)
+    x = rng.normal(size=(100, 3))  # 100 = 14 batches of 7 and one of 2
+    y = rng.integers(0, 4, size=100)
+    m = init_mlp([3, 5, 4], seed=6)
+    cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=7, seed=3, l2=0.1)
+    whole = get_flat_params(train(m, x, y, cfg)).tobytes()
+    monkeypatch.setattr(nn, "_GATHER_ROWS", gather_rows)
+    assert get_flat_params(train(m, x, y, cfg)).tobytes() == whole
+    assert whole == get_flat_params(_sgd_over_loss_and_grad(m, x, y, cfg)).tobytes()
+
+
+def test_train_memory_is_its_parameters_plus_one_block(monkeypatch):
+    """Beyond its inputs, ``train`` holds its parameters, gradient and work
+    arrays, the epoch's permutation and one gathered block of rows, one-hot
+    targets and labels: no epoch copy of the rows (5.1 MB here) or targets."""
+    rng = np.random.default_rng(21)
+    n, dim, hidden, classes, batch = 20000, 32, (64, 64), 5, 64
+    x, y = rng.normal(size=(n, dim)), rng.integers(0, classes, size=n)
+    m = init_mlp([dim, *hidden, classes], seed=0)
+    cfg = TrainConfig(epochs=2, batch_size=batch)
+    monkeypatch.setattr(nn, "_GATHER_ROWS", 1024)
+    train(m, x[:100], y[:100], cfg)
+    tracemalloc.start()
+    try:
+        train(m, x, y, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    params = 8 * m.num_params()
+    # a workspace per batch size (64 and the last batch's 32): a copy of the
+    # parameters for weight decay, then activations, deltas, masks and logits
+    work = 2 * (params + 3 * batch * (sum(hidden) + classes) * 8)
+    block = 1024 * (dim + classes + 1) * 8
+    assert peak <= 2 * params + work + block + 8 * n + (1 << 16)
+
+
 def test_trained_model_owns_its_parameters(tmp_path):
     rng = np.random.default_rng(12)
     x, y = _toy_problem(rng, n=30)
@@ -477,16 +522,37 @@ def test_load_model_errors(tmp_path):
     bad.write_bytes(b"{not json}\n\x00\x00")
     with pytest.raises(IoFailure):
         load_model(bad)
-    for header, blob in [
+    nan, inf = (np.array(v, dtype="<f4").tobytes() for v in ([1.0, np.nan, 0.0], [1.0, 0.0, np.inf]))
+    for header, blob, message in [
         # sizes that would need hundreds of GiB; only the blob length is read
-        (b'{"layer_sizes": [200000, 200000, 5]}', b"\x00" * 8),
-        (b'{"layer_sizes": "ab"}', b""),
-        (b'{"layer_sizes": [2, Infinity]}', b""),
-        (b'[2, 3]', b""),
-        (b'{"layer_sizes": [2, 1], "seed": -1}', b"\x00" * 12),
-        (b'{"layer_sizes": [2, 1]}', np.array([1.0, np.nan, 0.0], dtype="<f4").tobytes()),
-        (b'{"layer_sizes": [2, 1]}', np.array([1.0, 0.0, np.inf], dtype="<f4").tobytes()),
+        (b'{"layer_sizes": [200000, 200000, 5]}', b"\x00" * 8, "expected"),
+        (b'{"layer_sizes": "ab"}', b"", "bad header"),
+        (b'{"layer_sizes": [2, Infinity]}', b"", "bad header"),
+        (b'[2, 3]', b"", "bad header"),
+        (b'{"layer_sizes": [2, 1], "seed": -1}', b"\x00" * 12, "negative seed"),
+        (b'{"layer_sizes": [2, 1]}', b"\x00" * 12, "retrain"),
+        (b'{"layer_sizes": [2, 1], "crc32": %d}' % (zlib.crc32(b"\x00" * 12) ^ 1), b"\x00" * 12, "crc32"),
+        (b'{"layer_sizes": [2, 1], "crc32": "0"}', b"\x00" * 12, "crc32"),
+        (b'{"layer_sizes": [2, 1], "crc32": %d}' % zlib.crc32(nan), nan, "non-finite"),
+        (b'{"layer_sizes": [2, 1], "crc32": %d}' % zlib.crc32(inf), inf, "non-finite"),
     ]:
         bad.write_bytes(header + b"\n" + blob)
-        with pytest.raises(IoFailure):
+        with pytest.raises(IoFailure, match=message):
             load_model(bad)
+
+
+def test_checkpoint_checksum_catches_every_flipped_parameter_byte(tmp_path):
+    """``crc32`` detects every error burst of up to 32 bits, so any change to
+    one byte of the parameter blob is an ``IoFailure``, also one that leaves a
+    finite float."""
+    path = tmp_path / "m.ckpt"
+    save_model(init_mlp([3, 2], seed=2), path)
+    raw = path.read_bytes()
+    header, blob = raw.split(b"\n", 1)
+    assert json.loads(header)["crc32"] == zlib.crc32(blob)
+    start = len(header) + 1
+    for at in range(start, len(raw)):
+        for bits in (1, 0x80, 0xFF):
+            path.write_bytes(raw[:at] + bytes([raw[at] ^ bits]) + raw[at + 1:])
+            with pytest.raises(IoFailure, match="crc32"):
+                load_model(path)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trajcurate import synthgen
 from trajcurate.errors import InvalidConfig, ShapeMismatch
 from trajcurate.synthgen import (
     ANOMALY_TYPES,
@@ -380,30 +381,29 @@ def test_separation_self_check_without_planted_groups_is_nan(small_benchmark):
 
 
 def test_separation_self_check_memory_is_the_features_plus_planted_members():
-    """Beyond embedding every chunk, the check holds O(planted members): on
-    800 chunks a chunks² similarity pass (5.1 MB) would be nearly four times
-    the (800, 208) features."""
-    from trajcurate.dedup import DedupConfig, chunk_dataset, compute_features
+    """The check embeds planted members only: its traced peak is O(chunks)
+    scalars, a few d-rows a planted member and one trajectory's raw block,
+    with no (chunks, d) feature matrix. On 800 chunks that matrix alone
+    (1.3 MB) is more than the whole budget."""
+    from trajcurate.dedup import DedupConfig, chunk_dataset
 
     ds, gt = generate(dataclasses.replace(SMALL, num_traj=80))
-    cfg = DedupConfig(chunk_seconds=2.0)
-    chunks = chunk_dataset(ds, cfg)
+    chunks = chunk_dataset(ds, DedupConfig(chunk_seconds=2.0))
     separation_self_check(ds, gt)  # lazy imports stay out of the trace
     tracemalloc.start()
     try:
-        features, _ = compute_features(ds, chunks, cfg)
-        embed_peak = tracemalloc.get_traced_memory()[1]
-        del features
-        tracemalloc.reset_peak()
         separation_self_check(ds, gt)
         check_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     members = sum(len(m) for m in gt.groups().values())
-    assert len(chunks) == 800 and members == 80
-    # chunking and the group ids take 32 bytes a chunk; the member rows, their
-    # products and the group bookkeeping a few d-rows a member
-    assert check_peak <= embed_peak + 32 * len(chunks) + 4 * members * 208 * 8
+    row = 8 * (ds.obs_dim + ds.action_dim) * 8  # one float64 feature row
+    assert len(chunks) == 800 and members == 80 and len(chunks) * row > 1.3e6
+    # chunking, group ids and the two sums of squares take 48 bytes a chunk;
+    # the member rows, their gather per group size and the group bookkeeping
+    # a few rows a member; a trajectory's frame gathers and squares a few
+    # rows a chunk of it
+    assert check_peak <= 48 * len(chunks) + 3 * members * row + 4 * (len(chunks) // len(ds)) * row
 
 
 # --- ground truth round trips --------------------------------------------------------
@@ -459,6 +459,55 @@ def test_auroc_matches_pair_counting(n, seed, ties):
         assert np.isnan(got)
     else:
         assert got == pytest.approx(want, abs=1e-12)
+
+
+def _unique_ranking_auroc(scores, labels):
+    """AUROC from ``np.unique`` tie groups: each score's average 1-based rank
+    through ``return_inverse`` and ``return_counts``, positives summed in
+    index order."""
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts) - 1
+    ranks = (0.5 * (2 * last - counts + 1) + 1.0)[inverse.ravel()]
+    n_pos = int(labels.sum())
+    return float((ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * (labels.size - n_pos)))
+
+
+@given(n=st.integers(2, 300), seed=st.integers(0, 2**16), block=st.sampled_from([1, 5, 1 << 14]))
+@settings(max_examples=60, deadline=None)
+def test_auroc_equals_unique_ranking_on_signed_zero_ties(n, seed, block):
+    """Heavy ties, with 0.0 and -0.0 one tie group: the binary-search ranks
+    give the bits of the ``np.unique`` ranking, for any block of positives."""
+    rng = np.random.default_rng(seed)
+    scores = np.round(rng.normal(size=n))
+    scores[rng.random(n) < 0.3] = 0.0
+    scores[rng.random(n) < 0.3] = -0.0
+    labels = rng.random(n) < rng.random()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(synthgen, "_RANK_BLOCK", block)
+        got = auroc(scores, labels)
+    if labels.all() or not labels.any():
+        assert np.isnan(got)
+        return
+    assert got == _unique_ranking_auroc(scores, labels)
+    assert got == pytest.approx(oracle_auroc(scores.tolist(), labels.tolist()), abs=1e-12)
+
+
+def test_auroc_memory_is_a_sorted_copy_plus_the_positives():
+    """One sorted copy of the scores, the positives' ranks and a block of
+    binary searches: at most 26 bytes a score, where ``np.unique``'s inverse
+    and counts took 41 to 65."""
+    rng = np.random.default_rng(23)
+    n = 200_000
+    scores, labels = rng.normal(size=n), rng.random(n) < 0.5
+    auroc(scores[:10], labels[:10])
+    tracemalloc.start()
+    try:
+        auroc(scores, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 26 * n
+    assert peak <= 8 * n + 8 * int(labels.sum()) + 4 * 8 * synthgen._RANK_BLOCK
 
 
 # --- mask evaluation ------------------------------------------------------------------
