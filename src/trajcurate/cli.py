@@ -204,16 +204,17 @@ def _cmd_calibrate(args, cfg: PipelineConfig) -> int:
     targets = _parse_targets(args.targets)
     model, ds, bins = _scoring_inputs(args, cfg, data)
 
-    # only the final scores stay: the other score arrays are freed before clustering
-    finals = score_dataset(ds, model, bins, cfg.subopt)[1].subopt_score
-    sub_curve = ratio_curve(finals, _quantile_grid(finals, 33))
-
+    # clustering first, as in curate: the features are freed before scoring (a lower peak RSS)
     clustered = cluster_dataset(ds, cfg.dedup, _load_embeddings_if_present(data))
     sims = clustered[3][clustered[3] > -1.5]
     dup_curves = []
     if sims.size:
         grid = np.append(_quantile_grid(sims, 17), max(1.0, float(sims.max()) + 1e-9))
         dup_curves.append(dedup_ratio_curve(ds, cfg.dedup, grid, clustered))
+    del clustered, sims
+
+    finals = score_dataset(ds, model, bins, cfg.subopt)[1].subopt_score
+    sub_curve = ratio_curve(finals, _quantile_grid(finals, 33))
 
     points = []
     for target in targets:
@@ -336,7 +337,8 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="JSON pipeline config")
         p.add_argument("--threads", type=int, default=1,
-                       help="accepted and ignored: every stage runs on one thread")
+                       help="accepted and ignored: trajcurate's own code runs on one thread "
+                            "(numpy's BLAS may use more; see OPENBLAS_NUM_THREADS)")
         for flag, help_str in flags.items():
             p.add_argument(f"--{flag.replace('_', '-')}", default=None, help=help_str)
 

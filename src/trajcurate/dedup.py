@@ -189,11 +189,14 @@ def default_k(num_chunks: int, target_cluster_size: int = 50) -> int:
     return max(1, int(round(num_chunks / target_cluster_size)))
 
 
-# Entries in one row block of _assign's (rows × centroids) estimates and
-# gathered rows, of the (rows × cluster size) Gram blocks of
-# similarity_scores, and of the (clusters × rows × size) padded Gram blocks of
-# _keep_one_drops.
+# Entries in one row block of _assign's (rows × centroids) estimates and of
+# the (rows × cluster size) Gram blocks of similarity_scores.
 _ASSIGN_BLOCK_ELEMS = 1 << 18
+# Entries in one of _keep_one_drops' (clusters × rows × size) padded Gram
+# blocks; the replay's other arrays grow with a group's clusters too.
+_GROUP_BLOCK_ELEMS = 1 << 16
+# Entries in kmeans' reused buffer of gathered rows.
+_GATHER_ELEMS = 1 << 15
 # Most entries of (x − c)² filled at a time by _inertia (one leaf of numpy's
 # pairwise summation tree) and by _keep_one_drops: small enough to stay in cache.
 _INERTIA_LEAF = 1 << 14
@@ -219,12 +222,12 @@ def _rank(
     """For each of ``features[rows]`` (every row if None): the candidate
     centroid with the smallest estimate ‖x‖² − 2·x·cᵀ + ‖c‖², that estimate
     and the next smallest one, a row block at a time through kmeans' reused
-    ``work`` buffers (block rows, estimates); the estimate has the bits of
-    ``x_sq[:, None] − 2.0 * (x @ c.T) + c_sq``."""
+    ``work`` buffers (gathered rows, estimates against every centroid); the
+    estimate has the bits of ``x_sq[:, None] − 2.0 * (x @ c.T) + c_sq``."""
     buf, est = work
     count = features.shape[0] if rows is None else rows.size
     c, c_sq = centroids[cands], c_sq[cands]
-    step = buf.shape[0]
+    step = min(est.size // centroids.shape[0], count if rows is None else buf.shape[0])  # gathers fit buf
     ids, first, second = np.empty(count, dtype=np.int64), np.empty(count), np.empty(count)
     for lo in range(0, count, step):
         part = slice(lo, lo + step)
@@ -323,33 +326,32 @@ def _sq_diff(
     return out
 
 
-def _inertia(features: np.ndarray, centroids: np.ndarray, assignment: np.ndarray) -> float:
+def _inertia(features: np.ndarray, centroids: np.ndarray, assignment: np.ndarray, buf: np.ndarray,
+             lo: int = 0, size: int = -1) -> float:
     """``((features − centroids[assignment])**2).sum()`` to the bit.
 
     numpy sums the n·d entries pairwise: a range of more than 128 entries is
     split at half its length, rounded down to a multiple of 8, and the two
-    halves' sums are added. The same split, stopped at ranges of at most
-    ``_INERTIA_LEAF`` entries, fills the rows under each leaf with (x − c)²
-    in one small reused buffer, sums the leaf's range with numpy and adds
-    the sums back up the tree.
-    """
-    n, d = features.shape
-    if not features.size:
+    halves' sums are added. The same split of the range (``lo``, ``size``),
+    stopped at ranges of at most ``_INERTIA_LEAF`` entries, fills each leaf's
+    rows with (x − c)² in the flat buffer ``buf`` (``_INERTIA_LEAF // d + 2``
+    rows, or all n) and sums them with numpy. The function recurses on
+    itself: a nested one that called itself would be a reference cycle,
+    which holds the arrays until a garbage collection."""
+    size = features.size if size < 0 else size
+    if size > _INERTIA_LEAF:
+        half = size // 2 - size // 2 % 8
+        return (_inertia(features, centroids, assignment, buf, lo, half)
+                + _inertia(features, centroids, assignment, buf, lo + half, size - half))
+    if not size:
         return 0.0
-    buf = np.empty(_INERTIA_LEAF + 2 * d)  # the rows under any leaf
-
-    def tree(lo: int, size: int) -> float:
-        if size > _INERTIA_LEAF:
-            half = size // 2 - size // 2 % 8
-            return tree(lo, half) + tree(lo + half, size - half)
-        r0 = lo // d
-        _sq_diff(features, centroids, assignment, slice(r0, -(-(lo + size) // d)), buf)
-        return buf[lo - r0 * d : lo - r0 * d + size].sum()
-
-    return float(tree(0, n * d))
+    d = features.shape[1]
+    r0 = lo // d
+    _sq_diff(features, centroids, assignment, slice(r0, -(-(lo + size) // d)), buf)
+    return float(buf[lo - r0 * d : lo - r0 * d + size].sum())
 
 
-def _row_d2(features: np.ndarray, rows: np.ndarray, centroid: np.ndarray, buf: np.ndarray) -> np.ndarray:
+def _row_d2(features: np.ndarray, rows: np.ndarray, centroid: np.ndarray | float, buf: np.ndarray) -> np.ndarray:
     """``((features[rows] − centroid)**2).sum(axis=1)`` to the bit, through
     the reused buffer ``buf`` a block of rows at a time."""
     out = np.empty(rows.size)
@@ -361,6 +363,19 @@ def _row_d2(features: np.ndarray, rows: np.ndarray, centroid: np.ndarray, buf: n
         np.square(diff, out=diff)
         diff.sum(axis=1, out=out[lo : lo + part.size])
     return out
+
+
+def _member_mean(features: np.ndarray, members: np.ndarray, buf: np.ndarray, out: np.ndarray) -> None:
+    """``features[members].mean(axis=0)`` to the bit, into ``out``, a block
+    of rows at a time through ``buf``: numpy sums a (rows, d ≥ 2) block row
+    after row, so each later block starts with the running sum."""
+    lo = carry = 0
+    while lo < members.size:
+        part = members[lo : lo + buf.shape[0] - carry]
+        np.take(features, part, axis=0, out=buf[carry : carry + part.size], mode="clip")
+        np.add.reduce(buf[: carry + part.size], axis=0, out=out)
+        buf[0], lo, carry = out, lo + part.size, 1
+    np.true_divide(out, members.size, out=out)
 
 
 def kmeans(features: np.ndarray, k: int, seed: int = 0, max_iters: int = 100) -> ClusterModel:
@@ -377,7 +392,9 @@ def kmeans(features: np.ndarray, k: int, seed: int = 0, max_iters: int = 100) ->
     and the ones that moved (see ``_assign``). The inertia is summed leaf by
     leaf of numpy's own summation tree (see ``_inertia``). Each centroid
     whose members changed is the mean of its members in index order, taken
-    through one stable sort of the assignment; the others keep their bits.
+    through one stable sort of the assignment, summed a block at a time
+    (``_member_mean``); the others keep their bits. Beyond O(n + k·d)
+    vectors, all work goes through two buffers made once.
     """
     features = np.asarray(features, dtype=np.float64)
     n = features.shape[0]
@@ -390,13 +407,13 @@ def kmeans(features: np.ndarray, k: int, seed: int = 0, max_iters: int = 100) ->
 
     d = features.shape[1]
     rng = np.random.default_rng(seed)
-    # one block of rows and its estimates against every centroid, reused throughout
+    # gathered rows and a block's estimates against every centroid; numpy sums
+    # a (rows, 1) column pairwise, so at d = 1 clusters are gathered whole
     step = min(n, max(1, _ASSIGN_BLOCK_ELEMS // max(k, d)))
-    buf = np.empty((step, d))
+    block = min(n, max(_GATHER_ELEMS // d, _INERTIA_LEAF // d + 2)) if d > 1 else n
+    buf = np.empty((block, d))
     work = (buf, np.empty(step * k))
-    x_sq = np.empty(n)  # (features**2).sum(axis=1), a block of rows at a time
-    for lo in range(0, n, step):
-        np.square(features[lo : lo + step], out=buf[: min(step, n - lo)]).sum(axis=1, out=x_sq[lo : lo + step])
+    x_sq = _row_d2(features, np.arange(n), 0.0, buf)  # (features**2).sum(axis=1): x − 0 is x
     rtol = _rtol(d)
     centroids = np.empty((k, d))
     centroids[0] = features[int(rng.integers(n))]
@@ -418,40 +435,41 @@ def kmeans(features: np.ndarray, k: int, seed: int = 0, max_iters: int = 100) ->
 
     assignment = np.full(n, -1, dtype=np.int64)
     moved = nearest_d2 = None
+    before = np.empty_like(centroids)
     history: list[float] = []
     converged = False
     reseeds = 0
     for _ in range(max_iters):
         new_assignment, nearest_d2 = _assign(features, centroids, x_sq, assignment, moved, nearest_d2, work)
-        history.append(_inertia(features, centroids, new_assignment))
+        history.append(_inertia(features, centroids, new_assignment, buf.ravel()))
         changed = new_assignment != assignment
         if not changed.any():
             converged = True
             break
-        touched = np.unique(np.concatenate([assignment[changed], new_assignment[changed]]))
+        # % k: the first pass's −1 marks cluster k − 1, which that pass updates anyway if it has members
+        touched = np.bincount(np.concatenate([assignment[changed], new_assignment[changed]]) % k, minlength=k) > 0
         assignment = new_assignment
-        before = centroids.copy()
+        np.copyto(before, centroids)
         counts = np.bincount(assignment, minlength=k)
         # every cluster's members in index order: the rows of features[assignment == c]
         order = np.argsort(assignment, kind="stable")
         ends = np.cumsum(counts)
-        for c in touched[touched >= 0]:
-            if counts[c]:
-                centroids[c] = features[order[ends[c] - counts[c] : ends[c]]].mean(axis=0)
+        for c in np.flatnonzero(touched & (counts > 0)):
+            _member_mean(features, order[ends[c] - counts[c] : ends[c]], buf, centroids[c])
         empty = np.flatnonzero(counts == 0)
         if empty.size:
             # re-seed emptied clusters with the globally farthest points
             dists = np.empty(n)  # ((features − centroids[assignment])**2).sum(axis=1)
-            for lo in range(0, n, step):
-                blk = _sq_diff(features, centroids, assignment, slice(lo, lo + step), buf.ravel())
-                blk.sum(axis=1, out=dists[lo : lo + step])
+            for lo in range(0, n, block):
+                blk = _sq_diff(features, centroids, assignment, slice(lo, lo + block), buf.ravel())
+                blk.sum(axis=1, out=dists[lo : lo + block])
             centroids[empty] = features[np.argsort(-dists, kind="stable")[: empty.size]]
             reseeds += int(empty.size)
         moved = (centroids.view(np.int64) != before.view(np.int64)).any(axis=1)
     if not converged:
         # hit the iteration cap mid-update: re-anchor to the final centroids
         assignment, _ = _assign(features, centroids, x_sq, assignment, moved, nearest_d2, work)
-        history.append(_inertia(features, centroids, assignment))
+        history.append(_inertia(features, centroids, assignment, buf.ravel()))
     return ClusterModel(
         k=k,
         centroids=centroids,
@@ -467,10 +485,13 @@ def similarity_scores(model: ClusterModel, features: np.ndarray) -> np.ndarray:
 
     Members of singleton clusters have nothing to match and get the sentinel
     −2, which no threshold in [−1, 1] can exceed. The cluster's Gram matrix
-    is taken in row blocks, so memory grows with its size, not its square.
+    is taken in row blocks through one reused buffer, so memory grows with
+    its size, not its square.
     """
     features = np.asarray(features, dtype=np.float64)
     scores = np.full(features.shape[0], SINGLETON_SENTINEL)
+    sizes = np.bincount(model.assignment, minlength=model.k).tolist()
+    gram = np.empty(max((min(m, max(1, _ASSIGN_BLOCK_ELEMS // m)) * m for m in sizes if m > 1), default=0))
     for c in range(model.k):
         members = np.flatnonzero(model.assignment == c)
         if members.size < 2:
@@ -479,7 +500,8 @@ def similarity_scores(model: ClusterModel, features: np.ndarray) -> np.ndarray:
         x, y = features[members], features[members]
         rows = max(1, _ASSIGN_BLOCK_ELEMS // members.size)
         for lo in range(0, members.size, rows):
-            sims = x[lo : lo + rows] @ y.T
+            r = min(rows, members.size - lo)
+            sims = np.matmul(x[lo : lo + r], y.T, out=gram[: r * members.size].reshape(r, -1))
             ix = np.arange(sims.shape[0])
             sims[ix, lo + ix] = -np.inf
             scores[members[lo : lo + rows]] = sims.max(axis=1)
@@ -496,7 +518,7 @@ def _keep_one_drops(
     broken by (traj_id, start); a chunk drops iff its cosine to a chunk kept
     so far at that threshold exceeds it. Clusters are grouped, largest
     first, so that a group's Gram matrices, padded to its largest cluster,
-    fit ``_ASSIGN_BLOCK_ELEMS``; a cluster too large for that alone is taken
+    fit ``_GROUP_BLOCK_ELEMS``; a cluster too large for that alone is taken
     in row blocks. A chunk whose best cosine to an earlier member lies
     clearly below the lowest threshold is kept at every threshold. The
     others step in visiting order, the s-th of every cluster in the group at
@@ -531,10 +553,11 @@ def _keep_one_drops(
 
     by_size = np.flatnonzero(sizes >= 2)
     by_size = by_size[np.argsort(-sizes[by_size], kind="stable")]
+    blocks = np.empty(max(_GROUP_BLOCK_ELEMS, sizes.max(initial=0)))  # every padded Gram block
     at = 0
     while at < by_size.size:
         m = sizes[by_size[at]]
-        group = by_size[at : at + max(1, _ASSIGN_BLOCK_ELEMS // (m * m))]
+        group = by_size[at : at + max(1, _GROUP_BLOCK_ELEMS // (m * m))]
         at += group.size
         g_size, g_first = sizes[group], first[group]
         # (cluster, position) → chunk index; positions past a cluster's end
@@ -545,10 +568,11 @@ def _keep_one_drops(
         # 0 where a chunk is kept at a threshold so far, −inf where it drops
         penalty = np.zeros((group.size, thresholds.size, m))
         alone = features[members[0]] if group.size == 1 else None
-        rows = max(1, _ASSIGN_BLOCK_ELEMS // (group.size * m))
+        rows = max(1, _GROUP_BLOCK_ELEMS // (group.size * m))
         for lo in range(0, m, rows):
             hi = min(lo + rows, m)
-            gram = np.full((group.size, hi - lo, hi), -np.inf)
+            gram = blocks[: group.size * (hi - lo) * hi].reshape(group.size, hi - lo, hi)
+            gram.fill(-np.inf)
             for g, size in enumerate(g_size.tolist()):
                 if size > lo:
                     x = alone if alone is not None else features[members[g, :size]]
@@ -634,7 +658,7 @@ def dedup_dataset(
         ds, chunks, scores, features, model, cfg.epsilon_d, cfg.drop_all_over_threshold,
     )
     mask = CurationMask(tuple(t.id for t in ds.trajectories), ds.frame_bounds(), ~drop, drop * np.uint8(DUPLICATE),
-                        np.zeros(drop.shape[0]), _per_frame(ds, chunks, scores, UNCHUNKED_SENTINEL))
+                        np.broadcast_to(0.0, drop.shape), _per_frame(ds, chunks, scores, UNCHUNKED_SENTINEL))
     return mask, dedup_report(chunks, model, scores, mask)
 
 

@@ -83,13 +83,15 @@ class TrainConfig:
             raise ValueError("seed must be >= 0")
 
 
+def _check_sizes(sizes: tuple[int, ...]) -> None:
+    if len(sizes) < 2 or min(sizes) <= 0:
+        raise InvalidArchitecture(f"need positive input and output sizes at least, got {sizes}")
+
+
 def init_mlp(layer_sizes: list[int] | tuple[int, ...], seed: int = 0) -> MlpClassifier:
     """Create a network with fan-in-scaled uniform weights and zero biases."""
     sizes = tuple(int(s) for s in layer_sizes)
-    if len(sizes) < 2:
-        raise InvalidArchitecture(f"need at least input and output sizes, got {sizes}")
-    if any(s <= 0 for s in sizes):
-        raise InvalidArchitecture(f"layer sizes must be positive, got {sizes}")
+    _check_sizes(sizes)
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for n_in, n_out in zip(sizes[:-1], sizes[1:]):
@@ -97,12 +99,6 @@ def init_mlp(layer_sizes: list[int] | tuple[int, ...], seed: int = 0) -> MlpClas
         weights.append(rng.uniform(-bound, bound, size=(n_in, n_out)))
         biases.append(np.zeros(n_out))
     return MlpClassifier(layer_sizes=sizes, weights=weights, biases=biases, seed=seed)
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def _as_batch(model: MlpClassifier, x: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -115,12 +111,10 @@ def _as_batch(model: MlpClassifier, x: np.ndarray) -> tuple[np.ndarray, bool]:
     return arr, single
 
 
-def forward(model: MlpClassifier, x: np.ndarray) -> np.ndarray:
-    """Class probabilities for one input vector or a batch of rows."""
+def forward(model: MlpClassifier, x: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
+    """Class probabilities for one vector or a batch of rows, computed in ``ws`` (fresh if None)."""
     a, single = _as_batch(model, x)
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        a = np.maximum(a @ w + b, 0.0)
-    probs = _softmax(a @ model.weights[-1] + model.biases[-1])
+    probs = _softmax_forward(model.weights, model.biases, a, ws or Workspace(model.layer_sizes, a.shape[0]))
     return probs[0] if single else probs
 
 
@@ -141,27 +135,47 @@ def _check_batch(
 
 
 # Rows per block of train's gathered epoch, rounded down to whole batches.
-_GATHER_ROWS = 1 << 14
+_GATHER_ROWS = 1 << 11
 
 
-class _Workspace:
-    """Work arrays for backprop over exactly ``rows`` rows, so a step
-    allocates nothing. The gradient lands in the flat ``grad``
-    (``get_flat_params`` layout) through its per-layer views ``dw`` and
-    ``db``. With ``keep_logits`` the exponentials get their own buffer, so
-    the shifted logits survive for the loss; otherwise ``exp`` runs in
-    place."""
+class Workspace:
+    """Work arrays for up to ``rows`` rows of the forward pass and, with a
+    flat ``grad``, for backprop over exactly ``rows`` rows, so a step
+    allocates nothing. The gradient lands in ``grad`` (``get_flat_params``
+    layout) through its per-layer views ``dw`` and ``db``. With
+    ``keep_logits`` the exponentials get their own buffer, so the shifted
+    logits survive for the loss; otherwise ``exp`` runs in place."""
 
-    def __init__(self, sizes: tuple[int, ...], rows: int, grad: np.ndarray, keep_logits: bool = False):
+    def __init__(self, sizes: tuple[int, ...], rows: int, grad: np.ndarray | None = None, keep_logits: bool = False):
         hidden = sizes[1:-1]
-        self.dw, self.db = _layer_views(grad, sizes)
         self.acts = [np.empty((rows, s)) for s in hidden]
-        self.deltas = [np.empty((rows, s)) for s in hidden]
-        self.masks = [np.empty((rows, s), dtype=bool) for s in hidden]
         self.logits = np.empty((rows, sizes[-1]))
         self.exp = np.empty_like(self.logits) if keep_logits else self.logits
         self.rowsum = np.empty((rows, 1))
-        self.decay = [np.empty_like(dw) for dw in self.dw]
+        if grad is not None:
+            self.dw, self.db = _layer_views(grad, sizes)
+            self.deltas = [np.empty((rows, s)) for s in hidden]
+            self.masks = [np.empty((rows, s), dtype=bool) for s in hidden]
+            self.decay = [np.empty_like(dw) for dw in self.dw]
+
+
+def _softmax_forward(weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarray, ws: Workspace) -> np.ndarray:
+    """Softmax probabilities of rows ``x`` in place in ``ws``'s first rows, with
+    the bits of ``maximum(a @ w + b, 0)`` and ``e / e.sum()`` on fresh arrays;
+    ``ws.logits`` keeps the shifted logits (``keep_logits``), ``ws.rowsum`` their exp sums."""
+    n = x.shape[0]
+    a = x
+    for w, b, z in zip(weights, biases, ws.acts):
+        a = np.matmul(a, w, out=z[:n])
+        a += b
+        np.maximum(a, 0.0, out=a)
+    logits = np.matmul(a, weights[-1], out=ws.logits[:n])
+    logits += biases[-1]
+    rowsum = ws.rowsum[:n]
+    logits -= np.maximum.reduce(logits, axis=1, keepdims=True, out=rowsum)
+    probs = np.exp(logits, out=ws.exp[:n])
+    probs /= np.add.reduce(probs, axis=1, keepdims=True, out=rowsum)
+    return probs
 
 
 def _backprop(
@@ -170,23 +184,13 @@ def _backprop(
     x: np.ndarray,
     onehot: np.ndarray,
     l2: float,
-    ws: _Workspace,
+    ws: Workspace,
 ) -> None:
     """Gradient of the mean cross-entropy (+ l2 decay) over checked rows ``x``
-    with one-hot targets, written into ``ws.dw``/``ws.db``. Afterwards
-    ``ws.logits`` holds the shifted logits (with ``keep_logits``) and
-    ``ws.rowsum`` the sums of their exponentials."""
+    with one-hot targets, written into ``ws.dw``/``ws.db``, after
+    ``_softmax_forward``."""
     n = x.shape[0]
-    a = x
-    for w, b, z in zip(weights, biases, ws.acts):
-        np.matmul(a, w, out=z)
-        z += b
-        a = np.maximum(z, 0.0, out=z)
-    logits = np.matmul(a, weights[-1], out=ws.logits)
-    logits += biases[-1]
-    logits -= np.maximum.reduce(logits, axis=1, keepdims=True, out=ws.rowsum)
-    delta = np.exp(logits, out=ws.exp)
-    delta /= np.add.reduce(delta, axis=1, keepdims=True, out=ws.rowsum)
+    delta = _softmax_forward(weights, biases, x, ws)
     delta -= onehot  # subtracting 0.0 is exact, so only the label column moves
     delta /= n
 
@@ -215,7 +219,7 @@ def loss_and_grad(
     """
     x, y = _check_batch(model, x, labels)
     n = y.shape[0]
-    ws = _Workspace(model.layer_sizes, n, np.empty(model.num_params()), keep_logits=True)
+    ws = Workspace(model.layer_sizes, n, np.empty(model.num_params()), keep_logits=True)
     _backprop(model.weights, model.biases, x, np.eye(model.num_classes)[y], l2, ws)
     ce = float(np.mean(np.log(ws.rowsum[:, 0]) - ws.logits[np.arange(n), y]))
     loss = ce + 0.5 * l2 * sum(float((w**2).sum()) for w in model.weights)
@@ -244,7 +248,7 @@ def train(
     weights, biases = _layer_views(params, model.layer_sizes)
     grad = np.empty_like(params)
     starts = range(0, n, size)
-    spaces = {r: _Workspace(model.layer_sizes, r, grad) for r in {min(size, n - i) for i in starts}}
+    spaces = {r: Workspace(model.layer_sizes, r, grad) for r in {min(size, n - i) for i in starts}}
 
     rows = min(n, max(1, _GATHER_ROWS // size) * size)  # whole batches
     eye = np.eye(model.num_classes)
@@ -365,7 +369,6 @@ def load_model(path: str | os.PathLike) -> MlpClassifier:
     params = np.frombuffer(blob, dtype="<f4")
     if not np.isfinite(params).all():  # checked before the cast, which warns on a signaling NaN
         raise IoFailure(f"checkpoint {path}: non-finite parameters")
-    model = init_mlp(sizes, seed=seed)
-    model.activation, model.meta = activation, header
-    set_flat_params(model, params)
-    return model
+    _check_sizes(sizes)
+    weights, biases = _layer_views(params.astype(np.float64), sizes)
+    return MlpClassifier(sizes, weights, biases, activation, seed, header)

@@ -201,7 +201,7 @@ def train_progress_model(
         raise EmptyTrainingSet("no trainable pairs in dataset")
 
     # shuffle the trajectories that own pairs, taken in id order
-    owners = sorted(np.unique(pairs.traj).tolist(), key=lambda k: ds.trajectories[k].id)
+    owners = sorted(np.flatnonzero(np.bincount(pairs.traj)).tolist(), key=lambda k: ds.trajectories[k].id)
     rng = np.random.default_rng(sampling.seed)
     order = np.array(owners)[rng.permutation(len(owners))]
     num_val = max(1, int(np.floor(0.1 * len(owners)))) if len(owners) >= 2 else 0
@@ -250,9 +250,10 @@ def progress_from_deltas(
     bins: TemporalBins,
     deltas: np.ndarray,
     mode: str = "expectation",
+    ws: nn.Workspace | None = None,
 ) -> np.ndarray:
-    """T_p for each delta-feature row, in seconds."""
-    probs = np.atleast_2d(nn.forward(model, deltas))
+    """T_p for each delta-feature row, in seconds, computed in ``ws`` (see ``nn.forward``)."""
+    probs = np.atleast_2d(nn.forward(model, deltas, ws))
     reps = np.asarray(bins.representatives)
     if probs.shape[1] != reps.shape[0]:
         raise DimensionMismatch(

@@ -60,17 +60,24 @@ class SuboptConfig:
 
 @dataclass
 class ScoreSeries:
-    """All intermediate score arrays for one trajectory.
-
-    ``window_scores`` has one entry per sliding window; the remaining arrays
-    have one entry per frame.
-    """
+    """One trajectory's scores: one per window of ``window`` frames, every
+    ``cfg.stride_frames``, and the final one per frame. The stages between,
+    ``sample_scores`` and ``discounted``, are recomputed when read."""
 
     traj_id: str
     window_scores: np.ndarray
-    sample_scores: np.ndarray
-    discounted: np.ndarray
     final: np.ndarray
+    window: int
+    cfg: SuboptConfig
+
+    @property
+    def sample_scores(self) -> np.ndarray:
+        starts = np.arange(0, self.final.size - self.window + 1, self.cfg.stride_frames)
+        return aggregate_sample_scores(self.window_scores, self.window, self.final.size, starts)
+
+    @property
+    def discounted(self) -> np.ndarray:
+        return discount_scores(self.sample_scores, self.cfg.gamma, self.cfg.discount_direction)
 
 
 def aggregate_sample_scores(
@@ -143,46 +150,49 @@ def score_trajectory(
     model: nn.MlpClassifier,
     bins: TemporalBins,
     cfg: SuboptConfig,
+    work: tuple[np.ndarray, nn.Workspace] | None = None,
 ) -> tuple[ScoreSeries, np.ndarray]:
-    """Full scoring pipeline for one trajectory: (series, drop flags)."""
-    n = traj.num_frames
-    w = seconds_to_frames(cfg.window_seconds, traj.fps)
-    starts = np.arange(0, n - w + 1, cfg.stride_frames) if n >= w else np.empty(0, dtype=int)
-    if starts.size:
+    """Full scoring pipeline for one trajectory: (series, drop flags). The window deltas
+    and the classifier run in ``work`` ((rows, D) buffer, ``nn.Workspace``) or fresh arrays."""
+    n, step, w = traj.num_frames, cfg.stride_frames, seconds_to_frames(cfg.window_seconds, traj.fps)
+    count = len(range(0, n - w + 1, step))
+    windows = np.empty(0)
+    if count:
+        buf, ws = work or (np.empty((count, traj.obs.shape[1])), None)
         # dtype=float64 widens both frames before subtracting, as astype would
-        step = cfg.stride_frames
-        deltas = np.subtract(traj.obs[w - 1 :: step], traj.obs[: n - w + 1 : step], dtype=np.float64)
-        t_p = progress_from_deltas(model, bins, deltas, cfg.progress_mode)
-        ws = cfg.window_seconds - t_p
-    else:
-        ws = np.empty(0)
-    v_hat = aggregate_sample_scores(ws, w, n, starts)
-    v = discount_scores(v_hat, cfg.gamma, cfg.discount_direction)
-    final = mix_scores(v, cfg.mix_weight) if n else np.empty(0)
-    drop = subopt_mask(final, cfg.epsilon_s, has_windows=starts.size > 0)
-    series = ScoreSeries(traj.id, ws, v_hat, v, final)
-    return series, drop
+        deltas = np.subtract(traj.obs[w - 1 :: step], traj.obs[: n - w + 1 : step], out=buf[:count], dtype=np.float64)
+        windows = progress_from_deltas(model, bins, deltas, cfg.progress_mode, ws)
+        np.subtract(cfg.window_seconds, windows, out=windows)
+    series = ScoreSeries(traj.id, windows, np.empty(n), w, cfg)
+    if n:
+        series.final = mix_scores(series.discounted, cfg.mix_weight)
+    return series, subopt_mask(series.final, cfg.epsilon_s, has_windows=count > 0)
 
 
 def score_dataset(
     ds: Dataset, model: nn.MlpClassifier, bins: TemporalBins, cfg: SuboptConfig
 ) -> tuple[list[ScoreSeries], CurationMask]:
-    """Score every trajectory in order into dataset-wide arrays, filled a
-    trajectory at a time: the mask's, and the series' per-frame views of them."""
+    """Score every trajectory in order. Dataset-wide, only the mask's final scores
+    (each series' ``final`` is a view of its slice) and drop flags are held; the
+    classifier runs in one set of buffers sized for the longest trajectory."""
     bounds = ds.frame_bounds()
-    sample, discounted, final = (np.empty(bounds[-1]) for _ in range(3))
+    final = np.empty(bounds[-1])
     keep = np.empty(bounds[-1], dtype=bool)
     reason = np.zeros(bounds[-1], dtype=np.uint8)
+    rows = max((t.num_frames for t in ds.trajectories), default=0)
+    work = np.empty((rows, ds.obs_dim)), nn.Workspace(model.layer_sizes, rows)
     series_list = []
     for traj, lo, hi in zip(ds.trajectories, bounds.tolist(), bounds[1:].tolist()):
-        series, drop = score_trajectory(traj, model, bins, cfg)
+        series, drop = score_trajectory(traj, model, bins, cfg, work)
         part = slice(lo, hi)
-        sample[part], discounted[part], final[part] = series.sample_scores, series.discounted, series.final
+        final[part] = series.final
+        series.final = final[part]
         np.logical_not(drop, out=keep[part])
         reason[part][drop] = SUBOPTIMAL
-        series_list.append(ScoreSeries(traj.id, series.window_scores, sample[part], discounted[part], final[part]))
+        series_list.append(series)
     ids = tuple(t.id for t in ds.trajectories)
-    return series_list, CurationMask(ids, bounds, keep, reason, final, np.full(bounds[-1], -1.0))
+    # no frame is covered by a chunk here: a read-only broadcast of −1 holds no memory
+    return series_list, CurationMask(ids, bounds, keep, reason, final, np.broadcast_to(-1.0, final.shape))
 
 
 def subopt_report(mask: CurationMask, cfg: SuboptConfig) -> dict:

@@ -472,7 +472,7 @@ def separation_self_check(ds: Dataset, gt: GroundTruth, action_weight: float | N
     # members grouped by id; groups of one size go through one (groups, s, d) product
     members = np.argsort(ids, kind="stable")
     _, first, sizes = np.unique(ids[members], return_index=True, return_counts=True)
-    shared = np.unique(sizes[sizes > 1]).tolist()  # a lone member makes no pair
+    shared = sorted(set(sizes[sizes > 1].tolist()))  # a lone member makes no pair
     # np.minimum, unlike min(), carries a NaN through
     planted_min = np.inf if shared else np.nan
     for s in shared:

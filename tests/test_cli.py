@@ -23,8 +23,8 @@ from trajcurate.config import config_from_dict
 from trajcurate.dedup import DedupConfig
 from trajcurate.errors import ConfigError
 from trajcurate.nn import TrainConfig, load_model
-from trajcurate.progress import SamplingConfig
-from trajcurate.subopt import SuboptConfig
+from trajcurate.progress import SamplingConfig, default_bins
+from trajcurate.subopt import SuboptConfig, score_trajectory
 from trajcurate.synthgen import SynthConfig, generate
 from trajcurate.trajstore import load_dataset, save_dataset
 
@@ -104,6 +104,20 @@ def test_score_subopt_artifacts(pipeline):
     doc = json.loads(scores[0].read_text())
     assert len(doc["final"]) == 120
     assert len(doc["window_scores"]) == 120 - 20 + 1
+
+
+def test_score_subopt_scores_are_score_trajectory_series(pipeline):
+    """``scores/`` holds each trajectory's ``score_trajectory`` series, the
+    per-frame stages included, in ``json.dumps`` text of its float lists."""
+    cfg = config_from_dict(PIPELINE_CONFIG)
+    model, ds = load_model(pipeline["model"]), load_dataset(pipeline["data"])
+    for traj in ds.trajectories:
+        series, _ = score_trajectory(traj, model, default_bins(cfg.sampling.dt_cap), cfg.subopt)
+        doc = {"format_version": 1, "id": traj.id, **{
+            key: getattr(series, key).tolist()
+            for key in ("window_scores", "sample_scores", "discounted", "final")}}
+        text = (pipeline["scored"] / "scores" / f"{traj.id}.json").read_text()
+        assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def test_dedup_artifacts(pipeline):
@@ -712,6 +726,37 @@ def test_blas_thread_count_keeps_decisions(pipeline, tmp_path):
         assert one["keep"] == two["keep"] and one["reason"] == two["reason"]
         for key in ("subopt_score", "dup_similarity"):
             np.testing.assert_allclose(one[key], two[key], rtol=1e-6, atol=1e-6)
+
+
+# runs each command of argv[1] (a JSON list of argvs) in one fresh process and
+# prints, after each, which of two lazily imported numpy modules are loaded
+_LOADED_MODULES_SCRIPT = """
+import json, sys
+from trajcurate.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    print("LOADED", json.dumps(sorted({"numpy.ma", "numpy.random"} & set(sys.modules))))
+"""
+
+
+def test_only_calibrate_loads_numpy_ma_and_score_subopt_no_numpy_random(tmp_path):
+    """``np.unique`` without return flags imports numpy.ma (1.3 MB), which only
+    calibrate needs (``np.quantile``). Scoring builds the classifier from
+    the checkpoint without numpy.random, which k-means and training load."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def loaded(*commands):
+        proc = subprocess.run(
+            [sys.executable, "-c", _LOADED_MODULES_SCRIPT, json.dumps([_argv(c, 6) for c in commands])],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return [json.loads(line[len("LOADED "):]) for line in proc.stdout.splitlines() if line.startswith("LOADED ")]
+
+    (tmp_path / "tiny6.json").write_text(json.dumps(TINY_CONFIG))
+    assert loaded("gen", "train-progress", "dedup") == [["numpy.random"]] * 3
+    assert loaded("score-subopt", "curate") == [[], ["numpy.random"]]
+    assert loaded("calibrate") == [["numpy.ma", "numpy.random"]]
 
 
 _MANIFEST_MUTATIONS = {

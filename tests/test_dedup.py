@@ -384,6 +384,21 @@ def test_kmeans_memory_above_features_does_not_grow_with_n_times_d():
     assert peaks[1] - peaks[0] < 0.25 * 4000 * d * 8
 
 
+def test_kmeans_memory_is_two_buffers_and_per_row_vectors():
+    """At k = 1 one cluster holds every row, and its centroid is summed a
+    block at a time: above its result, k-means traces its two buffers
+    (gathered rows, estimates) and a few per-row vectors, far less than one
+    (n, d) copy of the rows, at any n."""
+    rng = np.random.default_rng(20)
+    d = 64
+    for n in (4000, 16000):
+        feats = rng.normal(size=(n, d))
+        model, _, peak = _traced_peak(lambda: kmeans(feats, 1, seed=0, max_iters=3))
+        work = peak - model.centroids.nbytes - model.assignment.nbytes
+        buffers = 8 * ((1 << 15) + min(n, (1 << 18) // d))
+        assert work < buffers + 128 * n < n * d * 8 // 2
+
+
 # --- k-means --------------------------------------------------------------------------
 
 
@@ -514,6 +529,20 @@ def _assert_kmeans_matches_oracle(pts, k, seed, max_iters):
     assert model.inertia == history[-1]
     assert model.reseeds == reseeds
     return model
+
+
+@pytest.mark.parametrize("seed,n,d,k,offset", [
+    (11, 400, 3, 3, 0.0), (12, 300, 8, 1, 1e4), (13, 250, 5, 4, 0.0), (14, 200, 1, 2, 1e4),
+])
+def test_kmeans_matches_oracle_with_clusters_beyond_the_gather_buffer(monkeypatch, seed, n, d, k, offset):
+    """A gather buffer of a few rows (all n at d = 1): centroid sums carry
+    over many blocks, and squared norms, seeding, ranking, reseeding and
+    the inertia's leaves go through it a few rows at a time."""
+    monkeypatch.setattr(dedup, "_GATHER_ELEMS", 64)
+    monkeypatch.setattr(dedup, "_INERTIA_LEAF", 128)  # numpy's own pairwise block
+    pts = np.random.default_rng(seed).normal(size=(n, d)) + offset
+    model = _assert_kmeans_matches_oracle(pts, k, seed, 100)
+    assert np.bincount(model.assignment).max() > (128 // d + 2 if d > 1 else 0) * 2
 
 
 def _spy_on_moved_centroid_assignments(monkeypatch):
@@ -790,7 +819,7 @@ def test_keep_one_replay_matches_per_threshold_oracle(seed, n, copies, k, d, per
     ])
     # Gram blocks of one row, of a few rows, and of whole clusters
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dedup, "_ASSIGN_BLOCK_ELEMS", block_elems)
+        patch.setattr(dedup, "_GROUP_BLOCK_ELEMS", block_elems)
         _assert_matches_oracles(ds, chunks, scores, feats, model, thresholds)
 
 
@@ -821,7 +850,7 @@ def test_keep_one_replay_pinned_cluster_beyond_gram_budget():
     thresholds = np.concatenate([np.quantile(scores, np.linspace(0, 1, 9)), [0.999, 0.9999]])
     for block_elems in (64, 40 * 3):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dedup, "_ASSIGN_BLOCK_ELEMS", block_elems)
+            patch.setattr(dedup, "_GROUP_BLOCK_ELEMS", block_elems)
             _assert_matches_oracles(ds, chunks, scores, feats, model, thresholds)
 
 

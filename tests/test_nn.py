@@ -393,16 +393,16 @@ def test_train_in_blocks_equals_one_block(gather_rows, monkeypatch):
     assert whole == get_flat_params(_sgd_over_loss_and_grad(m, x, y, cfg)).tobytes()
 
 
-def test_train_memory_is_its_parameters_plus_one_block(monkeypatch):
+def test_train_memory_is_its_parameters_plus_one_block():
     """Beyond its inputs, ``train`` holds its parameters, gradient and work
-    arrays, the epoch's permutation and one gathered block of rows, one-hot
-    targets and labels: no epoch copy of the rows (5.1 MB here) or targets."""
+    arrays, the epoch's permutation and one gathered block of 2^11 rows,
+    one-hot targets and labels (0.6 MB here): no epoch copy of the rows
+    (5.1 MB) or targets, and no 2^14-row block (5 MB)."""
     rng = np.random.default_rng(21)
     n, dim, hidden, classes, batch = 20000, 32, (64, 64), 5, 64
     x, y = rng.normal(size=(n, dim)), rng.integers(0, classes, size=n)
     m = init_mlp([dim, *hidden, classes], seed=0)
     cfg = TrainConfig(epochs=2, batch_size=batch)
-    monkeypatch.setattr(nn, "_GATHER_ROWS", 1024)
     train(m, x[:100], y[:100], cfg)
     tracemalloc.start()
     try:
@@ -414,7 +414,7 @@ def test_train_memory_is_its_parameters_plus_one_block(monkeypatch):
     # a workspace per batch size (64 and the last batch's 32): a copy of the
     # parameters for weight decay, then activations, deltas, masks and logits
     work = 2 * (params + 3 * batch * (sum(hidden) + classes) * 8)
-    block = 1024 * (dim + classes + 1) * 8
+    block = (1 << 11) * (dim + classes + 1) * 8
     assert peak <= 2 * params + work + block + 8 * n + (1 << 16)
 
 

@@ -385,27 +385,26 @@ def test_score_dataset_views_match_score_trajectory(tiny_model, stride):
 
 
 def test_score_dataset_memory_is_its_outputs_plus_one_trajectory():
-    """The traced peak stays within what the result holds plus the peak of
-    scoring one trajectory alone: no stage keeps a trajectory's work, and
-    none gathers the whole dataset."""
+    """What the result holds is the final scores, the drop flags and the
+    window scores, with no other per-frame array; the traced peak adds only
+    one set of forward buffers and one trajectory's per-frame stages."""
     rng = np.random.default_rng(19)
     ds = make_dataset(rng, num_traj=20, n=1500, obs_dim=32)
     model = init_mlp([32, 64, 64, 5], seed=3)
     cfg = SuboptConfig()
-
-    def traced(fn):
-        tracemalloc.start()
-        try:
-            result = fn()
-            return result, *tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-
-    _, _, one = traced(lambda: score_trajectory(ds.trajectories[0], model, default_bins(), cfg))
-    _, kept, peak = traced(lambda: score_dataset(ds, model, default_bins(), cfg))
-    assert kept > 20 * 1500 * (3 * 8 + 8 + 2)  # three score arrays, dup_similarity, keep, reason
-    # the previous trajectory's own score arrays live until the next call returns
-    assert peak < kept + one + 3 * 1500 * 8
+    tracemalloc.start()
+    try:
+        result = score_dataset(ds, model, default_bins(), cfg)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    frames, windows = 1500, 1500 - 20 + 1  # 2 s windows at 10 fps
+    outputs = 20 * (frames * (8 + 1 + 1) + windows * 8)  # final, keep, reason; window scores
+    assert outputs <= kept < outputs + (1 << 15)  # ids, series objects
+    # the window deltas, both hidden layers' activations, logits and row sums
+    work = windows * (32 + 64 + 64 + 5 + 1) * 8
+    assert peak < kept + work + 128 * frames
+    assert sum(s.window_scores.size for s in result[0]) == 20 * windows
 
 
 def test_score_dataset_mask_layout(tiny_model):
