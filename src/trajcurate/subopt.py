@@ -9,7 +9,7 @@ Frames whose final score exceeds ``epsilon_s`` are flagged for deletion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,8 +67,8 @@ class ScoreSeries:
     traj_id: str
     window_scores: np.ndarray
     final: np.ndarray
-    window: int
-    cfg: SuboptConfig
+    window: int = field(kw_only=True)
+    cfg: SuboptConfig = field(kw_only=True)
 
     @property
     def sample_scores(self) -> np.ndarray:
@@ -163,7 +163,7 @@ def score_trajectory(
         deltas = np.subtract(traj.obs[w - 1 :: step], traj.obs[: n - w + 1 : step], out=buf[:count], dtype=np.float64)
         windows = progress_from_deltas(model, bins, deltas, cfg.progress_mode, ws)
         np.subtract(cfg.window_seconds, windows, out=windows)
-    series = ScoreSeries(traj.id, windows, np.empty(n), w, cfg)
+    series = ScoreSeries(traj.id, windows, np.empty(n), window=w, cfg=cfg)
     if n:
         series.final = mix_scores(series.discounted, cfg.mix_weight)
     return series, subopt_mask(series.final, cfg.epsilon_s, has_windows=count > 0)
@@ -174,12 +174,13 @@ def score_dataset(
 ) -> tuple[list[ScoreSeries], CurationMask]:
     """Score every trajectory in order. Dataset-wide, only the mask's final scores
     (each series' ``final`` is a view of its slice) and drop flags are held; the
-    classifier runs in one set of buffers sized for the longest trajectory."""
+    classifier runs in one set of buffers sized for the most windows of a trajectory."""
     bounds = ds.frame_bounds()
     final = np.empty(bounds[-1])
     keep = np.empty(bounds[-1], dtype=bool)
     reason = np.zeros(bounds[-1], dtype=np.uint8)
-    rows = max((t.num_frames for t in ds.trajectories), default=0)
+    rows = max((len(range(0, t.num_frames - seconds_to_frames(cfg.window_seconds, t.fps) + 1, cfg.stride_frames))
+                for t in ds.trajectories), default=0)
     work = np.empty((rows, ds.obs_dim)), nn.Workspace(model.layer_sizes, rows)
     series_list = []
     for traj, lo, hi in zip(ds.trajectories, bounds.tolist(), bounds[1:].tolist()):

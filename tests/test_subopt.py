@@ -387,24 +387,36 @@ def test_score_dataset_views_match_score_trajectory(tiny_model, stride):
 def test_score_dataset_memory_is_its_outputs_plus_one_trajectory():
     """What the result holds is the final scores, the drop flags and the
     window scores, with no other per-frame array; the traced peak adds only
-    one set of forward buffers and one trajectory's per-frame stages."""
+    one set of forward buffers, sized by the most windows of a trajectory,
+    and one trajectory's per-frame stages."""
     rng = np.random.default_rng(19)
     ds = make_dataset(rng, num_traj=20, n=1500, obs_dim=32)
     model = init_mlp([32, 64, 64, 5], seed=3)
-    cfg = SuboptConfig()
-    tracemalloc.start()
-    try:
-        result = score_dataset(ds, model, default_bins(), cfg)
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    frames, windows = 1500, 1500 - 20 + 1  # 2 s windows at 10 fps
-    outputs = 20 * (frames * (8 + 1 + 1) + windows * 8)  # final, keep, reason; window scores
-    assert outputs <= kept < outputs + (1 << 15)  # ids, series objects
-    # the window deltas, both hidden layers' activations, logits and row sums
-    work = windows * (32 + 64 + 64 + 5 + 1) * 8
-    assert peak < kept + work + 128 * frames
-    assert sum(s.window_scores.size for s in result[0]) == 20 * windows
+    for stride in (1, 5):
+        tracemalloc.start()
+        try:
+            result = score_dataset(ds, model, default_bins(), SuboptConfig(stride_frames=stride))
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        frames, windows = 1500, len(range(0, 1500 - 20 + 1, stride))  # 2 s windows at 10 fps
+        outputs = 20 * (frames * (8 + 1 + 1) + windows * 8)  # final, keep, reason; window scores
+        assert outputs <= kept < outputs + (1 << 15)  # ids, series objects
+        # the window deltas, both hidden layers' activations, logits and row sums
+        work = windows * (32 + 64 + 64 + 5 + 1) * 8
+        assert peak < kept + work + 128 * frames
+        assert sum(s.window_scores.size for s in result[0]) == 20 * windows
+        del result
+
+
+def test_score_series_takes_window_and_cfg_by_keyword():
+    """A call in the field order of the series' earlier layout (traj_id,
+    window_scores, sample_scores, discounted, final) fails at once."""
+    scores = np.zeros(30)
+    with pytest.raises(TypeError):
+        ScoreSeries("t", np.zeros(11), scores, scores, scores)
+    series = ScoreSeries("t", np.zeros(11), scores, window=20, cfg=SuboptConfig())
+    assert series.sample_scores.shape == series.discounted.shape == (30,)
 
 
 def test_score_dataset_mask_layout(tiny_model):
