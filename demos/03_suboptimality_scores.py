@@ -12,7 +12,7 @@ import numpy as np
 from trajcurate.nn import TrainConfig
 from trajcurate.progress import SamplingConfig, default_bins, train_progress_model
 from trajcurate.subopt import SuboptConfig, score_dataset
-from trajcurate.synthgen import CLEAN, SynthConfig, auroc, generate
+from trajcurate.synthgen import SynthConfig, auroc, generate
 
 cfg = SynthConfig(
     num_traj=60,
@@ -36,15 +36,16 @@ start, end, _ = gt.anomaly_segments[paused][0]
 s = next(x for x in series if x.traj_id == paused)
 print(f"\n{paused}: pause injected at frames [{start}, {end})")
 for i in range(max(0, start - 20), min(len(s.final), end + 20), 10):
-    tag = gt.frame_tags[paused][i]
+    tag = "pause" if start <= i < end else "clean"
     bar = "#" * min(60, max(0, int(s.final[i] * 20)))
     print(f"  frame {i:3d}  final={s.final[i]:6.3f}  {tag:14s} {bar}")
 
 # scores separate anomalous frames from clean ones across the whole set
 finals = np.concatenate([x.final for x in series])
-labels = np.concatenate(
-    [[tag != CLEAN for tag in gt.frame_tags[t.id]] for t in ds.trajectories]
-)
+labels = np.zeros(mask.total_frames, dtype=bool)
+for lo, traj in zip(mask.bounds.tolist(), ds.trajectories):
+    for a, b, _ in gt.anomaly_segments[traj.id]:
+        labels[lo + a : lo + b] = True
 print(f"\nAUROC of final scores vs anomaly frames: {auroc(finals, labels):.3f}")
 print(f"frames dropped at epsilon_s=0.58: {mask.dropped_frames()} "
       f"of {mask.total_frames} ({mask.deletion_ratio():.1%})")

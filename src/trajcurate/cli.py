@@ -1,6 +1,7 @@
 """Command-line pipeline driver.
 
-Exit codes: 0 success, 1 usage/configuration error, 2 data error.
+Exit codes: 0 success, 1 usage/configuration error, 2 data error or
+exhausted memory.
 Summaries go to stdout; diagnostics to stderr; reports are JSON files with
 sorted keys and no timestamps, so identical runs produce identical bytes.
 """
@@ -389,6 +390,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except CurationError as exc:
         print(f"trajcurate: data error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"trajcurate: {args.command} ran out of memory: {str(exc) or 'MemoryError'}", file=sys.stderr)
         return 2
 
 

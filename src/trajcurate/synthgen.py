@@ -15,8 +15,9 @@ increments on one segment per afflicted trajectory; duplicates copy
 chunk-grid-aligned blocks between clean trajectories with a tenth of the
 observation noise.
 
-Ground truth (per-frame anomaly tags, per-chunk duplicate groups) rides
-along so curation quality is measurable, not just plottable.
+Ground truth (anomaly segments with per-trajectory frame counts, per-chunk
+duplicate groups) rides along so curation quality is measurable, not just
+plottable.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .errors import InvalidConfig, InvalidManifest, IoFailure, ShapeMismatch
 from .trajstore import CurationMask, Dataset, Trajectory, seconds_to_frames
 
 ANOMALY_TYPES = ("pause", "slow", "back_and_forth", "failure_retry")
-CLEAN = "clean"
 
 _GLOBAL_STREAM = 0x474C4F42   # decisions shared across trajectories
 _PROJ_STREAM = 0x50524F4A     # observation projection matrix
@@ -83,9 +83,10 @@ class SynthConfig:
 
 @dataclass
 class GroundTruth:
-    """Per-frame anomaly tags plus planted duplicate groups on the chunk grid."""
+    """Anomaly segments over each trajectory's frames plus planted duplicate
+    groups on the chunk grid."""
 
-    frame_tags: dict[str, list[str]]
+    frame_counts: dict[str, int]
     chunk_groups: dict[str, list[int]]            # 0 = unique
     chunk_span: int                               # frames per chunk
     anomaly_segments: dict[str, list[tuple[int, int, str]]]
@@ -108,7 +109,7 @@ class GroundTruth:
                 tid: [[a, b, t] for a, b, t in segs]
                 for tid, segs in sorted(self.anomaly_segments.items())
             },
-            "frame_counts": {tid: len(tags) for tid, tags in sorted(self.frame_tags.items())},
+            "frame_counts": dict(sorted(self.frame_counts.items())),
             "chunk_groups": {tid: gids for tid, gids in sorted(self.chunk_groups.items())},
         }
 
@@ -122,25 +123,22 @@ class GroundTruth:
                 tid: [(int(a), int(b), str(t)) for a, b, t in segs]
                 for tid, segs in data["anomaly_segments"].items()
             }
-            counts = data["frame_counts"]
-            uncounted = sorted(set(segments) - set(counts))
-            if uncounted:
-                raise ValueError(f"anomaly segments for '{uncounted[0]}', which has no frame count")
-            tags = {}
-            for tid, count in counts.items():
-                arr = [CLEAN] * int(count)
-                for a, b, t in segments.get(tid, []):
-                    if not 0 <= a <= b <= len(arr):
-                        raise ValueError(f"segment ({a}, {b}) of '{tid}' outside its {len(arr)} frames")
+            counts = {tid: int(n) for tid, n in data["frame_counts"].items()}
+            if min(counts.values(), default=0) < 0:
+                raise ValueError(f"negative frame count {min(counts.values())}")
+            for tid, segs in segments.items():
+                if tid not in counts:
+                    raise ValueError(f"anomaly segments for '{tid}', which has no frame count")
+                for a, b, t in segs:
+                    if not 0 <= a <= b <= counts[tid]:
+                        raise ValueError(f"segment ({a}, {b}) of '{tid}' outside its {counts[tid]} frames")
                     if t not in ANOMALY_TYPES:
                         raise ValueError(f"unknown anomaly type '{t}' in the segments of '{tid}'")
-                    arr[a:b] = [t] * (b - a)
-                tags[tid] = arr
             groups = {tid: [int(g) for g in gids] for tid, gids in data["chunk_groups"].items()}
-        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise InvalidManifest(f"malformed ground truth: {exc!r}") from exc
         return cls(
-            frame_tags=tags,
+            frame_counts=counts,
             chunk_groups=groups,
             chunk_span=span,
             anomaly_segments=segments,
@@ -245,7 +243,6 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
         cursor += counts[t]
 
     trajectories: list[Trajectory] = []
-    frame_tags: dict[str, list[str]] = {}
     segments: dict[str, list[tuple[int, int, str]]] = {}
     phi_by_id: dict[str, np.ndarray] = {}
 
@@ -278,23 +275,10 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
         disp = np.diff(pos, axis=0)
         actions[:-1, : min(2, cfg.action_dim)] = disp[:, : min(2, cfg.action_dim)]
 
-        tags = [CLEAN] * n
-        segs = []
-        if kind and seg[1] > seg[0]:
-            for f in range(seg[0], seg[1]):
-                tags[f] = kind
-            segs = [(seg[0], seg[1], kind)]
-        frame_tags[tid] = tags
-        segments[tid] = segs
+        segments[tid] = [(seg[0], seg[1], kind)] if kind and seg[1] > seg[0] else []
         phi_by_id[tid] = phi
         trajectories.append(
-            Trajectory(
-                id=tid,
-                fps=fps,
-                obs=obs.astype(np.float32),
-                actions=actions.astype(np.float32),
-                labels=list(tags),
-            )
+            Trajectory(id=tid, fps=fps, obs=obs.astype(np.float32), actions=actions.astype(np.float32))
         )
 
     # ---- plant duplicates on the chunk grid, clean trajectories only ----
@@ -330,7 +314,7 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
         meta={"generator": "synthgen", "seed": cfg.seed},
     )
     gt = GroundTruth(
-        frame_tags=frame_tags,
+        frame_counts={t.id: t.num_frames for t in trajectories},
         chunk_groups=chunk_groups,
         chunk_span=w,
         anomaly_segments=segments,
@@ -371,9 +355,9 @@ def evaluate_masks(mask: CurationMask, gt: GroundTruth) -> dict:
     set. Duplicate recall counts a group as fully recovered when all but
     one member was dropped.
     """
-    if set(mask.ids) != set(gt.frame_tags):
+    if set(mask.ids) != set(gt.frame_counts):
         raise ShapeMismatch("mask and ground truth cover different trajectories")
-    if np.diff(mask.bounds).tolist() != [len(gt.frame_tags[tid]) for tid in mask.ids]:
+    if np.diff(mask.bounds).tolist() != [gt.frame_counts[tid] for tid in mask.ids]:
         raise ShapeMismatch("mask and ground truth disagree on a trajectory's frame count")
     drop_sub = mask.dropped(("suboptimal", "both"))
     # per-frame tag codes: 0 clean, then 1 + the index into ANOMALY_TYPES

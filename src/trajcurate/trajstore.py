@@ -6,7 +6,7 @@ Container layout::
     <root>/trajectories/<id>.bin
 
 ``manifest.json`` carries ``format_version`` (=1), ``obs_dim``, ``action_dim``
-and a ``trajectories`` index of ``{id, fps, num_frames, labels?}``. Each blob
+and a ``trajectories`` index of ``{id, fps, num_frames}``. Each blob
 is ``TRJC`` magic, u32 LE format version, u32 LE frame count, then one record
 per frame: ``obs_dim`` f32 LE followed by ``action_dim`` f32 LE, no padding.
 
@@ -61,7 +61,6 @@ class Trajectory:
     fps: float
     obs: np.ndarray
     actions: np.ndarray
-    labels: list[str] | None = None
 
     def __len__(self) -> int:
         return self.obs.shape[0]
@@ -87,10 +86,6 @@ class Trajectory:
             finite = np.isfinite(arr).all(axis=1)
             if not finite.all():
                 raise NonFiniteValue(f"trajectory '{self.id}'", int(np.argmin(finite)))
-        if self.labels is not None and len(self.labels) != self.num_frames:
-            raise InvalidManifest(
-                f"trajectory '{self.id}': {len(self.labels)} labels for {self.num_frames} frames"
-            )
 
 
 @dataclass
@@ -191,10 +186,7 @@ def save_dataset(ds: Dataset, root_path: str | os.PathLike) -> None:
         for traj in ds.trajectories:
             if not _ID_RE.fullmatch(traj.id):
                 raise IoFailure(f"trajectory id '{traj.id}' is not filename-safe")
-            entry = {"id": traj.id, "fps": traj.fps, "num_frames": traj.num_frames}
-            if traj.labels is not None:
-                entry["labels"] = traj.labels
-            index.append(entry)
+            index.append({"id": traj.id, "fps": traj.fps, "num_frames": traj.num_frames})
             _write_blob(stage / "trajectories" / f"{traj.id}.bin", traj)
         write_json(stage / "manifest.json", {
             "format_version": FORMAT_VERSION,
@@ -220,17 +212,8 @@ def load_dataset(root_path: str | os.PathLike) -> Dataset:
     manifest_path = root / "manifest.json"
     if not manifest_path.is_file():
         raise MissingManifest(str(root))
-    seen: dict[str, str] = {}
-
-    def share_labels(entry: dict) -> dict:
-        # one string per distinct label, shared as each entry is parsed
-        labels = entry.get("labels")
-        if isinstance(labels, list) and set(map(type, labels)) <= {str}:
-            entry["labels"] = list(map(seen.setdefault, labels, labels))
-        return entry
-
     try:
-        manifest = json.loads(manifest_path.read_text(), object_hook=share_labels)
+        manifest = json.loads(manifest_path.read_text())
     except (ValueError, OSError) as exc:  # a JSONDecodeError or UnicodeDecodeError is a ValueError
         raise InvalidManifest(f"unreadable manifest: {exc}") from exc
     for key in ("format_version", "obs_dim", "action_dim", "trajectories"):
@@ -255,13 +238,10 @@ def load_dataset(root_path: str | os.PathLike) -> Dataset:
         num_frames, fps = _number(entry, "num_frames", int), _number(entry, "fps", float)
         if num_frames <= 0:
             raise InvalidManifest(f"trajectory '{traj_id}': num_frames must be positive")
-        labels = entry.get("labels")
-        if labels is not None and not (isinstance(labels, list) and set(map(type, labels)) <= {str}):
-            raise InvalidManifest(f"trajectory '{traj_id}': labels must be a list of strings")
         obs, actions = _read_blob(
             root / "trajectories" / f"{traj_id}.bin", traj_id, obs_dim, action_dim, num_frames
         )
-        return Trajectory(id=traj_id, fps=fps, obs=obs, actions=actions, labels=labels)
+        return Trajectory(id=traj_id, fps=fps, obs=obs, actions=actions)
 
     ds = Dataset(
         trajectories=[load_one(e) for e in manifest["trajectories"]],

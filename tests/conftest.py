@@ -43,6 +43,16 @@ def make_mask(parts: dict) -> CurationMask:
     return CurationMask(tuple(parts), np.cumsum([0, *lengths]), *columns)
 
 
+def frame_tags(gt) -> dict[str, list[str]]:
+    """Per-frame tags of a ground truth, "clean" or the anomaly type, built
+    from its frame counts and anomaly segments."""
+    tags = {tid: ["clean"] * n for tid, n in gt.frame_counts.items()}
+    for tid, segs in gt.anomaly_segments.items():
+        for a, b, kind in segs:
+            tags[tid][a:b] = [kind] * (b - a)
+    return tags
+
+
 @pytest.fixture(scope="session")
 def default_benchmark():
     """The stock benchmark: 200 clean trajectories with planted duplicates."""

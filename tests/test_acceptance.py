@@ -35,10 +35,10 @@ from trajcurate.subopt import (
     score_trajectory,
     subopt_mask,
 )
-from trajcurate.synthgen import CLEAN, SynthConfig, auroc, evaluate_masks, generate
+from trajcurate.synthgen import SynthConfig, auroc, evaluate_masks, generate
 from trajcurate.trajstore import Dataset, Trajectory
 
-from conftest import make_mask, make_trajectory
+from conftest import frame_tags, make_mask, make_trajectory
 from test_nn import numerical_gradient
 from test_subopt import _pipeline_oracle
 
@@ -169,8 +169,9 @@ def test_criterion_4_anomaly_detection(anomalous_benchmark, anomalous_scores):
     series, finals, score_seconds = anomalous_scores
     start = time.perf_counter()
 
+    tags = frame_tags(gt)
     anomaly = np.concatenate(
-        [[tag != CLEAN for tag in gt.frame_tags[t.id]] for t in ds.trajectories]
+        [[tag != "clean" for tag in tags[t.id]] for t in ds.trajectories]
     ).astype(bool)
     roc = auroc(finals, anomaly)
     assert roc >= 0.80

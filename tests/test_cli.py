@@ -25,8 +25,10 @@ from trajcurate.errors import ConfigError
 from trajcurate.nn import TrainConfig, load_model
 from trajcurate.progress import SamplingConfig, default_bins
 from trajcurate.subopt import SuboptConfig, score_trajectory
-from trajcurate.synthgen import SynthConfig, generate
+from trajcurate.synthgen import GroundTruth, SynthConfig, generate
 from trajcurate.trajstore import load_dataset, save_dataset
+
+from conftest import frame_tags
 
 
 PIPELINE_CONFIG = {
@@ -359,6 +361,7 @@ def test_corrupt_blob_is_data_error(tmp_path):
     "segment_negative_start", "segment_reversed", "segment_past_end",
     "segment_of_uncounted_id", "segment_of_unknown_type",
     "mask_id_repeated", "mask_nan_score", "mask_infinite_similarity",
+    "frame_count_huge", "frame_count_negative", "frame_count_infinite",
 ])
 def test_report_bad_input_is_data_error(tmp_path, capsys, corrupt):
     data, out = tmp_path / "data", tmp_path / "d"
@@ -398,6 +401,10 @@ def test_report_bad_input_is_data_error(tmp_path, capsys, corrupt):
             truth["anomaly_segments"]["ghost"] = [[0, 3, "pause"]]
         elif corrupt == "segment_of_unknown_type":
             truth["anomaly_segments"][doc["id"]] = [[0, 3, "not-a-type"]]
+        elif corrupt.startswith("frame_count_"):
+            # a count is read as a number, never as that many frames
+            truth["frame_counts"][doc["id"]] = {"frame_count_huge": 10**12, "frame_count_negative": -1,
+                                                "frame_count_infinite": float("inf")}[corrupt]
         else:
             # a < 0 would tag the last frames by wrap-around, a > b no frame at all
             a, b = {"segment_negative_start": (-3, 2), "segment_reversed": (5, 3),
@@ -410,6 +417,7 @@ def test_report_bad_input_is_data_error(tmp_path, capsys, corrupt):
     assert main(["report", "--masks", str(out), "--truth", str(data)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("trajcurate: data error: ") and err.count("\n") == 1
+    assert "ground truth" in err or not corrupt.startswith("frame_count_")
 
 
 def test_nonfinite_chunk_embedding_is_data_error(tmp_path, capsys):
@@ -446,6 +454,24 @@ def test_diverged_training_is_data_error(tmp_path, capsys, learning_rate):
     lines = captured.err.splitlines()
     assert len(lines) == 2 and lines[0].startswith("training on ")
     assert lines[1].startswith("trajcurate: data error: SGD diverged")
+    assert list(tmp_path.glob("m.ckpt*")) == []
+
+
+def test_exhausted_memory_is_exit_two(tmp_path, capsys):
+    """A layer of 10^12 units cannot be allocated: numpy's MemoryError ends in
+    one line naming the command, not in a traceback with the config-error code."""
+    data, model = tmp_path / "data", tmp_path / "m.ckpt"
+    assert main(["gen", "--out", str(data), "--config", _tiny_cfg(tmp_path)]) == 0
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps({"train": {"hidden_sizes": [10**12]}}))
+    capsys.readouterr()
+    argv = ["train-progress", "--data", str(data), "--out", str(model), "--config", str(cfg)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("training on ")
+    assert lines[1].startswith("trajcurate: train-progress ran out of memory: ")
     assert list(tmp_path.glob("m.ckpt*")) == []
 
 
@@ -771,13 +797,6 @@ _MANIFEST_MUTATIONS = {
     "action_dim_list": lambda m: m.update(action_dim=[3]),
     "trajectories_number": lambda m: m.update(trajectories=5),
     "trajectory_entry_number": lambda m: m["trajectories"].__setitem__(0, 5),
-    "labels_number": lambda m: m["trajectories"][0].update(labels=5),
-    "labels_of_numbers": lambda m: m["trajectories"][0].update(
-        labels=[0] * m["trajectories"][0]["num_frames"]),
-    "labels_unhashable": lambda m: m["trajectories"][0].update(
-        labels=[["clean"]] * m["trajectories"][0]["num_frames"]),
-    "labels_mixed": lambda m: m["trajectories"][0].update(
-        labels=["clean", 1.5, True] + ["clean"] * (m["trajectories"][0]["num_frames"] - 3)),
 }
 
 
@@ -794,6 +813,26 @@ def test_malformed_manifest_is_data_error(pipeline, tmp_path, capsys, mutation):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("trajcurate: data error: ") and err.count("\n") == 1
+
+
+def test_manifest_with_per_frame_labels_still_loads(pipeline, tmp_path):
+    """Earlier versions wrote each frame's ground-truth tag into the manifest
+    as ``labels``; such a dataset curates to the same masks, the key ignored."""
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    manifest = json.loads((data / "manifest.json").read_text())
+    tags = frame_tags(GroundTruth.load(data / "ground_truth.json"))
+    assert all("labels" not in entry for entry in manifest["trajectories"])
+    for entry in manifest["trajectories"]:
+        entry["labels"] = tags[entry["id"]]
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    argv = ["curate", "--config", pipeline["config"], "--data", str(data),
+            "--model", str(pipeline["model"]), "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    want = pipeline["curated"] / "masks"
+    assert sorted(p.name for p in (tmp_path / "out" / "masks").iterdir()) == sorted(p.name for p in want.iterdir())
+    for path in want.iterdir():
+        assert (tmp_path / "out" / "masks" / path.name).read_bytes() == path.read_bytes()
 
 
 def test_bad_targets_is_usage_error(tmp_path):

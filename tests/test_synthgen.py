@@ -21,7 +21,7 @@ from trajcurate.synthgen import (
 )
 from trajcurate.trajstore import Dataset, Trajectory, write_json
 
-from conftest import make_mask
+from conftest import frame_tags, make_mask
 
 
 SMALL = SynthConfig(
@@ -96,7 +96,7 @@ def test_generate_deterministic():
     ds1, gt1 = generate(SMALL)
     ds2, gt2 = generate(SMALL)
     for a, b in zip(ds1.trajectories, ds2.trajectories):
-        assert a.id == b.id and a.labels == b.labels
+        assert a.id == b.id
         np.testing.assert_array_equal(a.obs, b.obs)
         np.testing.assert_array_equal(a.actions, b.actions)
     assert gt1.to_dict() == gt2.to_dict()
@@ -116,8 +116,7 @@ def test_generate_shapes(small_benchmark):
         assert traj.num_frames == 200
         assert traj.fps == 10.0
         assert traj.obs.dtype == np.float32
-        # per-frame labels mirror the ground-truth anomaly tags
-        assert traj.labels == gt.frame_tags[traj.id]
+    assert gt.frame_counts == {traj.id: traj.num_frames for traj in ds.trajectories}
     assert gt.chunk_span == 20
     assert all(len(g) == 10 for g in gt.chunk_groups.values())
 
@@ -125,7 +124,7 @@ def test_generate_shapes(small_benchmark):
 def test_anomaly_counts_match_rates(small_benchmark):
     _, gt = small_benchmark
     by_kind = {}
-    for tid in gt.frame_tags:
+    for tid in gt.frame_counts:
         k = kind_of(gt, tid)
         by_kind[k] = by_kind.get(k, 0) + 1
     # 12.5% of 24 = 3 per type
@@ -180,7 +179,7 @@ def test_clean_phase_strictly_increasing_outside_planted_spans(small_benchmark):
 
 def test_tags_cover_exactly_the_segments(small_benchmark):
     _, gt = small_benchmark
-    for tid, tags in gt.frame_tags.items():
+    for tid, tags in frame_tags(gt).items():
         expected = ["clean"] * len(tags)
         for a, b, kind in gt.anomaly_segments[tid]:
             assert 0 <= a < b <= len(tags)
@@ -413,7 +412,7 @@ def test_ground_truth_round_trip(small_benchmark, tmp_path):
     _, gt = small_benchmark
     write_json(tmp_path / "ground_truth.json", gt.to_dict())
     back = GroundTruth.load(tmp_path / "ground_truth.json")
-    assert back.frame_tags == gt.frame_tags
+    assert back.frame_counts == gt.frame_counts
     assert back.chunk_groups == gt.chunk_groups
     assert back.chunk_span == gt.chunk_span
     assert back.anomaly_segments == gt.anomaly_segments
@@ -517,10 +516,7 @@ def _tiny_gt():
     """Two 10-frame trajectories; t0 frames 2-5 paused; chunks of 5 frames
     with (t0 chunk 1, t1 chunk 0) planted as duplicate group 1."""
     return GroundTruth(
-        frame_tags={
-            "t0": ["clean"] * 2 + ["pause"] * 4 + ["clean"] * 4,
-            "t1": ["clean"] * 10,
-        },
+        frame_counts={"t0": 10, "t1": 10},
         chunk_groups={"t0": [0, 1], "t1": [1, 0]},
         chunk_span=5,
         anomaly_segments={"t0": [(2, 6, "pause")], "t1": []},
@@ -529,8 +525,7 @@ def _tiny_gt():
 
 def _mask_for(gt, drops_by_tid, reason, scores_by_tid=None):
     parts = {}
-    for tid, tags in gt.frame_tags.items():
-        n = len(tags)
+    for tid, n in gt.frame_counts.items():
         drops = drops_by_tid.get(tid, [False] * n)
         scores = (scores_by_tid or {}).get(tid, [0.0] * n)
         parts[tid] = ([not d for d in drops], [reason if d else "" for d in drops], scores, [-1.0] * n)
@@ -539,7 +534,8 @@ def _mask_for(gt, drops_by_tid, reason, scores_by_tid=None):
 
 def _string_tag_anomaly_metrics(mask, gt):
     """Reference: evaluate_masks' anomaly metrics from the per-frame string tags."""
-    tags = np.concatenate([np.array(gt.frame_tags[t]) for t in mask.ids])
+    by_id = frame_tags(gt)
+    tags = np.concatenate([np.array(by_id[t]) for t in mask.ids])
     drop, anomaly = mask.dropped(("suboptimal", "both")), tags != "clean"
     n_dropped, tp = int(drop.sum()), int((drop & anomaly).sum())
     return {
@@ -571,7 +567,7 @@ def test_evaluate_masks_tag_codes_match_string_tags(small_benchmark, order):
 
 def test_evaluate_masks_perfect_detection():
     gt = _tiny_gt()
-    anomaly = [t != "clean" for t in gt.frame_tags["t0"]]
+    anomaly = [t != "clean" for t in frame_tags(gt)["t0"]]
     mask = _mask_for(
         gt,
         {"t0": anomaly},
@@ -592,10 +588,10 @@ def test_evaluate_masks_follows_ids_not_layout():
     """A mask laid out t1 then t0 scores as the one laid out t0 then t1."""
     gt = _tiny_gt()
     drops = {"t0": [i % 3 == 0 for i in range(10)], "t1": [i >= 5 for i in range(10)]}
-    scores = {tid: np.random.default_rng(i).random(10).tolist() for i, tid in enumerate(gt.frame_tags)}
+    scores = {tid: np.random.default_rng(i).random(10).tolist() for i, tid in enumerate(gt.frame_counts)}
     for reason in ("suboptimal", "duplicate"):
         mask = _mask_for(gt, drops, reason, scores)
-        reversed_gt = dataclasses.replace(gt, frame_tags=dict(reversed(gt.frame_tags.items())))
+        reversed_gt = dataclasses.replace(gt, frame_counts=dict(reversed(gt.frame_counts.items())))
         flipped = _mask_for(reversed_gt, drops, reason, scores)
         assert flipped.ids == ("t1", "t0")
         assert json.dumps(evaluate_masks(flipped, gt)) == json.dumps(evaluate_masks(mask, gt))
@@ -656,7 +652,7 @@ def test_evaluate_masks_partial_chunk_not_counted():
 def test_evaluate_masks_reason_attribution():
     gt = _tiny_gt()
     # duplicate-reason drops do not count toward anomaly detection
-    drops = {"t0": [t != "clean" for t in gt.frame_tags["t0"]]}
+    drops = {"t0": [t != "clean" for t in frame_tags(gt)["t0"]]}
     metrics = evaluate_masks(_mask_for(gt, drops, "duplicate"), gt)
     assert metrics["anomaly"]["recall"] == 0.0
     assert metrics["anomaly"]["no_drops"] is True
