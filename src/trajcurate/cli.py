@@ -205,7 +205,8 @@ def _cmd_calibrate(args, cfg: PipelineConfig) -> int:
     targets = _parse_targets(args.targets)
     model, ds, bins = _scoring_inputs(args, cfg, data)
 
-    # clustering first, as in curate: the features are freed before scoring (a lower peak RSS)
+    # clustering first, as in curate: the features are freed before scoring's
+    # arrays are made (a lower peak RSS)
     clustered = cluster_dataset(ds, cfg.dedup, _load_embeddings_if_present(data))
     sims = clustered[3][clustered[3] > -1.5]
     dup_curves = []
@@ -251,8 +252,8 @@ def _cmd_curate(args, cfg: PipelineConfig) -> int:
     out = Path(_require(args.out, cfg.out, "out"))
     model, ds, bins = _scoring_inputs(args, cfg, data)
 
-    # clustering first, while little more than the frames is held; scoring's
-    # arrays then take the memory k-means let go (a lower peak RSS)
+    # clustering first, while nothing dataset-wide is held (the frames stay in
+    # their blobs); scoring's arrays then take the memory k-means let go (a lower peak RSS)
     dup_mask, dedup_rep = dedup_dataset(ds, cfg.dedup, _load_embeddings_if_present(data))
     sub_mask = score_dataset(ds, model, bins, cfg.subopt)[1]
     combined = combine_masks(sub_mask, dup_mask)

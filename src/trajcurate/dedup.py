@@ -163,15 +163,17 @@ def compute_features(
     sq_v, sq_a = np.empty(len(chunks)), np.empty(len(chunks))  # λ's sums of squares
     bounds = np.searchsorted(chunks.traj, np.arange(len(ds) + 1)).tolist()
     at = bounds if members is None else np.searchsorted(members, bounds).tolist()
+    buf = ds.read_buffer()
     for traj, lo, hi, a, b in zip(ds.trajectories, bounds, bounds[1:], at, at[1:]):
         if lo == hi:
             continue
+        obs, actions = traj.frames(buf)
         rows = raw[lo:hi] if members is None else np.empty((hi - lo, d))
         idx = chunks.start[lo:hi, None] + subsample_indices(int(chunks.span[lo]), n_sub)
-        obs = traj.obs[idx].astype(np.float64)
+        obs = obs[idx].astype(np.float64)
         rows[:, :dim] = obs.mean(axis=1)
         rows[:, dim:vis] = np.diff(obs, axis=1).reshape(hi - lo, -1)
-        rows[:, vis:] = traj.actions[idx].reshape(hi - lo, -1)
+        rows[:, vis:] = actions[idx].reshape(hi - lo, -1)
         sq = np.square(rows)
         sq[:, :vis].sum(axis=1, out=sq_v[lo:hi])
         sq[:, vis:].sum(axis=1, out=sq_a[lo:hi])

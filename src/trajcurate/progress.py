@@ -150,9 +150,13 @@ def sample_training_pairs(
     label, owner, t, gap = label[:count], owner[:count], t[:count], gap[:count]
     x = np.empty((count, ds.obs_dim))
     bounds = np.searchsorted(owner, np.arange(len(ds.trajectories) + 1)).tolist()
+    buf = ds.read_buffer()
     for traj, lo, hi in zip(ds.trajectories, bounds, bounds[1:]):
+        if lo == hi:
+            continue
+        obs = traj.frames(buf)[0]
         # dtype=float64 widens both frames before subtracting, as astype would
-        np.subtract(traj.obs[t[lo:hi] + gap[lo:hi]], traj.obs[t[lo:hi]], out=x[lo:hi], dtype=np.float64)
+        np.subtract(obs[t[lo:hi] + gap[lo:hi]], obs[t[lo:hi]], out=x[lo:hi], dtype=np.float64)
     dt = np.array([traj.fps for traj in ds.trajectories], dtype=np.float64)[owner]
     np.divide(gap, dt, out=dt)  # seconds: gap / fps, with no second float array
     return TrainingPairs(x=x, label=label, traj=owner, t=t, dt=dt)

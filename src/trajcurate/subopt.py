@@ -150,17 +150,20 @@ def score_trajectory(
     model: nn.MlpClassifier,
     bins: TemporalBins,
     cfg: SuboptConfig,
-    work: tuple[np.ndarray, nn.Workspace] | None = None,
+    work: tuple[np.ndarray, nn.Workspace, np.ndarray] | None = None,
 ) -> tuple[ScoreSeries, np.ndarray]:
-    """Full scoring pipeline for one trajectory: (series, drop flags). The window deltas
-    and the classifier run in ``work`` ((rows, D) buffer, ``nn.Workspace``) or fresh arrays."""
+    """Full scoring pipeline for one trajectory: (series, drop flags). The frames are read
+    into, and the window deltas and the classifier run in, ``work`` ((rows, D) buffer,
+    ``nn.Workspace``, ``Dataset.read_buffer``) or fresh arrays."""
     n, step, w = traj.num_frames, cfg.stride_frames, seconds_to_frames(cfg.window_seconds, traj.fps)
     count = len(range(0, n - w + 1, step))
     windows = np.empty(0)
     if count:
-        buf, ws = work or (np.empty((count, traj.obs.shape[1])), None)
+        buf, ws, frames = work or (None, None, None)
+        obs = traj.frames(frames)[0]
         # dtype=float64 widens both frames before subtracting, as astype would
-        deltas = np.subtract(traj.obs[w - 1 :: step], traj.obs[: n - w + 1 : step], out=buf[:count], dtype=np.float64)
+        deltas = np.subtract(obs[w - 1 :: step], obs[: n - w + 1 : step], dtype=np.float64,
+                             out=None if buf is None else buf[:count])
         windows = progress_from_deltas(model, bins, deltas, cfg.progress_mode, ws)
         np.subtract(cfg.window_seconds, windows, out=windows)
     series = ScoreSeries(traj.id, windows, np.empty(n), window=w, cfg=cfg)
@@ -181,7 +184,7 @@ def score_dataset(
     reason = np.zeros(bounds[-1], dtype=np.uint8)
     rows = max((len(range(0, t.num_frames - seconds_to_frames(cfg.window_seconds, t.fps) + 1, cfg.stride_frames))
                 for t in ds.trajectories), default=0)
-    work = np.empty((rows, ds.obs_dim)), nn.Workspace(model.layer_sizes, rows)
+    work = np.empty((rows, ds.obs_dim)), nn.Workspace(model.layer_sizes, rows), ds.read_buffer()
     series_list = []
     for traj, lo, hi in zip(ds.trajectories, bounds.tolist(), bounds[1:].tolist()):
         series, drop = score_trajectory(traj, model, bins, cfg, work)

@@ -6,9 +6,13 @@ Container layout::
     <root>/trajectories/<id>.bin
 
 ``manifest.json`` carries ``format_version`` (=1), ``obs_dim``, ``action_dim``
-and a ``trajectories`` index of ``{id, fps, num_frames}``. Each blob
-is ``TRJC`` magic, u32 LE format version, u32 LE frame count, then one record
+and a ``trajectories`` index of ``{id, fps, num_frames, crc32}``, where ``crc32``
+is ``zlib.crc32`` of the whole blob (an entry without it is read unchecked). Each
+blob is ``TRJC`` magic, u32 LE format version, u32 LE frame count, then one record
 per frame: ``obs_dim`` f32 LE followed by ``action_dim`` f32 LE, no padding.
+
+A loaded dataset holds no frames: each pass reads a trajectory's blob when it
+needs the frames, into one buffer it reuses (``Dataset.read_buffer``).
 
 Per-frame curation masks (written by the scoring/dedup stages) live in
 ``<out>/masks/<id>.json``; in memory they are one :class:`CurationMask`
@@ -24,6 +28,7 @@ import re
 import shutil
 import struct
 import tempfile
+import zlib
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -44,6 +49,7 @@ from .errors import (
 
 FORMAT_VERSION = 1
 BLOB_MAGIC = b"TRJC"
+_HEADER = struct.Struct("<4sII")  # magic, format version, frame count
 
 # Trajectory ids name files, so they must be plain file names: not "." or "..".
 _ID_RE = re.compile(r"(?!\.\.?$)[A-Za-z0-9._-]+")
@@ -63,29 +69,52 @@ class Trajectory:
     actions: np.ndarray
 
     def __len__(self) -> int:
-        return self.obs.shape[0]
+        return self.num_frames
 
     @property
     def num_frames(self) -> int:
         return self.obs.shape[0]
 
-    def validate(self, obs_dim: int, action_dim: int) -> None:
+    def frames(self, buf: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """``(obs, actions)`` for one pass. A stored trajectory reads them into ``buf``
+        (``Dataset.read_buffer``) when given, as views that the next read overwrites."""
+        return self.obs, self.actions
+
+    def validate(self, obs_dim: int, action_dim: int, buf: np.ndarray | None = None) -> None:
         if not 0 < self.fps < math.inf:
             raise InvalidManifest(f"trajectory '{self.id}': fps must be positive and finite, got {self.fps}")
         if self.num_frames == 0:
             raise InvalidManifest(f"trajectory '{self.id}': empty trajectory")
-        if self.obs.shape != (self.num_frames, obs_dim):
-            raise DimensionMismatch(
-                f"obs shape {self.obs.shape} != ({self.num_frames}, {obs_dim})", self.id
-            )
-        if self.actions.shape != (self.num_frames, action_dim):
-            raise DimensionMismatch(
-                f"action shape {self.actions.shape} != ({self.num_frames}, {action_dim})", self.id
-            )
-        for name, arr in (("obs", self.obs), ("action", self.actions)):
-            finite = np.isfinite(arr).all(axis=1)
-            if not finite.all():
-                raise NonFiniteValue(f"trajectory '{self.id}'", int(np.argmin(finite)))
+        obs, actions = self.frames(buf)
+        if obs.shape != (self.num_frames, obs_dim):
+            raise DimensionMismatch(f"obs shape {obs.shape} != ({self.num_frames}, {obs_dim})", self.id)
+        if actions.shape != (self.num_frames, action_dim):
+            raise DimensionMismatch(f"action shape {actions.shape} != ({self.num_frames}, {action_dim})", self.id)
+        for arr in (obs, actions):
+            if not np.isfinite(arr).all():  # a whole-array test: ten times faster than by frame
+                raise NonFiniteValue(f"trajectory '{self.id}'", int(np.argmin(np.isfinite(arr).all(axis=1))))
+
+
+class StoredTrajectory(Trajectory):
+    """A loaded trajectory whose frames stay in its blob. Every read checks the blob
+    against the manifest (a ``TruncatedBlob`` or ``DimensionMismatch``); ``obs`` and
+    ``actions`` each read an owned copy."""
+
+    def __init__(self, id: str, fps: float, num_frames: int, path: Path, dims: tuple[int, int],
+                 crc32: int | None = None):
+        self.id, self.fps, self.path, self.dims, self.crc32 = id, fps, path, dims, crc32
+        self._num_frames = num_frames
+
+    num_frames = property(lambda self: self._num_frames)
+    obs = property(lambda self: self.frames()[0].copy())
+    actions = property(lambda self: self.frames()[1].copy())
+
+    def __repr__(self) -> str:
+        return f"StoredTrajectory(id={self.id!r}, fps={self.fps!r}, num_frames={self.num_frames}, path={self.path!r})"
+
+    def frames(self, buf: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        flat = _read_blob(self.path, self.id, self.num_frames, self.dims, self.crc32, buf)
+        return flat[:, : self.dims[0]], flat[:, self.dims[0] :]
 
 
 @dataclass
@@ -108,13 +137,24 @@ class Dataset:
         """int64 offset of each trajectory's first frame in dataset order, then the total."""
         return np.cumsum([0, *(t.num_frames for t in self.trajectories)], dtype=np.int64)
 
+    def read_buffer(self) -> np.ndarray:
+        """A byte buffer that the frames of any stored trajectory fit, for a pass to reuse."""
+        row = 4 * (self.obs_dim + self.action_dim)
+        return np.empty(max((t.num_frames * row for t in self.trajectories if isinstance(t, StoredTrajectory)),
+                            default=0), np.uint8)
+
     def validate(self) -> None:
+        """Checks ids, fps and every trajectory's frames, reading each blob once."""
         seen: set[str] = set()
+        try:
+            buf = self.read_buffer()
+        except MemoryError:  # frame counts beyond memory: each read checks its blob's size first
+            buf = None
         for traj in self.trajectories:
             if traj.id in seen:
                 raise InvalidManifest(f"duplicate trajectory id '{traj.id}'")
             seen.add(traj.id)
-            traj.validate(self.obs_dim, self.action_dim)
+            traj.validate(self.obs_dim, self.action_dim, buf)
 
 
 def seconds_to_frames(seconds: float, fps: float) -> int:
@@ -131,50 +171,50 @@ def seconds_to_frames(seconds: float, fps: float) -> int:
 # --- container i/o ------------------------------------------------------------
 
 
-def _write_blob(path: Path, traj: Trajectory) -> None:
-    payload = np.concatenate(
-        [traj.obs.astype(np.float32, copy=False), traj.actions.astype(np.float32, copy=False)],
-        axis=1,
-    )
+def _write_blob(path: Path, traj: Trajectory, buf: np.ndarray) -> int:
+    """Write one trajectory's blob; returns its crc32."""
+    obs, actions = traj.frames(buf)
+    header = _HEADER.pack(BLOB_MAGIC, FORMAT_VERSION, traj.num_frames)
+    payload = np.concatenate([obs, actions], axis=1, dtype="<f4")
     with open(path, "wb") as fh:
-        fh.write(BLOB_MAGIC)
-        fh.write(struct.pack("<II", FORMAT_VERSION, traj.num_frames))
-        fh.write(payload.astype("<f4").tobytes())
+        fh.write(header)
+        fh.write(payload)
+    return zlib.crc32(payload, zlib.crc32(header))
 
 
-def _read_blob(path: Path, traj_id: str, obs_dim: int, action_dim: int, num_frames: int) -> tuple[np.ndarray, np.ndarray]:
+def _read_blob(path: Path, traj_id: str, num_frames: int, dims: tuple[int, int], crc: int | None,
+               buf: np.ndarray | None) -> np.ndarray:
+    """A blob's (frames, obs_dim + action_dim) f32 rows, read unbuffered into ``buf`` if it
+    is large enough."""
+    row, header = sum(dims), bytearray(_HEADER.size)
+    expected = num_frames * row * 4
     try:
-        raw = path.read_bytes()
+        with open(path, "rb", buffering=0) as fh:
+            size = os.fstat(fh.fileno()).st_size - _HEADER.size
+            got = fh.readinto(header) - _HEADER.size
+            if size == expected and got == 0:
+                payload = (buf if buf is not None and buf.size >= size else np.empty(size, np.uint8))[:size]
+                got = fh.readinto(payload)
     except OSError as exc:
         raise TruncatedBlob(traj_id, f"unreadable blob file: {exc.strerror}") from exc
-    if len(raw) < 12 or raw[:4] != BLOB_MAGIC:
+    if got < 0 or header[:4] != BLOB_MAGIC:
         raise TruncatedBlob(traj_id, "bad or missing TRJC header")
-    version, n = struct.unpack("<II", raw[4:12])
+    _, version, n = _HEADER.unpack(header)
     if version != FORMAT_VERSION:
         raise TruncatedBlob(traj_id, f"unsupported blob format_version {version}")
     if n != num_frames:
         raise TruncatedBlob(traj_id, f"blob declares {n} frames, manifest {num_frames}")
-    payload = raw[12:]
-    row = obs_dim + action_dim
-    expected = num_frames * row * 4
-    if len(payload) != expected:
+    if size != expected and size % (4 * num_frames) == 0:
         # A whole number of same-width rows of the wrong width is a dimension
         # problem; anything else is truncation/corruption.
-        if (
-            num_frames > 0
-            and len(payload) % (4 * num_frames) == 0
-            and len(payload) // (4 * num_frames) != row
-        ):
-            raise DimensionMismatch(
-                f"blob rows have {len(payload) // (4 * num_frames)} floats, manifest "
-                f"declares {row}",
-                traj_id,
-            )
-        raise TruncatedBlob(traj_id, f"payload {len(payload)} bytes, expected {expected}")
-    flat = np.frombuffer(payload, dtype="<f4").reshape(num_frames, row)
-    obs = np.ascontiguousarray(flat[:, :obs_dim])
-    actions = np.ascontiguousarray(flat[:, obs_dim:])
-    return obs, actions
+        raise DimensionMismatch(f"blob rows have {size // (4 * num_frames)} floats, manifest declares {row}", traj_id)
+    if size == expected:
+        size = got  # short if the blob shrank since the fstat
+    if size != expected:
+        raise TruncatedBlob(traj_id, f"payload {size} bytes, expected {expected}")
+    if crc is not None and zlib.crc32(payload, zlib.crc32(header)) != crc:
+        raise TruncatedBlob(traj_id, "frames do not match the manifest's crc32")
+    return payload.view("<f4").reshape(num_frames, row)
 
 
 def save_dataset(ds: Dataset, root_path: str | os.PathLike) -> None:
@@ -182,12 +222,12 @@ def save_dataset(ds: Dataset, root_path: str | os.PathLike) -> None:
     ds.validate()
     with staged_outputs(root_path) as stage:
         (stage / "trajectories").mkdir()
-        index = []
+        index, buf = [], ds.read_buffer()
         for traj in ds.trajectories:
             if not _ID_RE.fullmatch(traj.id):
                 raise IoFailure(f"trajectory id '{traj.id}' is not filename-safe")
-            index.append({"id": traj.id, "fps": traj.fps, "num_frames": traj.num_frames})
-            _write_blob(stage / "trajectories" / f"{traj.id}.bin", traj)
+            crc = _write_blob(stage / "trajectories" / f"{traj.id}.bin", traj, buf)
+            index.append({"id": traj.id, "fps": traj.fps, "num_frames": traj.num_frames, "crc32": crc})
         write_json(stage / "manifest.json", {
             "format_version": FORMAT_VERSION,
             "obs_dim": ds.obs_dim,
@@ -206,8 +246,9 @@ def _number(entry: dict, key: str, kind: type):
 
 
 def load_dataset(root_path: str | os.PathLike) -> Dataset:
-    """Load and validate a dataset container: rejects dimension mismatches,
-    truncated blobs and non-finite values."""
+    """Load and validate a dataset container, reading each blob once: rejects dimension
+    mismatches, truncated or changed blobs and non-finite values. The trajectories hold
+    no frames (``StoredTrajectory``)."""
     root = Path(root_path)
     manifest_path = root / "manifest.json"
     if not manifest_path.is_file():
@@ -228,7 +269,9 @@ def load_dataset(root_path: str | os.PathLike) -> Dataset:
     if not isinstance(manifest["trajectories"], list):
         raise InvalidManifest("manifest 'trajectories' is not a list")
 
-    def load_one(entry: dict) -> Trajectory:
+    blobs = root.absolute() / "trajectories"  # the reads come later, maybe from another cwd
+
+    def load_one(entry: dict) -> StoredTrajectory:
         for key in ("id", "fps", "num_frames"):
             if not isinstance(entry, dict) or key not in entry:
                 raise InvalidManifest(f"trajectory entry missing '{key}'")
@@ -238,10 +281,8 @@ def load_dataset(root_path: str | os.PathLike) -> Dataset:
         num_frames, fps = _number(entry, "num_frames", int), _number(entry, "fps", float)
         if num_frames <= 0:
             raise InvalidManifest(f"trajectory '{traj_id}': num_frames must be positive")
-        obs, actions = _read_blob(
-            root / "trajectories" / f"{traj_id}.bin", traj_id, obs_dim, action_dim, num_frames
-        )
-        return Trajectory(id=traj_id, fps=fps, obs=obs, actions=actions)
+        crc = _number(entry, "crc32", int) if "crc32" in entry else None
+        return StoredTrajectory(traj_id, fps, num_frames, blobs / f"{traj_id}.bin", (obs_dim, action_dim), crc)
 
     ds = Dataset(
         trajectories=[load_one(e) for e in manifest["trajectories"]],

@@ -354,6 +354,29 @@ def test_corrupt_blob_is_data_error(tmp_path):
     assert main(["dedup", "--data", str(out), "--out", str(tmp_path / "d")]) == 2
 
 
+def test_blob_replaced_after_load_is_data_error(pipeline, tmp_path, monkeypatch, capsys):
+    """curate reads each blob again in every pass: a blob replaced by another
+    trajectory's valid frames after the load fails the manifest's crc32, with
+    one error line and no output committed."""
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    blobs = sorted((data / "trajectories").glob("*.bin"))
+
+    def load_then_replace(path):
+        ds = load_dataset(path)
+        shutil.copyfile(blobs[0], blobs[1])  # every trajectory has the same frame count
+        return ds
+
+    monkeypatch.setattr("trajcurate.cli.load_dataset", load_then_replace)
+    capsys.readouterr()
+    argv = ["curate", "--config", pipeline["config"], "--data", str(data),
+            "--model", str(pipeline["model"]), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("trajcurate: data error: ") and "crc32" in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("corrupt", [
     "mask_json", "mask_without_keep", "empty_ground_truth",
     "scalar_keep", "scalar_subopt_score", "nested_dup_similarity",
@@ -680,9 +703,9 @@ _INPUTS = {
 def test_corrupt_input_ends_in_one_error_line(six_run, tmp_path_factory, data, name, corruption):
     """One input truncated, one byte of it flipped, or the file replaced by a
     directory: a command that reads it exits 1 or 2 with one error line, and
-    never with a traceback. A flipped byte may leave a valid file (a float in
-    a dataset blob, a digit in a number); then the command may succeed. A
-    flipped byte in a checkpoint's parameters always exits 2."""
+    never with a traceback. A flipped byte may leave a valid file (a digit in
+    a number); then the command may succeed. A flipped byte in a checkpoint's
+    parameters or in a dataset blob always exits 2."""
     path, readers = _INPUTS[name]
     command = data.draw(st.sampled_from(readers), label="command")
     run = tmp_path_factory.mktemp("corrupt")
@@ -706,6 +729,8 @@ def test_corrupt_input_ends_in_one_error_line(six_run, tmp_path_factory, data, n
     lines = err.getvalue().splitlines()
     if name == "checkpoint" and corruption == "flip" and at > raw.index(b"\n"):
         assert code == 2  # a changed parameter byte fails the checkpoint's crc32
+    if name == "blob" and corruption == "flip":
+        assert code == 2  # a changed payload byte fails the manifest's crc32
     if code != 0 or corruption != "flip":
         assert code in (1, 2)
         errors = [line for line in lines if line.startswith("trajcurate: ")]

@@ -32,7 +32,7 @@ from trajcurate.errors import (
     KTooLarge,
     NonFiniteValue,
 )
-from trajcurate.trajstore import Dataset, seconds_to_frames
+from trajcurate.trajstore import Dataset, load_dataset, save_dataset, seconds_to_frames
 
 from conftest import make_dataset, make_trajectory
 
@@ -358,17 +358,20 @@ def _traced_peak(fn):
     return result, current, peak
 
 
-def test_compute_features_memory_is_its_output_plus_a_block():
+def test_compute_features_memory_is_its_output_plus_a_block(tmp_path):
     """No (chunks, N, D) gathers and no second (n, d) array: the traced peak
-    stays within the features, two sums of squares a chunk and one
-    trajectory's frames and squared rows."""
+    stays within the features, two sums of squares a chunk, one trajectory's
+    gathered frames and squared rows and, on a loaded dataset, one read
+    buffer of one trajectory's frames."""
     ds = make_dataset(np.random.default_rng(18), num_traj=30, n=400, obs_dim=32, action_dim=4)
+    save_dataset(ds, tmp_path / "data")
     cfg = DedupConfig()
     chunks = chunk_dataset(ds, cfg)
-    (feats, _), _, peak = _traced_peak(lambda: compute_features(ds, chunks, cfg))
-    one_traj = 3 * (len(chunks) // len(ds)) * 8 * (32 + 4) * 8
     assert len(chunks) == 600
-    assert peak < feats.nbytes + 16 * len(chunks) + one_traj + (1 << 17)  # index lists, ufunc buffers
+    for data, read_buffer in ((ds, 0), (load_dataset(tmp_path / "data"), 400 * (32 + 4) * 4)):
+        (feats, _), _, peak = _traced_peak(lambda: compute_features(data, chunks, cfg))
+        one_traj = read_buffer + 3 * (len(chunks) // len(ds)) * 8 * (32 + 4) * 8
+        assert peak < feats.nbytes + 16 * len(chunks) + one_traj + (1 << 17)  # index lists, ufunc buffers
 
 
 def test_kmeans_memory_above_features_does_not_grow_with_n_times_d():

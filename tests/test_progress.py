@@ -22,7 +22,7 @@ from trajcurate.progress import (
     sample_training_pairs,
     train_progress_model,
 )
-from trajcurate.trajstore import Dataset
+from trajcurate.trajstore import Dataset, load_dataset, save_dataset
 
 from conftest import make_dataset, make_trajectory
 
@@ -167,6 +167,24 @@ def test_pair_sampler_memory_is_bounded_by_x():
     one_traj = 1000 * ds.obs_dim * 4
     assert len(pairs) == 8000
     assert peak <= pairs.x.nbytes + 40 * len(pairs) + one_traj + (1 << 17)
+
+
+def test_pair_sampler_on_a_loaded_dataset_reads_one_trajectory_at_a_time(tmp_path):
+    """Loading and sampling together trace the pairs, one read buffer of one
+    trajectory's frames, that trajectory's gathers and the manifest's entries:
+    no dataset-wide frames."""
+    ds = make_dataset(np.random.default_rng(8), num_traj=40, n=1000, obs_dim=4)
+    save_dataset(ds, tmp_path / "data")
+    sample_training_pairs(load_dataset(tmp_path / "data"), default_bins(), pairs_per_traj=10, seed=0)
+    tracemalloc.start()
+    try:
+        pairs = sample_training_pairs(load_dataset(tmp_path / "data"), default_bins(), pairs_per_traj=200, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    read_buffer = 1000 * (ds.obs_dim + ds.action_dim) * 4
+    assert len(pairs) == 8000
+    assert peak <= pairs.x.nbytes + 40 * len(pairs) + read_buffer + 1000 * ds.obs_dim * 4 + (1 << 17)
 
 
 def test_pairs_labels_match_bins_exactly():

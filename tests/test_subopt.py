@@ -25,7 +25,7 @@ from trajcurate.subopt import (
     subopt_mask,
     subopt_report,
 )
-from trajcurate.trajstore import REASONS, SUBOPTIMAL, seconds_to_frames
+from trajcurate.trajstore import REASONS, SUBOPTIMAL, load_dataset, save_dataset, seconds_to_frames
 
 from conftest import make_dataset, make_mask, make_trajectory
 
@@ -407,6 +407,26 @@ def test_score_dataset_memory_is_its_outputs_plus_one_trajectory():
         assert peak < kept + work + 128 * frames
         assert sum(s.window_scores.size for s in result[0]) == 20 * windows
         del result
+
+
+def test_score_dataset_on_a_loaded_dataset_reads_one_trajectory_at_a_time(tmp_path):
+    """Loading and scoring together trace the outputs, the forward buffers,
+    one trajectory's per-frame stages and one read buffer of one trajectory's
+    frames: no dataset-wide frames."""
+    ds = make_dataset(np.random.default_rng(19), num_traj=20, n=1500, obs_dim=32)
+    save_dataset(ds, tmp_path / "data")
+    model = init_mlp([32, 64, 64, 5], seed=3)
+    tracemalloc.start()
+    try:
+        result = score_dataset(load_dataset(tmp_path / "data"), model, default_bins(), SuboptConfig())
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    frames, windows = 1500, 1500 - 20 + 1
+    work = windows * (32 + 64 + 64 + 5 + 1) * 8
+    read_buffer = frames * (32 + ds.action_dim) * 4
+    assert peak < kept + work + 128 * frames + read_buffer
+    assert sum(s.window_scores.size for s in result[0]) == 20 * windows
 
 
 def test_score_series_takes_window_and_cfg_by_keyword():

@@ -2,14 +2,19 @@
 
 import json
 import os
+import shutil
 import struct
+import tracemalloc
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trajcurate.dedup import DedupConfig, dedup_dataset
 from trajcurate.errors import (
+    CurationError,
     DimensionMismatch,
     InvalidManifest,
     IoFailure,
@@ -18,6 +23,9 @@ from trajcurate.errors import (
     NonFiniteValue,
     TruncatedBlob,
 )
+from trajcurate.nn import init_mlp
+from trajcurate.progress import default_bins, sample_training_pairs
+from trajcurate.subopt import SuboptConfig, score_dataset
 from trajcurate.trajstore import (
     REASONS,
     CurationMask,
@@ -163,6 +171,17 @@ def test_frame_count_mismatch(tmp_path):
         load_dataset(root)
 
 
+def test_frame_count_beyond_memory_is_truncated_blob(tmp_path):
+    """The load's read buffer is sized from the manifest; a frame count no
+    buffer can hold still ends in the blob's own size check."""
+    root = _saved_dataset(tmp_path, num_traj=2, n=10)
+    manifest = json.loads((root / "manifest.json").read_text())
+    manifest["trajectories"][1]["num_frames"] = 10**12
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(TruncatedBlob, match="manifest 1000000000000"):
+        load_dataset(root)
+
+
 def test_row_width_mismatch_is_dimension_error(tmp_path):
     # blob written with 6+3 floats per row, manifest claims 5+3
     root = _saved_dataset(tmp_path, num_traj=1, n=10)
@@ -248,6 +267,105 @@ def test_round_trip_property(tmp_path_factory, n, obs_dim, action_dim, seed):
     for a, b in zip(ds.trajectories, back.trajectories):
         np.testing.assert_array_equal(a.obs, b.obs)
         np.testing.assert_array_equal(a.actions, b.actions)
+
+
+def test_manifest_records_each_blobs_crc32(tmp_path):
+    root = _saved_dataset(tmp_path, num_traj=3, n=10)
+    for entry in json.loads((root / "manifest.json").read_text())["trajectories"]:
+        assert entry["crc32"] == zlib.crc32((root / "trajectories" / f"{entry['id']}.bin").read_bytes())
+
+
+def _flip_last_mantissa_bit(blob: Path, at: int = 12) -> None:
+    """Change one float of a blob's payload into another finite float."""
+    raw = bytearray(blob.read_bytes())
+    raw[at] ^= 1
+    blob.write_bytes(bytes(raw))
+
+
+def test_changed_payload_fails_the_crc32(tmp_path):
+    root = _saved_dataset(tmp_path, num_traj=2, n=10)
+    _flip_last_mantissa_bit(root / "trajectories" / "t001.bin")
+    with pytest.raises(TruncatedBlob, match="crc32"):
+        load_dataset(root)
+
+
+def test_manifest_without_crc32_loads_unchecked(tmp_path):
+    """Manifests written before blobs had checksums still load; their blobs
+    are read without a check, so a changed finite float goes through."""
+    root = _saved_dataset(tmp_path, num_traj=2, n=10)
+    before = load_dataset(root).trajectories[1].obs
+    manifest = json.loads((root / "manifest.json").read_text())
+    for entry in manifest["trajectories"]:
+        del entry["crc32"]
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    _flip_last_mantissa_bit(root / "trajectories" / "t001.bin")
+    after = load_dataset(root).trajectories[1].obs
+    assert (before != after).sum() == 1
+
+
+def test_loaded_trajectories_hold_no_frames(tmp_path):
+    """Once ``load_dataset`` returns, what it traced is far below the frame
+    bytes; ``obs`` and ``actions`` are owned copies read from the blob."""
+    rng = np.random.default_rng(10)
+    ds = make_dataset(rng, num_traj=20, n=1000, obs_dim=32, action_dim=4)
+    save_dataset(ds, tmp_path / "data")
+    tracemalloc.start()
+    try:
+        back = load_dataset(tmp_path / "data")
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    frame_bytes = 20 * 1000 * (32 + 4) * 4
+    assert held < frame_bytes / 10
+    obs = back.trajectories[3].obs
+    assert obs.flags.owndata and obs.flags.c_contiguous and obs.dtype == np.float32
+    assert obs.tobytes() == ds.trajectories[3].obs.tobytes()
+    assert back.trajectories[3].actions.tobytes() == ds.trajectories[3].actions.tobytes()
+
+
+def test_stage_reads_are_views_into_one_buffer(tmp_path):
+    root = _saved_dataset(tmp_path, num_traj=3, n=10)
+    ds = load_dataset(root)
+    buf = ds.read_buffer()
+    assert buf.nbytes == 10 * (6 + 3) * 4
+    for traj in ds.trajectories:
+        obs, actions = traj.frames(buf)
+        assert np.shares_memory(obs, buf) and np.shares_memory(actions, buf)
+        assert obs.tobytes() == traj.obs.tobytes() and actions.tobytes() == traj.actions.tobytes()
+
+
+def _delete(blob: Path, other: Path) -> None:
+    blob.unlink()
+
+
+def _truncate(blob: Path, other: Path) -> None:
+    blob.write_bytes(blob.read_bytes()[:-5])
+
+
+def _rewrite(blob: Path, other: Path) -> None:
+    shutil.copyfile(other, blob)  # valid frames of another dataset, same frame count
+
+
+_STAGES = {
+    "dedup_dataset": lambda ds: dedup_dataset(ds, DedupConfig(chunk_seconds=1.0)),
+    "score_dataset": lambda ds: score_dataset(ds, init_mlp([6, 8, 5], seed=0), default_bins(), SuboptConfig()),
+    "sample_training_pairs": lambda ds: sample_training_pairs(ds, default_bins(), pairs_per_traj=10),
+}
+
+
+@pytest.mark.parametrize("stage", sorted(_STAGES))
+@pytest.mark.parametrize("change", [_delete, _truncate, _rewrite])
+def test_blob_changed_after_load_is_a_curation_error(tmp_path, stage, change):
+    """The frames are read again by every pass, so a blob deleted, truncated
+    or replaced by other valid frames since ``load_dataset`` is a typed error."""
+    root = _saved_dataset(tmp_path, num_traj=3, n=40)
+    save_dataset(make_dataset(np.random.default_rng(99), num_traj=3, n=40), tmp_path / "other")
+    ds = load_dataset(root)
+    _STAGES[stage](ds)
+    change(root / "trajectories" / "t001.bin", tmp_path / "other" / "trajectories" / "t001.bin")
+    with pytest.raises(CurationError) as err:
+        _STAGES[stage](ds)
+    assert isinstance(err.value, TruncatedBlob) and err.value.traj_id == "t001"
 
 
 # --- curation masks ----------------------------------------------------------------
