@@ -4,6 +4,8 @@ Clean trajectories move a point agent monotonically through a latent task
 phase; anomalies rewrite segments of that motion, and near-identical
 chunks are planted across trajectories as duplicates. Everything is
 deterministic given the seed, so a benchmark is reproducible bytes.
+generate writes the container one trajectory at a time as it builds it, so
+it never holds the whole dataset's frames.
 """
 
 import json
@@ -24,7 +26,9 @@ cfg = SynthConfig(
     duplicate_rate=0.05,
     seed=7,
 )
-ds, gt = generate(cfg)
+data = tempfile.TemporaryDirectory()  # removed at the end
+root = Path(data.name) / "bench"
+ds, gt = generate(cfg, root)  # the saved dataset: each trajectory reads its blob
 
 print(f"{len(ds.trajectories)} trajectories, obs_dim={ds.obs_dim}, action_dim={ds.action_dim}")
 
@@ -52,20 +56,20 @@ twins = (group[:, None] == group[None, :]) & (group[:, None] > 0)
 sims = features @ features.T
 print(f"non-planted max cosine: {sims[~twins & ~np.eye(len(group), dtype=bool)].max():.5f}")
 
-# round-trip through the on-disk container: manifest + one blob per trajectory
-with tempfile.TemporaryDirectory() as tmp:
-    root = Path(tmp) / "bench"
-    save_dataset(ds, root)
-    write_json(root / "ground_truth.json", gt.to_dict())
-    manifest = json.loads((root / "manifest.json").read_text())
-    print(f"manifest format_version={manifest['format_version']}, "
-          f"{len(manifest['trajectories'])} entries")
-    first = manifest["trajectories"][0]
-    print(f"first entry: id={first['id']} fps={first['fps']} num_frames={first['num_frames']}")
+# the on-disk container generate wrote: manifest + one blob per trajectory
+write_json(root / "ground_truth.json", gt.to_dict())
+manifest = json.loads((root / "manifest.json").read_text())
+print(f"manifest format_version={manifest['format_version']}, "
+      f"{len(manifest['trajectories'])} entries")
+first = manifest["trajectories"][0]
+print(f"first entry: id={first['id']} fps={first['fps']} num_frames={first['num_frames']}")
 
-    reloaded = load_dataset(root)
-    same = all(
-        (a.obs == b.obs).all() and (a.actions == b.actions).all()
-        for a, b in zip(ds.trajectories, reloaded.trajectories)
-    )
-    print(f"reload is bit-identical: {same}")
+# a save and a load round-trip every frame bit for bit
+save_dataset(load_dataset(root), Path(data.name) / "copy")
+reloaded = load_dataset(Path(data.name) / "copy")
+same = all(
+    (a.obs == b.obs).all() and (a.actions == b.actions).all()
+    for a, b in zip(ds.trajectories, reloaded.trajectories)
+)
+print(f"reload is bit-identical: {same}")
+data.cleanup()

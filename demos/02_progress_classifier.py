@@ -7,6 +7,8 @@ learned notion of "how much time should this change take" transfers to
 scoring unseen windows.
 """
 
+import tempfile
+
 import numpy as np
 
 from trajcurate.nn import TrainConfig
@@ -20,7 +22,8 @@ from trajcurate.progress import (
 from trajcurate.synthgen import SynthConfig, generate
 from trajcurate.trajstore import Dataset
 
-ds, _ = generate(SynthConfig(num_traj=60, frames_per_traj=200, seed=1))
+data = tempfile.TemporaryDirectory()  # generate writes the dataset here; removed at the end
+ds, _ = generate(SynthConfig(num_traj=60, frames_per_traj=200, seed=1), data.name)
 bins = default_bins()
 print(f"temporal bins (s): edges {bins.edges}, representatives {bins.representatives}")
 
@@ -48,3 +51,5 @@ for gap in (5, 10, 40, 80):
     t_p = progress_from_deltas(model, bins, delta[None, :])[0]
     print(f"frames 100 -> {100 + gap} (true gap {gap / traj.fps:4.1f}s): "
           f"predicted {t_p:4.2f}s")
+
+data.cleanup()

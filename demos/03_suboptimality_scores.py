@@ -7,6 +7,8 @@ mean-mixing turn window scores into one final score per frame, and frames
 strictly above epsilon_s are flagged for deletion.
 """
 
+import tempfile
+
 import numpy as np
 
 from trajcurate.nn import TrainConfig
@@ -21,7 +23,8 @@ cfg = SynthConfig(
     duplicate_rate=0.0,
     seed=5,
 )
-ds, gt = generate(cfg)
+data = tempfile.TemporaryDirectory()  # generate writes the dataset here; removed at the end
+ds, gt = generate(cfg, data.name)
 model, report = train_progress_model(
     ds, default_bins(), TrainConfig(epochs=120, seed=5), SamplingConfig(seed=5)
 )
@@ -49,3 +52,5 @@ for lo, traj in zip(mask.bounds.tolist(), ds.trajectories):
 print(f"\nAUROC of final scores vs anomaly frames: {auroc(finals, labels):.3f}")
 print(f"frames dropped at epsilon_s=0.58: {mask.dropped_frames()} "
       f"of {mask.total_frames} ({mask.deletion_ratio():.1%})")
+
+data.cleanup()

@@ -7,12 +7,15 @@ chunk is scored by its best cosine match within its cluster. The keep-one
 rule then deletes every duplicate except a single representative.
 """
 
+import tempfile
+
 import numpy as np
 
 from trajcurate.dedup import DedupConfig, cluster_dataset, dedup_dataset, duplicate_mask
 from trajcurate.synthgen import SynthConfig, evaluate_masks, generate
 
-ds, gt = generate(SynthConfig(num_traj=40, frames_per_traj=200, duplicate_rate=0.1, seed=11))
+data = tempfile.TemporaryDirectory()  # generate writes the dataset here; removed at the end
+ds, gt = generate(SynthConfig(num_traj=40, frames_per_traj=200, duplicate_rate=0.1, seed=11), data.name)
 print(f"{len(gt.groups())} planted duplicate groups")
 
 cfg = DedupConfig()  # epsilon_d = 0.99, k = chunks/50, lambda balanced automatically
@@ -43,3 +46,5 @@ drop_all, _ = duplicate_mask(ds, chunks, scores, features, model, cfg.epsilon_d,
                              drop_all_over_threshold=True)
 print(f"\nchunks dropped: keep-one {int(keep_one.sum())}, drop-all {int(drop_all.sum())}")
 print(f"keep-one is a subset of drop-all: {bool(~(keep_one & ~drop_all).any())}")
+
+data.cleanup()

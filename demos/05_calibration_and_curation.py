@@ -7,6 +7,8 @@ exactly via order statistics. Suboptimality and duplicate masks are then
 combined into one curation mask with per-frame reasons.
 """
 
+import tempfile
+
 import numpy as np
 
 from trajcurate.calibrate import (
@@ -28,7 +30,8 @@ cfg = SynthConfig(
     duplicate_rate=0.05,
     seed=3,
 )
-ds, gt = generate(cfg)
+data = tempfile.TemporaryDirectory()  # generate writes the dataset here; removed at the end
+ds, gt = generate(cfg, data.name)
 model, _ = train_progress_model(
     ds, default_bins(), TrainConfig(epochs=120, seed=3), SamplingConfig(seed=3)
 )
@@ -66,3 +69,5 @@ print(f"\ncombined curation of {total} frames:")
 print(f"  suboptimal {n_sub}, duplicate {n_dup}, overlap {n_both}")
 print(f"  total deletion ratio {combined.deletion_ratio():.1%} "
       f"(= {n_sub / total:.1%} + {n_dup / total:.1%} - {n_both / total:.1%})")
+
+data.cleanup()

@@ -35,7 +35,6 @@ from .trajstore import (
     REASONS,
     load_dataset,
     read_masks,
-    save_dataset,
     seconds_to_frames,
     staged_outputs,
     write_json,
@@ -98,12 +97,11 @@ def _scoring_inputs(args, cfg: PipelineConfig, data: str):
 
 def _cmd_gen(args, cfg: PipelineConfig) -> int:
     out = Path(_require(args.out, cfg.out, "out"))
-    ds, gt = generate(cfg.synth)
     with staged_outputs(out) as stage:
-        save_dataset(ds, stage)
+        ds, gt = generate(cfg.synth, stage)
         write_json(stage / "ground_truth.json", gt.to_dict())
         write_json(stage / "duplicates.json", gt.duplicates_doc(cfg.synth.chunk_seconds))
-    check = separation_self_check(ds, gt)
+        check = separation_self_check(ds, gt)  # reads the staged blobs, before the commit
     print(f"generated {len(ds)} trajectories, {ds.total_frames} frames -> {out}", file=sys.stderr)
 
     by_kind: dict[str, int] = {}

@@ -15,21 +15,23 @@ increments on one segment per afflicted trajectory; duplicates copy
 chunk-grid-aligned blocks between clean trajectories with a tenth of the
 observation noise.
 
-Ground truth (anomaly segments with per-trajectory frame counts, per-chunk
-duplicate groups) rides along so curation quality is measurable, not just
-plottable.
+``generate`` writes the dataset one trajectory at a time and holds no dataset
+of frames, only the planted copies not yet written. Ground truth (anomaly
+segments with per-trajectory frame counts, per-chunk duplicate groups) rides
+along so curation quality is measurable, not just plottable.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InvalidConfig, InvalidManifest, IoFailure, ShapeMismatch
-from .trajstore import CurationMask, Dataset, Trajectory, seconds_to_frames
+from .trajstore import CurationMask, Dataset, Trajectory, save_dataset, seconds_to_frames, write_manifest
 
 ANOMALY_TYPES = ("pause", "slow", "back_and_forth", "failure_retry")
 
@@ -65,6 +67,7 @@ class SynthConfig:
             raise InvalidConfig("fps and dimensions must be positive")
         if self.noise_sigma < 0 or self.chunk_seconds <= 0:
             raise InvalidConfig("noise_sigma must be >= 0, chunk_seconds > 0")
+        seconds_to_frames(self.chunk_seconds, self.fps)  # a ConfigError if beyond counting
         unknown = set(self.anomaly_rates) - set(ANOMALY_TYPES)
         if unknown:
             raise InvalidConfig(f"unknown anomaly types {sorted(unknown)}")
@@ -217,8 +220,19 @@ def _anomaly_increments(
     return deltas, (start, end)
 
 
-def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
-    """Build the benchmark. Bitwise deterministic for a given config."""
+class _Planned(Trajectory):
+    """A trajectory whose frames ``build()`` makes each time they are read."""
+
+    def __init__(self, id: str, fps: float, num_frames: int, build):
+        self.id, self.fps, self._num_frames, self.frames = id, fps, num_frames, lambda buf=None: build()
+
+    num_frames = property(lambda self: self._num_frames)
+
+
+def generate(cfg: SynthConfig, root: str | os.PathLike) -> tuple[Dataset, GroundTruth]:
+    """Build the benchmark into the dataset container ``root`` one trajectory at a time and
+    return it as saved, with its ground truth. Bitwise deterministic for a given config. A
+    failure part-way leaves ``root`` part-written: ``cli gen`` passes a staging directory."""
     n, fps = cfg.frames_per_traj, cfg.fps
     w = seconds_to_frames(cfg.chunk_seconds, fps)
     latent_dim = 4 + cfg.context_dim
@@ -242,12 +256,30 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
             kind_of[int(i)] = t
         cursor += counts[t]
 
-    trajectories: list[Trajectory] = []
+    # ---- plan duplicates on the chunk grid, clean trajectories only: group gid copies the
+    # (trajectory, chunk) slots[gid][0] into slots[gid][1], which is never a source ----
+    ids = [f"traj_{i:04d}" for i in range(cfg.num_traj)]
+    chunk_groups = {tid: [0] * (n // w) for tid in ids}
+    clean_slots = [(i, c) for i in range(cfg.num_traj) if i not in kind_of for c in range(n // w)]
+    num_dups = min(int(round(cfg.duplicate_rate * cfg.num_traj * (n // w))), len(clean_slots) // 2)
+    slots = {}
+    if num_dups:
+        picked = global_rng.choice(len(clean_slots), size=2 * num_dups, replace=False)
+        copy_noise = (cfg.noise_sigma / 10.0) * global_rng.normal(size=(num_dups, w, cfg.obs_dim))
+        for gid in range(1, num_dups + 1):
+            slots[gid] = clean_slots[picked[2 * gid - 2]], clean_slots[picked[2 * gid - 1]]
+            for i, c in slots[gid]:
+                chunk_groups[ids[i]][c] = gid
+
+    # planted copies not yet written: gid -> (obs, actions, φ) of the destination chunk
+    blocks: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    late: dict[int, list[tuple[slice, int]]] = {}  # trajectory -> (frames, gid) written before the source
     segments: dict[str, list[tuple[int, int, str]]] = {}
     phi_by_id: dict[str, np.ndarray] = {}
 
-    for i in range(cfg.num_traj):
-        tid = f"traj_{i:04d}"
+    def build(i):
+        """Trajectory i with the planted copies whose source came before it."""
+        kind = kind_of.get(i)
         rng = np.random.default_rng([cfg.seed, i])
         start = rng.uniform(-1.0, 1.0, 2)
         goal = rng.uniform(-1.0, 1.0, 2)
@@ -259,68 +291,51 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, GroundTruth]:
         context = rng.uniform(-cfg.context_scale, cfg.context_scale, cfg.context_dim)
 
         deltas = np.full(n - 1, 1.0 / (n - 1))
-        kind = kind_of.get(i)
         seg = (0, 0)
         if kind:
             deltas, seg = _anomaly_increments(deltas, kind, n, fps, rng)
         phi = np.concatenate([[0.0], np.cumsum(deltas)])
 
-        pos = _path_position(phi, start, goal, amp, cycles, phase0)
+        # latent (position, phase arc, context) @ proj.T + noise, filled and summed in place
+        latent = np.empty((n, latent_dim))
+        latent[:, :2] = pos = _path_position(phi, start, goal, amp, cycles, phase0)
         theta = 2.0 * np.pi * cfg.phase_turns * (phi - 0.5)
-        arc = cfg.phase_gain * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        latent = np.concatenate([pos, arc, np.tile(context, (n, 1))], axis=1)
-        obs = latent @ proj.T + cfg.noise_sigma * rng.normal(size=(n, cfg.obs_dim))
+        latent[:, 2] = cfg.phase_gain * np.cos(theta)
+        latent[:, 3] = cfg.phase_gain * np.sin(theta)
+        latent[:, 4:] = context
+        obs = latent @ proj.T
+        noise = rng.standard_normal(size=(n, cfg.obs_dim))  # normal(0, 1)'s draws
+        noise *= cfg.noise_sigma
+        obs += noise
 
-        actions = np.zeros((n, cfg.action_dim))
-        disp = np.diff(pos, axis=0)
-        actions[:-1, : min(2, cfg.action_dim)] = disp[:, : min(2, cfg.action_dim)]
+        obs = obs.astype(np.float32)
+        actions = np.zeros((n, cfg.action_dim), np.float32)
+        actions[:-1, : min(2, cfg.action_dim)] = np.diff(pos, axis=0)[:, : min(2, cfg.action_dim)]
+        for c, gid in enumerate(chunk_groups[ids[i]]):
+            s = slice(c * w, (c + 1) * w)
+            if gid and slots[gid][0] == (i, c):
+                blocks[gid] = ((obs[s].astype(np.float64) + copy_noise[gid - 1]).astype(np.float32),
+                               actions[s].copy(), phi[s].copy())
+            elif gid in blocks:  # the copied frames show the source's task phase
+                obs[s], actions[s], phi[s] = blocks.pop(gid)
+            elif gid:
+                late.setdefault(i, []).append((s, gid))
+        segments[ids[i]] = [(seg[0], seg[1], kind)] if kind and seg[1] > seg[0] else []
+        phi_by_id[ids[i]] = phi
+        return obs, actions
 
-        segments[tid] = [(seg[0], seg[1], kind)] if kind and seg[1] > seg[0] else []
-        phi_by_id[tid] = phi
-        trajectories.append(
-            Trajectory(id=tid, fps=fps, obs=obs.astype(np.float32), actions=actions.astype(np.float32))
-        )
-
-    # ---- plant duplicates on the chunk grid, clean trajectories only ----
-    chunk_groups = {t.id: [0] * (t.num_frames // w) for t in trajectories}
-    total_chunks = sum(len(g) for g in chunk_groups.values())
-    clean_slots = [
-        (idx, c)
-        for idx, t in enumerate(trajectories)
-        if idx not in kind_of
-        for c in range(t.num_frames // w)
-    ]
-    num_dups = min(int(round(cfg.duplicate_rate * total_chunks)), len(clean_slots) // 2)
-    if num_dups:
-        picked = global_rng.choice(len(clean_slots), size=2 * num_dups, replace=False)
-        for gid in range(1, num_dups + 1):
-            src_idx, src_c = clean_slots[picked[2 * (gid - 1)]]
-            dst_idx, dst_c = clean_slots[picked[2 * (gid - 1) + 1]]
-            src, dst = trajectories[src_idx], trajectories[dst_idx]
-            s0, d0 = src_c * w, dst_c * w
-            block = src.obs[s0 : s0 + w].astype(np.float64)
-            noise = (cfg.noise_sigma / 10.0) * global_rng.normal(size=block.shape)
-            dst.obs[d0 : d0 + w] = (block + noise).astype(np.float32)
-            dst.actions[d0 : d0 + w] = src.actions[s0 : s0 + w]
-            # the copied frames now show the source's task phase
-            phi_by_id[dst.id][d0 : d0 + w] = phi_by_id[src.id][s0 : s0 + w]
-            chunk_groups[src.id][src_c] = gid
-            chunk_groups[dst.id][dst_c] = gid
-
-    ds = Dataset(
-        trajectories=trajectories,
-        obs_dim=cfg.obs_dim,
-        action_dim=cfg.action_dim,
-        meta={"generator": "synthgen", "seed": cfg.seed},
-    )
-    gt = GroundTruth(
-        frame_counts={t.id: t.num_frames for t in trajectories},
-        chunk_groups=chunk_groups,
-        chunk_span=w,
-        anomaly_segments=segments,
-        phi=phi_by_id,
-    )
-    return ds, gt
+    trajs = [_Planned(tid, fps, n, lambda i=i: build(i)) for i, tid in enumerate(ids)]
+    ds = save_dataset(Dataset(trajs, cfg.obs_dim, cfg.action_dim, {"generator": "synthgen", "seed": cfg.seed}), root)
+    # a copy whose source came later is written into its destination's blob now
+    buf = ds.read_buffer()
+    for i, chunks in late.items():
+        with ds.trajectories[i].rewritten(buf) as (obs, actions):
+            for s, gid in chunks:
+                obs[s], actions[s], phi_by_id[ids[i]][s] = blocks.pop(gid)
+    if late:
+        write_manifest(root, ds)
+    return ds, GroundTruth(frame_counts={tid: n for tid in ids}, chunk_groups=chunk_groups, chunk_span=w,
+                           anomaly_segments=segments, phi=phi_by_id)
 
 
 # --- evaluation ------------------------------------------------------------------

@@ -80,7 +80,8 @@ class Trajectory:
         (``Dataset.read_buffer``) when given, as views that the next read overwrites."""
         return self.obs, self.actions
 
-    def validate(self, obs_dim: int, action_dim: int, buf: np.ndarray | None = None) -> None:
+    def validate(self, obs_dim: int, action_dim: int, buf: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Checks fps and the frames, which it returns (``frames(buf)``)."""
         if not 0 < self.fps < math.inf:
             raise InvalidManifest(f"trajectory '{self.id}': fps must be positive and finite, got {self.fps}")
         if self.num_frames == 0:
@@ -93,6 +94,7 @@ class Trajectory:
         for arr in (obs, actions):
             if not np.isfinite(arr).all():  # a whole-array test: ten times faster than by frame
                 raise NonFiniteValue(f"trajectory '{self.id}'", int(np.argmin(np.isfinite(arr).all(axis=1))))
+        return obs, actions
 
 
 class StoredTrajectory(Trajectory):
@@ -113,8 +115,22 @@ class StoredTrajectory(Trajectory):
         return f"StoredTrajectory(id={self.id!r}, fps={self.fps!r}, num_frames={self.num_frames}, path={self.path!r})"
 
     def frames(self, buf: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        flat = _read_blob(self.path, self.id, self.num_frames, self.dims, self.crc32, buf)
+        try:
+            with open(self.path, "rb", buffering=0) as fh:
+                flat = _read_blob(fh, self.id, self.num_frames, self.dims, self.crc32, buf)
+        except OSError as exc:
+            raise TruncatedBlob(self.id, f"unreadable blob file: {exc.strerror}") from exc
         return flat[:, : self.dims[0]], flat[:, self.dims[0] :]
+
+    @contextmanager
+    def rewritten(self, buf: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """``frames(buf)`` to change in place, written back on exit by the same open, with a new crc32."""
+        with open(self.path, "r+b") as fh:
+            flat = _read_blob(fh, self.id, self.num_frames, self.dims, self.crc32, buf)
+            yield flat[:, : self.dims[0]], flat[:, self.dims[0] :]
+            fh.seek(_HEADER.size)
+            fh.write(flat)
+        self.crc32 = zlib.crc32(flat, zlib.crc32(_HEADER.pack(BLOB_MAGIC, FORMAT_VERSION, self.num_frames)))
 
 
 @dataclass
@@ -143,18 +159,24 @@ class Dataset:
         return np.empty(max((t.num_frames * row for t in self.trajectories if isinstance(t, StoredTrajectory)),
                             default=0), np.uint8)
 
-    def validate(self) -> None:
-        """Checks ids, fps and every trajectory's frames, reading each blob once."""
+    def checked(self, buf: np.ndarray | None) -> Iterator[tuple[Trajectory, np.ndarray, np.ndarray]]:
+        """Each trajectory with its frames, checked by ``Trajectory.validate``, one at a time;
+        a repeated id is an ``InvalidManifest``."""
         seen: set[str] = set()
-        try:
-            buf = self.read_buffer()
-        except MemoryError:  # frame counts beyond memory: each read checks its blob's size first
-            buf = None
         for traj in self.trajectories:
             if traj.id in seen:
                 raise InvalidManifest(f"duplicate trajectory id '{traj.id}'")
             seen.add(traj.id)
-            traj.validate(self.obs_dim, self.action_dim, buf)
+            yield traj, *traj.validate(self.obs_dim, self.action_dim, buf)
+
+    def validate(self) -> None:
+        """Checks ids, fps and every trajectory's frames, reading each blob once."""
+        try:
+            buf = self.read_buffer()
+        except MemoryError:  # frame counts beyond memory: each read checks its blob's size first
+            buf = None
+        for _ in self.checked(buf):
+            pass
 
 
 def seconds_to_frames(seconds: float, fps: float) -> int:
@@ -171,10 +193,9 @@ def seconds_to_frames(seconds: float, fps: float) -> int:
 # --- container i/o ------------------------------------------------------------
 
 
-def _write_blob(path: Path, traj: Trajectory, buf: np.ndarray) -> int:
+def _write_blob(path: Path, obs: np.ndarray, actions: np.ndarray) -> int:
     """Write one trajectory's blob; returns its crc32."""
-    obs, actions = traj.frames(buf)
-    header = _HEADER.pack(BLOB_MAGIC, FORMAT_VERSION, traj.num_frames)
+    header = _HEADER.pack(BLOB_MAGIC, FORMAT_VERSION, obs.shape[0])
     payload = np.concatenate([obs, actions], axis=1, dtype="<f4")
     with open(path, "wb") as fh:
         fh.write(header)
@@ -182,21 +203,17 @@ def _write_blob(path: Path, traj: Trajectory, buf: np.ndarray) -> int:
     return zlib.crc32(payload, zlib.crc32(header))
 
 
-def _read_blob(path: Path, traj_id: str, num_frames: int, dims: tuple[int, int], crc: int | None,
+def _read_blob(fh, traj_id: str, num_frames: int, dims: tuple[int, int], crc: int | None,
                buf: np.ndarray | None) -> np.ndarray:
-    """A blob's (frames, obs_dim + action_dim) f32 rows, read unbuffered into ``buf`` if it
-    is large enough."""
+    """A blob's (frames, obs_dim + action_dim) f32 rows, read from the open file ``fh`` into
+    ``buf`` if it is large enough."""
     row, header = sum(dims), bytearray(_HEADER.size)
     expected = num_frames * row * 4
-    try:
-        with open(path, "rb", buffering=0) as fh:
-            size = os.fstat(fh.fileno()).st_size - _HEADER.size
-            got = fh.readinto(header) - _HEADER.size
-            if size == expected and got == 0:
-                payload = (buf if buf is not None and buf.size >= size else np.empty(size, np.uint8))[:size]
-                got = fh.readinto(payload)
-    except OSError as exc:
-        raise TruncatedBlob(traj_id, f"unreadable blob file: {exc.strerror}") from exc
+    size = os.fstat(fh.fileno()).st_size - _HEADER.size
+    got = fh.readinto(header) - _HEADER.size
+    if size == expected and got == 0:
+        payload = (buf if buf is not None and buf.size >= size else np.empty(size, np.uint8))[:size]
+        got = fh.readinto(payload)
     if got < 0 or header[:4] != BLOB_MAGIC:
         raise TruncatedBlob(traj_id, "bad or missing TRJC header")
     _, version, n = _HEADER.unpack(header)
@@ -217,24 +234,34 @@ def _read_blob(path: Path, traj_id: str, num_frames: int, dims: tuple[int, int],
     return payload.view("<f4").reshape(num_frames, row)
 
 
-def save_dataset(ds: Dataset, root_path: str | os.PathLike) -> None:
-    """Write the manifest + one blob per trajectory, staged; round-trips bit-exactly."""
-    ds.validate()
+def save_dataset(ds: Dataset, root_path: str | os.PathLike) -> Dataset:
+    """Write the manifest + one blob per trajectory, staged, reading, checking and writing
+    one trajectory at a time; round-trips bit-exactly. Returns the saved dataset, whose
+    trajectories are read from ``root_path`` (``StoredTrajectory``)."""
+    blobs, dims = Path(root_path).absolute() / "trajectories", (ds.obs_dim, ds.action_dim)
+    saved = Dataset([], ds.obs_dim, ds.action_dim, ds.meta)
     with staged_outputs(root_path) as stage:
         (stage / "trajectories").mkdir()
-        index, buf = [], ds.read_buffer()
-        for traj in ds.trajectories:
+        for traj, obs, actions in ds.checked(ds.read_buffer()):
             if not _ID_RE.fullmatch(traj.id):
                 raise IoFailure(f"trajectory id '{traj.id}' is not filename-safe")
-            crc = _write_blob(stage / "trajectories" / f"{traj.id}.bin", traj, buf)
-            index.append({"id": traj.id, "fps": traj.fps, "num_frames": traj.num_frames, "crc32": crc})
-        write_json(stage / "manifest.json", {
-            "format_version": FORMAT_VERSION,
-            "obs_dim": ds.obs_dim,
-            "action_dim": ds.action_dim,
-            "meta": ds.meta,
-            "trajectories": index,
-        })
+            crc = _write_blob(stage / "trajectories" / f"{traj.id}.bin", obs, actions)
+            saved.trajectories.append(StoredTrajectory(traj.id, traj.fps, traj.num_frames, blobs / f"{traj.id}.bin",
+                                                       dims, crc))
+        write_manifest(stage, saved)
+    return saved
+
+
+def write_manifest(root_path: str | os.PathLike, ds: Dataset) -> None:
+    """``manifest.json`` in ``root_path`` for a dataset stored there with each blob's crc32."""
+    write_json(Path(root_path) / "manifest.json", {
+        "format_version": FORMAT_VERSION,
+        "obs_dim": ds.obs_dim,
+        "action_dim": ds.action_dim,
+        "meta": ds.meta,
+        "trajectories": [{"id": t.id, "fps": t.fps, "num_frames": t.num_frames, "crc32": t.crc32}
+                         for t in ds.trajectories],
+    })
 
 
 def _number(entry: dict, key: str, kind: type):

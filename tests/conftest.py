@@ -54,13 +54,13 @@ def frame_tags(gt) -> dict[str, list[str]]:
 
 
 @pytest.fixture(scope="session")
-def default_benchmark():
+def default_benchmark(tmp_path_factory):
     """The stock benchmark: 200 clean trajectories with planted duplicates."""
-    return generate(SynthConfig())
+    return generate(SynthConfig(), tmp_path_factory.mktemp("default_benchmark"))
 
 
 @pytest.fixture(scope="session")
-def anomalous_benchmark():
+def anomalous_benchmark(tmp_path_factory):
     """Benchmark variant where 20% of trajectories carry an anomaly."""
     cfg = SynthConfig(
         anomaly_rates={
@@ -70,7 +70,7 @@ def anomalous_benchmark():
             "failure_retry": 0.05,
         }
     )
-    return generate(cfg)
+    return generate(cfg, tmp_path_factory.mktemp("anomalous_benchmark"))
 
 
 @pytest.fixture(scope="session")

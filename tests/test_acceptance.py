@@ -198,7 +198,7 @@ def test_criterion_4_anomaly_detection(anomalous_benchmark, anomalous_scores):
 # --- criterion 5 ------------------------------------------------------------------
 
 
-def test_criterion_5_dedup_exactness_and_planted_duplicates(default_benchmark, default_clustered):
+def test_criterion_5_dedup_exactness_and_planted_duplicates(default_benchmark, default_clustered, tmp_path):
     """Similarity scores equal the exhaustive per-cluster oracle; planted
     duplicates recovered with precision 1.0 / recall >= 0.95 at eps_d=0.99;
     wholesale duplication deletes half of all chunked frames."""
@@ -227,7 +227,7 @@ def test_criterion_5_dedup_exactness_and_planted_duplicates(default_benchmark, d
 
     # wholesale case: duplicate every trajectory of a duplicate-free dataset
     # (pre-planted pairs would merge into groups of four and overshoot 0.5)
-    base, _ = generate(SynthConfig(duplicate_rate=0.0))
+    base, _ = generate(SynthConfig(duplicate_rate=0.0), tmp_path)
     copies = [
         Trajectory(id=f"{t.id}-copy", fps=t.fps, obs=t.obs.copy(), actions=t.actions.copy())
         for t in base.trajectories

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import trajcurate
+from trajcurate import trajstore
 from trajcurate.cli import _kept_ranges, main
 from trajcurate.config import config_from_dict
 from trajcurate.dedup import DedupConfig
@@ -26,7 +27,7 @@ from trajcurate.nn import TrainConfig, load_model
 from trajcurate.progress import SamplingConfig, default_bins
 from trajcurate.subopt import SuboptConfig, score_trajectory
 from trajcurate.synthgen import GroundTruth, SynthConfig, generate
-from trajcurate.trajstore import load_dataset, save_dataset
+from trajcurate.trajstore import load_dataset
 
 from conftest import frame_tags
 
@@ -639,6 +640,38 @@ def test_failed_command_leaves_the_previous_outputs_whole(six_run, tmp_path, mon
     assert n > 2
 
 
+def test_failed_blob_io_in_gen_leaves_the_previous_outputs_whole(six_run, tmp_path, monkeypatch, capsys):
+    """gen writes each blob as it builds its trajectory, then rewrites in place the two
+    blobs whose planted copy has its source in a later trajectory, and its self-check
+    reads the four staged blobs, all before the commit. An OSError at the k-th blob open,
+    for every k, ends in exit 2 with one error line: every previous output stays as it
+    was, byte for byte, and no staging directory is left."""
+    shutil.copytree(six_run, tmp_path / "run")
+    monkeypatch.chdir(tmp_path / "run")
+    before, real_open, countdown, modes = _tree(Path(".")), open, [0], []
+
+    def fail_kth(path, mode="r", *args, **kwargs):
+        if str(path).endswith(".bin"):
+            modes.append(mode)
+            countdown[0] -= 1
+            if countdown[0] == 0:
+                raise OSError(28, "No space left on device")
+        return real_open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(trajstore, "open", fail_kth, raising=False)
+    for k in itertools.count(1):
+        countdown[0], modes[:] = k, []
+        capsys.readouterr()
+        if main(_argv("gen", 4)) == 0:
+            break
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("trajcurate: data error: ") and "No space left" in err[0]
+        assert _tree(Path(".")) == before
+        assert not list(Path(".").rglob(".trajcurate-*"))
+    assert modes == ["wb"] * 4 + ["r+b"] * 2 + ["rb"] * 4 and k == len(modes) + 1
+    assert len(list(Path("data/trajectories").iterdir())) == 4
+
+
 def test_checkpoint_bins_must_match_the_config(six_run, tmp_path, monkeypatch, capsys):
     """A checkpoint records the bins it was trained with: scored with a config
     whose gap cap moves the last bin's representative, every scoring command
@@ -972,8 +1005,7 @@ def test_readme_library_use_runs(tmp_path, monkeypatch, capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     snippet = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
     monkeypatch.chdir(tmp_path)
-    ds, _ = generate(SynthConfig(num_traj=6, frames_per_traj=60, obs_dim=8))
-    save_dataset(ds, "bench")
+    ds, _ = generate(SynthConfig(num_traj=6, frames_per_traj=60, obs_dim=8), "bench")
     capsys.readouterr()
     exec(compile(snippet, "README.md", "exec"), {})
     assert capsys.readouterr().out.startswith("held-out bin accuracy ")

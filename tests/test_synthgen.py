@@ -19,7 +19,7 @@ from trajcurate.synthgen import (
     generate,
     separation_self_check,
 )
-from trajcurate.trajstore import Dataset, Trajectory, write_json
+from trajcurate.trajstore import Dataset, Trajectory, load_dataset, save_dataset, seconds_to_frames, write_json
 
 from conftest import frame_tags, make_mask
 
@@ -35,8 +35,8 @@ SMALL = SynthConfig(
 
 
 @pytest.fixture(scope="module")
-def small_benchmark():
-    return generate(SMALL)
+def small_benchmark(tmp_path_factory):
+    return generate(SMALL, tmp_path_factory.mktemp("small_benchmark"))
 
 
 def kind_of(gt, tid):
@@ -46,6 +46,116 @@ def kind_of(gt, tid):
 
 def _traj(ds, tid):
     return next(t for t in ds.trajectories if t.id == tid)
+
+
+def oracle_generate(cfg, copies=None):
+    """The specification of ``generate``, in memory: every trajectory built whole,
+    then each planted group copied in group order into the built frames. ``copies``,
+    when given, collects each group's (source, destination) trajectory index."""
+    n, fps = cfg.frames_per_traj, cfg.fps
+    w = seconds_to_frames(cfg.chunk_seconds, fps)
+    latent_dim = 4 + cfg.context_dim
+    proj = np.random.default_rng([cfg.seed, synthgen._PROJ_STREAM]).normal(
+        size=(cfg.obs_dim, latent_dim)
+    )
+    if cfg.obs_dim >= latent_dim:
+        # Orthonormal columns: the lift preserves latent angles and norms
+        # exactly, so similarity structure survives the embedding.
+        proj = np.linalg.qr(proj)[0]
+    else:
+        proj /= np.sqrt(latent_dim)
+    global_rng = np.random.default_rng([cfg.seed, synthgen._GLOBAL_STREAM])
+
+    counts = {t: int(round(cfg.anomaly_rates.get(t, 0.0) * cfg.num_traj)) for t in ANOMALY_TYPES}
+    order = global_rng.permutation(cfg.num_traj)
+    kind_of = {}
+    cursor = 0
+    for t in ANOMALY_TYPES:
+        for i in order[cursor : cursor + counts[t]]:
+            kind_of[int(i)] = t
+        cursor += counts[t]
+
+    trajectories: list[Trajectory] = []
+    segments: dict[str, list[tuple[int, int, str]]] = {}
+    phi_by_id: dict[str, np.ndarray] = {}
+
+    for i in range(cfg.num_traj):
+        tid = f"traj_{i:04d}"
+        rng = np.random.default_rng([cfg.seed, i])
+        start = rng.uniform(-1.0, 1.0, 2)
+        goal = rng.uniform(-1.0, 1.0, 2)
+        while np.linalg.norm(goal - start) < 0.5:
+            goal = rng.uniform(-1.0, 1.0, 2)
+        amp = rng.uniform(0.05, 0.15)
+        cycles = int(rng.integers(2, 6))
+        phase0 = rng.uniform(0.0, 2.0 * np.pi)
+        context = rng.uniform(-cfg.context_scale, cfg.context_scale, cfg.context_dim)
+
+        deltas = np.full(n - 1, 1.0 / (n - 1))
+        kind = kind_of.get(i)
+        seg = (0, 0)
+        if kind:
+            deltas, seg = synthgen._anomaly_increments(deltas, kind, n, fps, rng)
+        phi = np.concatenate([[0.0], np.cumsum(deltas)])
+
+        pos = synthgen._path_position(phi, start, goal, amp, cycles, phase0)
+        theta = 2.0 * np.pi * cfg.phase_turns * (phi - 0.5)
+        arc = cfg.phase_gain * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        latent = np.concatenate([pos, arc, np.tile(context, (n, 1))], axis=1)
+        obs = latent @ proj.T + cfg.noise_sigma * rng.normal(size=(n, cfg.obs_dim))
+
+        actions = np.zeros((n, cfg.action_dim))
+        disp = np.diff(pos, axis=0)
+        actions[:-1, : min(2, cfg.action_dim)] = disp[:, : min(2, cfg.action_dim)]
+
+        segments[tid] = [(seg[0], seg[1], kind)] if kind and seg[1] > seg[0] else []
+        phi_by_id[tid] = phi
+        trajectories.append(
+            Trajectory(id=tid, fps=fps, obs=obs.astype(np.float32), actions=actions.astype(np.float32))
+        )
+
+    # ---- plant duplicates on the chunk grid, clean trajectories only ----
+    chunk_groups = {t.id: [0] * (t.num_frames // w) for t in trajectories}
+    total_chunks = sum(len(g) for g in chunk_groups.values())
+    clean_slots = [
+        (idx, c)
+        for idx, t in enumerate(trajectories)
+        if idx not in kind_of
+        for c in range(t.num_frames // w)
+    ]
+    num_dups = min(int(round(cfg.duplicate_rate * total_chunks)), len(clean_slots) // 2)
+    if num_dups:
+        picked = global_rng.choice(len(clean_slots), size=2 * num_dups, replace=False)
+        for gid in range(1, num_dups + 1):
+            src_idx, src_c = clean_slots[picked[2 * (gid - 1)]]
+            dst_idx, dst_c = clean_slots[picked[2 * (gid - 1) + 1]]
+            src, dst = trajectories[src_idx], trajectories[dst_idx]
+            if copies is not None:
+                copies.append((src_idx, dst_idx))
+            s0, d0 = src_c * w, dst_c * w
+            block = src.obs[s0 : s0 + w].astype(np.float64)
+            noise = (cfg.noise_sigma / 10.0) * global_rng.normal(size=block.shape)
+            dst.obs[d0 : d0 + w] = (block + noise).astype(np.float32)
+            dst.actions[d0 : d0 + w] = src.actions[s0 : s0 + w]
+            # the copied frames now show the source's task phase
+            phi_by_id[dst.id][d0 : d0 + w] = phi_by_id[src.id][s0 : s0 + w]
+            chunk_groups[src.id][src_c] = gid
+            chunk_groups[dst.id][dst_c] = gid
+
+    ds = Dataset(
+        trajectories=trajectories,
+        obs_dim=cfg.obs_dim,
+        action_dim=cfg.action_dim,
+        meta={"generator": "synthgen", "seed": cfg.seed},
+    )
+    gt = GroundTruth(
+        frame_counts={t.id: t.num_frames for t in trajectories},
+        chunk_groups=chunk_groups,
+        chunk_span=w,
+        anomaly_segments=segments,
+        phi=phi_by_id,
+    )
+    return ds, gt
 
 
 def oracle_auroc(scores, labels):
@@ -92,9 +202,9 @@ def test_default_config_is_clean():
 # --- determinism and shape ---------------------------------------------------------
 
 
-def test_generate_deterministic():
-    ds1, gt1 = generate(SMALL)
-    ds2, gt2 = generate(SMALL)
+def test_generate_deterministic(tmp_path):
+    ds1, gt1 = generate(SMALL, tmp_path / "a")
+    ds2, gt2 = generate(SMALL, tmp_path / "b")
     for a, b in zip(ds1.trajectories, ds2.trajectories):
         assert a.id == b.id
         np.testing.assert_array_equal(a.obs, b.obs)
@@ -102,10 +212,67 @@ def test_generate_deterministic():
     assert gt1.to_dict() == gt2.to_dict()
 
 
-def test_generate_seed_changes_data():
-    ds1, _ = generate(SMALL)
-    ds2, _ = generate(SynthConfig(**{**SMALL.__dict__, "seed": 4}))
+def test_generate_seed_changes_data(tmp_path):
+    ds1, _ = generate(SMALL, tmp_path / "a")
+    ds2, _ = generate(SynthConfig(**{**SMALL.__dict__, "seed": 4}), tmp_path / "b")
     assert not np.array_equal(ds1.trajectories[0].obs, ds2.trajectories[0].obs)
+
+
+# anomalies, a chunk grid with a tail, obs_dim below the latent's 20 dims, and a third of
+# the chunks planted: from earlier, later and the same trajectory
+PLANTED_BOTH_WAYS = SynthConfig(num_traj=30, frames_per_traj=150, obs_dim=12, action_dim=3,
+                                anomaly_rates={"pause": 0.1, "failure_retry": 0.1}, duplicate_rate=0.3, seed=5)
+
+
+def _files(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("cfg", [SMALL, PLANTED_BOTH_WAYS], ids=["small", "planted_both_ways"])
+def test_generate_writes_the_in_memory_specification_saved(cfg, tmp_path):
+    """generate builds and writes one trajectory at a time, and plants a copy whose
+    source comes later from a partial build of that source. Its blobs, manifest and
+    ground truth equal the saved in-memory specification's byte for byte, its φ bit for
+    bit, and the dataset it returns reads the container it wrote."""
+    copies = []
+    want_ds, want_gt = oracle_generate(cfg, copies)
+    assert {(src > dst) - (src < dst) for src, dst in copies} == {-1, 0, 1}
+    save_dataset(want_ds, tmp_path / "want")
+    ds, gt = generate(cfg, tmp_path / "got")
+    for root, truth in ((tmp_path / "want", want_gt), (tmp_path / "got", gt)):
+        write_json(root / "ground_truth.json", truth.to_dict())
+        write_json(root / "duplicates.json", truth.duplicates_doc(cfg.chunk_seconds))
+    assert _files(tmp_path / "got") == _files(tmp_path / "want")
+    assert {tid: phi.tobytes() for tid, phi in gt.phi.items()} == {
+        tid: phi.tobytes() for tid, phi in want_gt.phi.items()}
+    loaded = load_dataset(tmp_path / "got")
+    assert [(t.id, t.fps, t.num_frames, t.path, t.crc32) for t in ds.trajectories] == [
+        (t.id, t.fps, t.num_frames, t.path, t.crc32) for t in loaded.trajectories]
+    assert (ds.obs_dim, ds.action_dim, ds.meta) == (loaded.obs_dim, loaded.action_dim, loaded.meta)
+
+
+def test_generate_memory_is_one_trajectory_plus_the_planted_share(tmp_path):
+    """generate holds no dataset of frames: its traced peak is one trajectory's float64
+    work arrays, the planted copies waiting for their destination, the planted noise,
+    φ and a few entries a trajectory, below the float32 frames it writes."""
+    cfg = dataclasses.replace(SMALL, num_traj=80)
+    generate(cfg, tmp_path / "warm")  # lazy imports stay out of the trace
+    tracemalloc.start()
+    try:
+        ds, gt = generate(cfg, tmp_path / "data")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n, d, a, w = cfg.frames_per_traj, cfg.obs_dim, cfg.action_dim, gt.chunk_span
+    groups = len(gt.groups())
+    frames = len(ds) * n * (d + a) * 4
+    # the latent, its lift, the noise draw, their sum and a few n-vectors
+    one_traj = 6 * n * max(d, 4 + cfg.context_dim) * 8
+    planted = groups * w * (4 * (d + a) + 8)  # a copy's obs, actions and φ
+    noise = groups * w * d * 8
+    phi = len(ds) * n * 8
+    assert groups == 40 and frames > 1.6e6
+    assert peak <= one_traj + planted + noise + phi + 2048 * len(ds) < frames
 
 
 def test_generate_shapes(small_benchmark):
@@ -379,14 +546,14 @@ def test_separation_self_check_without_planted_groups_is_nan(small_benchmark):
         _assert_check_matches_dense(got, want)
 
 
-def test_separation_self_check_memory_is_the_features_plus_planted_members():
+def test_separation_self_check_memory_is_the_features_plus_planted_members(tmp_path):
     """The check embeds planted members only: its traced peak is O(chunks)
     scalars, a few d-rows a planted member and one trajectory's raw block,
     with no (chunks, d) feature matrix. On 800 chunks that matrix alone
     (1.3 MB) is more than the whole budget."""
     from trajcurate.dedup import DedupConfig, chunk_dataset
 
-    ds, gt = generate(dataclasses.replace(SMALL, num_traj=80))
+    ds, gt = generate(dataclasses.replace(SMALL, num_traj=80), tmp_path)
     chunks = chunk_dataset(ds, DedupConfig(chunk_seconds=2.0))
     separation_self_check(ds, gt)  # lazy imports stay out of the trace
     tracemalloc.start()
