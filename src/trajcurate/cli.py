@@ -9,6 +9,7 @@ sorted keys and no timestamps, so identical runs produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -69,6 +70,24 @@ def _print_table(header: tuple, *rows: tuple) -> None:
     widths = [max(len(str(r[i])) for r in [header, *rows]) for i in range(len(header))]
     for row in [header, *rows]:
         print("  ".join(str(cell).ljust(w) for cell, w in zip(row, widths)))
+
+
+def _set_blas_threads(n: int) -> int | None:
+    """Sets the thread count of the OpenBLAS bundled with numpy (``scipy_openblas`` from
+    numpy 2, ``openblas64_`` in 1.x) through its ``*_set_num_threads*`` entry point and
+    returns the count it had; None, setting nothing, where no OpenBLAS is found."""
+    home = Path(np.__file__).parent
+    for path in sorted([*home.parent.glob("numpy.libs/*openblas*"), *home.glob(".*libs/*openblas*")]):
+        lib = ctypes.CDLL(str(path))  # the library numpy loaded, not a second copy
+        for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            if hasattr(lib, name.format("set")):
+                get, put = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+                get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
+                old = get()
+                put(n)
+                return old
+    return None
 
 
 def _progress_bins(cfg: PipelineConfig, ds) -> TemporalBins:
@@ -213,7 +232,7 @@ def _cmd_calibrate(args, cfg: PipelineConfig) -> int:
         dup_curves.append(dedup_ratio_curve(ds, cfg.dedup, grid, clustered))
     del clustered, sims
 
-    finals = score_dataset(ds, model, bins, cfg.subopt)[1].subopt_score
+    finals = score_dataset(ds, model, bins, cfg.subopt, series=False)[1].subopt_score
     sub_curve = ratio_curve(finals, _quantile_grid(finals, 33))
 
     points = []
@@ -253,7 +272,7 @@ def _cmd_curate(args, cfg: PipelineConfig) -> int:
     # clustering first, while nothing dataset-wide is held (the frames stay in
     # their blobs); scoring's arrays then take the memory k-means let go (a lower peak RSS)
     dup_mask, dedup_rep = dedup_dataset(ds, cfg.dedup, _load_embeddings_if_present(data))
-    sub_mask = score_dataset(ds, model, bins, cfg.subopt)[1]
+    sub_mask = score_dataset(ds, model, bins, cfg.subopt, series=False)[1]
     combined = combine_masks(sub_mask, dup_mask)
 
     total = combined.total_frames
@@ -336,9 +355,11 @@ def build_parser() -> _Parser:
     def add(name: str, help_text: str, **flags) -> None:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="JSON pipeline config")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted and ignored: trajcurate's own code runs on one thread "
-                            "(numpy's BLAS may use more; see OPENBLAS_NUM_THREADS)")
+        p.add_argument("--threads", type=int, default=None,
+                       help="threads of numpy's OpenBLAS for this command, so that the output bytes "
+                            "do not depend on the core count (default: OpenBLAS's own, which "
+                            "OPENBLAS_NUM_THREADS sets; with another BLAS the flag changes nothing). "
+                            "trajcurate's own code runs on one thread")
         for flag, help_str in flags.items():
             p.add_argument(f"--{flag.replace('_', '-')}", default=None, help=help_str)
 
@@ -376,9 +397,10 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
+    if args.threads is not None and args.threads < 1:
         print("trajcurate: error: --threads must be >= 1", file=sys.stderr)
         return 1
+    blas_threads = None if args.threads is None else _set_blas_threads(args.threads)
     try:
         cfg = load_config(args.config)
         if args.command == "calibrate" and args.targets is None:
@@ -393,6 +415,9 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:
         print(f"trajcurate: {args.command} ran out of memory: {str(exc) or 'MemoryError'}", file=sys.stderr)
         return 2
+    finally:
+        if blas_threads is not None:
+            _set_blas_threads(blas_threads)
 
 
 if __name__ == "__main__":

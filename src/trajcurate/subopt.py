@@ -173,10 +173,11 @@ def score_trajectory(
 
 
 def score_dataset(
-    ds: Dataset, model: nn.MlpClassifier, bins: TemporalBins, cfg: SuboptConfig
+    ds: Dataset, model: nn.MlpClassifier, bins: TemporalBins, cfg: SuboptConfig, *, series: bool = True
 ) -> tuple[list[ScoreSeries], CurationMask]:
     """Score every trajectory in order. Dataset-wide, only the mask's final scores
-    (each series' ``final`` is a view of its slice) and drop flags are held; the
+    (each series' ``final`` is a view of its slice), drop flags and, unless ``series``
+    is False (the list is then empty), the series' window scores are held; the
     classifier runs in one set of buffers sized for the most windows of a trajectory."""
     bounds = ds.frame_bounds()
     final = np.empty(bounds[-1])
@@ -187,13 +188,14 @@ def score_dataset(
     work = np.empty((rows, ds.obs_dim)), nn.Workspace(model.layer_sizes, rows), ds.read_buffer()
     series_list = []
     for traj, lo, hi in zip(ds.trajectories, bounds.tolist(), bounds[1:].tolist()):
-        series, drop = score_trajectory(traj, model, bins, cfg, work)
+        one, drop = score_trajectory(traj, model, bins, cfg, work)
         part = slice(lo, hi)
-        final[part] = series.final
-        series.final = final[part]
+        final[part] = one.final
+        one.final = final[part]
         np.logical_not(drop, out=keep[part])
         reason[part][drop] = SUBOPTIMAL
-        series_list.append(series)
+        if series:
+            series_list.append(one)
     ids = tuple(t.id for t in ds.trajectories)
     # no frame is covered by a chunk here: a read-only broadcast of −1 holds no memory
     return series_list, CurationMask(ids, bounds, keep, reason, final, np.broadcast_to(-1.0, final.shape))
@@ -201,8 +203,13 @@ def score_dataset(
 
 def subopt_report(mask: CurationMask, cfg: SuboptConfig) -> dict:
     """Summary suitable for JSON: histogram of the mask's scores plus deletion ratio."""
-    counts, edges = np.histogram(mask.subopt_score, bins=64) if mask.total_frames else (np.empty(0),) * 2
-    histogram = {"bin_edges": edges.tolist(), "counts": counts.tolist()}
+    scores, histogram = mask.subopt_score, {"bin_edges": [], "counts": []}
+    if scores.size:  # np.histogram(scores, bins=64), a block at a time: no full-size temporaries
+        span, counts = (float(scores.min()), float(scores.max())), 0
+        for lo in range(0, scores.size, 4096):
+            part, edges = np.histogram(scores[lo : lo + 4096], bins=64, range=span)
+            counts = counts + part
+        histogram = {"bin_edges": edges.tolist(), "counts": counts.tolist()}
     total, dropped = mask.total_frames, mask.dropped_frames()
     return {
         "format_version": 1,

@@ -28,6 +28,7 @@ import re
 import shutil
 import struct
 import tempfile
+import time
 import zlib
 from collections.abc import Iterator
 from contextlib import contextmanager
@@ -99,13 +100,14 @@ class Trajectory:
 
 class StoredTrajectory(Trajectory):
     """A loaded trajectory whose frames stay in its blob. Every read checks the blob
-    against the manifest (a ``TruncatedBlob`` or ``DimensionMismatch``); ``obs`` and
-    ``actions`` each read an owned copy."""
+    against the manifest (a ``TruncatedBlob`` or ``DimensionMismatch``); its crc32 is
+    skipped while the file's identity is the one a read found it to match (``_read_blob``).
+    ``obs`` and ``actions`` each read an owned copy."""
 
     def __init__(self, id: str, fps: float, num_frames: int, path: Path, dims: tuple[int, int],
                  crc32: int | None = None):
         self.id, self.fps, self.path, self.dims, self.crc32 = id, fps, path, dims, crc32
-        self._num_frames = num_frames
+        self._num_frames, self._checked = num_frames, None
 
     num_frames = property(lambda self: self._num_frames)
     obs = property(lambda self: self.frames()[0].copy())
@@ -117,7 +119,8 @@ class StoredTrajectory(Trajectory):
     def frames(self, buf: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         try:
             with open(self.path, "rb", buffering=0) as fh:
-                flat = _read_blob(fh, self.id, self.num_frames, self.dims, self.crc32, buf)
+                flat, self._checked = _read_blob(fh, self.id, self.num_frames, self.dims, self.crc32, buf,
+                                                 self._checked)
         except OSError as exc:
             raise TruncatedBlob(self.id, f"unreadable blob file: {exc.strerror}") from exc
         return flat[:, : self.dims[0]], flat[:, self.dims[0] :]
@@ -126,7 +129,7 @@ class StoredTrajectory(Trajectory):
     def rewritten(self, buf: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """``frames(buf)`` to change in place, written back on exit by the same open, with a new crc32."""
         with open(self.path, "r+b") as fh:
-            flat = _read_blob(fh, self.id, self.num_frames, self.dims, self.crc32, buf)
+            flat = _read_blob(fh, self.id, self.num_frames, self.dims, self.crc32, buf)[0]
             yield flat[:, : self.dims[0]], flat[:, self.dims[0] :]
             fh.seek(_HEADER.size)
             fh.write(flat)
@@ -204,12 +207,15 @@ def _write_blob(path: Path, obs: np.ndarray, actions: np.ndarray) -> int:
 
 
 def _read_blob(fh, traj_id: str, num_frames: int, dims: tuple[int, int], crc: int | None,
-               buf: np.ndarray | None) -> np.ndarray:
+               buf: np.ndarray | None, checked: tuple | None = None) -> tuple[np.ndarray, tuple | None]:
     """A blob's (frames, obs_dim + action_dim) f32 rows, read from the open file ``fh`` into
-    ``buf`` if it is large enough."""
-    row, header = sum(dims), bytearray(_HEADER.size)
-    expected = num_frames * row * 4
-    size = os.fstat(fh.fileno()).st_size - _HEADER.size
+    ``buf`` if it is large enough, and the file's identity (inode, size, mtime, ctime) for a
+    later read to pass as ``checked``: the crc32 is skipped while the identity is that one.
+    An identity changed in the last 2 s is not returned, as a rewrite within the file
+    system's timestamp granularity could keep it."""
+    row, header, st = sum(dims), bytearray(_HEADER.size), os.fstat(fh.fileno())
+    expected, identity = num_frames * row * 4, (st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+    size = st.st_size - _HEADER.size
     got = fh.readinto(header) - _HEADER.size
     if size == expected and got == 0:
         payload = (buf if buf is not None and buf.size >= size else np.empty(size, np.uint8))[:size]
@@ -229,9 +235,9 @@ def _read_blob(fh, traj_id: str, num_frames: int, dims: tuple[int, int], crc: in
         size = got  # short if the blob shrank since the fstat
     if size != expected:
         raise TruncatedBlob(traj_id, f"payload {size} bytes, expected {expected}")
-    if crc is not None and zlib.crc32(payload, zlib.crc32(header)) != crc:
+    if crc is not None and identity != checked and zlib.crc32(payload, zlib.crc32(header)) != crc:
         raise TruncatedBlob(traj_id, "frames do not match the manifest's crc32")
-    return payload.view("<f4").reshape(num_frames, row)
+    return payload.view("<f4").reshape(num_frames, row), identity if time.time_ns() - st.st_ctime_ns > 2e9 else None
 
 
 def save_dataset(ds: Dataset, root_path: str | os.PathLike) -> Dataset:

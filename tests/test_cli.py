@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import trajcurate
-from trajcurate import trajstore
+from trajcurate import cli, trajstore
 from trajcurate.cli import _kept_ranges, main
 from trajcurate.config import config_from_dict
 from trajcurate.dedup import DedupConfig
@@ -788,28 +788,91 @@ def test_manifest_id_leaving_out_is_data_error(pipeline, tmp_path, capsys):
     assert not run.exists() or all(p.is_relative_to(run / "out") for p in run.rglob("*"))
 
 
-def test_blas_thread_count_keeps_decisions(pipeline, tmp_path):
-    """OpenBLAS may split a matrix product over threads whatever --threads
-    says, which can move the last bits of a score; the decisions stay."""
+# 24 trajectories of 64 observation dimensions: the classifier's and the
+# similarities' matrix products are large enough for OpenBLAS to split them
+# over threads, and on a 2-core host every mask file's bytes then depend on the
+# BLAS thread count
+BLAS_CONFIG = {
+    "seed": 0,
+    "synth": {"num_traj": 24, "frames_per_traj": 300, "obs_dim": 64, "duplicate_rate": 0.05},
+    "train": {"epochs": 2, "pairs_per_traj": 20, "hidden_sizes": [64]},
+}
+
+
+@pytest.fixture(scope="module")
+def blas_run(tmp_path_factory):
+    """A dataset and checkpoint of ``BLAS_CONFIG``, and a function that runs
+    ``curate`` on them in a fresh process with extra flags and environment."""
+    root = tmp_path_factory.mktemp("blas")
+    config = root / "config.json"
+    config.write_text(json.dumps(BLAS_CONFIG))
+    data, model = root / "data", root / "model" / "model.ckpt"
+    assert main(["gen", "--config", str(config), "--out", str(data)]) == 0
+    assert main(["train-progress", "--config", str(config), "--data", str(data), "--out", str(model)]) == 0
     src = str(Path(__file__).resolve().parents[1] / "src")
-    masks = {}
-    for blas_threads in ("1", "2"):
-        out = tmp_path / f"blas{blas_threads}"
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": blas_threads,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def curate(name, *flags, **env):
+        out = root / name
         subprocess.run(
             [sys.executable, "-c", "import sys; from trajcurate.cli import main; sys.exit(main())",
-             "curate", "--config", pipeline["config"], "--data", str(pipeline["data"]),
-             "--model", str(pipeline["model"]), "--out", str(out)],
-            env=env, check=True, capture_output=True, timeout=300,
+             "curate", "--config", str(config), "--data", str(data), "--model", str(model),
+             "--out", str(out), *flags],
+            env={**os.environ, **env,
+                 "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
+            check=True, capture_output=True, timeout=300,
         )
-        masks[blas_threads] = {p.name: json.loads(p.read_text()) for p in (out / "masks").glob("*.json")}
-    assert masks["1"] and sorted(masks["1"]) == sorted(masks["2"])
-    for name, one in masks["1"].items():
-        two = masks["2"][name]
-        assert one["keep"] == two["keep"] and one["reason"] == two["reason"]
+        return {p.name: p.read_bytes() for p in sorted((out / "masks").glob("*.json"))}
+
+    return curate
+
+
+def test_blas_thread_count_keeps_decisions(blas_run):
+    """A different number of OpenBLAS threads may split a matrix product
+    differently, which can move the last bits of a score; the decisions stay."""
+    one, two = blas_run("threads1", "--threads", "1"), blas_run("threads2", "--threads", "2")
+    assert one and sorted(one) == sorted(two)
+    for name in one:
+        a, b = json.loads(one[name]), json.loads(two[name])
+        assert a["keep"] == b["keep"] and a["reason"] == b["reason"]
         for key in ("subopt_score", "dup_similarity"):
-            np.testing.assert_allclose(one[key], two[key], rtol=1e-6, atol=1e-6)
+            np.testing.assert_allclose(a[key], b[key], rtol=1e-6, atol=1e-6)
+
+
+def test_threads_flag_makes_the_bytes_independent_of_the_blas_environment(blas_run):
+    """``--threads 1`` sets OpenBLAS's thread count itself, so the mask files
+    do not depend on ``OPENBLAS_NUM_THREADS`` (the core count's default)."""
+    found = cli._set_blas_threads(1)
+    if found is None:
+        pytest.skip("numpy loaded no bundled OpenBLAS: --threads changes nothing")
+    cli._set_blas_threads(found)
+    one = blas_run("env1", "--threads", "1", OPENBLAS_NUM_THREADS="1")
+    assert one and one == blas_run("env2", "--threads", "1", OPENBLAS_NUM_THREADS="2")
+
+
+def test_threads_flag_holds_for_the_command_and_is_undone(tmp_path, monkeypatch):
+    """In process, ``--threads N`` sets the BLAS thread count for the command
+    alone, on success and on failure; without the flag the count is left be."""
+    found = cli._set_blas_threads(3)
+    if found is None:
+        pytest.skip("numpy loaded no bundled OpenBLAS: --threads changes nothing")
+    seen = []
+
+    def probe(args, cfg):
+        seen.append(cli._set_blas_threads(2))  # the count the command runs with
+        return 0
+
+    monkeypatch.setitem(cli._COMMANDS, "gen", probe)
+    try:
+        assert main(["gen", "--out", str(tmp_path / "d"), "--threads", "1"]) == 0
+        assert cli._set_blas_threads(3) == 3
+        assert main(["curate", "--data", str(tmp_path / "missing"), "--model", str(tmp_path / "m"),
+                     "--out", str(tmp_path / "o"), "--threads", "2"]) == 2
+        assert cli._set_blas_threads(3) == 3
+        assert main(["gen", "--out", str(tmp_path / "d")]) == 0
+        after = cli._set_blas_threads(found)
+    finally:
+        cli._set_blas_threads(found)
+    assert seen == [1, 3] and after == 2
 
 
 # runs each command of argv[1] (a JSON list of argvs) in one fresh process and

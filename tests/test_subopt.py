@@ -5,6 +5,7 @@ plain loops — no cumulative sums, no recurrences — so any vectorization bug
 in the implementation shows up as a mismatch.
 """
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -25,7 +26,7 @@ from trajcurate.subopt import (
     subopt_mask,
     subopt_report,
 )
-from trajcurate.trajstore import REASONS, SUBOPTIMAL, load_dataset, save_dataset, seconds_to_frames
+from trajcurate.trajstore import REASONS, SUBOPTIMAL, CurationMask, load_dataset, save_dataset, seconds_to_frames
 
 from conftest import make_dataset, make_mask, make_trajectory
 
@@ -358,6 +359,10 @@ def test_score_dataset_threads_agree(tiny_model):
     for a, b in zip(series1, series2):
         assert a.final.tobytes() == b.final.tobytes()
     np.testing.assert_array_equal(mask1.keep, mask2.keep)
+    # without the series, the same mask
+    none, mask3 = score_dataset(ds, tiny_model, bins, cfg, series=False)
+    assert none == [] and mask3.subopt_score.tobytes() == mask1.subopt_score.tobytes()
+    assert mask3.keep.tobytes() == mask1.keep.tobytes() and mask3.reason.tobytes() == mask1.reason.tobytes()
 
 
 @pytest.mark.parametrize("stride", [1, 3])
@@ -385,27 +390,27 @@ def test_score_dataset_views_match_score_trajectory(tiny_model, stride):
 
 
 def test_score_dataset_memory_is_its_outputs_plus_one_trajectory():
-    """What the result holds is the final scores, the drop flags and the
-    window scores, with no other per-frame array; the traced peak adds only
-    one set of forward buffers, sized by the most windows of a trajectory,
-    and one trajectory's per-frame stages."""
+    """What the result holds is the final scores, the drop flags and, unless
+    ``series=False`` drops them, the window scores, with no other per-frame
+    array; the traced peak adds only one set of forward buffers, sized by the
+    most windows of a trajectory, and one trajectory's per-frame stages."""
     rng = np.random.default_rng(19)
     ds = make_dataset(rng, num_traj=20, n=1500, obs_dim=32)
     model = init_mlp([32, 64, 64, 5], seed=3)
-    for stride in (1, 5):
+    for stride, series in ((1, True), (5, True), (1, False)):
         tracemalloc.start()
         try:
-            result = score_dataset(ds, model, default_bins(), SuboptConfig(stride_frames=stride))
+            result = score_dataset(ds, model, default_bins(), SuboptConfig(stride_frames=stride), series=series)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         frames, windows = 1500, len(range(0, 1500 - 20 + 1, stride))  # 2 s windows at 10 fps
-        outputs = 20 * (frames * (8 + 1 + 1) + windows * 8)  # final, keep, reason; window scores
+        outputs = 20 * (frames * (8 + 1 + 1) + series * windows * 8)  # final, keep, reason; window scores
         assert outputs <= kept < outputs + (1 << 15)  # ids, series objects
         # the window deltas, both hidden layers' activations, logits and row sums
         work = windows * (32 + 64 + 64 + 5 + 1) * 8
         assert peak < kept + work + 128 * frames
-        assert sum(s.window_scores.size for s in result[0]) == 20 * windows
+        assert sum(s.window_scores.size for s in result[0]) == series * 20 * windows
         del result
 
 
@@ -465,6 +470,44 @@ def test_subopt_report_shape(tiny_model):
     assert len(hist["bin_edges"]) == 65
     assert hist["counts"] == np.histogram(mask.subopt_score, bins=64)[0].tolist()
     assert 0.0 <= report["deletion_ratio"] <= 1.0
+
+
+def _scores_on_edges(n):
+    """``n`` scores that repeat their min and max and hold every one of their 65
+    histogram edges, where the bin index is most easily off by one."""
+    rng = np.random.default_rng(23)
+    scores = np.round(rng.normal(0.4, 0.3, n), 3)
+    edges = np.histogram(scores, bins=64)[1]
+    scores[: 2 * edges.size : 2] = edges
+    scores[1 : 2 * edges.size : 2] = np.nextafter(edges, -np.inf).clip(edges[0])
+    return rng.permutation(scores)
+
+
+@pytest.mark.parametrize("scores", [np.full(1000, 0.3), np.array([-0.0]), np.array([0.7]), _scores_on_edges(150_000)],
+                         ids=["constant", "one_negative_zero", "one_frame", "150k_frames_on_edges"])
+def test_subopt_report_histogram_is_np_histogram(scores):
+    """Built a block at a time over the global min and max, the histogram has
+    the counts and edges of one ``np.histogram`` of all the scores."""
+    n = scores.size
+    mask = CurationMask(("t0",), [0, n], np.ones(n, bool), np.zeros(n, np.uint8), scores, np.full(n, -1.0))
+    counts, edges = np.histogram(scores, bins=64)
+    hist = subopt_report(mask, SuboptConfig())["score_histogram"]
+    assert json.dumps(hist) == json.dumps({"bin_edges": edges.tolist(), "counts": counts.tolist()})
+
+
+def test_subopt_report_memory_is_one_block():
+    """``np.histogram`` of 150k scores makes 65536-element temporaries (about
+    2 MB traced); the report's blocks stay far below that."""
+    scores = _scores_on_edges(150_000)
+    mask = CurationMask(("t0",), [0, scores.size], np.ones(scores.size, bool), np.zeros(scores.size, np.uint8),
+                        scores, np.full(scores.size, -1.0))
+    tracemalloc.start()
+    try:
+        subopt_report(mask, SuboptConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096 * 8 * 10  # a few float64 and intp arrays of one 4096-score block
 
 
 def test_subopt_report_empty():

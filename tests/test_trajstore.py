@@ -4,6 +4,7 @@ import json
 import os
 import shutil
 import struct
+import time
 import tracemalloc
 import zlib
 from pathlib import Path
@@ -366,6 +367,41 @@ def test_blob_changed_after_load_is_a_curation_error(tmp_path, stage, change):
     with pytest.raises(CurationError) as err:
         _STAGES[stage](ds)
     assert isinstance(err.value, TruncatedBlob) and err.value.traj_id == "t001"
+
+
+def test_blob_is_hashed_again_only_when_its_identity_changes(tmp_path, monkeypatch):
+    """The load hashes every blob. A later read skips the crc32 while the
+    blob's (inode, size, mtime, ctime) is the checked one and more than 2 s
+    old, and hashes again once it changes; a blob changed in the last 2 s,
+    where a rewrite could keep its timestamps, is hashed at every read."""
+    root = _saved_dataset(tmp_path, num_traj=3, n=40)
+    save_dataset(make_dataset(np.random.default_rng(99), num_traj=3, n=40), tmp_path / "other")
+    hashed, crc32 = [], zlib.crc32
+    monkeypatch.setattr(zlib, "crc32", lambda data, value=0: hashed.append(len(data)) or crc32(data, value))
+
+    def payloads():
+        return sum(size > 12 for size in hashed)  # not the 12-byte headers
+
+    written, now = (root / "trajectories" / "t000.bin").stat().st_ctime_ns, time.time_ns
+    monkeypatch.setattr(time, "time_ns", lambda: written)  # the blobs were just written
+    ds = load_dataset(root)
+    _STAGES["score_dataset"](ds)
+    assert payloads() == 6  # the load and the pass each hash all three
+
+    monkeypatch.setattr(time, "time_ns", lambda: now() + 3 * 10**9)  # the blobs are 3 s old
+    hashed.clear()
+    ds = load_dataset(root)
+    _STAGES["score_dataset"](ds)
+    _STAGES["dedup_dataset"](ds)
+    assert payloads() == 3  # the load's
+
+    blob = root / "trajectories" / "t001.bin"
+    mtime = blob.stat().st_mtime_ns
+    shutil.copyfile(tmp_path / "other" / "trajectories" / "t001.bin", blob)
+    os.utime(blob, ns=(mtime, mtime - 10**9))  # a mtime that no clock granularity can repeat
+    with pytest.raises(TruncatedBlob) as err:
+        _STAGES["score_dataset"](ds)
+    assert err.value.traj_id == "t001" and payloads() == 4  # t000 unhashed, t001 hashed
 
 
 # --- curation masks ----------------------------------------------------------------
