@@ -27,7 +27,7 @@ from .calibrate import (
 )
 from .config import PipelineConfig, load_config
 from .dedup import cluster_dataset, dedup_dataset, load_chunk_embeddings
-from .errors import ConfigError, CurationError, IoFailure
+from .errors import ConfigError, CurationError, EmptyScores, IoFailure
 from .nn import load_model, save_model
 from .progress import TemporalBins, default_bins, train_progress_model
 from .subopt import score_dataset, subopt_report
@@ -212,6 +212,8 @@ def _parse_targets(spec: str) -> list[float]:
 
 
 def _quantile_grid(values: np.ndarray, count: int) -> np.ndarray:
+    if not values.size:
+        raise EmptyScores("cannot calibrate an empty score set")
     qs = np.linspace(0.0, 1.0, count)
     return np.unique(np.quantile(values, qs))
 

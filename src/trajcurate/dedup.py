@@ -163,11 +163,10 @@ def compute_features(
     sq_v, sq_a = np.empty(len(chunks)), np.empty(len(chunks))  # λ's sums of squares
     bounds = np.searchsorted(chunks.traj, np.arange(len(ds) + 1)).tolist()
     at = bounds if members is None else np.searchsorted(members, bounds).tolist()
-    buf = ds.read_buffer()
     for traj, lo, hi, a, b in zip(ds.trajectories, bounds, bounds[1:], at, at[1:]):
         if lo == hi:
             continue
-        obs, actions = traj.frames(buf)
+        obs, actions = traj.frames()
         rows = raw[lo:hi] if members is None else np.empty((hi - lo, d))
         idx = chunks.start[lo:hi, None] + subsample_indices(int(chunks.span[lo]), n_sub)
         obs = obs[idx].astype(np.float64)
@@ -197,7 +196,7 @@ _ASSIGN_BLOCK_ELEMS = 1 << 18
 # Entries in one of _keep_one_drops' (clusters × rows × size) padded Gram
 # blocks; the replay's other arrays grow with a group's clusters too.
 _GROUP_BLOCK_ELEMS = 1 << 16
-# Entries in kmeans' reused buffer of gathered rows.
+# Entries in kmeans' reused buffer of gathered rows and in a block of _unit_rows.
 _GATHER_ELEMS = 1 << 15
 # Most entries of (x − c)² filled at a time by _inertia (one leaf of numpy's
 # pairwise summation tree) and by _keep_one_drops: small enough to stay in cache.
@@ -625,6 +624,19 @@ def duplicate_mask(
     return chunk_drop, _per_frame(ds, chunks, chunk_drop, False)
 
 
+def _unit_rows(x: np.ndarray) -> np.ndarray:
+    """A float64 copy of ``x``, normalized in place a block at a time with the bits of
+    ``x / max(np.linalg.norm(x, axis=1), 1e-300)``; a row whose norm is not positive is +0.0."""
+    out = np.array(x, dtype=np.float64)
+    step = max(1, _GATHER_ELEMS // max(1, out.shape[1]))
+    for lo in range(0, out.shape[0], step):
+        block = out[lo : lo + step]
+        norms = np.sqrt(np.add.reduce(block * block, axis=1))
+        np.divide(block, np.maximum(norms, 1e-300)[:, None], out=block)
+        block[~(norms > 0)] = 0.0
+    return out
+
+
 def cluster_dataset(
     ds: Dataset, cfg: DedupConfig, precomputed: np.ndarray | None = None
 ) -> tuple[Chunks, np.ndarray, ClusterModel, np.ndarray]:
@@ -638,8 +650,7 @@ def cluster_dataset(
             raise DimensionMismatch(
                 f"{precomputed.shape[0]} precomputed embeddings for {len(chunks)} chunks"
             )
-        norms = np.linalg.norm(precomputed, axis=1)
-        features = np.where(norms[:, None] > 0, precomputed / np.maximum(norms, 1e-300)[:, None], 0.0)
+        features = _unit_rows(precomputed)
     else:
         features, _ = compute_features(ds, chunks, cfg)
     if not chunks:
@@ -697,6 +708,8 @@ def load_chunk_embeddings(path: str | Path) -> np.ndarray:
     if len(raw) < 12 or raw[:4] != CEMB_MAGIC:
         raise IoFailure(f"{path}: not a chunk-embedding file")
     count, dim = struct.unpack("<II", raw[4:12])
+    if dim == 0:
+        raise IoFailure(f"{path}: embeddings of dimension 0")
     expected = 12 + count * dim * 4
     if len(raw) != expected:
         raise IoFailure(f"{path}: {len(raw)} bytes, expected {expected}")

@@ -111,10 +111,10 @@ def _as_batch(model: MlpClassifier, x: np.ndarray) -> tuple[np.ndarray, bool]:
     return arr, single
 
 
-def forward(model: MlpClassifier, x: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
-    """Class probabilities for one vector or a batch of rows, computed in ``ws`` (fresh if None)."""
+def forward(model: MlpClassifier, x: np.ndarray) -> np.ndarray:
+    """Class probabilities for one vector or a batch of rows."""
     a, single = _as_batch(model, x)
-    probs = _softmax_forward(model.weights, model.biases, a, ws or Workspace(model.layer_sizes, a.shape[0]))
+    probs = _softmax_forward(model.weights, model.biases, a, Workspace(model.layer_sizes, a.shape[0]))
     return probs[0] if single else probs
 
 
@@ -139,9 +139,8 @@ _GATHER_ROWS = 1 << 11
 
 
 class Workspace:
-    """Work arrays for up to ``rows`` rows of the forward pass and, with a
-    flat ``grad``, for backprop over exactly ``rows`` rows, so a step
-    allocates nothing. The gradient lands in ``grad`` (``get_flat_params``
+    """Work arrays for the forward pass over ``rows`` rows and, with a
+    flat ``grad``, for backprop over them, so a step allocates nothing. The gradient lands in ``grad`` (``get_flat_params``
     layout) through its per-layer views ``dw`` and ``db``. With
     ``keep_logits`` the exponentials get their own buffer, so the shifted
     logits survive for the loss; otherwise ``exp`` runs in place."""
@@ -160,21 +159,19 @@ class Workspace:
 
 
 def _softmax_forward(weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarray, ws: Workspace) -> np.ndarray:
-    """Softmax probabilities of rows ``x`` in place in ``ws``'s first rows, with
-    the bits of ``maximum(a @ w + b, 0)`` and ``e / e.sum()`` on fresh arrays;
-    ``ws.logits`` keeps the shifted logits (``keep_logits``), ``ws.rowsum`` their exp sums."""
-    n = x.shape[0]
+    """Softmax probabilities of rows ``x`` in place in ``ws``, with the bits of
+    ``maximum(a @ w + b, 0)`` and ``e / e.sum()`` on fresh arrays; ``ws.logits``
+    keeps the shifted logits (``keep_logits``), ``ws.rowsum`` their exp sums."""
     a = x
     for w, b, z in zip(weights, biases, ws.acts):
-        a = np.matmul(a, w, out=z[:n])
+        a = np.matmul(a, w, out=z)
         a += b
         np.maximum(a, 0.0, out=a)
-    logits = np.matmul(a, weights[-1], out=ws.logits[:n])
+    logits = np.matmul(a, weights[-1], out=ws.logits)
     logits += biases[-1]
-    rowsum = ws.rowsum[:n]
-    logits -= np.maximum.reduce(logits, axis=1, keepdims=True, out=rowsum)
-    probs = np.exp(logits, out=ws.exp[:n])
-    probs /= np.add.reduce(probs, axis=1, keepdims=True, out=rowsum)
+    logits -= np.maximum.reduce(logits, axis=1, keepdims=True, out=ws.rowsum)
+    probs = np.exp(logits, out=ws.exp)
+    probs /= np.add.reduce(probs, axis=1, keepdims=True, out=ws.rowsum)
     return probs
 
 

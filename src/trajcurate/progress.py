@@ -150,11 +150,10 @@ def sample_training_pairs(
     label, owner, t, gap = label[:count], owner[:count], t[:count], gap[:count]
     x = np.empty((count, ds.obs_dim))
     bounds = np.searchsorted(owner, np.arange(len(ds.trajectories) + 1)).tolist()
-    buf = ds.read_buffer()
     for traj, lo, hi in zip(ds.trajectories, bounds, bounds[1:]):
         if lo == hi:
             continue
-        obs = traj.frames(buf)[0]
+        obs = traj.frames()[0]
         # dtype=float64 widens both frames before subtracting, as astype would
         np.subtract(obs[t[lo:hi] + gap[lo:hi]], obs[t[lo:hi]], out=x[lo:hi], dtype=np.float64)
     dt = np.array([traj.fps for traj in ds.trajectories], dtype=np.float64)[owner]
@@ -249,15 +248,10 @@ def train_progress_model(
     return model, report
 
 
-def progress_from_deltas(
-    model: nn.MlpClassifier,
-    bins: TemporalBins,
-    deltas: np.ndarray,
-    mode: str = "expectation",
-    ws: nn.Workspace | None = None,
-) -> np.ndarray:
-    """T_p for each delta-feature row, in seconds, computed in ``ws`` (see ``nn.forward``)."""
-    probs = np.atleast_2d(nn.forward(model, deltas, ws))
+def progress_from_deltas(model: nn.MlpClassifier, bins: TemporalBins, deltas: np.ndarray,
+                         mode: str = "expectation") -> np.ndarray:
+    """T_p for each delta-feature row, in seconds."""
+    probs = np.atleast_2d(nn.forward(model, deltas))
     reps = np.asarray(bins.representatives)
     if probs.shape[1] != reps.shape[0]:
         raise DimensionMismatch(

@@ -145,26 +145,17 @@ def subopt_mask(final: np.ndarray, epsilon_s: float, has_windows: bool = True) -
     return final > epsilon_s
 
 
-def score_trajectory(
-    traj: Trajectory,
-    model: nn.MlpClassifier,
-    bins: TemporalBins,
-    cfg: SuboptConfig,
-    work: tuple[np.ndarray, nn.Workspace, np.ndarray] | None = None,
-) -> tuple[ScoreSeries, np.ndarray]:
-    """Full scoring pipeline for one trajectory: (series, drop flags). The frames are read
-    into, and the window deltas and the classifier run in, ``work`` ((rows, D) buffer,
-    ``nn.Workspace``, ``Dataset.read_buffer``) or fresh arrays."""
+def score_trajectory(traj: Trajectory, model: nn.MlpClassifier, bins: TemporalBins,
+                     cfg: SuboptConfig) -> tuple[ScoreSeries, np.ndarray]:
+    """Full scoring pipeline for one trajectory: (series, drop flags)."""
     n, step, w = traj.num_frames, cfg.stride_frames, seconds_to_frames(cfg.window_seconds, traj.fps)
     count = len(range(0, n - w + 1, step))
     windows = np.empty(0)
     if count:
-        buf, ws, frames = work or (None, None, None)
-        obs = traj.frames(frames)[0]
+        obs = traj.frames()[0]
         # dtype=float64 widens both frames before subtracting, as astype would
-        deltas = np.subtract(obs[w - 1 :: step], obs[: n - w + 1 : step], dtype=np.float64,
-                             out=None if buf is None else buf[:count])
-        windows = progress_from_deltas(model, bins, deltas, cfg.progress_mode, ws)
+        deltas = np.subtract(obs[w - 1 :: step], obs[: n - w + 1 : step], dtype=np.float64)
+        windows = progress_from_deltas(model, bins, deltas, cfg.progress_mode)
         np.subtract(cfg.window_seconds, windows, out=windows)
     series = ScoreSeries(traj.id, windows, np.empty(n), window=w, cfg=cfg)
     if n:
@@ -177,18 +168,14 @@ def score_dataset(
 ) -> tuple[list[ScoreSeries], CurationMask]:
     """Score every trajectory in order. Dataset-wide, only the mask's final scores
     (each series' ``final`` is a view of its slice), drop flags and, unless ``series``
-    is False (the list is then empty), the series' window scores are held; the
-    classifier runs in one set of buffers sized for the most windows of a trajectory."""
+    is False (the list is then empty), the series' window scores are held."""
     bounds = ds.frame_bounds()
     final = np.empty(bounds[-1])
     keep = np.empty(bounds[-1], dtype=bool)
     reason = np.zeros(bounds[-1], dtype=np.uint8)
-    rows = max((len(range(0, t.num_frames - seconds_to_frames(cfg.window_seconds, t.fps) + 1, cfg.stride_frames))
-                for t in ds.trajectories), default=0)
-    work = np.empty((rows, ds.obs_dim)), nn.Workspace(model.layer_sizes, rows), ds.read_buffer()
     series_list = []
     for traj, lo, hi in zip(ds.trajectories, bounds.tolist(), bounds[1:].tolist()):
-        one, drop = score_trajectory(traj, model, bins, cfg, work)
+        one, drop = score_trajectory(traj, model, bins, cfg)
         part = slice(lo, hi)
         final[part] = one.final
         one.final = final[part]

@@ -224,7 +224,7 @@ class _Planned(Trajectory):
     """A trajectory whose frames ``build()`` makes each time they are read."""
 
     def __init__(self, id: str, fps: float, num_frames: int, build):
-        self.id, self.fps, self._num_frames, self.frames = id, fps, num_frames, lambda buf=None: build()
+        self.id, self.fps, self._num_frames, self.frames = id, fps, num_frames, build
 
     num_frames = property(lambda self: self._num_frames)
 
@@ -327,11 +327,11 @@ def generate(cfg: SynthConfig, root: str | os.PathLike) -> tuple[Dataset, Ground
     trajs = [_Planned(tid, fps, n, lambda i=i: build(i)) for i, tid in enumerate(ids)]
     ds = save_dataset(Dataset(trajs, cfg.obs_dim, cfg.action_dim, {"generator": "synthgen", "seed": cfg.seed}), root)
     # a copy whose source came later is written into its destination's blob now
-    buf = ds.read_buffer()
     for i, chunks in late.items():
-        with ds.trajectories[i].rewritten(buf) as (obs, actions):
-            for s, gid in chunks:
-                obs[s], actions[s], phi_by_id[ids[i]][s] = blocks.pop(gid)
+        obs, actions = ds.trajectories[i].frames()
+        for s, gid in chunks:
+            obs[s], actions[s], phi_by_id[ids[i]][s] = blocks.pop(gid)
+        ds.trajectories[i].write(obs, actions)
     if late:
         write_manifest(root, ds)
     return ds, GroundTruth(frame_counts={tid: n for tid in ids}, chunk_groups=chunk_groups, chunk_span=w,

@@ -11,8 +11,8 @@ is ``zlib.crc32`` of the whole blob (an entry without it is read unchecked). Eac
 blob is ``TRJC`` magic, u32 LE format version, u32 LE frame count, then one record
 per frame: ``obs_dim`` f32 LE followed by ``action_dim`` f32 LE, no padding.
 
-A loaded dataset holds no frames: each pass reads a trajectory's blob when it
-needs the frames, into one buffer it reuses (``Dataset.read_buffer``).
+A loaded dataset holds no frames: each pass reads a trajectory's blob into
+fresh arrays when it needs the frames.
 
 Per-frame curation masks (written by the scoring/dedup stages) live in
 ``<out>/masks/<id>.json``; in memory they are one :class:`CurationMask`
@@ -76,18 +76,18 @@ class Trajectory:
     def num_frames(self) -> int:
         return self.obs.shape[0]
 
-    def frames(self, buf: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """``(obs, actions)`` for one pass. A stored trajectory reads them into ``buf``
-        (``Dataset.read_buffer``) when given, as views that the next read overwrites."""
+    def frames(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(obs, actions)`` for one pass. A stored trajectory reads them from its blob
+        into one fresh array that the caller owns."""
         return self.obs, self.actions
 
-    def validate(self, obs_dim: int, action_dim: int, buf: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Checks fps and the frames, which it returns (``frames(buf)``)."""
+    def validate(self, obs_dim: int, action_dim: int) -> tuple[np.ndarray, np.ndarray]:
+        """Checks fps and the frames, which it returns (``frames()``)."""
         if not 0 < self.fps < math.inf:
             raise InvalidManifest(f"trajectory '{self.id}': fps must be positive and finite, got {self.fps}")
         if self.num_frames == 0:
             raise InvalidManifest(f"trajectory '{self.id}': empty trajectory")
-        obs, actions = self.frames(buf)
+        obs, actions = self.frames()
         if obs.shape != (self.num_frames, obs_dim):
             raise DimensionMismatch(f"obs shape {obs.shape} != ({self.num_frames}, {obs_dim})", self.id)
         if actions.shape != (self.num_frames, action_dim):
@@ -116,24 +116,17 @@ class StoredTrajectory(Trajectory):
     def __repr__(self) -> str:
         return f"StoredTrajectory(id={self.id!r}, fps={self.fps!r}, num_frames={self.num_frames}, path={self.path!r})"
 
-    def frames(self, buf: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def frames(self) -> tuple[np.ndarray, np.ndarray]:
         try:
             with open(self.path, "rb", buffering=0) as fh:
-                flat, self._checked = _read_blob(fh, self.id, self.num_frames, self.dims, self.crc32, buf,
-                                                 self._checked)
+                flat, self._checked = _read_blob(fh, self.id, self.num_frames, self.dims, self.crc32, self._checked)
         except OSError as exc:
             raise TruncatedBlob(self.id, f"unreadable blob file: {exc.strerror}") from exc
         return flat[:, : self.dims[0]], flat[:, self.dims[0] :]
 
-    @contextmanager
-    def rewritten(self, buf: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """``frames(buf)`` to change in place, written back on exit by the same open, with a new crc32."""
-        with open(self.path, "r+b") as fh:
-            flat = _read_blob(fh, self.id, self.num_frames, self.dims, self.crc32, buf)[0]
-            yield flat[:, : self.dims[0]], flat[:, self.dims[0] :]
-            fh.seek(_HEADER.size)
-            fh.write(flat)
-        self.crc32 = zlib.crc32(flat, zlib.crc32(_HEADER.pack(BLOB_MAGIC, FORMAT_VERSION, self.num_frames)))
+    def write(self, obs: np.ndarray, actions: np.ndarray) -> None:
+        """Replace the blob's frames, recording its new crc32 (the next read checks it)."""
+        self.crc32, self._checked = _write_blob(self.path, obs, actions), None
 
 
 @dataclass
@@ -156,13 +149,7 @@ class Dataset:
         """int64 offset of each trajectory's first frame in dataset order, then the total."""
         return np.cumsum([0, *(t.num_frames for t in self.trajectories)], dtype=np.int64)
 
-    def read_buffer(self) -> np.ndarray:
-        """A byte buffer that the frames of any stored trajectory fit, for a pass to reuse."""
-        row = 4 * (self.obs_dim + self.action_dim)
-        return np.empty(max((t.num_frames * row for t in self.trajectories if isinstance(t, StoredTrajectory)),
-                            default=0), np.uint8)
-
-    def checked(self, buf: np.ndarray | None) -> Iterator[tuple[Trajectory, np.ndarray, np.ndarray]]:
+    def checked(self) -> Iterator[tuple[Trajectory, np.ndarray, np.ndarray]]:
         """Each trajectory with its frames, checked by ``Trajectory.validate``, one at a time;
         a repeated id is an ``InvalidManifest``."""
         seen: set[str] = set()
@@ -170,15 +157,11 @@ class Dataset:
             if traj.id in seen:
                 raise InvalidManifest(f"duplicate trajectory id '{traj.id}'")
             seen.add(traj.id)
-            yield traj, *traj.validate(self.obs_dim, self.action_dim, buf)
+            yield traj, *traj.validate(self.obs_dim, self.action_dim)
 
     def validate(self) -> None:
         """Checks ids, fps and every trajectory's frames, reading each blob once."""
-        try:
-            buf = self.read_buffer()
-        except MemoryError:  # frame counts beyond memory: each read checks its blob's size first
-            buf = None
-        for _ in self.checked(buf):
+        for _ in self.checked():
             pass
 
 
@@ -207,18 +190,18 @@ def _write_blob(path: Path, obs: np.ndarray, actions: np.ndarray) -> int:
 
 
 def _read_blob(fh, traj_id: str, num_frames: int, dims: tuple[int, int], crc: int | None,
-               buf: np.ndarray | None, checked: tuple | None = None) -> tuple[np.ndarray, tuple | None]:
+               checked: tuple | None = None) -> tuple[np.ndarray, tuple | None]:
     """A blob's (frames, obs_dim + action_dim) f32 rows, read from the open file ``fh`` into
-    ``buf`` if it is large enough, and the file's identity (inode, size, mtime, ctime) for a
-    later read to pass as ``checked``: the crc32 is skipped while the identity is that one.
-    An identity changed in the last 2 s is not returned, as a rewrite within the file
-    system's timestamp granularity could keep it."""
+    an array made once the file's size matches the manifest, and the file's identity (inode,
+    size, mtime, ctime) for a later read to pass as ``checked``: the crc32 is skipped while
+    the identity is that one. An identity changed in the last 2 s is not returned, as a
+    rewrite within the file system's timestamp granularity could keep it."""
     row, header, st = sum(dims), bytearray(_HEADER.size), os.fstat(fh.fileno())
     expected, identity = num_frames * row * 4, (st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
     size = st.st_size - _HEADER.size
     got = fh.readinto(header) - _HEADER.size
     if size == expected and got == 0:
-        payload = (buf if buf is not None and buf.size >= size else np.empty(size, np.uint8))[:size]
+        payload = np.empty(size, np.uint8)
         got = fh.readinto(payload)
     if got < 0 or header[:4] != BLOB_MAGIC:
         raise TruncatedBlob(traj_id, "bad or missing TRJC header")
@@ -248,7 +231,7 @@ def save_dataset(ds: Dataset, root_path: str | os.PathLike) -> Dataset:
     saved = Dataset([], ds.obs_dim, ds.action_dim, ds.meta)
     with staged_outputs(root_path) as stage:
         (stage / "trajectories").mkdir()
-        for traj, obs, actions in ds.checked(ds.read_buffer()):
+        for traj, obs, actions in ds.checked():
             if not _ID_RE.fullmatch(traj.id):
                 raise IoFailure(f"trajectory id '{traj.id}' is not filename-safe")
             crc = _write_blob(stage / "trajectories" / f"{traj.id}.bin", obs, actions)

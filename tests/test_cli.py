@@ -641,8 +641,8 @@ def test_failed_command_leaves_the_previous_outputs_whole(six_run, tmp_path, mon
 
 
 def test_failed_blob_io_in_gen_leaves_the_previous_outputs_whole(six_run, tmp_path, monkeypatch, capsys):
-    """gen writes each blob as it builds its trajectory, then rewrites in place the two
-    blobs whose planted copy has its source in a later trajectory, and its self-check
+    """gen writes each blob as it builds its trajectory, then reads and writes again the
+    two blobs whose planted copy has its source in a later trajectory, and its self-check
     reads the four staged blobs, all before the commit. An OSError at the k-th blob open,
     for every k, ends in exit 2 with one error line: every previous output stays as it
     was, byte for byte, and no staging directory is left."""
@@ -668,8 +668,25 @@ def test_failed_blob_io_in_gen_leaves_the_previous_outputs_whole(six_run, tmp_pa
         assert len(err) == 1 and err[0].startswith("trajcurate: data error: ") and "No space left" in err[0]
         assert _tree(Path(".")) == before
         assert not list(Path(".").rglob(".trajcurate-*"))
-    assert modes == ["wb"] * 4 + ["r+b"] * 2 + ["rb"] * 4 and k == len(modes) + 1
+    assert modes == ["wb"] * 4 + ["rb", "wb"] * 2 + ["rb"] * 4 and k == len(modes) + 1
     assert len(list(Path("data/trajectories").iterdir())) == 4
+
+
+def test_empty_manifest_is_exit_0_or_one_error_line(six_run, tmp_path, monkeypatch, capsys):
+    """On a dataset whose manifest lists no trajectories, every command that reads
+    one either succeeds or ends in exit 2 with one typed error line, its last."""
+    shutil.copytree(six_run, tmp_path / "run")
+    monkeypatch.chdir(tmp_path / "run")
+    manifest = json.loads(Path("data/manifest.json").read_text())
+    Path("data/manifest.json").write_text(json.dumps({**manifest, "trajectories": []}))
+    for command in ("train-progress", "score-subopt", "dedup", "curate", "calibrate"):
+        capsys.readouterr()
+        code = main(_argv(command, 6))
+        err = capsys.readouterr().err.splitlines()
+        assert not any("Traceback" in line for line in err), command
+        if code:
+            assert code == 2 and err[-1].startswith("trajcurate: data error: "), (command, err)
+            assert sum(line.startswith("trajcurate: ") for line in err) == 1, (command, err)
 
 
 def test_checkpoint_bins_must_match_the_config(six_run, tmp_path, monkeypatch, capsys):

@@ -1007,6 +1007,28 @@ def test_chunk_embeddings_round_trip(tmp_path):
     assert len(raw) == 12 + 7 * 12 * 4
 
 
+def test_precomputed_rows_normalize_with_the_bits_of_norm_and_divide():
+    """cluster_dataset's unit rows equal np.linalg.norm, a division and an np.where,
+    byte for byte, over several blocks: all-zero, −0.0 and underflowing rows become +0.0."""
+    x = np.random.default_rng(3).normal(size=(3000, 40)) * np.logspace(-150, 150, 3000)[:, None]
+    x[7], x[1500], x[2999], x[8] = 0.0, -0.0, 1e-200, -1e-160
+    norms = np.linalg.norm(x, axis=1)
+    old = np.where(norms[:, None] > 0, x / np.maximum(norms, 1e-300)[:, None], 0.0)
+    got = dedup._unit_rows(x)
+    assert got.tobytes() == old.tobytes() and not np.signbit(got[[7, 1500, 2999]]).any()
+
+
+def test_precomputed_row_normalization_holds_one_copy():
+    x = np.random.default_rng(4).normal(size=(3000, 272))
+    tracemalloc.start()
+    try:
+        dedup._unit_rows(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes + 2 * dedup._GATHER_ELEMS * 8
+
+
 def test_chunk_embeddings_errors(tmp_path):
     with pytest.raises(IoFailure):
         load_chunk_embeddings(tmp_path / "missing.bin")
@@ -1027,3 +1049,6 @@ def test_chunk_embeddings_errors(tmp_path):
         save_chunk_embeddings(good, emb)
         with pytest.raises(NonFiniteValue, match="chunk 2 contains NaN/Inf"):
             load_chunk_embeddings(good)
+    save_chunk_embeddings(good, np.zeros((3, 0), dtype=np.float32))
+    with pytest.raises(IoFailure, match="dimension 0"):
+        load_chunk_embeddings(good)

@@ -324,17 +324,6 @@ def test_loaded_trajectories_hold_no_frames(tmp_path):
     assert back.trajectories[3].actions.tobytes() == ds.trajectories[3].actions.tobytes()
 
 
-def test_stage_reads_are_views_into_one_buffer(tmp_path):
-    root = _saved_dataset(tmp_path, num_traj=3, n=10)
-    ds = load_dataset(root)
-    buf = ds.read_buffer()
-    assert buf.nbytes == 10 * (6 + 3) * 4
-    for traj in ds.trajectories:
-        obs, actions = traj.frames(buf)
-        assert np.shares_memory(obs, buf) and np.shares_memory(actions, buf)
-        assert obs.tobytes() == traj.obs.tobytes() and actions.tobytes() == traj.actions.tobytes()
-
-
 def _delete(blob: Path, other: Path) -> None:
     blob.unlink()
 
