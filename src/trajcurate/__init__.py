@@ -22,7 +22,6 @@ from .dedup import (
     chunk_dataset,
     dedup_dataset,
     duplicate_mask,
-    embed_chunk,
     kmeans,
     similarity_scores,
 )
@@ -33,7 +32,6 @@ from .progress import (
     TemporalBins,
     TrainingPairs,
     ValidationReport,
-    bin_of,
     default_bins,
     sample_training_pairs,
     train_progress_model,
@@ -71,13 +69,13 @@ __all__ = [
     "save_model", "load_model",
     # progress
     "TemporalBins", "TrainingPairs", "SamplingConfig", "ValidationReport",
-    "bin_of", "default_bins", "sample_training_pairs", "train_progress_model",
+    "default_bins", "sample_training_pairs", "train_progress_model",
     # suboptimality
     "SuboptConfig", "ScoreSeries", "aggregate_sample_scores", "discount_scores",
     "mix_scores", "subopt_mask", "score_dataset",
     # dedup
-    "DedupConfig", "Chunks", "ClusterModel", "chunk_dataset", "embed_chunk",
-    "kmeans", "similarity_scores", "duplicate_mask", "dedup_dataset",
+    "DedupConfig", "Chunks", "ClusterModel", "chunk_dataset", "kmeans",
+    "similarity_scores", "duplicate_mask", "dedup_dataset",
     # calibration
     "RatioCurve", "ratio_curve", "dedup_ratio_curve", "threshold_for_ratio",
     "invert_sampled_curve", "combine_masks",

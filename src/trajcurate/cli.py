@@ -34,6 +34,7 @@ from .subopt import score_dataset, subopt_report
 from .synthgen import generate, GroundTruth, evaluate_masks, separation_self_check
 from .trajstore import (
     REASONS,
+    SINGLETON_SENTINEL,
     load_dataset,
     read_masks,
     seconds_to_frames,
@@ -227,7 +228,7 @@ def _cmd_calibrate(args, cfg: PipelineConfig) -> int:
     # clustering first, as in curate: the features are freed before scoring's
     # arrays are made (a lower peak RSS)
     clustered = cluster_dataset(ds, cfg.dedup, _load_embeddings_if_present(data))
-    sims = clustered[3][clustered[3] > -1.5]
+    sims = clustered[3][clustered[3] > SINGLETON_SENTINEL]
     dup_curves = []
     if sims.size:
         grid = np.append(_quantile_grid(sims, 17), max(1.0, float(sims.max()) + 1e-9))

@@ -17,7 +17,7 @@ A top-level ``seed`` fills in any section seed that the file leaves unset.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import get_type_hints
@@ -71,16 +71,23 @@ def _section(raw: dict, name: str) -> dict:
 
 
 def _build(cls, kwargs: dict, name: str):
-    # a field annotated int takes a JSON integer, not a float or a boolean;
-    # one annotated int | None also takes null. A float in a field annotated
-    # float or float | None must be finite: json reads NaN, Infinity and 1e999.
+    # a field annotated int takes a JSON integer, not a float or a boolean, one
+    # annotated float a finite JSON number, not a boolean (json reads NaN,
+    # Infinity and 1e999, and integers past float range), and either also null
+    # when annotated "| None". One annotated bool takes only a boolean.
     hints = get_type_hints(cls)
     for key, value in kwargs.items():
-        if hints[key] is int or (hints[key] == int | None and value is not None):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"'{name}.{key}' must be an integer, got {json.dumps(value)}")
-        if hints[key] in (float, float | None) and isinstance(value, float) and not math.isfinite(value):
+        hint = hints[key]
+        if value is None and hint in (int | None, float | None):
+            continue
+        if hint in (int, int | None) and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ConfigError(f"'{name}.{key}' must be an integer, got {json.dumps(value)}")
+        if hint in (float, float | None) and (isinstance(value, bool) or not isinstance(value, (int, float))):
+            raise ConfigError(f"'{name}.{key}' must be a number, got {json.dumps(value)}")
+        if hint in (float, float | None) and not (-sys.float_info.max <= value <= sys.float_info.max):
             raise ConfigError(f"'{name}.{key}' must be finite, got {json.dumps(value)}")
+        if hint is bool and not isinstance(value, bool):
+            raise ConfigError(f"'{name}.{key}' must be true or false, got {json.dumps(value)}")
     try:
         return cls(**kwargs)
     except (ValueError, TypeError) as exc:
@@ -110,7 +117,7 @@ def config_from_dict(raw: dict) -> PipelineConfig:
 
     hidden = train_kw.pop("hidden_sizes", [64, 64])
     if not (isinstance(hidden, (list, tuple)) and hidden
-            and all(isinstance(h, int) and h > 0 for h in hidden)):
+            and all(isinstance(h, int) and not isinstance(h, bool) and h > 0 for h in hidden)):
         raise ConfigError("'train.hidden_sizes' must be a list of positive integers")
     sampling_kw = {k: train_kw.pop(k) for k in _SAMPLING_KEYS if k in train_kw}
     sampling_kw["seed"] = train_kw.get("seed", seed)
@@ -144,6 +151,6 @@ def load_config(path: str | Path | None) -> PipelineConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer of more digits than Python converts
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return config_from_dict(raw)

@@ -18,10 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput, IoFailure, KTooLarge, NonFiniteValue
-from .trajstore import DUPLICATE, CurationMask, Dataset, seconds_to_frames
+from .trajstore import DUPLICATE, SINGLETON_SENTINEL, UNCHUNKED_SENTINEL, CurationMask, Dataset, seconds_to_frames
 
-SINGLETON_SENTINEL = -2.0
-UNCHUNKED_SENTINEL = -1.0
 CEMB_MAGIC = b"CEMB"
 
 
@@ -113,25 +111,6 @@ def _per_frame(ds: Dataset, chunks: Chunks, values: np.ndarray, fill: float | bo
     return frames
 
 
-def embed_chunk(obs: np.ndarray, actions: np.ndarray, action_weight: float) -> np.ndarray:
-    """Joint state-action feature for one chunk's N subsampled frames.
-
-    Layout: mean observation (D), consecutive observation differences
-    ((N−1)·D), then flattened actions scaled by λ (N·A); L2-normalized.
-    An all-zero chunk stays the zero vector.
-    """
-    obs = np.asarray(obs, dtype=np.float64)
-    actions = np.asarray(actions, dtype=np.float64)
-    if obs.ndim != 2 or actions.ndim != 2 or obs.shape[0] != actions.shape[0]:
-        raise DimensionMismatch(
-            f"chunk frames {obs.shape} and actions {actions.shape} disagree"
-        )
-    z_v = np.concatenate([obs.mean(axis=0), np.diff(obs, axis=0).ravel()])
-    raw = np.concatenate([z_v, actions.ravel() * action_weight])
-    norm = float(np.linalg.norm(raw))
-    return raw / norm if norm > 0 else raw
-
-
 def _balanced_weight(sq_v: np.ndarray, sq_a: np.ndarray, vis: int, act: int) -> float:
     """λ that gives the action blocks (``act`` wide) the RMS of the visual
     blocks (``vis`` wide), from each chunk's sums of squares of the two,
@@ -147,11 +126,14 @@ def _balanced_weight(sq_v: np.ndarray, sq_a: np.ndarray, vis: int, act: int) -> 
 def compute_features(
     ds: Dataset, chunks: Chunks, cfg: DedupConfig, members: np.ndarray | None = None
 ) -> tuple[np.ndarray, float]:
-    """The (n, d) matrix of ``embed_chunk`` features in chunk order, and λ.
+    """The (n, d) joint state-action features in chunk order, and λ.
 
-    Each trajectory's chunk frames are gathered once and their mean, diff
-    and action blocks written straight into the result's rows, which are
-    then scaled and normalized in place. With ``members`` (ascending chunk
+    A chunk's row, from its N subsampled frames: mean observation (D),
+    consecutive observation differences ((N−1)·D), then flattened actions
+    scaled by λ (N·A); L2-normalized, and an all-zero row stays zero. Each
+    trajectory's chunk frames are gathered once and their mean, diff and
+    action blocks written straight into the result's rows, which are then
+    scaled and normalized in place. With ``members`` (ascending chunk
     indices) the result holds only their rows, and each trajectory's rows
     pass through a block of their own: λ still weighs every chunk.
     """
@@ -180,7 +162,7 @@ def compute_features(
             raw[a:b] = rows[members[a:b] - lo]
     lam = float(cfg.action_weight) if cfg.action_weight is not None else _balanced_weight(sq_v, sq_a, vis, d - vis)
     raw[:, vis:] *= lam
-    # one dot product per row, as embed_chunk's norm takes it
+    # one dot product per row, as np.linalg.norm takes it of one vector
     norms = np.sqrt((raw[:, None, :] @ raw[:, :, None]).ravel())
     np.divide(raw, norms[:, None], out=raw, where=norms[:, None] > 0)
     return raw, lam

@@ -67,12 +67,6 @@ class EmptyTrainingSet(CurationError):
     pass
 
 
-# --- progress -----------------------------------------------------------------
-
-class NegativeDuration(CurationError):
-    pass
-
-
 # --- dedup --------------------------------------------------------------------
 
 class EmptyInput(CurationError):

@@ -43,7 +43,6 @@ class MlpClassifier:
     layer_sizes: tuple[int, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    activation: str = "relu"
     seed: int = 0
     meta: dict = field(default_factory=dict)  # more checkpoint header entries
 
@@ -54,9 +53,6 @@ class MlpClassifier:
     @property
     def num_classes(self) -> int:
         return self.layer_sizes[-1]
-
-    def copy(self) -> "MlpClassifier":
-        return replace(self, weights=[w.copy() for w in self.weights], biases=[b.copy() for b in self.biases])
 
     def num_params(self) -> int:
         return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
@@ -101,28 +97,24 @@ def init_mlp(layer_sizes: list[int] | tuple[int, ...], seed: int = 0) -> MlpClas
     return MlpClassifier(layer_sizes=sizes, weights=weights, biases=biases, seed=seed)
 
 
-def _as_batch(model: MlpClassifier, x: np.ndarray) -> tuple[np.ndarray, bool]:
+def _as_batch(model: MlpClassifier, x: np.ndarray) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != model.input_dim:
-        raise DimensionMismatch(f"input shape {np.asarray(x).shape} incompatible with input size {model.input_dim}")
-    return arr, single
+        raise DimensionMismatch(f"input shape {arr.shape} incompatible with input size {model.input_dim}")
+    return arr
 
 
 def forward(model: MlpClassifier, x: np.ndarray) -> np.ndarray:
-    """Class probabilities for one vector or a batch of rows."""
-    a, single = _as_batch(model, x)
-    probs = _softmax_forward(model.weights, model.biases, a, Workspace(model.layer_sizes, a.shape[0]))
-    return probs[0] if single else probs
+    """Class probabilities for a batch of rows, (n, input_dim) -> (n, classes)."""
+    a = _as_batch(model, x)
+    return _softmax_forward(model.weights, model.biases, a, Workspace(model.layer_sizes, a.shape[0]))
 
 
 def _check_batch(
     model: MlpClassifier, x: np.ndarray, labels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Inputs as float64 rows and labels as int64, or a typed error."""
-    x, _ = _as_batch(model, x)
+    x = _as_batch(model, x)
     y = np.asarray(labels, dtype=np.int64).ravel()
     n = y.shape[0]
     if n == 0:
@@ -293,14 +285,6 @@ def _layer_views(flat: np.ndarray, sizes: tuple[int, ...]) -> tuple[list[np.ndar
     return weights, biases
 
 
-def set_flat_params(model: MlpClassifier, flat: np.ndarray) -> None:
-    """Replace the parameters with views of a float64 copy of ``flat``."""
-    flat = np.array(flat, dtype=np.float64)
-    if flat.shape[0] != model.num_params():
-        raise DimensionMismatch(f"{flat.shape[0]} params for model with {model.num_params()}")
-    model.weights, model.biases = _layer_views(flat, model.layer_sizes)
-
-
 def flatten_grads(grads: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """``[(dW, db), ...]`` as one vector in the ``get_flat_params`` layout."""
     return np.concatenate([a.ravel() for pair in grads for a in pair])
@@ -311,12 +295,13 @@ def flatten_grads(grads: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
 
 def save_model(model: MlpClassifier, path: str | os.PathLike) -> None:
     """One file: newline-terminated JSON header (``model.meta``, the
-    architecture and the blob's ``crc32``), then the f32 LE blob."""
+    architecture, ``"activation": "relu"`` and the blob's ``crc32``), then
+    the f32 LE blob."""
     blob = get_flat_params(model).astype("<f4").tobytes()
     header = {
         **model.meta,
         "layer_sizes": list(model.layer_sizes),
-        "activation": model.activation,
+        "activation": "relu",
         "seed": model.seed,
         "crc32": zlib.crc32(blob),
     }
@@ -333,8 +318,9 @@ def load_model(path: str | os.PathLike) -> MlpClassifier:
     """Read a ``save_model`` checkpoint.
 
     A missing, truncated or malformed file, one without a checksum or whose
-    parameters do not match it, or one holding NaN/Inf parameters, raises
-    ``IoFailure``; impossible layer sizes raise ``InvalidArchitecture``.
+    parameters do not match it, one naming an activation other than
+    ``"relu"``, or one holding NaN/Inf parameters, raises ``IoFailure``;
+    impossible layer sizes raise ``InvalidArchitecture``.
     """
     try:
         raw = Path(path).read_bytes()
@@ -347,12 +333,14 @@ def load_model(path: str | os.PathLike) -> MlpClassifier:
         header = json.loads(raw[:nl].decode("utf-8"))
         sizes = tuple(int(s) for s in header.pop("layer_sizes"))
         seed = int(header.pop("seed", 0))
-        activation = str(header.pop("activation", "relu"))
+        activation = header.pop("activation", "relu")
         crc = header.pop("crc32", None)
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise IoFailure(f"checkpoint {path}: bad header ({exc})") from exc
     if seed < 0:
         raise IoFailure(f"checkpoint {path}: negative seed {seed}")
+    if activation != "relu":  # the forward pass applies ReLU and nothing else
+        raise IoFailure(f"checkpoint {path}: activation {json.dumps(activation)}, only \"relu\" is supported")
     # the blob length is checked against the header before anything is
     # allocated, so a corrupt size cannot ask for gigabytes
     blob = raw[nl + 1 :]
@@ -368,4 +356,4 @@ def load_model(path: str | os.PathLike) -> MlpClassifier:
         raise IoFailure(f"checkpoint {path}: non-finite parameters")
     _check_sizes(sizes)
     weights, biases = _layer_views(params.astype(np.float64), sizes)
-    return MlpClassifier(sizes, weights, biases, activation, seed, header)
+    return MlpClassifier(sizes, weights, biases, seed, header)

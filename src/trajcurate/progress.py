@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .errors import DimensionMismatch, EmptyTrainingSet, NegativeDuration
+from .errors import DimensionMismatch, EmptyTrainingSet
 from .trajstore import Dataset, seconds_to_frames
 
 DEFAULT_EDGES = (0.0, 0.5, 1.0, 2.0, 5.0)
@@ -68,13 +68,6 @@ def default_bins(dt_cap: float = DEFAULT_DT_CAP) -> TemporalBins:
     return TemporalBins(edges=DEFAULT_EDGES, representatives=tuple(reps))
 
 
-def bin_of(bins: TemporalBins, dt: float) -> int:
-    if dt < 0:
-        raise NegativeDuration(f"duration {dt} < 0")
-    idx = int(np.searchsorted(bins.edges, dt, side="right")) - 1
-    return min(idx, bins.num_bins - 1)
-
-
 @dataclass(frozen=True)
 class TrainingPairs:
     """Training pairs as parallel arrays: row ``j`` is frame ``t[j]`` of
@@ -113,10 +106,10 @@ def sample_training_pairs(
     Per pair: anchor uniform over frames with at least one reachable bin,
     then a bin uniform over those reachable from that anchor, then the frame
     gap uniform over the bin's feasible gaps (open-ended bin truncated at
-    ``dt_cap``). Sampling durations on the frame grid keeps every label
-    exactly ``bin_of(dt)``. Each trajectory gets its own child RNG stream, so
-    results are stable per trajectory. All draws come first, into int64
-    columns; then one gather per trajectory writes its deltas into ``x``.
+    ``dt_cap``). Sampling durations on the frame grid makes every label
+    the bin that holds ``dt``. Each trajectory gets its own child RNG
+    stream, so results are stable per trajectory. All draws come first, into
+    int64 columns; then one gather per trajectory writes its deltas into ``x``.
     """
     if dt_cap <= bins.edges[-1]:
         raise ValueError(f"dt_cap {dt_cap} must exceed last edge {bins.edges[-1]}")
@@ -250,8 +243,8 @@ def train_progress_model(
 
 def progress_from_deltas(model: nn.MlpClassifier, bins: TemporalBins, deltas: np.ndarray,
                          mode: str = "expectation") -> np.ndarray:
-    """T_p for each delta-feature row, in seconds."""
-    probs = np.atleast_2d(nn.forward(model, deltas))
+    """T_p for each row of the (n, D) delta features, in seconds."""
+    probs = nn.forward(model, deltas)
     reps = np.asarray(bins.representatives)
     if probs.shape[1] != reps.shape[0]:
         raise DimensionMismatch(

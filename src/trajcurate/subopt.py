@@ -18,6 +18,7 @@ from .errors import EmptyScores
 from .progress import TemporalBins, progress_from_deltas
 from .trajstore import (
     SUBOPTIMAL,
+    UNCHUNKED_SENTINEL,
     CurationMask,
     Dataset,
     Trajectory,
@@ -84,21 +85,16 @@ def aggregate_sample_scores(
     window_scores: np.ndarray,
     w: int,
     traj_len: int,
-    starts: np.ndarray | None = None,
+    starts: np.ndarray,
 ) -> np.ndarray:
-    """Average of all windows whose start falls in [i-w, i], per frame i.
+    """Average of all windows whose start falls in [i-w, i], per frame i;
+    ``starts`` holds each window's first frame, ascending.
 
     Near trajectory edges fewer windows exist; the average is over however
     many are actually there, so edge frames are not systematically
-    under-scored. Frames covered by no window score 0. ``starts`` defaults
-    to the dense stride-1 grid.
+    under-scored. Frames covered by no window score 0.
     """
     scores = np.asarray(window_scores, dtype=np.float64)
-    num_windows = scores.shape[0]
-    if num_windows == 0:
-        return np.zeros(traj_len)
-    if starts is None:
-        starts = np.arange(num_windows)
     csum = np.concatenate([[0.0], np.cumsum(scores)])
     i = np.arange(traj_len)
     lo = np.searchsorted(starts, i - w, side="left")
@@ -184,8 +180,8 @@ def score_dataset(
         if series:
             series_list.append(one)
     ids = tuple(t.id for t in ds.trajectories)
-    # no frame is covered by a chunk here: a read-only broadcast of −1 holds no memory
-    return series_list, CurationMask(ids, bounds, keep, reason, final, np.broadcast_to(-1.0, final.shape))
+    # no frame is covered by a chunk here: a read-only broadcast holds no memory
+    return series_list, CurationMask(ids, bounds, keep, reason, final, np.broadcast_to(UNCHUNKED_SENTINEL, final.shape))
 
 
 def subopt_report(mask: CurationMask, cfg: SuboptConfig) -> dict:

@@ -72,8 +72,8 @@ class SynthConfig:
         if unknown:
             raise InvalidConfig(f"unknown anomaly types {sorted(unknown)}")
         rates = [self.anomaly_rates.get(t, 0.0) for t in ANOMALY_TYPES]
-        if any(not (0.0 <= r <= 1.0) for r in rates) or not (0.0 <= self.duplicate_rate <= 1.0):
-            raise InvalidConfig("rates must lie in [0, 1]")
+        if any(isinstance(r, bool) or not (0.0 <= r <= 1.0) for r in rates) or not (0.0 <= self.duplicate_rate <= 1.0):
+            raise InvalidConfig("rates must be numbers in [0, 1]")
         if sum(rates) > 1.0 + 1e-9:
             raise InvalidConfig("anomaly rates sum above 1; trajectories get one type each")
         if self.context_dim < 0 or self.phase_gain <= 0 or self.context_scale < 0:
@@ -438,7 +438,7 @@ def _duplicate_metrics(mask: CurationMask, gt: GroundTruth) -> dict:
     }
 
 
-def separation_self_check(ds: Dataset, gt: GroundTruth, action_weight: float | None = None) -> dict:
+def separation_self_check(ds: Dataset, gt: GroundTruth) -> dict:
     """Empirical geometry check of the planted-duplicate construction.
 
     Reports the lowest cosine between two members of one planted group, which
@@ -449,8 +449,7 @@ def separation_self_check(ds: Dataset, gt: GroundTruth, action_weight: float | N
     """
     from .dedup import DedupConfig, chunk_dataset, compute_features
 
-    cfg = DedupConfig(chunk_seconds=gt.chunk_span / ds.trajectories[0].fps,
-                      action_weight=action_weight)
+    cfg = DedupConfig(chunk_seconds=gt.chunk_span / ds.trajectories[0].fps)
     chunks = chunk_dataset(ds, cfg)
     if len(chunks) < 2:
         return {"action_weight": float("nan"), "num_chunks": len(chunks),

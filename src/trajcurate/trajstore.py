@@ -374,30 +374,30 @@ DUPLICATE = 2
 _REASON_NAMES = np.array(REASONS)
 _REASON_CODES = {name: code for code, name in enumerate(REASONS)}
 _MASK_FLOATS_AND_FLAGS = (("keep", bool), ("subopt_score", np.float64), ("dup_similarity", np.float64))
+# dup_similarity values that are no cosine, as CurationMask defines them
+UNCHUNKED_SENTINEL = -1.0
+SINGLETON_SENTINEL = -2.0
 
 
 def _reason_codes(reason) -> np.ndarray:
-    """uint8 codes of per-frame reasons given as names or as codes."""
+    """Per-frame reasons as uint8; they must be integer codes into ``REASONS``."""
     given = np.asarray(reason)
-    if given.dtype.kind in "US":
-        match = given[..., None] == _REASON_NAMES
-        bad, codes = ~match.any(axis=-1), match.argmax(axis=-1)
-    elif given.dtype.kind in "iu" or given.size == 0:
-        bad, codes = (given < 0) | (given >= len(REASONS)), given
-    else:
-        raise MaskShapeMismatch(f"mask reasons of dtype {given.dtype}")
+    if given.dtype.kind not in "iu" and given.size:
+        raise MaskShapeMismatch(f"mask reasons of dtype {given.dtype}: codes into REASONS are needed")
+    bad = (given < 0) | (given >= len(REASONS))
     if bad.any():
         raise MaskShapeMismatch(f"invalid mask reasons {sorted(set(given[bad].tolist()))}")
-    return codes.astype(np.uint8, copy=False)
+    return given.astype(np.uint8, copy=False)
 
 
 @dataclass(frozen=True)
 class CurationMask:
     """Per-frame keep/drop decisions with provenance for a whole dataset, as
     parallel arrays: trajectory ``ids[i]`` owns frames ``bounds[i]`` to
-    ``bounds[i + 1]`` of each per-frame array. ``reason`` may be given as names
-    from ``REASONS`` or as their codes. ``dup_similarity`` is −1 on frames not
-    covered by any chunk and −2 on frames whose chunk sits alone in its cluster.
+    ``bounds[i + 1]`` of each per-frame array. ``reason`` holds codes into
+    ``REASONS``. ``dup_similarity`` is ``UNCHUNKED_SENTINEL`` (−1) on frames not
+    covered by any chunk and ``SINGLETON_SENTINEL`` (−2) on frames whose chunk
+    sits alone in its cluster.
     """
 
     ids: tuple[str, ...]         # unique, in dataset order

@@ -15,7 +15,7 @@ import pytest
 from trajcurate.nn import TrainConfig, init_mlp
 from trajcurate.progress import SamplingConfig, default_bins, train_progress_model
 from trajcurate.synthgen import SynthConfig, generate
-from trajcurate.trajstore import CurationMask, Dataset, Trajectory
+from trajcurate.trajstore import REASONS, CurationMask, Dataset, Trajectory
 
 
 def make_trajectory(rng, traj_id="t0", n=40, obs_dim=6, action_dim=3, fps=10.0):
@@ -37,9 +37,11 @@ def make_dataset(rng, num_traj=4, n=40, obs_dim=6, action_dim=3, fps=10.0):
 
 def make_mask(parts: dict) -> CurationMask:
     """A mask from per-trajectory fields, laid out in the dict's order: ``parts``
-    maps each id to its ``(keep, reason, subopt_score, dup_similarity)``."""
+    maps each id to its ``(keep, reason, subopt_score, dup_similarity)``. A reason
+    given by its name in ``REASONS`` becomes its code."""
     lengths = [len(fields[0]) for fields in parts.values()]
     columns = [[v for fields in parts.values() for v in fields[i]] for i in range(4)]
+    columns[1] = np.array([REASONS.index(r) if isinstance(r, str) else r for r in columns[1]], dtype=np.uint8)
     return CurationMask(tuple(parts), np.cumsum([0, *lengths]), *columns)
 
 

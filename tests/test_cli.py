@@ -12,6 +12,7 @@ import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -271,6 +272,28 @@ def test_integer_config_fields_reject_floats_and_booleans():
                     config_from_dict({section: {f.name: bad}})
 
 
+def test_float_and_bool_config_fields_take_only_their_json_types():
+    sections = [
+        ("subopt", SuboptConfig()), ("dedup", DedupConfig()), ("train", TrainConfig()),
+        ("train", SamplingConfig()), ("synth", SynthConfig()),
+    ]
+    for section, default in sections:
+        hints = get_type_hints(type(default))
+        for f in fields(default):
+            if (section, f.name) in {("synth", "phase_turns"), ("synth", "context_scale")}:
+                continue
+            if hints[f.name] in (float, float | None):
+                config_from_dict({section: {f.name: getattr(default, f.name)}})
+                for bad in (True, False, "1.0"):
+                    with pytest.raises(ConfigError, match="must be a number"):
+                        config_from_dict({section: {f.name: bad}})
+            if hints[f.name] is bool:
+                config_from_dict({section: {f.name: True}})
+                for bad in (0, 1, "false", None):
+                    with pytest.raises(ConfigError, match="must be true or false"):
+                        config_from_dict({section: {f.name: bad}})
+
+
 class _Literal(str):
     """A config value given as its JSON text, for a literal that json.dumps
     never writes, such as 1e999."""
@@ -295,6 +318,9 @@ class _Literal(str):
     ("curate", "subopt", "window_seconds", math.inf),
     ("curate", "dedup", "chunk_seconds", math.inf),
     ("curate", "dedup", "chunk_seconds", _Literal("1e999")),
+    # integers past float range, and past the digits Python converts from text
+    pytest.param("curate", "subopt", "window_seconds", _Literal("1" + "0" * 400), id="window_seconds-401-digits"),
+    pytest.param("curate", "subopt", "window_seconds", _Literal("1" + "0" * 5000), id="window_seconds-5001-digits"),
     ("train-progress", "train", "dt_cap", math.inf),
     ("gen", "synth", "fps", math.inf),
     # finite, but too many frames once multiplied by a frame rate
@@ -313,6 +339,14 @@ class _Literal(str):
     ("curate", "dedup", "max_iters", -3),
     ("train-progress", "train", "pairs_per_traj", 0),
     ("train-progress", "train", "pairs_per_traj", -5),
+    # a bool key takes only true or false, a float key never a boolean
+    ("dedup", "dedup", "drop_all_over_threshold", "false"),
+    ("dedup", "dedup", "drop_all_over_threshold", 0),
+    ("gen", "synth", "fps", True),
+    ("gen", "synth", "anomaly_rates", {"pause": True}),
+    ("curate", "subopt", "gamma", True),
+    ("curate", "subopt", "epsilon_s", "0.5"),
+    ("train-progress", "train", "hidden_sizes", [True, 4]),
 ])
 def test_bad_config_value_is_config_error(pipeline, tmp_path, capsys, command, section, key, value):
     cfg = tmp_path / "config.json"
@@ -717,6 +751,25 @@ def test_checkpoint_without_bins_is_data_error(six_run, tmp_path, monkeypatch, c
 def test_checkpoint_without_checksum_is_data_error(six_run, tmp_path, monkeypatch, capsys):
     """A header without the parameters' crc32 is not trusted: it asks for retraining."""
     _assert_header_entry_asks_for_retraining(six_run, tmp_path, monkeypatch, capsys, "crc32")
+
+
+def test_checkpoint_with_another_activation_is_data_error(six_run, tmp_path, monkeypatch, capsys):
+    """The forward pass applies ReLU only, so a header naming another activation
+    is not scored as if it named ReLU: every scoring command exits 2 with one
+    line and writes nothing."""
+    shutil.copytree(six_run, tmp_path / "run")
+    monkeypatch.chdir(tmp_path / "run")
+    header, blob = Path("model.ckpt").read_bytes().split(b"\n", 1)
+    assert json.loads(header)["activation"] == "relu"
+    Path("model.ckpt").write_bytes(header.replace(b'"relu"', b'"tanh"') + b"\n" + blob)
+    before = _tree(Path("."))
+    for command in ("score-subopt", "calibrate", "curate"):
+        capsys.readouterr()
+        assert main(_argv(command, 6)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("trajcurate: data error: ") and err.count("\n") == 1
+        assert '"tanh"' in err
+        assert _tree(Path(".")) == before
 
 
 def _assert_header_entry_asks_for_retraining(six_run, tmp_path, monkeypatch, capsys, entry):

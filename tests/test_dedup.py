@@ -18,7 +18,6 @@ from trajcurate.dedup import (
     dedup_dataset,
     default_k,
     duplicate_mask,
-    embed_chunk,
     kmeans,
     load_chunk_embeddings,
     save_chunk_embeddings,
@@ -35,6 +34,7 @@ from trajcurate.errors import (
 from trajcurate.trajstore import Dataset, load_dataset, save_dataset, seconds_to_frames
 
 from conftest import make_dataset, make_trajectory
+from oracles import embed_chunk
 
 
 # --- oracles -------------------------------------------------------------------

@@ -27,16 +27,16 @@ from trajcurate.nn import (
     load_model,
     loss_and_grad,
     save_model,
-    set_flat_params,
     train,
 )
+from oracles import copy_model, set_flat_params
 
 
 def numerical_gradient(model, x, y, l2=0.0, eps=1e-6):
     """Central finite differences through the flat-parameter view."""
     theta = get_flat_params(model)
     grad = np.zeros_like(theta)
-    probe = model.copy()
+    probe = copy_model(model)
     for i in range(theta.size):
         bumped = theta.copy()
         bumped[i] += eps
@@ -88,12 +88,12 @@ def test_forward_hand_computed():
                  np.array([[1.0, 0.0], [0.5, -0.5]])],
         biases=[np.array([0.0, 0.5]), np.array([0.1, -0.1])],
     )
-    x = np.array([1.0, 2.0])
+    x = np.array([[1.0, 2.0]])
     h = np.maximum([1.0 * 1 + 0.0 * 2 + 0.0, -1.0 * 1 + 2.0 * 2 + 0.5], 0.0)  # [1, 3.5]
     logits = np.array([h @ [1.0, 0.5] + 0.1, h @ [0.0, -0.5] - 0.1])  # [2.85, -1.85]
     expected = np.exp(logits - logits.max())
     expected /= expected.sum()
-    np.testing.assert_allclose(forward(m, x), expected, rtol=1e-12)
+    np.testing.assert_allclose(forward(m, x)[0], expected, rtol=1e-12)
 
 
 def test_forward_batch_and_single_agree():
@@ -102,13 +102,15 @@ def test_forward_batch_and_single_agree():
     batch = forward(m, x)
     assert batch.shape == (4, 3)
     for i in range(4):
-        np.testing.assert_allclose(forward(m, x[i]), batch[i], rtol=1e-12)
+        np.testing.assert_allclose(forward(m, x[i : i + 1])[0], batch[i], rtol=1e-12)
 
 
 def test_forward_rejects_wrong_width():
+    # a single vector is no batch, also at the right width
     m = init_mlp([5, 3], seed=0)
-    with pytest.raises(DimensionMismatch):
-        forward(m, np.zeros(4))
+    for x in (np.zeros((2, 4)), np.zeros(4), np.zeros(5)):
+        with pytest.raises(DimensionMismatch):
+            forward(m, x)
 
 
 @given(
@@ -276,7 +278,7 @@ def test_diverged_training_raises_without_warnings():
 def _sgd_over_loss_and_grad(model, x, labels, cfg):
     """Reference SGD loop: one ``loss_and_grad`` call per minibatch."""
     y = np.asarray(labels, dtype=np.int64).ravel()
-    trained = model.copy()
+    trained = copy_model(model)
     rng = np.random.default_rng(cfg.seed)
     n = y.shape[0]
     for _ in range(cfg.epochs):
@@ -431,7 +433,7 @@ def test_trained_model_owns_its_parameters(tmp_path):
     train(trained, x, y, TrainConfig(epochs=1, batch_size=4))
     assert get_flat_params(trained).tobytes() == trained_params.tobytes()
 
-    dup = trained.copy()
+    dup = copy_model(trained)
     for arr in dup.weights + dup.biases:
         arr += 1.0
     assert get_flat_params(trained).tobytes() == trained_params.tobytes()
@@ -533,6 +535,8 @@ def test_load_model_errors(tmp_path):
         (b'{"layer_sizes": [2, 1]}', b"\x00" * 12, "retrain"),
         (b'{"layer_sizes": [2, 1], "crc32": %d}' % (zlib.crc32(b"\x00" * 12) ^ 1), b"\x00" * 12, "crc32"),
         (b'{"layer_sizes": [2, 1], "crc32": "0"}', b"\x00" * 12, "crc32"),
+        (b'{"layer_sizes": [2, 1], "activation": "tanh", "crc32": %d}' % zlib.crc32(b"\x00" * 12),
+         b"\x00" * 12, "activation"),
         (b'{"layer_sizes": [2, 1], "crc32": %d}' % zlib.crc32(nan), nan, "non-finite"),
         (b'{"layer_sizes": [2, 1], "crc32": %d}' % zlib.crc32(inf), inf, "non-finite"),
     ]:

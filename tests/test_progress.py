@@ -10,13 +10,11 @@ from hypothesis import given, settings, strategies as st
 from trajcurate.errors import (
     DimensionMismatch,
     EmptyTrainingSet,
-    NegativeDuration,
 )
 from trajcurate.nn import TrainConfig, forward, init_mlp
 from trajcurate.progress import (
     SamplingConfig,
     TemporalBins,
-    bin_of,
     default_bins,
     progress_from_deltas,
     sample_training_pairs,
@@ -25,6 +23,7 @@ from trajcurate.progress import (
 from trajcurate.trajstore import Dataset, load_dataset, save_dataset
 
 from conftest import make_dataset, make_trajectory
+from oracles import bin_of
 
 
 # --- bins ---------------------------------------------------------------------
@@ -55,7 +54,7 @@ def test_bin_of_pins(dt, expected):
 
 
 def test_bin_of_rejects_negative():
-    with pytest.raises(NegativeDuration):
+    with pytest.raises(ValueError):
         bin_of(default_bins(), -0.1)
 
 

@@ -66,7 +66,7 @@ def oracle_window_scores(traj, model, bins, cfg):
     scores, starts = [], []
     for s in range(0, traj.num_frames - w + 1, cfg.stride_frames):
         delta = traj.obs[s + w - 1].astype(np.float64) - traj.obs[s].astype(np.float64)
-        probs = forward(model, delta)
+        probs = forward(model, delta[None])[0]
         if cfg.progress_mode == "expectation":
             t_p = float(probs @ reps)
         else:
@@ -106,7 +106,7 @@ def test_config_defaults():
 def test_aggregate_worked_example():
     # 7 frames, 3-frame windows, scores a..e; every average written out
     a, b, c, d, e = 1.0, 2.0, 4.0, 8.0, 16.0
-    got = aggregate_sample_scores(np.array([a, b, c, d, e]), w=3, traj_len=7)
+    got = aggregate_sample_scores(np.array([a, b, c, d, e]), w=3, traj_len=7, starts=np.arange(5))
     expected = [
         a,
         (a + b) / 2,
@@ -134,7 +134,7 @@ def test_aggregate_uncovered_frames_are_zero():
 
 
 def test_aggregate_empty_windows():
-    np.testing.assert_array_equal(aggregate_sample_scores(np.empty(0), 3, 5), np.zeros(5))
+    np.testing.assert_array_equal(aggregate_sample_scores(np.empty(0), 3, 5, np.empty(0, np.int64)), np.zeros(5))
 
 
 @given(
@@ -339,7 +339,7 @@ def test_pipeline_linearity(tiny_model):
     y = rng.uniform(-1, 1, 30)
 
     def f(v):
-        return mix_scores(discount_scores(aggregate_sample_scores(v, 4, 33), 0.9), 0.5)
+        return mix_scores(discount_scores(aggregate_sample_scores(v, 4, 33, np.arange(30)), 0.9), 0.5)
 
     np.testing.assert_allclose(f(2.5 * x), 2.5 * f(x), rtol=1e-12)
     np.testing.assert_allclose(f(x + y), f(x) + f(y), rtol=1e-10, atol=1e-12)

@@ -414,8 +414,10 @@ def _part(mask, traj_id):
 def test_mask_shape_validation():
     with pytest.raises(MaskShapeMismatch):
         make_mask({"t0": (np.ones(3, bool), [""] * 2, np.zeros(3), np.zeros(3))})
-    with pytest.raises(MaskShapeMismatch):
-        make_mask({"t0": _fields(reason=("", "bogus", ""))})
+    keep, _, subopt, dup = _fields()
+    for reason in ([0, len(REASONS), 0], [0, -1, 0], ["", "suboptimal", ""]):  # codes only
+        with pytest.raises(MaskShapeMismatch):
+            CurationMask(("t0",), [0, 3], keep, reason, subopt, dup)
 
 
 @pytest.mark.parametrize("ids, bounds", [
