@@ -70,6 +70,14 @@ def _section(raw: dict, name: str) -> dict:
     return dict(sec)
 
 
+def _shown(value) -> str:
+    """A rejected value's JSON text, or its repr where JSON has none (numpy scalars)."""
+    try:
+        return json.dumps(value)
+    except (TypeError, ValueError):
+        return repr(value)
+
+
 def _build(cls, kwargs: dict, name: str):
     # a field annotated int takes a JSON integer, not a float or a boolean, one
     # annotated float a finite JSON number, not a boolean (json reads NaN,
@@ -81,13 +89,13 @@ def _build(cls, kwargs: dict, name: str):
         if value is None and hint in (int | None, float | None):
             continue
         if hint in (int, int | None) and (isinstance(value, bool) or not isinstance(value, int)):
-            raise ConfigError(f"'{name}.{key}' must be an integer, got {json.dumps(value)}")
+            raise ConfigError(f"'{name}.{key}' must be an integer, got {_shown(value)}")
         if hint in (float, float | None) and (isinstance(value, bool) or not isinstance(value, (int, float))):
-            raise ConfigError(f"'{name}.{key}' must be a number, got {json.dumps(value)}")
+            raise ConfigError(f"'{name}.{key}' must be a number, got {_shown(value)}")
         if hint in (float, float | None) and not (-sys.float_info.max <= value <= sys.float_info.max):
-            raise ConfigError(f"'{name}.{key}' must be finite, got {json.dumps(value)}")
+            raise ConfigError(f"'{name}.{key}' must be finite, got {_shown(value)}")
         if hint is bool and not isinstance(value, bool):
-            raise ConfigError(f"'{name}.{key}' must be true or false, got {json.dumps(value)}")
+            raise ConfigError(f"'{name}.{key}' must be true or false, got {_shown(value)}")
     try:
         return cls(**kwargs)
     except (ValueError, TypeError) as exc:

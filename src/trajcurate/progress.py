@@ -24,7 +24,10 @@ from .trajstore import Dataset, seconds_to_frames
 DEFAULT_EDGES = (0.0, 0.5, 1.0, 2.0, 5.0)
 DEFAULT_DT_CAP = 10.0
 # Rows moved per block when the training rows are partitioned in place.
-_PARTITION_ROWS = 1 << 14
+_PARTITION_ROWS = 1 << 12
+# 32-bit draws decoded together: pair sampling takes a block of trajectories
+# whose draws add up to at most this many (or one trajectory) at a time.
+_BLOCK_DRAWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -94,6 +97,25 @@ def _gap_range(bins: TemporalBins, b: int, fps: float, dt_cap: float) -> tuple[i
     return lo, hi
 
 
+def _bounded(draws: np.ndarray, pos: np.ndarray, rows: np.ndarray, r: np.ndarray, gens: list) -> np.ndarray:
+    """``gens[k].integers(0, r)`` for each row k of ``rows``, decoded from its
+    32-bit draws at ``pos`` by numpy's multiply-shift (Lemire): a range of one
+    value takes no draw, a rejected draw moves that row alone on to its next,
+    and a row that has used all its draws refills them from its generator."""
+    r = r.astype(np.uint64)
+    out = np.zeros(rows.size, dtype=np.int64)
+    todo = np.flatnonzero(r > 1)
+    while todo.size:
+        k = rows[todo]
+        for j in k[pos[k] == draws.shape[1]].tolist():
+            draws[j], pos[j] = gens[j].integers(0, 2**32, size=draws.shape[1], dtype=np.uint32), 0
+        m = draws[k, pos[k]] * r[todo]  # exact in uint64 for r <= 2**32
+        pos[k] += 1
+        out[todo] = m >> 32
+        todo = todo[(m & 0xFFFFFFFF) < (2**32 - r[todo]) % r[todo]]
+    return out
+
+
 def sample_training_pairs(
     ds: Dataset,
     bins: TemporalBins,
@@ -108,37 +130,47 @@ def sample_training_pairs(
     gap uniform over the bin's feasible gaps (open-ended bin truncated at
     ``dt_cap``). Sampling durations on the frame grid makes every label
     the bin that holds ``dt``. Each trajectory gets its own child RNG
-    stream, so results are stable per trajectory. All draws come first, into
-    int64 columns; then one gather per trajectory writes its deltas into ``x``.
+    stream, so results are stable per trajectory. A trajectory's 32-bit
+    draws come from one call, and ``_bounded`` decodes them into the values
+    scalar ``integers`` calls would return, for a block of trajectories one
+    pair at a time, straight into int64 columns; then one gather per
+    trajectory writes its deltas into ``x``.
     """
     if dt_cap <= bins.edges[-1]:
         raise ValueError(f"dt_cap {dt_cap} must exceed last edge {bins.edges[-1]}")
     children = np.random.SeedSequence(seed).spawn(len(ds.trajectories))
-    # (bin, trajectory, anchor, gap) per pair, a trajectory's draws at a time
+    # (bin, trajectory, anchor, gap) per pair, a block of trajectories at a time
     label, owner, t, gap = (np.empty(pairs_per_traj * len(ds.trajectories), dtype=np.int64) for _ in range(4))
-    count = 0
-    for k, (traj, child) in enumerate(zip(ds.trajectories, children)):
-        n = traj.num_frames
-        if n < 2:
-            continue
-        rng = np.random.default_rng(child)
-        ranges = [_gap_range(bins, b, traj.fps, dt_cap) for b in range(bins.num_bins)]
-        draws: list[int] = []  # (bin, anchor, gap) per pair, flattened
-        for _ in range(pairs_per_traj):
-            i = int(rng.integers(0, n - 1))
-            feasible = [
-                (b, lo, min(hi, n - 1 - i))
-                for b, (lo, hi) in enumerate(ranges)
-                if lo <= min(hi, n - 1 - i)
-            ]
-            if not feasible:
-                continue
-            b, lo, hi = feasible[int(rng.integers(0, len(feasible)))]
-            draws += (b, i, int(rng.integers(lo, hi + 1)))
-        end = count + len(draws) // 3
-        label[count:end], t[count:end], gap[count:end] = np.array(draws, dtype=np.int64).reshape(-1, 3).T
-        owner[count:end] = k
+    live = [k for k, traj in enumerate(ds.trajectories) if traj.num_frames >= 2]
+    width, count = 3 * pairs_per_traj, 0
+    step = max(1, _BLOCK_DRAWS // width)
+    for first in range(0, len(live), step):
+        ks = live[first : first + step]
+        gens = [np.random.default_rng(children[k]) for k in ks]
+        draws = np.empty((len(ks), width), dtype=np.uint32)
+        for j, rng in enumerate(gens):
+            draws[j] = rng.integers(0, 2**32, size=width, dtype=np.uint32)
+        n = np.array([ds.trajectories[k].num_frames for k in ks], dtype=np.int64)
+        ranges = np.array([[_gap_range(bins, b, ds.trajectories[k].fps, dt_cap) for b in range(bins.num_bins)] for k in ks])
+        rows, pos = np.arange(len(ks)), np.zeros(len(ks), dtype=np.int64)
+        kept = np.zeros((len(ks), pairs_per_traj), dtype=bool)
+        for s in range(pairs_per_traj):  # row j's pair s goes to count + j * pairs_per_traj + s
+            i = _bounded(draws, pos, rows, n - 1, gens)
+            hi = np.minimum(ranges[..., 1], (n - 1 - i)[:, None])
+            feasible = ranges[..., 0] <= hi
+            ok = np.flatnonzero(feasible.any(axis=1))
+            choice = _bounded(draws, pos, ok, feasible[ok].sum(axis=1), gens)
+            b = (np.cumsum(feasible[ok], axis=1) <= choice[:, None]).sum(axis=1)
+            at = count + ok * pairs_per_traj + s
+            label[at], t[at], kept[ok, s] = b, i[ok], True
+            gap[at] = ranges[ok, b, 0] + _bounded(draws, pos, ok, hi[ok, b] - ranges[ok, b, 0] + 1, gens)
+        end = count + int(kept.sum())
+        if end < count + kept.size:  # some anchors reached no bin: close the gaps
+            for column in (label, t, gap):
+                column[count:end] = column[count : count + kept.size][kept.ravel()]
+        owner[count:end] = np.repeat(ks, kept.sum(axis=1))
         count = end
+        del draws, gens  # before the next block's, and before x
 
     label, owner, t, gap = label[:count], owner[:count], t[:count], gap[:count]
     x = np.empty((count, ds.obs_dim))

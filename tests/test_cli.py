@@ -294,6 +294,26 @@ def test_float_and_bool_config_fields_take_only_their_json_types():
                         config_from_dict({section: {f.name: bad}})
 
 
+def test_a_numpy_integer_on_an_integer_key_is_a_config_error():
+    """A value JSON cannot encode is shown by its repr, not raised as a
+    TypeError from formatting the message."""
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict({"dedup": {"k": np.int64(3)}})
+    assert str(exc.value) == f"'dedup.k' must be an integer, got {np.int64(3)!r}"
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict({"dedup": {"k": 3.0}})
+    assert str(exc.value) == "'dedup.k' must be an integer, got 3.0"
+
+
+def test_a_numpy_float32_on_a_float_key_is_a_config_error():
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict({"dedup": {"epsilon_d": np.float32(0.5)}})
+    assert str(exc.value) == f"'dedup.epsilon_d' must be a number, got {np.float32(0.5)!r}"
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict({"dedup": {"epsilon_d": "0.5"}})
+    assert str(exc.value) == "'dedup.epsilon_d' must be a number, got \"0.5\""
+
+
 class _Literal(str):
     """A config value given as its JSON text, for a literal that json.dumps
     never writes, such as 1e999."""

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trajcurate import progress
 from trajcurate.errors import (
     DimensionMismatch,
     EmptyTrainingSet,
@@ -15,6 +16,8 @@ from trajcurate.nn import TrainConfig, forward, init_mlp
 from trajcurate.progress import (
     SamplingConfig,
     TemporalBins,
+    _bounded,
+    _gap_range,
     default_bins,
     progress_from_deltas,
     sample_training_pairs,
@@ -147,6 +150,86 @@ def test_pairs_match_oracle_bit_for_bit(seed, shapes, pairs_per_traj, dt_cap):
         assert column.tolist() == [e[j] for e in expected]
     assert pairs.dt.dtype == np.float64
     assert pairs.dt.tobytes() == np.array([e[4] for e in expected], dtype=np.float64).tobytes()
+
+
+def test_bounded_draw_decodes_scalar_integers_through_rejections_and_refills():
+    """``_bounded`` gives what scalar ``Generator.integers(0, r)`` calls give
+    from the same seed, rows together or alone. At r = 3 * 2**30 + 1 about a
+    quarter of all draws are rejected, seed 40's first four in a row; a range
+    of one value takes no draw; and a buffer of 7 draws refills, the first
+    time from PCG64's cached upper half."""
+    r = 3 * 2**30 + 1
+    first = np.random.default_rng(40).integers(0, 2**32, size=4, dtype=np.uint32).astype(np.uint64)
+    assert ((first * r) % 2**32 < (2**32 - r) % r).all()
+    seeds = (40, 26)
+    calls = [((0, 1), (r, r)), ((1,), (r,)), ((0,), (1,)), ((0, 1), (5, r)), ((0, 1), (1, 1))] * 12
+    scalars = [np.random.default_rng(s) for s in seeds]
+    expected = [[int(scalars[k].integers(0, v)) for k, v in zip(rows, ranges)] for rows, ranges in calls]
+    gens = [np.random.default_rng(s) for s in seeds]
+    draws = np.stack([rng.integers(0, 2**32, size=7, dtype=np.uint32) for rng in gens])
+    pos = np.zeros(len(seeds), dtype=np.int64)
+    got = [_bounded(draws, pos, np.array(rows), np.array(ranges), gens).tolist() for rows, ranges in calls]
+    assert got == expected
+
+
+def _matches_oracle(ds, bins, pairs_per_traj, dt_cap, seed):
+    """The sampler's pairs, after checking them against ``oracle_pairs``."""
+    pairs = sample_training_pairs(ds, bins, pairs_per_traj, dt_cap, seed)
+    expected = oracle_pairs(ds, bins, pairs_per_traj, dt_cap, seed)
+    assert pairs.x.tobytes() == b"".join(e[0].tobytes() for e in expected)
+    for j, name in enumerate(("label", "traj", "t"), start=1):
+        assert getattr(pairs, name).tolist() == [e[j] for e in expected]
+    assert pairs.dt.tolist() == [e[4] for e in expected]
+    return pairs
+
+
+def _dataset(shapes, seed=0):
+    rng = np.random.default_rng(seed)
+    trajs = [make_trajectory(rng, f"t{i}", n, fps=fps) for i, (n, fps) in enumerate(shapes)]
+    return Dataset(trajectories=trajs, obs_dim=6, action_dim=3)
+
+
+def test_pairs_at_3_fps_take_no_draw_for_a_single_gap_bin():
+    bins = default_bins()
+    assert _gap_range(bins, 0, 3.0, 10.0) == (1, 1)
+    pairs = _matches_oracle(_dataset([(40, 3.0), (25, 3.0)]), bins, 60, 10.0, 3)
+    assert 0 in pairs.label.tolist()
+
+
+def test_pairs_from_anchors_that_reach_one_bin():
+    # 12 frames at 10 fps: from anchor 7 on, only gaps of at most 4 frames
+    # (bin 0) remain, so the bin is chosen without a draw
+    pairs = _matches_oracle(_dataset([(12, 10.0), (12, 10.0)]), default_bins(), 50, 10.0, 4)
+    late = pairs.t >= 7
+    assert late.any() and (pairs.label[late] == 0).all()
+
+
+def test_pairs_on_trajectories_shorter_than_the_cap():
+    pairs = _matches_oracle(_dataset([(30, 10.0), (9, 30.0)]), default_bins(), 50, 10.0, 5)
+    assert pairs.dt.max() < 3.0
+
+
+def test_pairs_with_a_non_default_cap():
+    pairs = _matches_oracle(_dataset([(120, 10.0), (200, 30.0)]), default_bins(7.5), 60, 7.5, 6)
+    assert 5.0 < pairs.dt[pairs.label == 4].max() <= 7.5
+
+
+@pytest.mark.parametrize("pairs_per_traj", [1, 7, 13])
+def test_pairs_with_an_odd_pair_count(pairs_per_traj):
+    """3 draws a pair: an odd count leaves PCG64's upper half cached."""
+    _matches_oracle(_dataset([(50, 10.0), (2, 10.0), (80, 3.0)]), default_bins(), pairs_per_traj, 10.0, 7)
+
+
+@pytest.mark.parametrize("block_draws", [1, 60, 130])
+def test_pairs_over_several_decode_blocks(monkeypatch, block_draws):
+    """Blocks of one, two and four trajectories, with trajectories that give
+    no pair (one frame, or no bin that holds a gap at 0.05 fps), and bins
+    from 0.5 s, so that anchors near the end give no pair either."""
+    monkeypatch.setattr(progress, "_BLOCK_DRAWS", block_draws)
+    bins = TemporalBins(edges=(0.5, 1.0, 2.0), representatives=(0.75, 1.5, 3.0))
+    shapes = [(30, 10.0), (1, 10.0), (40, 0.05), (12, 10.0), (60, 3.0), (8, 10.0), (45, 10.0)]
+    pairs = _matches_oracle(_dataset(shapes, seed=8), bins, 10, 4.0, 9)
+    assert 0 < np.bincount(pairs.traj, minlength=len(shapes))[5] < 10
 
 
 def test_pair_sampler_memory_is_bounded_by_x():
