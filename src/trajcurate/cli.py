@@ -26,7 +26,7 @@ from .calibrate import (
     threshold_for_ratio,
 )
 from .config import PipelineConfig, load_config
-from .dedup import cluster_dataset, dedup_dataset, load_chunk_embeddings
+from .dedup import cluster_dataset, dedup_dataset
 from .errors import ConfigError, CurationError, EmptyScores, IoFailure
 from .nn import load_model, save_model
 from .progress import TemporalBins, default_bins, train_progress_model
@@ -177,20 +177,11 @@ def _cmd_score_subopt(args, cfg: PipelineConfig) -> int:
     return 0
 
 
-def _load_embeddings_if_present(data: str):
-    path = Path(data) / "chunk_embeddings.bin"
-    if path.exists():
-        embeddings = load_chunk_embeddings(path)
-        print(f"using precomputed chunk embeddings: {path}", file=sys.stderr)
-        return embeddings
-    return None
-
-
 def _cmd_dedup(args, cfg: PipelineConfig) -> int:
     data = _require(args.data, cfg.data, "data")
     out = Path(_require(args.out, cfg.out, "out"))
     ds = load_dataset(data)
-    mask, report = dedup_dataset(ds, cfg.dedup, _load_embeddings_if_present(data))
+    mask, report = dedup_dataset(ds, cfg.dedup)
     with staged_outputs(out) as stage:
         write_masks(mask, stage)
         write_json(stage / "dedup_report.json", report)
@@ -227,7 +218,7 @@ def _cmd_calibrate(args, cfg: PipelineConfig) -> int:
 
     # clustering first, as in curate: the features are freed before scoring's
     # arrays are made (a lower peak RSS)
-    clustered = cluster_dataset(ds, cfg.dedup, _load_embeddings_if_present(data))
+    clustered = cluster_dataset(ds, cfg.dedup)
     sims = clustered[3][clustered[3] > SINGLETON_SENTINEL]
     dup_curves = []
     if sims.size:
@@ -274,7 +265,7 @@ def _cmd_curate(args, cfg: PipelineConfig) -> int:
 
     # clustering first, while nothing dataset-wide is held (the frames stay in
     # their blobs); scoring's arrays then take the memory k-means let go (a lower peak RSS)
-    dup_mask, dedup_rep = dedup_dataset(ds, cfg.dedup, _load_embeddings_if_present(data))
+    dup_mask, dedup_rep = dedup_dataset(ds, cfg.dedup)
     sub_mask = score_dataset(ds, model, bins, cfg.subopt, series=False)[1]
     combined = combine_masks(sub_mask, dup_mask)
 

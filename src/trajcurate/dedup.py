@@ -11,16 +11,12 @@ group.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInput, IoFailure, KTooLarge, NonFiniteValue
+from .errors import EmptyInput, KTooLarge
 from .trajstore import DUPLICATE, SINGLETON_SENTINEL, UNCHUNKED_SENTINEL, CurationMask, Dataset, seconds_to_frames
-
-CEMB_MAGIC = b"CEMB"
 
 
 @dataclass(frozen=True)
@@ -178,7 +174,7 @@ _ASSIGN_BLOCK_ELEMS = 1 << 18
 # Entries in one of _keep_one_drops' (clusters × rows × size) padded Gram
 # blocks; the replay's other arrays grow with a group's clusters too.
 _GROUP_BLOCK_ELEMS = 1 << 16
-# Entries in kmeans' reused buffer of gathered rows and in a block of _unit_rows.
+# Entries in kmeans' reused buffer of gathered rows.
 _GATHER_ELEMS = 1 << 15
 # Most entries of (x − c)² filled at a time by _inertia (one leaf of numpy's
 # pairwise summation tree) and by _keep_one_drops: small enough to stay in cache.
@@ -606,35 +602,13 @@ def duplicate_mask(
     return chunk_drop, _per_frame(ds, chunks, chunk_drop, False)
 
 
-def _unit_rows(x: np.ndarray) -> np.ndarray:
-    """A float64 copy of ``x``, normalized in place a block at a time with the bits of
-    ``x / max(np.linalg.norm(x, axis=1), 1e-300)``; a row whose norm is not positive is +0.0."""
-    out = np.array(x, dtype=np.float64)
-    step = max(1, _GATHER_ELEMS // max(1, out.shape[1]))
-    for lo in range(0, out.shape[0], step):
-        block = out[lo : lo + step]
-        norms = np.sqrt(np.add.reduce(block * block, axis=1))
-        np.divide(block, np.maximum(norms, 1e-300)[:, None], out=block)
-        block[~(norms > 0)] = 0.0
-    return out
-
-
-def cluster_dataset(
-    ds: Dataset, cfg: DedupConfig, precomputed: np.ndarray | None = None
-) -> tuple[Chunks, np.ndarray, ClusterModel, np.ndarray]:
+def cluster_dataset(ds: Dataset, cfg: DedupConfig) -> tuple[Chunks, np.ndarray, ClusterModel, np.ndarray]:
     """chunk → embed → cluster → score, without masking.
 
     Exposed separately so threshold sweeps can reuse one clustering.
     """
     chunks = chunk_dataset(ds, cfg)
-    if precomputed is not None:
-        if precomputed.shape[0] != len(chunks):
-            raise DimensionMismatch(
-                f"{precomputed.shape[0]} precomputed embeddings for {len(chunks)} chunks"
-            )
-        features = _unit_rows(precomputed)
-    else:
-        features, _ = compute_features(ds, chunks, cfg)
+    features, _ = compute_features(ds, chunks, cfg)
     if not chunks:
         empty = np.empty((0, 0))
         return chunks, empty, ClusterModel(0, empty, np.empty(0, dtype=np.int64), 0.0, []), np.empty(0)
@@ -644,11 +618,9 @@ def cluster_dataset(
     return chunks, features, model, scores
 
 
-def dedup_dataset(
-    ds: Dataset, cfg: DedupConfig, precomputed: np.ndarray | None = None
-) -> tuple[CurationMask, dict]:
+def dedup_dataset(ds: Dataset, cfg: DedupConfig) -> tuple[CurationMask, dict]:
     """Run the full dedup pipeline; returns masks and a JSON-ready report."""
-    chunks, features, model, scores = cluster_dataset(ds, cfg, precomputed)
+    chunks, features, model, scores = cluster_dataset(ds, cfg)
     _, drop = duplicate_mask(
         ds, chunks, scores, features, model, cfg.epsilon_d, cfg.drop_all_over_threshold,
     )
@@ -674,42 +646,3 @@ def dedup_report(
         "similarity_histogram": {"bin_edges": edges.tolist(), "counts": counts.tolist()},
         "deletion_ratio": mask.deletion_ratio(),
     }
-
-
-# --- precomputed chunk embeddings ----------------------------------------------
-
-
-def load_chunk_embeddings(path: str | Path) -> np.ndarray:
-    """Read the packed embedding file: magic ``CEMB``, u32 count, u32 dim,
-    then count·dim little-endian f32 in chunk order. Every value must be
-    finite (``NonFiniteValue`` otherwise)."""
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-    if len(raw) < 12 or raw[:4] != CEMB_MAGIC:
-        raise IoFailure(f"{path}: not a chunk-embedding file")
-    count, dim = struct.unpack("<II", raw[4:12])
-    if dim == 0:
-        raise IoFailure(f"{path}: embeddings of dimension 0")
-    expected = 12 + count * dim * 4
-    if len(raw) != expected:
-        raise IoFailure(f"{path}: {len(raw)} bytes, expected {expected}")
-    emb = np.frombuffer(raw[12:], dtype="<f4").reshape(count, dim)
-    finite = np.isfinite(emb).all(axis=1)  # before the cast, which warns on a signaling NaN
-    if not finite.all():
-        raise NonFiniteValue(str(path), int(np.argmin(finite)), unit="chunk")
-    return emb.astype(np.float64)
-
-
-def save_chunk_embeddings(path: str | Path, embeddings: np.ndarray) -> None:
-    arr = np.ascontiguousarray(embeddings, dtype="<f4")
-    if arr.ndim != 2:
-        raise DimensionMismatch("embeddings must be a 2-D array")
-    try:
-        with open(path, "wb") as fh:
-            fh.write(CEMB_MAGIC)
-            fh.write(struct.pack("<II", arr.shape[0], arr.shape[1]))
-            fh.write(arr.tobytes())
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc

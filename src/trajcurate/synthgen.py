@@ -93,7 +93,6 @@ class GroundTruth:
     chunk_groups: dict[str, list[int]]            # 0 = unique
     chunk_span: int                               # frames per chunk
     anomaly_segments: dict[str, list[tuple[int, int, str]]]
-    phi: dict[str, np.ndarray] = field(default_factory=dict)   # in-memory only
 
     def groups(self) -> dict[int, list[tuple[str, int]]]:
         """Duplicate groups as gid → [(traj_id, chunk start frame), ...]."""
@@ -271,11 +270,10 @@ def generate(cfg: SynthConfig, root: str | os.PathLike) -> tuple[Dataset, Ground
             for i, c in slots[gid]:
                 chunk_groups[ids[i]][c] = gid
 
-    # planted copies not yet written: gid -> (obs, actions, φ) of the destination chunk
-    blocks: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    # planted copies not yet written: gid -> (obs, actions) of the destination chunk
+    blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     late: dict[int, list[tuple[slice, int]]] = {}  # trajectory -> (frames, gid) written before the source
     segments: dict[str, list[tuple[int, int, str]]] = {}
-    phi_by_id: dict[str, np.ndarray] = {}
 
     def build(i):
         """Trajectory i with the planted copies whose source came before it."""
@@ -315,13 +313,12 @@ def generate(cfg: SynthConfig, root: str | os.PathLike) -> tuple[Dataset, Ground
             s = slice(c * w, (c + 1) * w)
             if gid and slots[gid][0] == (i, c):
                 blocks[gid] = ((obs[s].astype(np.float64) + copy_noise[gid - 1]).astype(np.float32),
-                               actions[s].copy(), phi[s].copy())
-            elif gid in blocks:  # the copied frames show the source's task phase
-                obs[s], actions[s], phi[s] = blocks.pop(gid)
+                               actions[s].copy())
+            elif gid in blocks:
+                obs[s], actions[s] = blocks.pop(gid)
             elif gid:
                 late.setdefault(i, []).append((s, gid))
         segments[ids[i]] = [(seg[0], seg[1], kind)] if kind and seg[1] > seg[0] else []
-        phi_by_id[ids[i]] = phi
         return obs, actions
 
     trajs = [_Planned(tid, fps, n, lambda i=i: build(i)) for i, tid in enumerate(ids)]
@@ -330,12 +327,12 @@ def generate(cfg: SynthConfig, root: str | os.PathLike) -> tuple[Dataset, Ground
     for i, chunks in late.items():
         obs, actions = ds.trajectories[i].frames()
         for s, gid in chunks:
-            obs[s], actions[s], phi_by_id[ids[i]][s] = blocks.pop(gid)
+            obs[s], actions[s] = blocks.pop(gid)
         ds.trajectories[i].write(obs, actions)
     if late:
         write_manifest(root, ds)
     return ds, GroundTruth(frame_counts={tid: n for tid in ids}, chunk_groups=chunk_groups, chunk_span=w,
-                           anomaly_segments=segments, phi=phi_by_id)
+                           anomaly_segments=segments)
 
 
 # --- evaluation ------------------------------------------------------------------

@@ -463,11 +463,15 @@ def write_masks(mask: CurationMask, out_dir: str | os.PathLike) -> None:
     """Write one ``masks/<id>.json`` per trajectory under ``out_dir``, and no other.
 
     The text is ``json.dumps(doc, sort_keys=True, allow_nan=False)`` of the trajectory's
-    slice of each field as a list, built by ``_json_list``. A NaN or Inf score raises
-    ``NonFiniteValue`` before any file is written: JSON has no token for either. ``masks/``
+    slice of each field as a list, built by ``_json_list``. Before any file is written, an
+    id that is no plain file name raises ``IoFailure``, since it names a file, and a NaN
+    or Inf score ``NonFiniteValue``, since JSON has no token for either. ``masks/``
     is committed whole through ``staged_outputs``, so a re-run leaves no mask of an
     earlier run, and a failed write leaves the previous ``masks/`` as it was.
     """
+    unsafe = next((t for t in mask.ids if not _ID_RE.fullmatch(t)), None)
+    if unsafe is not None:
+        raise IoFailure(f"trajectory id '{unsafe}' is not filename-safe")
     finite = np.isfinite(mask.subopt_score) & np.isfinite(mask.dup_similarity)
     if not finite.all():
         traj_id, part = next((t, p) for t, p in mask.frames() if not finite[p].all())
@@ -486,13 +490,16 @@ def write_masks(mask: CurationMask, out_dir: str | os.PathLike) -> None:
 
 def read_masks(masks_dir: str | os.PathLike) -> CurationMask:
     """Load every ``*.json`` mask in a directory, in file-name order. Two files
-    with one id are an ``InvalidManifest``, a NaN or Inf score a ``NonFiniteValue``."""
+    with one id, a ``keep`` entry other than 0, 1, true or false, or a reason that is
+    not ``""`` exactly on the kept frames are an ``InvalidManifest``, a NaN or Inf score
+    a ``NonFiniteValue``."""
     files: dict[str, Path] = {}  # id -> the file that holds it
     columns = ([], [], [], [])   # keep, subopt_score, dup_similarity, reason codes
     for path in sorted(Path(masks_dir).glob("*.json")):
         try:
             doc = json.loads(path.read_text())
-            fields = [np.array(doc[key], dtype=kind) for key, kind in _MASK_FLOATS_AND_FLAGS]
+            # keep is read in its JSON types, so that an entry other than 0 or 1 shows below
+            fields = [np.array(doc[key], dtype=kind) for key, kind in (("keep", None), *_MASK_FLOATS_AND_FLAGS[1:])]
             # names to codes through one dict lookup at C speed; an unknown name is a KeyError
             fields.append(np.fromiter(map(_REASON_CODES.__getitem__, doc["reason"]), np.uint8))
             if files.setdefault(doc["id"], path) != path:
@@ -503,6 +510,12 @@ def read_masks(masks_dir: str | os.PathLike) -> CurationMask:
             raise InvalidManifest(f"{path}: malformed mask: {exc!r}") from exc
         if any(a.shape != fields[3].shape for a in fields):
             raise MaskShapeMismatch(f"{path}: mask fields must be lists of one length")
+        keep = fields[0]
+        if keep.size and (keep.dtype.kind not in "biu" or ((keep != 0) & (keep != 1)).any()):
+            raise InvalidManifest(f"{path}: keep entries must be 0, 1, true or false")
+        fields[0] = keep = keep.astype(bool)
+        if ((fields[3] == 0) != keep).any():
+            raise InvalidManifest(f'{path}: the reason must be "" on exactly the kept frames')
         finite = np.isfinite(fields[1]) & np.isfinite(fields[2])
         if not finite.all():
             raise NonFiniteValue(f"mask {path}", int(np.argmin(finite)))

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -21,7 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 import trajcurate
 from trajcurate import cli, trajstore
 from trajcurate.cli import _kept_ranges, main
-from trajcurate.config import config_from_dict
+from trajcurate.config import _SECTION_KEYS, config_from_dict
 from trajcurate.dedup import DedupConfig
 from trajcurate.errors import ConfigError
 from trajcurate.nn import TrainConfig, load_model
@@ -434,7 +435,7 @@ def test_blob_replaced_after_load_is_data_error(pipeline, tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("corrupt", [
     "mask_json", "mask_without_keep", "empty_ground_truth",
-    "scalar_keep", "scalar_subopt_score", "nested_dup_similarity",
+    "scalar_keep", "string_keep", "scalar_subopt_score", "nested_dup_similarity",
     "zero_chunk_span", "chunk_groups_past_frames",
     "segment_negative_start", "segment_reversed", "segment_past_end",
     "segment_of_uncounted_id", "segment_of_unknown_type",
@@ -454,6 +455,8 @@ def test_report_bad_input_is_data_error(tmp_path, capsys, corrupt):
         mask.write_text(json.dumps(doc))
     elif corrupt == "scalar_keep":
         mask.write_text(json.dumps({**doc, "keep": 5}))
+    elif corrupt == "string_keep":
+        mask.write_text(json.dumps({**doc, "keep": ["x", *doc["keep"][1:]]}))
     elif corrupt == "scalar_subopt_score":
         mask.write_text(json.dumps({**doc, "subopt_score": 0.5}))
     elif corrupt == "nested_dup_similarity":
@@ -496,23 +499,6 @@ def test_report_bad_input_is_data_error(tmp_path, capsys, corrupt):
     err = capsys.readouterr().err
     assert err.startswith("trajcurate: data error: ") and err.count("\n") == 1
     assert "ground truth" in err or not corrupt.startswith("frame_count_")
-
-
-def test_nonfinite_chunk_embedding_is_data_error(tmp_path, capsys):
-    data, out = tmp_path / "data", tmp_path / "d"
-    assert main(["gen", "--out", str(data), "--config", _tiny_cfg(tmp_path)]) == 0
-    from trajcurate.dedup import save_chunk_embeddings
-
-    # 3 trajectories x 3 chunks; one infinite component in chunk 4
-    emb = np.random.default_rng(0).normal(size=(9, 4))
-    emb[4, 2] = np.inf
-    save_chunk_embeddings(data / "chunk_embeddings.bin", emb)
-    capsys.readouterr()
-    assert main(["dedup", "--data", str(data), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("trajcurate: data error: ") and err.count("\n") == 1
-    assert "chunk 4 contains NaN/Inf" in err
-    assert not (out / "masks").exists() or not any((out / "masks").iterdir())
 
 
 @pytest.mark.parametrize("learning_rate", [1e3, 1e6])
@@ -627,6 +613,29 @@ def test_every_command_run_again_equals_a_fresh_run(six_run, tmp_path, monkeypat
     _run_chain(4)
     assert again == _tree(Path("."))
     assert len(list(Path("curated/masks").iterdir())) == 4
+
+
+def test_a_leftover_chunk_embeddings_file_changes_nothing(tmp_path, monkeypatch, capsys):
+    """A seed-1 gen into the root of a seed-0 one leaves a chunk_embeddings.bin
+    put there in place. No command reads it: dedup, calibrate and curate write the
+    bytes and print the lines that they do in a root that never held it."""
+    runs = {}
+    for name in ("stale", "fresh"):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        for seed in (0, 1):
+            Path(f"seed{seed}.json").write_text(json.dumps({**TINY_CONFIG, "seed": seed}))
+        if name == "stale":
+            assert main(["gen", "--config", "seed0.json", *_COMMAND_FLAGS["gen"]]) == 0
+            Path("data/chunk_embeddings.bin").write_bytes(b"CEMB" + bytes(range(256)))
+        printed = {}
+        for command in ("gen", "train-progress", "dedup", "calibrate", "curate"):
+            capsys.readouterr()
+            assert main([command, "--config", "seed1.json", *_COMMAND_FLAGS[command]]) == 0, command
+            printed[command] = capsys.readouterr()
+        assert Path("data/chunk_embeddings.bin").exists() == (name == "stale")
+        runs[name] = printed, {d: _tree(Path(d)) for d in ("deduped", "calib", "curated")}
+    assert runs["stale"] == runs["fresh"]
 
 
 # the output that each command finds replaced: a file by a directory, or masks/ by a file
@@ -1140,16 +1149,17 @@ def test_gen_is_deterministic_across_runs(tmp_path):
         assert blob.read_bytes() == twin.read_bytes()
 
 
-def test_precomputed_embeddings_are_used(tmp_path, capsys):
-    out = tmp_path / "data"
-    assert main(["gen", "--out", str(out), "--config", _tiny_cfg(tmp_path)]) == 0
-    # 3 trajectories x 3 chunks of 20 frames; bogus low-dim embeddings
-    rng = np.random.default_rng(0)
-    from trajcurate.dedup import save_chunk_embeddings
-
-    save_chunk_embeddings(out / "chunk_embeddings.bin", rng.normal(size=(9, 4)))
-    assert main(["dedup", "--data", str(out), "--out", str(tmp_path / "dd")]) == 0
-    assert "precomputed chunk embeddings" in capsys.readouterr().err
+def test_config_doc_tables_list_every_config_key():
+    """docs/config.md's tables list the keys a config takes, section by section:
+    the top level's, then each section's, and no other."""
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "config.md").read_text()
+    listed = {}
+    for part in doc.split("\n## ")[1:]:
+        heading, body = part.split("\n", 1)
+        keys = set(re.findall(r"^\| `(\w+)`", body, re.M))
+        if keys:
+            listed[heading.split("`")[1] if "`" in heading else heading] = keys
+    assert listed == {"Top level": {"data", "out", "seed"}, **_SECTION_KEYS}
 
 
 def test_readme_library_use_runs(tmp_path, monkeypatch, capsys):

@@ -19,17 +19,13 @@ from trajcurate.dedup import (
     default_k,
     duplicate_mask,
     kmeans,
-    load_chunk_embeddings,
-    save_chunk_embeddings,
     similarity_scores,
     subsample_indices,
 )
 from trajcurate.errors import (
     DimensionMismatch,
     EmptyInput,
-    IoFailure,
     KTooLarge,
-    NonFiniteValue,
 )
 from trajcurate.trajstore import Dataset, load_dataset, save_dataset, seconds_to_frames
 
@@ -967,18 +963,6 @@ def test_dedup_dataset_drops_planted_twin():
     assert kept[1] and kept[2]
 
 
-def test_cluster_dataset_precomputed_embeddings():
-    rng = np.random.default_rng(13)
-    ds = make_dataset(rng, num_traj=2, n=40, fps=10.0)
-    pre = rng.normal(size=(4, 5)) * 3.0
-    chunks, feats, model, scores = cluster_dataset(ds, DedupConfig(k=1), precomputed=pre)
-    assert len(chunks) == 4
-    np.testing.assert_allclose(np.linalg.norm(feats, axis=1), 1.0, rtol=1e-12)
-    np.testing.assert_allclose(feats, pre / np.linalg.norm(pre, axis=1, keepdims=True), rtol=1e-12)
-    with pytest.raises(DimensionMismatch):
-        cluster_dataset(ds, DedupConfig(k=1), precomputed=rng.normal(size=(5, 4)))
-
-
 def test_dedup_threads_agree():
     # dedup runs on one thread; two calls must agree bit for bit
     rng = np.random.default_rng(14)
@@ -989,66 +973,3 @@ def test_dedup_threads_agree():
     assert rep1 == rep2
     np.testing.assert_array_equal(mask1.keep, mask2.keep)
     assert mask1.dup_similarity.tobytes() == mask2.dup_similarity.tobytes()
-
-
-# --- packed embedding file -------------------------------------------------------------------
-
-
-def test_chunk_embeddings_round_trip(tmp_path):
-    rng = np.random.default_rng(15)
-    emb = rng.normal(size=(7, 12)).astype(np.float32)
-    path = tmp_path / "chunk_embeddings.bin"
-    save_chunk_embeddings(path, emb)
-    back = load_chunk_embeddings(path)
-    assert back.dtype == np.float64
-    np.testing.assert_array_equal(back.astype(np.float32), emb)
-    raw = path.read_bytes()
-    assert raw[:4] == b"CEMB"
-    assert len(raw) == 12 + 7 * 12 * 4
-
-
-def test_precomputed_rows_normalize_with_the_bits_of_norm_and_divide():
-    """cluster_dataset's unit rows equal np.linalg.norm, a division and an np.where,
-    byte for byte, over several blocks: all-zero, −0.0 and underflowing rows become +0.0."""
-    x = np.random.default_rng(3).normal(size=(3000, 40)) * np.logspace(-150, 150, 3000)[:, None]
-    x[7], x[1500], x[2999], x[8] = 0.0, -0.0, 1e-200, -1e-160
-    norms = np.linalg.norm(x, axis=1)
-    old = np.where(norms[:, None] > 0, x / np.maximum(norms, 1e-300)[:, None], 0.0)
-    got = dedup._unit_rows(x)
-    assert got.tobytes() == old.tobytes() and not np.signbit(got[[7, 1500, 2999]]).any()
-
-
-def test_precomputed_row_normalization_holds_one_copy():
-    x = np.random.default_rng(4).normal(size=(3000, 272))
-    tracemalloc.start()
-    try:
-        dedup._unit_rows(x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < x.nbytes + 2 * dedup._GATHER_ELEMS * 8
-
-
-def test_chunk_embeddings_errors(tmp_path):
-    with pytest.raises(IoFailure):
-        load_chunk_embeddings(tmp_path / "missing.bin")
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(IoFailure):
-        load_chunk_embeddings(bad)
-    good = tmp_path / "trunc.bin"
-    save_chunk_embeddings(good, np.zeros((3, 4), dtype=np.float32))
-    good.write_bytes(good.read_bytes()[:-5])
-    with pytest.raises(IoFailure):
-        load_chunk_embeddings(good)
-    with pytest.raises(DimensionMismatch):
-        save_chunk_embeddings(tmp_path / "x.bin", np.zeros(5))
-    for value in (np.nan, np.inf, -np.inf):
-        emb = np.zeros((3, 4), dtype=np.float32)
-        emb[2, 1] = value
-        save_chunk_embeddings(good, emb)
-        with pytest.raises(NonFiniteValue, match="chunk 2 contains NaN/Inf"):
-            load_chunk_embeddings(good)
-    save_chunk_embeddings(good, np.zeros((3, 0), dtype=np.float32))
-    with pytest.raises(IoFailure, match="dimension 0"):
-        load_chunk_embeddings(good)

@@ -39,6 +39,13 @@ def small_benchmark(tmp_path_factory):
     return generate(SMALL, tmp_path_factory.mktemp("small_benchmark"))
 
 
+@pytest.fixture(scope="module")
+def small_phi():
+    """The small benchmark's φ by trajectory id, from the oracle, whose blobs and
+    ground truth generate's equal byte for byte."""
+    return oracle_generate(SMALL)[2]
+
+
 def kind_of(gt, tid):
     segs = gt.anomaly_segments[tid]
     return segs[0][2] if segs else "clean"
@@ -50,8 +57,10 @@ def _traj(ds, tid):
 
 def oracle_generate(cfg, copies=None):
     """The specification of ``generate``, in memory: every trajectory built whole,
-    then each planted group copied in group order into the built frames. ``copies``,
-    when given, collects each group's (source, destination) trajectory index."""
+    then each planted group copied in group order into the built frames. Returns the
+    dataset, its ground truth and each trajectory's task phase φ, which a planted copy
+    takes from its source. ``copies``, when given, collects each group's (source,
+    destination) trajectory index."""
     n, fps = cfg.frames_per_traj, cfg.fps
     w = seconds_to_frames(cfg.chunk_seconds, fps)
     latent_dim = 4 + cfg.context_dim
@@ -153,9 +162,8 @@ def oracle_generate(cfg, copies=None):
         chunk_groups=chunk_groups,
         chunk_span=w,
         anomaly_segments=segments,
-        phi=phi_by_id,
     )
-    return ds, gt
+    return ds, gt, phi_by_id
 
 
 def oracle_auroc(scores, labels):
@@ -230,12 +238,13 @@ def _files(root):
 
 @pytest.mark.parametrize("cfg", [SMALL, PLANTED_BOTH_WAYS], ids=["small", "planted_both_ways"])
 def test_generate_writes_the_in_memory_specification_saved(cfg, tmp_path):
-    """generate builds and writes one trajectory at a time, and plants a copy whose
-    source comes later from a partial build of that source. Its blobs, manifest and
-    ground truth equal the saved in-memory specification's byte for byte, its φ bit for
-    bit, and the dataset it returns reads the container it wrote."""
+    """generate builds and writes one trajectory at a time. A copy whose source comes
+    later is planted once every blob is written: the destination's blob is read, patched
+    and written again, and then the manifest is written again. Its blobs, manifest and
+    ground truth equal the saved in-memory specification's byte for byte, and the dataset
+    it returns reads the container it wrote."""
     copies = []
-    want_ds, want_gt = oracle_generate(cfg, copies)
+    want_ds, want_gt, _ = oracle_generate(cfg, copies)
     assert {(src > dst) - (src < dst) for src, dst in copies} == {-1, 0, 1}
     save_dataset(want_ds, tmp_path / "want")
     ds, gt = generate(cfg, tmp_path / "got")
@@ -243,8 +252,6 @@ def test_generate_writes_the_in_memory_specification_saved(cfg, tmp_path):
         write_json(root / "ground_truth.json", truth.to_dict())
         write_json(root / "duplicates.json", truth.duplicates_doc(cfg.chunk_seconds))
     assert _files(tmp_path / "got") == _files(tmp_path / "want")
-    assert {tid: phi.tobytes() for tid, phi in gt.phi.items()} == {
-        tid: phi.tobytes() for tid, phi in want_gt.phi.items()}
     loaded = load_dataset(tmp_path / "got")
     assert [(t.id, t.fps, t.num_frames, t.path, t.crc32) for t in ds.trajectories] == [
         (t.id, t.fps, t.num_frames, t.path, t.crc32) for t in loaded.trajectories]
@@ -253,8 +260,8 @@ def test_generate_writes_the_in_memory_specification_saved(cfg, tmp_path):
 
 def test_generate_memory_is_one_trajectory_plus_the_planted_share(tmp_path):
     """generate holds no dataset of frames: its traced peak is one trajectory's float64
-    work arrays, the planted copies waiting for their destination, the planted noise,
-    φ and a few entries a trajectory, below the float32 frames it writes."""
+    work arrays, the planted copies waiting for their destination, the planted noise
+    and a few entries a trajectory, below the float32 frames it writes."""
     cfg = dataclasses.replace(SMALL, num_traj=80)
     generate(cfg, tmp_path / "warm")  # lazy imports stay out of the trace
     tracemalloc.start()
@@ -268,11 +275,10 @@ def test_generate_memory_is_one_trajectory_plus_the_planted_share(tmp_path):
     frames = len(ds) * n * (d + a) * 4
     # the latent, its lift, the noise draw, their sum and a few n-vectors
     one_traj = 6 * n * max(d, 4 + cfg.context_dim) * 8
-    planted = groups * w * (4 * (d + a) + 8)  # a copy's obs, actions and φ
+    planted = groups * w * 4 * (d + a)  # a copy's obs and actions
     noise = groups * w * d * 8
-    phi = len(ds) * n * 8
     assert groups == 40 and frames > 1.6e6
-    assert peak <= one_traj + planted + noise + phi + 2048 * len(ds) < frames
+    assert peak <= one_traj + planted + noise + 2048 * len(ds) < frames
 
 
 def test_generate_shapes(small_benchmark):
@@ -310,7 +316,7 @@ def _segments_by_kind(gt):
     return out
 
 
-def test_clean_phase_strictly_increasing(small_benchmark):
+def test_clean_phase_strictly_increasing(small_benchmark, small_phi):
     # planted chunks rewrite φ over their span (the content really is the
     # source's moment), so end-to-end strictness holds for clean
     # trajectories that carry no planted chunk
@@ -320,20 +326,20 @@ def test_clean_phase_strictly_increasing(small_benchmark):
         if kind_of(gt, traj.id) != "clean" or any(gt.chunk_groups[traj.id]):
             continue
         unplanted += 1
-        phi = gt.phi[traj.id]
+        phi = small_phi[traj.id]
         assert phi[0] == 0.0
         assert phi[-1] == pytest.approx(1.0, abs=1e-9)
         assert (np.diff(phi) > 0).all()
     assert unplanted > 0
 
 
-def test_clean_phase_strictly_increasing_outside_planted_spans(small_benchmark):
+def test_clean_phase_strictly_increasing_outside_planted_spans(small_benchmark, small_phi):
     ds, gt = small_benchmark
     w = gt.chunk_span
     for traj in ds.trajectories:
         if kind_of(gt, traj.id) != "clean":
             continue
-        phi = gt.phi[traj.id]
+        phi = small_phi[traj.id]
         planted = np.zeros(traj.num_frames, bool)
         for c, gid in enumerate(gt.chunk_groups[traj.id]):
             if gid:
@@ -355,35 +361,35 @@ def test_tags_cover_exactly_the_segments(small_benchmark):
         assert tags == expected
 
 
-def test_pause_freezes_phase_and_actions(small_benchmark):
+def test_pause_freezes_phase_and_actions(small_benchmark, small_phi):
     ds, gt = small_benchmark
     segs = _segments_by_kind(gt)["pause"]
     assert segs
     for tid, a, b in segs:
-        phi = gt.phi[tid]
+        phi = small_phi[tid]
         np.testing.assert_array_equal(phi[a:b], phi[a])
         # frozen φ means frozen position, so the planted actions are zero
         actions = _traj(ds, tid).actions
         np.testing.assert_array_equal(actions[a : b - 1], 0.0)
 
 
-def test_slow_halves_progress(small_benchmark):
+def test_slow_halves_progress(small_benchmark, small_phi):
     _, gt = small_benchmark
     segs = _segments_by_kind(gt)["slow"]
     assert segs
     base = 1.0 / 199
     for tid, a, b in segs:
-        phi = gt.phi[tid]
+        phi = small_phi[tid]
         m = b - a - 1
         assert phi[b - 1] - phi[a] == pytest.approx(0.5 * m * base, rel=1e-9)
 
 
-def test_back_and_forth_never_runs_ahead(small_benchmark):
+def test_back_and_forth_never_runs_ahead(small_benchmark, small_phi):
     _, gt = small_benchmark
     segs = _segments_by_kind(gt)["back_and_forth"]
     assert segs
     for tid, a, b in segs:
-        phi = gt.phi[tid]
+        phi = small_phi[tid]
         # zero net progress across the oscillation
         assert phi[b - 1] == pytest.approx(phi[a], abs=1e-12)
         # and it retreats first, so φ stays at or below its entry value
@@ -391,12 +397,12 @@ def test_back_and_forth_never_runs_ahead(small_benchmark):
         assert phi[a:b].min() < phi[a]
 
 
-def test_failure_retry_slides_back(small_benchmark):
+def test_failure_retry_slides_back(small_benchmark, small_phi):
     _, gt = small_benchmark
     segs = _segments_by_kind(gt)["failure_retry"]
     assert segs
     for tid, a, b in segs:
-        phi = gt.phi[tid]
+        phi = small_phi[tid]
         # the tagged slip gives back 0.2 of φ ...
         assert phi[b - 1] - phi[a] == pytest.approx(-0.2, abs=1e-9)
         # ... without ever dipping below the task start
@@ -407,9 +413,8 @@ def test_failure_retry_slides_back(small_benchmark):
         assert 0.5 * 10 <= b - a <= 10 + 1
 
 
-def test_anomalous_phase_never_negative(small_benchmark):
-    _, gt = small_benchmark
-    for phi in gt.phi.values():
+def test_anomalous_phase_never_negative(small_phi):
+    for phi in small_phi.values():
         assert phi.min() >= 0.0
 
 
@@ -427,7 +432,7 @@ def test_duplicate_groups_are_clean_pairs(small_benchmark):
             assert start % gt.chunk_span == 0
 
 
-def test_duplicate_content_copied(small_benchmark):
+def test_duplicate_content_copied(small_benchmark, small_phi):
     ds, gt = small_benchmark
     w = gt.chunk_span
     for members in gt.groups().values():
@@ -443,11 +448,11 @@ def test_duplicate_content_copied(small_benchmark):
         )
         # and the target's ground-truth phase now mirrors the source's
         np.testing.assert_array_equal(
-            gt.phi[tid_a][a : a + w], gt.phi[tid_b][b : b + w]
+            small_phi[tid_a][a : a + w], small_phi[tid_b][b : b + w]
         )
 
 
-def _dense_separation_check(ds, gt):
+def _dense_separation_check(ds, gt, phi_by_id):
     """Reference: the same extremes from full chunks × chunks matrices."""
     from trajcurate.dedup import DedupConfig, chunk_dataset, compute_features
 
@@ -471,7 +476,7 @@ def _dense_separation_check(ds, gt):
 
     phases = []
     for tid, start, span in zip(tids, chunks.start, chunks.span):
-        phi = gt.phi.get(tid)
+        phi = phi_by_id.get(tid)
         mid = start + span // 2
         phases.append(phi[mid] if phi is not None else np.nan)
     phases = np.array(phases)
@@ -495,24 +500,24 @@ def _assert_check_matches_dense(got, want):
         assert got[key] == pytest.approx(want[key], rel=0, abs=1e-12, nan_ok=True)
 
 
-def test_planted_geometry(small_benchmark):
+def test_planted_geometry(small_benchmark, small_phi):
     """The generator's promise, read off the dense oracle: planted twins sit
     above the 0.99 decision threshold, every other chunk pair below it, and
     chunks of distant phases far below."""
-    check = _dense_separation_check(*small_benchmark)
+    check = _dense_separation_check(*small_benchmark, small_phi)
     assert check["num_chunks"] == 24 * 10
     assert check["planted_min_similarity"] > 0.99 > check["nonplanted_max_similarity"]
     assert check["distinct_phase_max_similarity"] < 0.9
     assert check["action_weight"] > 0
 
 
-def test_separation_self_check(small_benchmark):
-    got, want = separation_self_check(*small_benchmark), _dense_separation_check(*small_benchmark)
+def test_separation_self_check(small_benchmark, small_phi):
+    got, want = separation_self_check(*small_benchmark), _dense_separation_check(*small_benchmark, small_phi)
     _assert_check_matches_dense(got, want)
     assert got["planted_min_similarity"] > 0.99
 
 
-def test_separation_self_check_matches_dense_off_the_planted_grid(small_benchmark):
+def test_separation_self_check_matches_dense_off_the_planted_grid(small_benchmark, small_phi):
     """A copy of a planted trajectory at 1.5× its fps has 1.5× longer chunks,
     so only every other one starts on the planted grid (slots 0, 3 and 6):
     that one takes the group planted there, the others none, as in the
@@ -525,15 +530,15 @@ def test_separation_self_check_matches_dense_off_the_planted_grid(small_benchmar
     truth = dataclasses.replace(
         gt,
         chunk_groups={**gt.chunk_groups, fast.id: gt.chunk_groups[src.id]},
-        phi={**gt.phi, fast.id: gt.phi[src.id]},
     )
-    got, want = separation_self_check(mixed, truth), _dense_separation_check(mixed, truth)
+    phi = {**small_phi, fast.id: small_phi[src.id]}
+    got, want = separation_self_check(mixed, truth), _dense_separation_check(mixed, truth, phi)
     assert got["num_chunks"] == 240 + 6
     assert set(want["group_sizes"].tolist()) == {2, 3}
     _assert_check_matches_dense(got, want)
 
 
-def test_separation_self_check_without_planted_groups_is_nan(small_benchmark):
+def test_separation_self_check_without_planted_groups_is_nan(small_benchmark, small_phi):
     ds, gt = small_benchmark
     # group 1 keeps one member only: a lone chunk is no planted pair either
     (tid, start), _ = gt.groups()[1]
@@ -541,7 +546,7 @@ def test_separation_self_check_without_planted_groups_is_nan(small_benchmark):
     solo[tid][start // gt.chunk_span] = 1
     for groups in ({t: [0] * len(g) for t, g in gt.chunk_groups.items()}, solo):
         truth = dataclasses.replace(gt, chunk_groups=groups)
-        got, want = separation_self_check(ds, truth), _dense_separation_check(ds, truth)
+        got, want = separation_self_check(ds, truth), _dense_separation_check(ds, truth, small_phi)
         assert np.isnan(got["planted_min_similarity"])
         _assert_check_matches_dense(got, want)
 

@@ -564,7 +564,7 @@ _mask_floats = st.lists(
 
 @given(
     columns=st.lists(st.tuples(_mask_floats, st.integers(0, 2**16)), min_size=1, max_size=3),
-    ids=st.lists(st.sampled_from(["t0", "plain-id_1.x", 'q"uote\\slé中']),
+    ids=st.lists(st.sampled_from(["t0", "plain-id_1.x", "..."]),
                  min_size=3, max_size=3, unique=True),
 )
 @settings(max_examples=150, deadline=None)
@@ -630,6 +630,16 @@ def test_failed_undo_keeps_the_previous_masks_in_the_staging_directory(tmp_path,
     assert {p.name: p.read_bytes() for p in kept.iterdir()} == before
 
 
+@pytest.mark.parametrize("unsafe", ["../escaped", ".", "..", "sub/ok", "", 'q"uote\\slé中'])
+def test_mask_of_an_unsafe_id_writes_nothing(tmp_path, unsafe):
+    """An id is a file name under masks/: one that is no plain file name is an
+    IoFailure before anything is written, inside out/ or next to it."""
+    out = tmp_path / "out"
+    with pytest.raises(IoFailure, match="not filename-safe"):
+        write_masks(make_mask({unsafe: _fields(), "ok": _fields()}), out)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_nonfinite_mask_writes_no_file_of_any_mask(tmp_path):
     bad = _masks("ab")
     bad.dup_similarity[3 + 2] = np.nan
@@ -646,8 +656,15 @@ def test_nonfinite_mask_writes_no_file_of_any_mask(tmp_path):
     ("numeric_reason", InvalidManifest),
     ("unknown_reason", InvalidManifest),
     ("short_reason", MaskShapeMismatch),
+    ("string_keep", InvalidManifest),
+    ("null_keep", InvalidManifest),
+    ("float_keep", InvalidManifest),
+    ("two_keep", InvalidManifest),
+    ("kept_with_a_reason", InvalidManifest),
+    ("dropped_without_a_reason", InvalidManifest),
 ])
 def test_read_masks_rejects_corrupt_files(tmp_path, corrupt, error):
+    """b.json holds keep (1, 0, 1) and reasons ("", "suboptimal", "") until one is corrupted."""
     write_masks(_masks("ab"), tmp_path)
     masks = tmp_path / "masks"
     doc = json.loads((masks / "b.json").read_text())
@@ -659,9 +676,14 @@ def test_read_masks_rejects_corrupt_files(tmp_path, corrupt, error):
         field = "dup_similarity" if corrupt == "infinite_similarity" else "subopt_score"
         head, rest = text.split(f'"{field}": [', 1)
         (masks / "b.json").write_text(f'{head}"{field}": [{token[corrupt]}, {rest.split(", ", 1)[1]}')
+    elif corrupt.endswith("_keep"):
+        doc["keep"] = {"string_keep": ["x", 0, 1], "null_keep": [None, 0, 1], "float_keep": [1.0, 0, 1],
+                       "two_keep": [2, 0, 1]}[corrupt]
+        (masks / "b.json").write_text(json.dumps(doc))
     else:
         doc["reason"] = {"numeric_reason": [0, 1, 0], "unknown_reason": ["", "bogus", ""],
-                         "short_reason": [""]}[corrupt]
+                         "short_reason": [""], "kept_with_a_reason": ["duplicate", "suboptimal", ""],
+                         "dropped_without_a_reason": ["", "", ""]}[corrupt]
         (masks / "b.json").write_text(json.dumps(doc))
-    with pytest.raises(error):
+    with pytest.raises(error, match="b.json" if corrupt != "repeated_id" else None):
         read_masks(masks)
