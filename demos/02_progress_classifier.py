@@ -37,7 +37,7 @@ model, report = train_progress_model(
     ds,
     bins,
     TrainConfig(epochs=120, seed=1),
-    SamplingConfig(pairs_per_traj=80, seed=1),
+    SamplingConfig(pairs_per_traj=80),
 )
 print(f"train pairs {report.pairs_train}, held-out pairs {report.pairs_val} "
       f"(split by trajectory, so no leakage)")

@@ -12,7 +12,7 @@ import tempfile
 import numpy as np
 
 from trajcurate.nn import TrainConfig
-from trajcurate.progress import SamplingConfig, default_bins, train_progress_model
+from trajcurate.progress import default_bins, train_progress_model
 from trajcurate.subopt import SuboptConfig, score_dataset
 from trajcurate.synthgen import SynthConfig, auroc, generate
 
@@ -26,7 +26,7 @@ cfg = SynthConfig(
 data = tempfile.TemporaryDirectory()  # generate writes the dataset here; removed at the end
 ds, gt = generate(cfg, data.name)
 model, report = train_progress_model(
-    ds, default_bins(), TrainConfig(epochs=120, seed=5), SamplingConfig(seed=5)
+    ds, default_bins(), TrainConfig(epochs=120, seed=5)
 )
 print(f"progress classifier held-out accuracy: {report.accuracy:.3f}")
 

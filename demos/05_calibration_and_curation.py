@@ -19,7 +19,7 @@ from trajcurate.calibrate import (
 )
 from trajcurate.dedup import DedupConfig, cluster_dataset, dedup_dataset
 from trajcurate.nn import TrainConfig
-from trajcurate.progress import SamplingConfig, default_bins, train_progress_model
+from trajcurate.progress import default_bins, train_progress_model
 from trajcurate.subopt import SuboptConfig, score_dataset
 from trajcurate.synthgen import SynthConfig, generate
 
@@ -33,7 +33,7 @@ cfg = SynthConfig(
 data = tempfile.TemporaryDirectory()  # generate writes the dataset here; removed at the end
 ds, gt = generate(cfg, data.name)
 model, _ = train_progress_model(
-    ds, default_bins(), TrainConfig(epochs=120, seed=3), SamplingConfig(seed=3)
+    ds, default_bins(), TrainConfig(epochs=120, seed=3)
 )
 
 series, _ = score_dataset(ds, model, default_bins(), SuboptConfig())

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dedup import Chunks, ClusterModel, DedupConfig, _keep_one_drops, cluster_dataset
+from .dedup import Chunks, ClusterModel, DedupConfig, _keep_one_drops
 from .errors import EmptyScores, MaskShapeMismatch
 from .trajstore import DUPLICATE, SUBOPTIMAL, CurationMask, Dataset
 
@@ -48,17 +48,18 @@ def dedup_ratio_curve(
     ds: Dataset,
     cfg: DedupConfig,
     thresholds: np.ndarray,
-    clustered: tuple[Chunks, np.ndarray, ClusterModel, np.ndarray] | None = None,
+    clustered: tuple[Chunks, np.ndarray, ClusterModel, np.ndarray],
 ) -> RatioCurve:
     """Deletion ratio per threshold, from one replay of the keep-one rule.
 
     The greedy rule makes the drop-set depend on the threshold in a way raw
     score exceedance does not, so the masking is replayed for every grid
-    point together over each cluster's Gram blocks (the clustering itself
-    is computed once and reused). Chunks tile without overlap, so a
-    threshold's dropped frames are its dropped chunks' spans summed.
+    point together over the Gram blocks of each cluster in ``clustered``,
+    the ``cluster_dataset`` result, which the caller computes once. Chunks
+    tile without overlap, so a threshold's dropped frames are its dropped
+    chunks' spans summed.
     """
-    chunks, features, model, scores = clustered or cluster_dataset(ds, cfg)
+    chunks, features, model, scores = clustered
     if not chunks:
         raise EmptyScores("no chunks to sweep")
     grid = np.sort(np.asarray(thresholds, dtype=np.float64), kind="stable")

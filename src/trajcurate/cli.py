@@ -120,7 +120,6 @@ def _cmd_gen(args, cfg: PipelineConfig) -> int:
     with staged_outputs(out) as stage:
         ds, gt = generate(cfg.synth, stage)
         write_json(stage / "ground_truth.json", gt.to_dict())
-        write_json(stage / "duplicates.json", gt.duplicates_doc(cfg.synth.chunk_seconds))
         check = separation_self_check(ds, gt)  # reads the staged blobs, before the commit
     print(f"generated {len(ds)} trajectories, {ds.total_frames} frames -> {out}", file=sys.stderr)
 
@@ -212,7 +211,7 @@ def _quantile_grid(values: np.ndarray, count: int) -> np.ndarray:
 
 def _cmd_calibrate(args, cfg: PipelineConfig) -> int:
     data = _require(args.data, cfg.data, "data")
-    out = Path(args.out if args.out is not None else (cfg.out or data))
+    out = Path(_require(args.out, cfg.out, "out"))
     targets = _parse_targets(args.targets)
     model, ds, bins = _scoring_inputs(args, cfg, data)
 
@@ -367,7 +366,7 @@ def build_parser() -> _Parser:
         data="dataset directory", out="output directory")
     add("calibrate", "sweep thresholds against deletion ratios",
         data="dataset directory", model="progress checkpoint",
-        out="report directory (defaults to --data)",
+        out="report directory",
         targets="comma-separated target deletion ratios")
     add("curate", "full pipeline: combined masks + curated manifest",
         data="dataset directory", model="progress checkpoint", out="output directory")

@@ -7,9 +7,9 @@ file values.
 
 The top level takes ``data``, ``out`` and ``seed``. Each section takes the
 fields of its dataclass: ``subopt`` those of ``SuboptConfig``, ``dedup`` of
-``DedupConfig``, ``synth`` of ``SynthConfig`` except ``_UNEXPOSED_SYNTH``, and
-``train`` those of ``TrainConfig`` and ``SamplingConfig`` plus
-``hidden_sizes``. All keys are optional; defaults are in docs/config.md.
+``DedupConfig``, ``synth`` of ``SynthConfig``, and ``train`` those of
+``TrainConfig`` and ``SamplingConfig`` plus ``hidden_sizes``. All keys are
+optional; defaults are in docs/config.md.
 
 A top-level ``seed`` fills in any section seed that the file leaves unset.
 """
@@ -29,21 +29,17 @@ from .progress import SamplingConfig
 from .subopt import SuboptConfig
 from .synthgen import SynthConfig
 
-# Generator geometry that the config file does not expose.
-_UNEXPOSED_SYNTH = {"phase_turns", "context_scale"}
-
 
 def _field_names(cls) -> set[str]:
     return {f.name for f in fields(cls)}
 
 
-# The train section's seed is TrainConfig's; sampling takes the same value.
-_SAMPLING_KEYS = _field_names(SamplingConfig) - {"seed"}
+_SAMPLING_KEYS = _field_names(SamplingConfig)
 _SECTION_KEYS = {
     "subopt": _field_names(SuboptConfig),
     "dedup": _field_names(DedupConfig),
     "train": _field_names(TrainConfig) | _SAMPLING_KEYS | {"hidden_sizes"},
-    "synth": _field_names(SynthConfig) - _UNEXPOSED_SYNTH,
+    "synth": _field_names(SynthConfig),
 }
 
 
@@ -128,7 +124,6 @@ def config_from_dict(raw: dict) -> PipelineConfig:
             and all(isinstance(h, int) and not isinstance(h, bool) and h > 0 for h in hidden)):
         raise ConfigError("'train.hidden_sizes' must be a list of positive integers")
     sampling_kw = {k: train_kw.pop(k) for k in _SAMPLING_KEYS if k in train_kw}
-    sampling_kw["seed"] = train_kw.get("seed", seed)
 
     data = raw.get("data")
     out = raw.get("out")

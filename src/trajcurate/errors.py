@@ -89,10 +89,3 @@ class EmptyScores(CurationError):
 class MaskShapeMismatch(CurationError):
     pass
 
-
-class ShapeMismatch(CurationError):
-    pass
-
-
-class InvalidConfig(ConfigError):
-    pass

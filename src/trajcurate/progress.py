@@ -190,15 +190,12 @@ def sample_training_pairs(
 class SamplingConfig:
     pairs_per_traj: int = 100
     dt_cap: float = DEFAULT_DT_CAP
-    seed: int = 0
 
     def __post_init__(self):
         if self.pairs_per_traj < 1:
             raise ValueError("pairs_per_traj must be >= 1")
         if not self.dt_cap > DEFAULT_EDGES[-1]:
             raise ValueError(f"dt_cap must exceed {DEFAULT_EDGES[-1]}")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -219,18 +216,17 @@ def train_progress_model(
     """Sample pairs, train the bin classifier, report held-out accuracy.
 
     The 90/10 validation split is by trajectory, not by pair, so near-twin
-    frames of one trajectory cannot leak across the split.
+    frames of one trajectory cannot leak across the split. ``nn_cfg.seed``
+    seeds the pair sampling and the split as well as the training.
     """
     sampling = sampling or SamplingConfig()
-    pairs = sample_training_pairs(
-        ds, bins, sampling.pairs_per_traj, sampling.dt_cap, sampling.seed
-    )
+    pairs = sample_training_pairs(ds, bins, sampling.pairs_per_traj, sampling.dt_cap, nn_cfg.seed)
     if not pairs:
         raise EmptyTrainingSet("no trainable pairs in dataset")
 
     # shuffle the trajectories that own pairs, taken in id order
     owners = sorted(np.flatnonzero(np.bincount(pairs.traj)).tolist(), key=lambda k: ds.trajectories[k].id)
-    rng = np.random.default_rng(sampling.seed)
+    rng = np.random.default_rng(nn_cfg.seed)
     order = np.array(owners)[rng.permutation(len(owners))]
     num_val = max(1, int(np.floor(0.1 * len(owners)))) if len(owners) >= 2 else 0
     held_out = np.zeros(len(ds.trajectories), dtype=bool)

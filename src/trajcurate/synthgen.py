@@ -30,13 +30,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidConfig, InvalidManifest, IoFailure, ShapeMismatch
+from .errors import InvalidManifest, IoFailure, MaskShapeMismatch
 from .trajstore import CurationMask, Dataset, Trajectory, save_dataset, seconds_to_frames, write_manifest
 
 ANOMALY_TYPES = ("pause", "slow", "back_and_forth", "failure_retry")
 
 _GLOBAL_STREAM = 0x474C4F42   # decisions shared across trajectories
 _PROJ_STREAM = 0x50524F4A     # observation projection matrix
+_PHASE_TURNS = 0.8            # arc sweep as a fraction of a full circle
+_CONTEXT_SCALE = 0.65         # half-width of the per-trajectory context uniform
 # Positives ranked per block by auroc's binary searches.
 _RANK_BLOCK = 1 << 14
 
@@ -56,32 +58,28 @@ class SynthConfig:
     seed: int = 0
     chunk_seconds: float = 2.0     # grid duplicates are planted on
     phase_gain: float = 2.0        # radius of the φ arc in latent space
-    phase_turns: float = 0.8       # arc sweep as a fraction of a full circle
     context_dim: int = 16          # per-trajectory appearance dims
-    context_scale: float = 0.65    # half-width of the context uniform
 
     def __post_init__(self):
         if self.num_traj < 1 or self.frames_per_traj < 2:
-            raise InvalidConfig("need at least one trajectory of two frames")
+            raise ValueError("need at least one trajectory of two frames")
         if self.fps <= 0 or self.obs_dim < 1 or self.action_dim < 1:
-            raise InvalidConfig("fps and dimensions must be positive")
+            raise ValueError("fps and dimensions must be positive")
         if self.noise_sigma < 0 or self.chunk_seconds <= 0:
-            raise InvalidConfig("noise_sigma must be >= 0, chunk_seconds > 0")
+            raise ValueError("noise_sigma must be >= 0, chunk_seconds > 0")
         seconds_to_frames(self.chunk_seconds, self.fps)  # a ConfigError if beyond counting
         unknown = set(self.anomaly_rates) - set(ANOMALY_TYPES)
         if unknown:
-            raise InvalidConfig(f"unknown anomaly types {sorted(unknown)}")
+            raise ValueError(f"unknown anomaly types {sorted(unknown)}")
         rates = [self.anomaly_rates.get(t, 0.0) for t in ANOMALY_TYPES]
         if any(isinstance(r, bool) or not (0.0 <= r <= 1.0) for r in rates) or not (0.0 <= self.duplicate_rate <= 1.0):
-            raise InvalidConfig("rates must be numbers in [0, 1]")
+            raise ValueError("rates must be numbers in [0, 1]")
         if sum(rates) > 1.0 + 1e-9:
-            raise InvalidConfig("anomaly rates sum above 1; trajectories get one type each")
-        if self.context_dim < 0 or self.phase_gain <= 0 or self.context_scale < 0:
-            raise InvalidConfig("context_dim/scale >= 0 and phase_gain > 0 required")
-        if not (0.0 < self.phase_turns <= 1.0):
-            raise InvalidConfig("phase_turns must lie in (0, 1]")
+            raise ValueError("anomaly rates sum above 1; trajectories get one type each")
+        if self.context_dim < 0 or self.phase_gain <= 0:
+            raise ValueError("context_dim >= 0 and phase_gain > 0 required")
         if self.seed < 0:
-            raise InvalidConfig("seed must be >= 0")
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -154,17 +152,6 @@ class GroundTruth:
             raise IoFailure(str(exc)) from exc
         except ValueError as exc:
             raise InvalidManifest(f"{path}: unreadable ground truth: {exc}") from exc
-
-    def duplicates_doc(self, chunk_seconds: float) -> dict:
-        """The planted groups as ``duplicates.json`` holds them."""
-        return {
-            "format_version": 1,
-            "chunk_seconds": chunk_seconds,
-            "groups": {
-                str(gid): [[tid, start] for tid, start in members]
-                for gid, members in sorted(self.groups().items())
-            },
-        }
 
 
 def _path_position(phi: np.ndarray, start: np.ndarray, goal: np.ndarray,
@@ -286,7 +273,7 @@ def generate(cfg: SynthConfig, root: str | os.PathLike) -> tuple[Dataset, Ground
         amp = rng.uniform(0.05, 0.15)
         cycles = int(rng.integers(2, 6))
         phase0 = rng.uniform(0.0, 2.0 * np.pi)
-        context = rng.uniform(-cfg.context_scale, cfg.context_scale, cfg.context_dim)
+        context = rng.uniform(-_CONTEXT_SCALE, _CONTEXT_SCALE, cfg.context_dim)
 
         deltas = np.full(n - 1, 1.0 / (n - 1))
         seg = (0, 0)
@@ -297,7 +284,7 @@ def generate(cfg: SynthConfig, root: str | os.PathLike) -> tuple[Dataset, Ground
         # latent (position, phase arc, context) @ proj.T + noise, filled and summed in place
         latent = np.empty((n, latent_dim))
         latent[:, :2] = pos = _path_position(phi, start, goal, amp, cycles, phase0)
-        theta = 2.0 * np.pi * cfg.phase_turns * (phi - 0.5)
+        theta = 2.0 * np.pi * _PHASE_TURNS * (phi - 0.5)
         latent[:, 2] = cfg.phase_gain * np.cos(theta)
         latent[:, 3] = cfg.phase_gain * np.sin(theta)
         latent[:, 4:] = context
@@ -368,9 +355,9 @@ def evaluate_masks(mask: CurationMask, gt: GroundTruth) -> dict:
     one member was dropped.
     """
     if set(mask.ids) != set(gt.frame_counts):
-        raise ShapeMismatch("mask and ground truth cover different trajectories")
+        raise MaskShapeMismatch("mask and ground truth cover different trajectories")
     if np.diff(mask.bounds).tolist() != [gt.frame_counts[tid] for tid in mask.ids]:
-        raise ShapeMismatch("mask and ground truth disagree on a trajectory's frame count")
+        raise MaskShapeMismatch("mask and ground truth disagree on a trajectory's frame count")
     drop_sub = mask.dropped(("suboptimal", "both"))
     # per-frame tag codes: 0 clean, then 1 + the index into ANOMALY_TYPES
     tags = np.zeros(mask.bounds[-1], dtype=np.uint8)
@@ -410,7 +397,7 @@ def _duplicate_metrics(mask: CurationMask, gt: GroundTruth) -> dict:
     dropped_chunks: set[tuple[str, int]] = set()
     for tid, gids in gt.chunk_groups.items():
         if tid not in parts or len(gids) * w > parts[tid].stop - parts[tid].start:
-            raise ShapeMismatch(f"{tid}: {len(gids)} chunks of {w} frames exceed the mask")
+            raise MaskShapeMismatch(f"{tid}: {len(gids)} chunks of {w} frames exceed the mask")
         whole = drop[parts[tid]][: len(gids) * w].reshape(len(gids), w).all(axis=1)
         dropped_chunks.update((tid, int(c) * w) for c in np.flatnonzero(whole))
 

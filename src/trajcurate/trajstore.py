@@ -7,9 +7,9 @@ Container layout::
 
 ``manifest.json`` carries ``format_version`` (=1), ``obs_dim``, ``action_dim``
 and a ``trajectories`` index of ``{id, fps, num_frames, crc32}``, where ``crc32``
-is ``zlib.crc32`` of the whole blob (an entry without it is read unchecked). Each
-blob is ``TRJC`` magic, u32 LE format version, u32 LE frame count, then one record
-per frame: ``obs_dim`` f32 LE followed by ``action_dim`` f32 LE, no padding.
+is ``zlib.crc32`` of the whole blob (an entry without it is an ``InvalidManifest``).
+Each blob is ``TRJC`` magic, u32 LE format version, u32 LE frame count, then one
+record per frame: ``obs_dim`` f32 LE followed by ``action_dim`` f32 LE, no padding.
 
 A loaded dataset holds no frames: each pass reads a trajectory's blob into
 fresh arrays when it needs the frames.
@@ -104,8 +104,7 @@ class StoredTrajectory(Trajectory):
     skipped while the file's identity is the one a read found it to match (``_read_blob``).
     ``obs`` and ``actions`` each read an owned copy."""
 
-    def __init__(self, id: str, fps: float, num_frames: int, path: Path, dims: tuple[int, int],
-                 crc32: int | None = None):
+    def __init__(self, id: str, fps: float, num_frames: int, path: Path, dims: tuple[int, int], crc32: int):
         self.id, self.fps, self.path, self.dims, self.crc32 = id, fps, path, dims, crc32
         self._num_frames, self._checked = num_frames, None
 
@@ -189,7 +188,7 @@ def _write_blob(path: Path, obs: np.ndarray, actions: np.ndarray) -> int:
     return zlib.crc32(payload, zlib.crc32(header))
 
 
-def _read_blob(fh, traj_id: str, num_frames: int, dims: tuple[int, int], crc: int | None,
+def _read_blob(fh, traj_id: str, num_frames: int, dims: tuple[int, int], crc: int,
                checked: tuple | None = None) -> tuple[np.ndarray, tuple | None]:
     """A blob's (frames, obs_dim + action_dim) f32 rows, read from the open file ``fh`` into
     an array made once the file's size matches the manifest, and the file's identity (inode,
@@ -218,7 +217,7 @@ def _read_blob(fh, traj_id: str, num_frames: int, dims: tuple[int, int], crc: in
         size = got  # short if the blob shrank since the fstat
     if size != expected:
         raise TruncatedBlob(traj_id, f"payload {size} bytes, expected {expected}")
-    if crc is not None and identity != checked and zlib.crc32(payload, zlib.crc32(header)) != crc:
+    if identity != checked and zlib.crc32(payload, zlib.crc32(header)) != crc:
         raise TruncatedBlob(traj_id, "frames do not match the manifest's crc32")
     return payload.view("<f4").reshape(num_frames, row), identity if time.time_ns() - st.st_ctime_ns > 2e9 else None
 
@@ -297,8 +296,10 @@ def load_dataset(root_path: str | os.PathLike) -> Dataset:
         num_frames, fps = _number(entry, "num_frames", int), _number(entry, "fps", float)
         if num_frames <= 0:
             raise InvalidManifest(f"trajectory '{traj_id}': num_frames must be positive")
-        crc = _number(entry, "crc32", int) if "crc32" in entry else None
-        return StoredTrajectory(traj_id, fps, num_frames, blobs / f"{traj_id}.bin", (obs_dim, action_dim), crc)
+        if "crc32" not in entry:
+            raise InvalidManifest(f"trajectory '{traj_id}' records no crc32: re-run gen to rewrite the dataset")
+        return StoredTrajectory(traj_id, fps, num_frames, blobs / f"{traj_id}.bin", (obs_dim, action_dim),
+                                _number(entry, "crc32", int))
 
     ds = Dataset(
         trajectories=[load_one(e) for e in manifest["trajectories"]],

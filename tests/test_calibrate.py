@@ -13,7 +13,7 @@ from trajcurate.calibrate import (
     ratio_curve,
     threshold_for_ratio,
 )
-from trajcurate.dedup import DedupConfig
+from trajcurate.dedup import DedupConfig, cluster_dataset
 from trajcurate.errors import EmptyScores, MaskShapeMismatch
 from trajcurate.trajstore import REASONS
 
@@ -182,7 +182,7 @@ def test_dedup_ratio_curve_replays_masking():
     ds.trajectories[1].obs = ds.trajectories[0].obs.copy()
     ds.trajectories[1].actions = ds.trajectories[0].actions.copy()
     cfg = DedupConfig(k=2)
-    curve = dedup_ratio_curve(ds, cfg, np.array([-1.0, 0.9999, 2.0]))
+    curve = dedup_ratio_curve(ds, cfg, np.array([-1.0, 0.9999, 2.0]), cluster_dataset(ds, cfg))
     ratios = dict(curve.points)
     # above any cosine nothing is dropped; at -1 keep-one drops all but one per cluster
     assert ratios[2.0] == 0.0
@@ -195,7 +195,7 @@ def test_dedup_ratio_curve_empty_dataset():
     rng = np.random.default_rng(3)
     ds = make_dataset(rng, num_traj=1, n=5, fps=10.0)  # too short to chunk
     with pytest.raises(EmptyScores):
-        dedup_ratio_curve(ds, DedupConfig(), np.array([0.5]))
+        dedup_ratio_curve(ds, DedupConfig(), np.array([0.5]), cluster_dataset(ds, DedupConfig()))
 
 
 # --- mask combination ----------------------------------------------------------------

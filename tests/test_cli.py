@@ -78,10 +78,10 @@ def pipeline(tmp_path_factory):
 
 
 def test_gen_artifacts(pipeline):
+    """gen writes the manifest, the blobs and the ground truth, and nothing else."""
     data = pipeline["data"]
-    assert (data / "manifest.json").is_file()
-    assert (data / "ground_truth.json").is_file()
-    assert (data / "duplicates.json").is_file()
+    assert sorted(p.name for p in data.iterdir()) == ["ground_truth.json", "manifest.json", "trajectories"]
+    assert (data / "manifest.json").is_file() and (data / "ground_truth.json").is_file()
     ds = load_dataset(data)
     assert len(ds) == 12
     assert ds.obs_dim == 24
@@ -244,16 +244,10 @@ def test_config_sections_accept_their_dataclass_fields():
         "train": [TrainConfig(), SamplingConfig()],
         "synth": [SynthConfig()],
     }
-    unexposed = {("synth", "phase_turns"), ("synth", "context_scale")}
     for section, defaults in sections.items():
         for default in defaults:
             for f in fields(default):
-                raw = {section: {f.name: getattr(default, f.name)}}
-                if (section, f.name) in unexposed:
-                    with pytest.raises(ConfigError):
-                        config_from_dict(raw)
-                else:
-                    config_from_dict(raw)
+                config_from_dict({section: {f.name: getattr(default, f.name)}})
     config_from_dict({"train": {"hidden_sizes": [8]}})
 
 
@@ -281,8 +275,6 @@ def test_float_and_bool_config_fields_take_only_their_json_types():
     for section, default in sections:
         hints = get_type_hints(type(default))
         for f in fields(default):
-            if (section, f.name) in {("synth", "phase_turns"), ("synth", "context_scale")}:
-                continue
             if hints[f.name] in (float, float | None):
                 config_from_dict({section: {f.name: getattr(default, f.name)}})
                 for bad in (True, False, "1.0"):
@@ -640,7 +632,7 @@ def test_a_leftover_chunk_embeddings_file_changes_nothing(tmp_path, monkeypatch,
 
 # the output that each command finds replaced: a file by a directory, or masks/ by a file
 _BLOCKED_TARGET = {
-    "gen": "data/duplicates.json",
+    "gen": "data/ground_truth.json",
     "train-progress": "model.ckpt.validation.json",
     "score-subopt": "scored/subopt_report.json",
     "dedup": "deduped/dedup_report.json",
@@ -883,7 +875,7 @@ def test_manifest_id_leaving_out_is_data_error(pipeline, tmp_path, capsys):
             "--model", str(pipeline["model"]), "--out", str(run / "out")]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("trajcurate: data error: ") and err.count("\n") == 1
+    assert err.startswith("trajcurate: data error: ") and err.count("\n") == 1 and "plain file name" in err
     assert not run.exists() or all(p.is_relative_to(run / "out") for p in run.rglob("*"))
 
 
@@ -1007,16 +999,17 @@ def test_only_calibrate_loads_numpy_ma_and_score_subopt_no_numpy_random(tmp_path
     assert loaded("score-subopt") == [[]]
 
 
+# each mutation, and the fault that the error line names
 _MANIFEST_MUTATIONS = {
-    "fps_text": lambda m: m["trajectories"][0].update(fps="fast"),
-    "fps_nan": lambda m: m["trajectories"][0].update(fps=float("nan")),
-    "fps_infinite": lambda m: m["trajectories"][0].update(fps=float("inf")),
-    "num_frames_text": lambda m: m["trajectories"][0].update(num_frames="many"),
-    "num_frames_null": lambda m: m["trajectories"][0].update(num_frames=None),
-    "obs_dim_text": lambda m: m.update(obs_dim="wide"),
-    "action_dim_list": lambda m: m.update(action_dim=[3]),
-    "trajectories_number": lambda m: m.update(trajectories=5),
-    "trajectory_entry_number": lambda m: m["trajectories"].__setitem__(0, 5),
+    "fps_text": (lambda m: m["trajectories"][0].update(fps="fast"), "'fps' is not a number"),
+    "fps_nan": (lambda m: m["trajectories"][0].update(fps=float("nan")), "fps must be positive and finite"),
+    "fps_infinite": (lambda m: m["trajectories"][0].update(fps=float("inf")), "fps must be positive and finite"),
+    "num_frames_text": (lambda m: m["trajectories"][0].update(num_frames="many"), "'num_frames' is not a number"),
+    "num_frames_null": (lambda m: m["trajectories"][0].update(num_frames=None), "'num_frames' is not a number"),
+    "obs_dim_text": (lambda m: m.update(obs_dim="wide"), "'obs_dim' is not a number"),
+    "action_dim_list": (lambda m: m.update(action_dim=[3]), "'action_dim' is not a number"),
+    "trajectories_number": (lambda m: m.update(trajectories=5), "'trajectories' is not a list"),
+    "trajectory_entry_number": (lambda m: m["trajectories"].__setitem__(0, 5), "entry missing 'id'"),
 }
 
 
@@ -1025,14 +1018,15 @@ def test_malformed_manifest_is_data_error(pipeline, tmp_path, capsys, mutation):
     data = tmp_path / "data"
     shutil.copytree(pipeline["data"], data)
     manifest = json.loads((data / "manifest.json").read_text())
-    _MANIFEST_MUTATIONS[mutation](manifest)
+    mutate, fault = _MANIFEST_MUTATIONS[mutation]
+    mutate(manifest)
     (data / "manifest.json").write_text(json.dumps(manifest))
     capsys.readouterr()
     argv = ["curate", "--config", pipeline["config"], "--data", str(data),
             "--model", str(pipeline["model"]), "--out", str(tmp_path / "out")]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("trajcurate: data error: ") and err.count("\n") == 1
+    assert err.startswith("trajcurate: data error: ") and err.count("\n") == 1 and fault in err
 
 
 def test_manifest_with_per_frame_labels_still_loads(pipeline, tmp_path):
@@ -1055,19 +1049,49 @@ def test_manifest_with_per_frame_labels_still_loads(pipeline, tmp_path):
         assert (tmp_path / "out" / "masks" / path.name).read_bytes() == path.read_bytes()
 
 
-def test_bad_targets_is_usage_error(tmp_path):
+def test_bad_targets_is_usage_error(tmp_path, capsys):
     out = tmp_path / "data"
     assert main(["gen", "--out", str(out), "--config", _tiny_cfg(tmp_path)]) == 0
-    code = main([
-        "calibrate", "--data", str(out), "--model", "irrelevant",
-        "--targets", "0.1,oops",
-    ])
-    assert code == 1
-    code = main([
-        "calibrate", "--data", str(out), "--model", "irrelevant",
-        "--targets", "1.5",
-    ])
-    assert code == 1
+    for targets in ("0.1,oops", "1.5"):
+        capsys.readouterr()
+        code = main([
+            "calibrate", "--data", str(out), "--model", "irrelevant",
+            "--out", str(tmp_path / "calib"), "--targets", targets,
+        ])
+        assert code == 1
+        assert "--targets" in capsys.readouterr().err
+
+
+def test_calibrate_without_out_writes_nothing_into_the_dataset(six_run, tmp_path, monkeypatch, capsys):
+    """calibrate needs --out or the config's out, as every writing command does: it does
+    not fall back to --data, where a later gen would leave its report beside a new dataset."""
+    shutil.copytree(six_run, tmp_path / "run")
+    monkeypatch.chdir(tmp_path / "run")
+    before = sorted(p.relative_to("data") for p in Path("data").rglob("*"))
+    capsys.readouterr()
+    assert main(["calibrate", "--config", "tiny6.json", "--data", "data", "--model", "model.ckpt"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("trajcurate: config error: ") and err.count("\n") == 1 and "--out" in err
+    assert sorted(p.relative_to("data") for p in Path("data").rglob("*")) == before
+
+
+def test_manifest_entry_without_crc32_is_data_error(six_run, tmp_path, monkeypatch, capsys):
+    """Every manifest entry records its blob's crc32: dedup on a dataset whose
+    manifest lost one entry's exits 2 with one line naming that trajectory and
+    asking for a new gen, and writes nothing."""
+    shutil.copytree(six_run, tmp_path / "run")
+    monkeypatch.chdir(tmp_path / "run")
+    manifest = json.loads(Path("data/manifest.json").read_text())
+    del manifest["trajectories"][2]["crc32"]
+    Path("data/manifest.json").write_text(json.dumps(manifest))
+    shutil.rmtree("deduped")
+    before = _tree(Path("."))
+    capsys.readouterr()
+    assert main(_argv("dedup", 6)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("trajcurate: data error: ") and err.count("\n") == 1
+    assert "'traj_0002'" in err and "crc32" in err and "re-run gen" in err
+    assert _tree(Path(".")) == before
 
 
 def test_unknown_flag_exits_one():
@@ -1142,7 +1166,7 @@ def test_gen_is_deterministic_across_runs(tmp_path):
     cfg = _tiny_cfg(tmp_path)
     assert main(["gen", "--out", str(tmp_path / "a"), "--config", cfg]) == 0
     assert main(["gen", "--out", str(tmp_path / "b"), "--config", cfg]) == 0
-    for name in ["manifest.json", "ground_truth.json", "duplicates.json"]:
+    for name in ["manifest.json", "ground_truth.json"]:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
     for blob in (tmp_path / "a" / "trajectories").glob("*.bin"):
         twin = tmp_path / "b" / "trajectories" / blob.name

@@ -347,11 +347,10 @@ def test_pair_label_invariant_property(seed, fps):
 def test_split_is_by_trajectory():
     rng = np.random.default_rng(6)
     ds = make_dataset(rng, num_traj=20, n=40)
-    sampling = SamplingConfig(pairs_per_traj=10)
-    pairs = sample_training_pairs(ds, default_bins(), 10, sampling.dt_cap, sampling.seed)
-    _, report = train_progress_model(
-        ds, default_bins(), TrainConfig(epochs=1), sampling, hidden_sizes=(8,)
-    )
+    sampling, train_cfg = SamplingConfig(pairs_per_traj=10), TrainConfig(epochs=1)
+    # the train seed draws the pairs as well as the split
+    pairs = sample_training_pairs(ds, default_bins(), 10, sampling.dt_cap, train_cfg.seed)
+    _, report = train_progress_model(ds, default_bins(), train_cfg, sampling, hidden_sizes=(8,))
     # 10% of 20 trajectories -> 2 held out
     per_traj = np.bincount(pairs.traj)
     assert report.pairs_train + report.pairs_val == len(pairs)
